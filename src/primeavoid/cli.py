@@ -55,7 +55,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--delta", type=float, default=0.01)
     c.add_argument("--reduced-modulus", choices=("on", "off"), default="on")
     c.add_argument("--no-autoshrink", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=0,
+                   help="recorded in the certificate's seed field only; the "
+                        "construction is deterministic and does not use it")
     c.add_argument("--max-steps", type=int, default=None)
     c.add_argument("--out", default=None)
 
@@ -76,7 +78,6 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("matrix-scan", help="scan progression rows above a certificate")
     s.add_argument("path")
     s.add_argument("--rows", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -226,7 +227,6 @@ def _cmd_matrix_scan(args) -> int:
     if doc["mode"] != "kpower":
         print("error: matrix-scan needs a kpower certificate", file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed if args.seed is not None else int(doc["seed"])
     exceptional = [int(e["u"]) for e in doc["exceptions"]]
     report = kpower.matrix_scan(
         int(doc["m0"]),
@@ -235,7 +235,6 @@ def _cmd_matrix_scan(args) -> int:
         args.rows,
         int(doc["schedule"]["y"]),
         exceptional=exceptional,
-        seed=seed,
     )
     json.dump(
         {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DocumentError
 from .kpower import KCertificate
-from .numtheory import is_prime, natural_log
+from .numtheory import MR_DETERMINISTIC_BOUND, is_prime, natural_log
 from .squarefree import AvoidanceCertificate, avoidance_constant, classify_squarefree
 
 FORMAT_VERSION = "1.0"
@@ -215,7 +215,6 @@ def verify_document(doc: dict) -> VerifyReport:
     sections: list[tuple[str, bool, str]] = []
     notes: list[str] = []
     mode = doc["mode"]
-    seed = int(doc["seed"])
     y = int(doc["schedule"]["y"])
     k = int(doc["schedule"]["k"])
     modulus = int(doc["modulus"])
@@ -290,16 +289,17 @@ def verify_document(doc: dict) -> VerifyReport:
     )
 
     if mode == "kpower":
-        sections.append(
-            (
-                "prime_base",
-                is_prime(m, seed),
-                "m passes the primality test with the recorded seed",
-            )
-        )
+        m_prime = is_prime(m)
+        if not m_prime:
+            detail = "m is composite"
+        elif m < MR_DETERMINISTIC_BOUND:
+            detail = "m is proven prime"
+        else:
+            detail = "m is a BPSW probable prime"
+        sections.append(("prime_base", m_prime, detail))
         mismatch = None
         for u, status in sorted(exc.items()):
-            actual = "prime" if is_prime(value_base + u - 1, seed) else "composite"
+            actual = "prime" if is_prime(value_base + u - 1) else "composite"
             if actual != status:
                 mismatch = (u, status, actual)
                 break

@@ -26,7 +26,6 @@ from .numtheory import (
     kth_roots_mod_p,
     primes_upto,
 )
-from .parallel import pmap
 from .schedule import Schedule, capacity_check
 
 DEFAULT_PRIME_STEPS = 100_000
@@ -146,9 +145,7 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
                     return False
         return True
 
-    window = range(-sch.y, sch.y + 1)
-    flags = pmap(exceptional, window)
-    return tuple(u for u, flagged in zip(window, flags) if flagged)
+    return tuple(u for u in range(-sch.y, sch.y + 1) if exceptional(u))
 
 
 @dataclass(frozen=True)
@@ -336,7 +333,7 @@ def _screen_hit(screen, j: int) -> int:
 
 
 def find_prime_in_ap(
-    m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS, seed: int = 0
+    m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS
 ) -> int:
     """Smallest prime m0 + j*modulus with 1 <= j <= max_steps."""
     if math.gcd(m0, modulus) != 1:
@@ -351,7 +348,7 @@ def find_prime_in_ap(
             continue
         candidate = m0 + j * modulus
         tests += 1
-        if is_prime(candidate, seed):
+        if is_prime(candidate):
             return candidate
     raise SearchExhausted(
         f"no prime in {max_steps} progression steps "
@@ -362,7 +359,7 @@ def find_prime_in_ap(
 
 
 def verify_power_window(
-    m: int, sets: KSetSystem, matching: KMatching, sch: Schedule, seed: int = 0
+    m: int, sets: KSetSystem, matching: KMatching, sch: Schedule
 ) -> tuple[dict[int, FactorWitness], list[tuple[int, str]], int]:
     """Witness or classify every window element m^k + (u - 1).
 
@@ -396,10 +393,9 @@ def verify_power_window(
             cover[u] = FactorWitness.checked(value, p)
         else:
             pending.append(u)
-    verdicts = pmap(lambda u: is_prime(value_base + u - 1, seed), pending)
     exceptions = [
-        (u, "prime" if verdict else "composite")
-        for u, verdict in zip(pending, verdicts)
+        (u, "prime" if is_prime(value_base + u - 1) else "composite")
+        for u in pending
     ]
     prime_count = sum(1 for _, s in exceptions if s == "prime")
     return cover, exceptions, prime_count
@@ -424,7 +420,6 @@ def matrix_scan(
     rows: int,
     y: int,
     exceptional=(),
-    seed: int = 0,
 ) -> MatrixScanReport:
     """Scan rows r = 1..rows of the progression.
 
@@ -445,11 +440,11 @@ def matrix_scan(
         hit = _screen_hit(screen, r)
         if hit and g != hit:
             continue
-        if not is_prime(g, seed):
+        if not is_prime(g):
             continue
         prime_rows += 1
         base = g**k
-        if any(is_prime(base + u - 1, seed) for u in exceptional):
+        if any(is_prime(base + u - 1) for u in exceptional):
             with_window_prime += 1
         else:
             avoiding.append(r)
@@ -476,7 +471,7 @@ class KCertificate:
     exceptions: list[tuple[int, str]]
     prime_count_in_window: int
     autoshrink_trace: tuple[int, ...]
-    seed: int
+    seed: int  # recorded in the document only; no step of the run uses it
 
 
 def construct_certificate_k(
@@ -506,8 +501,8 @@ def construct_certificate_k(
     sets = replace(sets, u6=legendre_screen(sch, sets.p3tilde))
     matching = match_offsets(sets)
     sets, modulus, m0 = solve_m0_k(sch, sets, matching, reduced=reduced)
-    m = find_prime_in_ap(m0, modulus, max_steps=max_steps, seed=seed)
-    cover, exceptions, prime_count = verify_power_window(m, sets, matching, sch, seed)
+    m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
+    cover, exceptions, prime_count = verify_power_window(m, sets, matching, sch)
     return KCertificate(
         schedule=sch,
         sets=sets,

@@ -8,16 +8,15 @@ kernel backend.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import kernels
 
 # The first thirteen primes decide primality for every n below this
-# bound (Sorenson & Webster); above it we fall back to seeded rounds.
+# bound (Sorenson & Webster); above it is_prime runs BPSW, which no known
+# composite passes but which is not a proof.
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_SEEDED_ROUNDS = 64
 
 SIEVE_LIMIT = 10**8
 TRIAL_FACTOR_LIMIT = 10**12
@@ -94,12 +93,64 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def is_prime(n: int, seed: int = 0) -> bool:
-    """Primality test.
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters.
 
-    Exact (fixed witness bases) below 3.3e24; above that, 64 rounds of
-    strong-probable-prime testing with bases drawn from a generator
-    seeded by ``seed``, so results are reproducible for a given seed.
+    n is odd and > 1.  D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  A perfect square has no such D,
+    so squares are rejected first.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d_abs, sign = 5, 1
+    while True:
+        # every Selfridge D is 1 mod 4, so reciprocity gives (D/n) = (n/|D|)
+        j = jacobi(n, d_abs)
+        if j == -1:
+            break
+        if j == 0:
+            return n == d_abs  # otherwise gcd(D, n) is a proper factor
+        d_abs, sign = d_abs + 2, -sign
+    D = sign * d_abs
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # left-to-right binary chain over d: (U, V, Qk) = (U_k, V_k, Q^k) mod n
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U, V, Qk = U >> 1, V >> 1, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _bpsw(n: int) -> bool:
+    """Baillie-PSW test for odd n > 1: a base-2 strong probable-prime test
+    plus a strong Lucas test.  No composite is known to pass both."""
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def is_prime(n: int) -> bool:
+    """Primality test, deterministic for every n.
+
+    Below 2**64 the kernel's fixed-base test decides; below
+    MR_DETERMINISTIC_BOUND (about 3.3e24) thirteen fixed Miller-Rabin
+    bases decide.  Both are proofs.  Above that bound the verdict is
+    BPSW's: "False" is a proof of compositeness, "True" means a BPSW
+    probable prime.
     """
     if n < 2:
         return False
@@ -110,11 +161,7 @@ def is_prime(n: int, seed: int = 0) -> bool:
             return False
     if n < MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
-    rng = random.Random(seed)
-    return all(
-        _strong_probable_prime(n, rng.randrange(2, n - 1))
-        for _ in range(_MR_SEEDED_ROUNDS)
-    )
+    return _bpsw(n)
 
 
 def largest_prime_factor(n: int) -> int:

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
+    MR_DETERMINISTIC_BOUND,
     Congruence,
     FactorWitness,
     crt_solve,
@@ -148,7 +149,7 @@ class SquarefreeSearch:
 
     m: int
     steps: int  # progression index j with m = m0 + j*N
-    status: str  # "proven" | "partial"
+    status: str  # "proven" | "prp" | "partial", see classify_squarefree
     trial_bound: int
     candidates_tried: int
 
@@ -159,11 +160,14 @@ def _trial_primes(bound: int) -> tuple[int, ...]:
 
 
 def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
-    """Tiered squarefree check: "proven", "partial", or "not_squarefree".
+    """Tiered squarefree check: "proven", "prp", "partial", or
+    "not_squarefree".
 
     Strips every prime <= bound; a repeated factor settles the question.
-    The cofactor then is 1, a prime, a proper perfect power, or opaque;
-    only the opaque case is left "partial" (possible for m > bound**2).
+    The cofactor then is 1, a prime, a proper perfect power, or opaque.
+    A prime cofactor is "proven" when is_prime's verdict is a proof (below
+    MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW probable
+    prime; the opaque case is left "partial" (possible for m > bound**2).
     """
     rest = m
     for p in _trial_primes(bound):
@@ -173,9 +177,11 @@ def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
             rest //= p
             if rest % p == 0:
                 return "not_squarefree"
-    if rest == 1 or rest <= bound * bound or is_prime(rest):
+    if rest == 1 or rest <= bound * bound:
         # a composite cofactor below bound^2 would need a factor <= bound
         return "proven"
+    if is_prime(rest):
+        return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
     if _is_perfect_power(rest):
         return "not_squarefree"
     return "partial"
@@ -302,7 +308,7 @@ class AvoidanceCertificate:
     exponent_report: float
     avoidance_constant: float | None
     autoshrink_trace: tuple[int, ...]
-    seed: int
+    seed: int  # recorded in the document only; no step of the run uses it
 
 
 def construct_certificate(

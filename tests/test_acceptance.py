@@ -178,7 +178,7 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
     statuses_ok = all(s in ("prime", "composite") for _, s in cert.exceptions)
     elapsed = time.perf_counter() - t0
     checks = [
-        is_prime(cert.m, cert.seed),
+        is_prime(cert.m),
         math.gcd(cert.m0, cert.modulus) == 1,
         witnessed == required,
         exception_offsets <= excluded,

@@ -240,6 +240,23 @@ def test_matrix_scan_needs_kpower_mode(tmp_path, capsys, micro_doc_text):
 # -- verifier closure over kpower ------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "x,detail",
+    [(100, "m is proven prime"), (200, "m is a BPSW probable prime")],
+    ids=["proven", "bpsw"],
+)
+def test_verify_prime_base_names_its_tier(tmp_path, capsys, x, detail):
+    # x=100 gives a 56-bit m, x=200 an 82-bit m above MR_DETERMINISTIC_BOUND
+    path = tmp_path / "k1.json"
+    code, _, _ = run_cli(
+        capsys, "construct", "--mode", "kpower", "--x", str(x), "--out", str(path)
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert detail in out
+
+
 def test_verify_kpower_closure_and_tamper(tmp_path, capsys, k1_doc_path):
     code, out, _ = run_cli(capsys, "verify", str(k1_doc_path))
     assert code == 0

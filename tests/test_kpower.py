@@ -333,7 +333,7 @@ def test_k1_mid_band_witness_algebra(k1_cert):
 def test_verify_rechecks_divisions(k1_cert):
     cert = k1_cert
     cover, exceptions, prime_count = verify_power_window(
-        cert.m, cert.sets, cert.matching, cert.schedule, cert.seed
+        cert.m, cert.sets, cert.matching, cert.schedule
     )
     assert cover.keys() == cert.cover.keys()
     assert exceptions == cert.exceptions
@@ -346,7 +346,7 @@ def test_k1_full_modulus_pipeline():
     )
     assert cert.modulus == math.prod(primes_upto(200))
     assert math.gcd(cert.m0, cert.modulus) == 1
-    assert is_prime(cert.m, cert.seed)
+    assert is_prime(cert.m)
     # leftover primes all got residue 1
     for p in cert.sets.p4:
         assert cert.m0 % p == 1
@@ -361,14 +361,14 @@ def test_k2_pipeline_small():
         make_schedule(1e4, 2, "practical", y=60), seed=0
     )
     y = cert.schedule.y
-    assert is_prime(cert.m, cert.seed)
+    assert is_prime(cert.m)
     assert math.gcd(cert.m0, cert.modulus) == 1
     base = cert.m**2
     for u, w in cert.cover.items():
         assert (base + u - 1) % w.p == 0
     for u, status in cert.exceptions:
         assert status in ("prime", "composite")
-        assert (status == "prime") == is_prime(base + u - 1, cert.seed)
+        assert (status == "prime") == is_prime(base + u - 1)
     covered = set(cert.cover) | {u for u, _ in cert.exceptions} | {1}
     assert covered == set(range(-y, y + 1))
 
@@ -385,7 +385,7 @@ def test_matrix_scan_zero_rows(k1_cert):
 def test_matrix_scan_counts_match_direct_enumeration(k1_cert):
     cert = k1_cert
     report = matrix_scan(
-        cert.m0, cert.modulus, 1, 60, cert.schedule.y, exceptional=(), seed=0
+        cert.m0, cert.modulus, 1, 60, cert.schedule.y, exceptional=()
     )
     direct = [
         r for r in range(1, 61) if is_prime(cert.m0 + r * cert.modulus)
@@ -396,7 +396,7 @@ def test_matrix_scan_counts_match_direct_enumeration(k1_cert):
 
 
 def test_matrix_scan_small_modulus_cross_check():
-    report = matrix_scan(7, 30, 1, 100, 5, exceptional=(), seed=0)
+    report = matrix_scan(7, 30, 1, 100, 5, exceptional=())
     direct = [r for r in range(1, 101) if is_prime(7 + 30 * r)]
     assert report.prime_rows == len(direct)
     assert list(report.avoiding_rows) == direct
@@ -405,7 +405,7 @@ def test_matrix_scan_small_modulus_cross_check():
 def test_matrix_scan_flags_rows_with_window_primes():
     # k=1, modulus 2, exceptional offset u=3: value g + 2, so twin-prime
     # rows are flagged and everything else is avoiding
-    report = matrix_scan(1, 2, 1, 30, 5, exceptional=(3,), seed=0)
+    report = matrix_scan(1, 2, 1, 30, 5, exceptional=(3,))
     flagged = [
         r for r in range(1, 31) if is_prime(1 + 2 * r) and is_prime(3 + 2 * r)
     ]

@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeavoid.numtheory import (
+    _MR_BASES,
+    MR_DETERMINISTIC_BOUND,
     Congruence,
     FactorWitness,
     crt_solve,
@@ -16,6 +19,9 @@ from primeavoid.numtheory import (
     largest_prime_factor,
     mertens_product,
     primes_upto,
+    _bpsw,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -107,11 +113,74 @@ def test_is_prime_big_deterministic_band():
     assert not is_prime(m + 2)
 
 
-def test_is_prime_seeded_band_reproducible():
-    n = 10**30 + 57  # above the deterministic bound
-    assert is_prime(n, seed=1) == is_prime(n, seed=1)
-    # a known factorization: (10^30 + 57) has small factor? ensure consistency only
-    assert is_prime(n, seed=7) == is_prime(n, seed=1)
+def seeded_miller_rabin(n, seed=0, rounds=64):
+    """The test is_prime ran above MR_DETERMINISTIC_BOUND before BPSW:
+    trial division by the thirteen bases, then 64 strong probable-prime
+    rounds with bases from a seeded generator.  Kept as a reference."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    rng = random.Random(seed)
+    return all(
+        _strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(rounds)
+    )
+
+
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321])
+def test_bpsw_rejects_base2_strong_pseudoprimes(n):
+    assert _strong_probable_prime(n, 2)
+    assert not _strong_lucas_probable_prime(n)
+    assert not _bpsw(n)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+def test_bpsw_rejects_strong_lucas_pseudoprimes(n):
+    assert _strong_lucas_probable_prime(n)
+    assert not _strong_probable_prime(n, 2)
+    assert not _bpsw(n)
+
+
+def test_bpsw_rejects_perfect_squares():
+    # 1093^2 and 3511^2 (Wieferich squares) pass base 2, so only the
+    # square check in the Lucas test stops them
+    for q in (1093, 3511):
+        assert _strong_probable_prime(q * q, 2)
+        assert not _bpsw(q * q)
+    for q in (2**89 - 1, 2**127 - 1):
+        assert not _strong_lucas_probable_prime(q * q)
+        assert not _bpsw(q * q)
+        assert not is_prime(q * q)
+
+
+def test_bpsw_agrees_with_trial_division_small():
+    for n in range(3, 20_000, 2):
+        assert _bpsw(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_bpsw_band():
+    for e in (127, 521, 607):
+        assert is_prime(2**e - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert (2**89 - 1) * (2**107 - 1) > MR_DETERMINISTIC_BOUND
+
+
+def test_bpsw_matches_seeded_miller_rabin():
+    # walk up from a random odd start until the reference finds a prime,
+    # so every walk checks composites and ends on a prime
+    for seed in range(24):
+        rng = random.Random(seed)
+        bits = rng.randrange(100, 601)
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        while True:
+            expected = seeded_miller_rabin(n)
+            assert _bpsw(n) == expected, n
+            assert is_prime(n) == expected, n
+            if expected:
+                break
+            n += 2
 
 
 # -- largest_prime_factor / is_smooth --------------------------------------

@@ -207,6 +207,8 @@ def test_classify_tiers_on_opaque_cofactors():
     assert classify_squarefree(210 * q1 * q1) == "not_squarefree"  # square
     assert classify_squarefree(210 * q1**3) == "not_squarefree"  # perfect power
     assert classify_squarefree(210 * q1) == "proven"  # prime cofactor
+    # a prime cofactor above MR_DETERMINISTIC_BOUND is only a BPSW verdict
+    assert classify_squarefree(210 * (2**89 - 1)) == "prp"
     assert classify_squarefree(210 * q1 * q2) == "partial"  # opaque composite
 
 
