@@ -1,41 +1,32 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python twin.
+"""Time the fixed-width kernels in ``primeavoid.kernels``.
 
 Usage:
     python benchmarks/bench_kernels.py [--quick]
 
-Each kernel runs the same workload on both backends; the table reports
-wall time and speedup.  Build the extension first
-(``python setup.py build_ext --inplace``) or the compiled column is
-skipped.
+Each kernel runs a fixed workload three times; the table reports the
+best wall time.
 """
 
 import argparse
 import random
 import time
 
-from primeavoid import _kernels_py as py_impl
-
-try:
-    from primeavoid import _kernels as c_impl
-except ImportError:
-    c_impl = None
+from primeavoid import kernels
 
 
-def timed(fn, *args, repeat=3):
+def timed(fn, repeat=3):
     best = float("inf")
-    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn(*args)
+        fn()
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def workloads(quick):
     sieve_limit = 10**6 if quick else 10**7
     sift_limit = 10**6 if quick else 10**7
-    root_prime = 99991 if quick else 999983
     rng = random.Random(0)
     mr_inputs = [rng.randrange(2, 2**62) | 1 for _ in range(2000 if quick else 20000)]
     jacobi_inputs = [
@@ -43,25 +34,18 @@ def workloads(quick):
         for _ in range(20000 if quick else 200000)
     ]
     lpf_inputs = [rng.randrange(2, 10**12) for _ in range(200 if quick else 2000)]
-    sift_rules = [(p, (0, 1 % p)) for p in py_impl.sieve_primes(100)]
-
-    def run_mr(impl):
-        return sum(1 for n in mr_inputs if impl.is_prime_u64(n))
-
-    def run_jacobi(impl):
-        return sum(impl.jacobi_sym(a % n, n) for a, n in jacobi_inputs)
-
-    def run_lpf(impl):
-        return max(impl.largest_prime_factor_u64(n) for n in lpf_inputs)
+    sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
 
     return [
-        ("sieve_primes(%.0e)" % sieve_limit, lambda i: len(i.sieve_primes(sieve_limit))),
-        ("is_prime_u64 x%d" % len(mr_inputs), run_mr),
-        ("jacobi_sym x%d" % len(jacobi_inputs), run_jacobi),
-        ("kth_roots(p=%d)" % root_prime, lambda i: len(i.kth_roots(2, 3, root_prime))),
-        ("kth_root_count(p=%d)" % root_prime, lambda i: i.kth_root_count(2, 2, root_prime)),
-        ("largest_prime_factor x%d" % len(lpf_inputs), run_lpf),
-        ("sifted_count(%.0e)" % sift_limit, lambda i: i.sifted_count(sift_limit, sift_rules)),
+        ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
+        ("is_prime_u64 x%d" % len(mr_inputs),
+         lambda: [kernels.is_prime_u64(n) for n in mr_inputs]),
+        ("jacobi_sym x%d" % len(jacobi_inputs),
+         lambda: [kernels.jacobi_sym(a % n, n) for a, n in jacobi_inputs]),
+        ("largest_prime_factor x%d" % len(lpf_inputs),
+         lambda: [kernels.largest_prime_factor_u64(n) for n in lpf_inputs]),
+        ("sifted_count(%.0e)" % sift_limit,
+         lambda: kernels.sifted_count(sift_limit, sift_rules)),
     ]
 
 
@@ -70,16 +54,9 @@ def main():
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     args = parser.parse_args()
 
-    print(f"{'kernel':<34} {'python':>10} {'compiled':>10} {'speedup':>8}")
+    print(f"{'kernel':<34} {'seconds':>10}")
     for name, job in workloads(args.quick):
-        py_time, py_result = timed(job, py_impl)
-        if c_impl is None:
-            print(f"{name:<34} {py_time:>9.3f}s {'absent':>10}")
-            continue
-        c_time, c_result = timed(job, c_impl)
-        if py_result != c_result:
-            raise SystemExit(f"backend mismatch in {name}: {py_result} != {c_result}")
-        print(f"{name:<34} {py_time:>9.3f}s {c_time:>9.3f}s {py_time / c_time:>7.1f}x")
+        print(f"{name:<34} {timed(job):>9.3f}s")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """primeavoid: desk-scale construction of prime-avoiding squarefree
 numbers and prime powers, with machine-checkable certificates."""
 
-from .kernels import BACKEND
 from .numtheory import (
     Congruence,
     FactorWitness,
@@ -19,7 +18,6 @@ from .schedule import Schedule, capacity_check, iter_log, make_schedule
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Congruence",
     "FactorWitness",
     "Schedule",

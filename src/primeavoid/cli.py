@@ -228,9 +228,11 @@ def _cmd_matrix_scan(args) -> int:
         print("error: matrix-scan needs a kpower certificate", file=sys.stderr)
         return EXIT_USAGE
     exceptional = [int(e["u"]) for e in doc["exceptions"]]
+    with doc_mod.unlimited_int_digits():
+        m0, modulus = int(doc["m0"]), int(doc["modulus"])
     report = kpower.matrix_scan(
-        int(doc["m0"]),
-        int(doc["modulus"]),
+        m0,
+        modulus,
         int(doc["schedule"]["k"]),
         args.rows,
         int(doc["schedule"]["y"]),

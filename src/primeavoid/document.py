@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DocumentError
@@ -19,6 +21,23 @@ from .squarefree import AvoidanceCertificate, avoidance_constant, classify_squar
 
 FORMAT_VERSION = "1.0"
 MAX_LISTED_ELEMENTS = 10**4
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's process-wide int<->str digit limit (4300 digits
+    since 3.11) for the duration: m and the modulus outgrow it at large x
+    (squarefree x = 3*10^4 gives an m of about 13k digits)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _set_entry(values) -> dict:
@@ -44,6 +63,7 @@ def _schedule_entry(sch) -> dict:
     }
 
 
+@unlimited_int_digits()
 def certificate_to_document(cert: AvoidanceCertificate) -> dict:
     """Serialize a squarefree certificate."""
     congs = [["0", str(p)] for p in cert.sets.p1]
@@ -87,6 +107,7 @@ def certificate_to_document(cert: AvoidanceCertificate) -> dict:
     }
 
 
+@unlimited_int_digits()
 def kcertificate_to_document(cert: KCertificate) -> dict:
     """Serialize a k-th power certificate."""
     congs = [["1", str(p)] for p in cert.sets.p1]
@@ -165,6 +186,7 @@ _REQUIRED_KEYS = (
 )
 
 
+@unlimited_int_digits()
 def parse_document(text: str) -> dict:
     """Parse and structurally validate a certificate document."""
     try:
@@ -210,6 +232,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+@unlimited_int_digits()
 def verify_document(doc: dict) -> VerifyReport:
     """Re-validate every claim a certificate document makes."""
     sections: list[tuple[str, bool, str]] = []

@@ -1,42 +1,112 @@
-"""Backend selection for the hot kernels.
+"""Fixed-width inner loops: sieve, u64 primality, Jacobi symbols,
+trial factorization and sifted counts.
 
-Prefers the compiled extension when it has been built; otherwise the
-pure-Python twin is used.  Set PRIME_AVOID_BACKEND=python to force the
-fallback (e.g. for benchmarking) or PRIME_AVOID_BACKEND=compiled to fail
-loudly when the extension is missing.
+All inputs are machine-range integers; arbitrary-precision work stays in
+the calling layer.  Callers reach these through the module attributes
+(``kernels.sieve_primes``), so a wrapper installed on the module sees
+every call.
 """
 
-import os
+from itertools import compress
+from math import isqrt
 
-_requested = os.environ.get("PRIME_AVOID_BACKEND", "auto").strip().lower()
+# e2ebench/run.py's environment probe prints this and refuses to run without it.
+BACKEND = "python"
 
-if _requested in ("auto", ""):
-    try:
-        from . import _kernels as _impl
+# Strong-pseudoprime witnesses: the first twelve primes decide primality
+# for every n below 318665857834031151167461 (Sorenson & Webster), which
+# covers the full uint64 range this kernel accepts.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl
 
-        BACKEND = "python"
-elif _requested in ("compiled", "c"):
-    from . import _kernels as _impl
+def sieve_primes(limit):
+    """All primes <= limit, ascending."""
+    if limit < 2:
+        return []
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            start = p * p
+            flags[start::p] = bytearray((limit - start) // p + 1)
+    return list(compress(range(limit + 1), flags))
 
-    BACKEND = "compiled"
-elif _requested in ("python", "py"):
-    from . import _kernels_py as _impl
 
-    BACKEND = "python"
-else:
-    raise RuntimeError(
-        f"PRIME_AVOID_BACKEND={_requested!r} not understood "
-        "(expected auto, compiled, or python)"
-    )
+def is_prime_u64(n):
+    """Deterministic strong-pseudoprime test, n < 2**64."""
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-sieve_primes = _impl.sieve_primes
-is_prime_u64 = _impl.is_prime_u64
-jacobi_sym = _impl.jacobi_sym
-kth_roots = _impl.kth_roots
-kth_root_count = _impl.kth_root_count
-largest_prime_factor_u64 = _impl.largest_prime_factor_u64
-sifted_count = _impl.sifted_count
+
+def jacobi_sym(a, n):
+    """Jacobi symbol (a/n) for odd n >= 1, 0 <= a < n."""
+    if n == 1:
+        return 1
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def largest_prime_factor_u64(n):
+    """Largest prime factor of n >= 1 by trial division (n <= 10**12)."""
+    largest = 1
+    while n % 2 == 0:
+        largest = 2
+        n //= 2
+    while n % 3 == 0:
+        largest = 3
+        n //= 3
+    f = 5
+    while f * f <= n:
+        if n % f == 0:
+            largest = f
+            n //= f
+        elif n % (f + 2) == 0:
+            largest = f + 2
+            n //= f + 2
+        else:
+            f += 6
+    return n if n > 1 else largest
+
+
+def sifted_count(limit, rules):
+    """Count n in [1, limit] avoiding every forbidden residue class.
+
+    ``rules`` is a sequence of (p, residues) pairs; n survives when
+    n % p is in no residue set.
+    """
+    alive = bytearray(b"\x01") * (limit + 1)
+    alive[0] = 0
+    for p, residues in rules:
+        for r in residues:
+            start = r if r >= 1 else p
+            if start <= limit:
+                alive[start::p] = bytearray((limit - start) // p + 1)
+    return sum(alive)

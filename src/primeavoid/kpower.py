@@ -23,6 +23,7 @@ from .numtheory import (
     is_prime,
     is_smooth,
     jacobi,
+    kth_root_count,
     kth_roots_mod_p,
     primes_upto,
 )
@@ -159,15 +160,6 @@ class KMatching:
         return {p for p, _ in self.matched.values()}
 
 
-def _solvable(a: int, k: int, p: int) -> bool:
-    """Is n**k == a (mod p) solvable for a != 0?  Euler-criterion test;
-    agrees with full enumeration (property-tested)."""
-    if p == 2:
-        return True
-    g = math.gcd(k, p - 1)
-    return pow(a, (p - 1) // g, p) == 1
-
-
 def _max_matching(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
     """Hopcroft-Karp maximum bipartite matching.
 
@@ -258,7 +250,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
         edges = []
         for p in sets.p3tilde:
             a = (1 - u) % p
-            if a != 0 and _solvable(a, k, p):
+            if a != 0 and kth_root_count(a, k, p):
                 edges.append(p)
         adjacency[u] = tuple(edges)
     pairs = _max_matching(adjacency)
@@ -268,7 +260,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
         roots = kth_roots_mod_p((1 - u) % p, k, p)
         if not roots:
             raise RuntimeError(
-                f"solvability test and enumeration disagree at (u={u}, p={p})"
+                f"root count and enumeration disagree at (u={u}, p={p})"
             )
         root = min(roots)
         if pow(root, k, p) != (1 - u) % p:

@@ -1,8 +1,7 @@
 """Exact integer and modular arithmetic primitives.
 
 Everything here is a pure function over Python ints (arbitrary precision,
-no rounding); fixed-width inner loops are delegated to the selected
-kernel backend.
+no rounding); fixed-width inner loops are delegated to ``kernels``.
 """
 
 from __future__ import annotations
@@ -207,16 +206,24 @@ def kth_roots_mod_p(a: int, k: int, p: int) -> set[int]:
         raise ValueError(f"modulus {p} exceeds enumeration bound {ROOT_ENUM_LIMIT}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    return set(kernels.kth_roots(a % p, k, p))
+    a %= p
+    return {n for n in range(p) if pow(n, k, p) == a}
 
 
 def kth_root_count(a: int, k: int, p: int) -> int:
-    """|{n in [0,p) : n**k == a (mod p)}| without materializing the set."""
+    """|{n in [0,p) : n**k == a (mod p)}| for prime p, in closed form.
+
+    The unit group mod p is cyclic of order p - 1, so with g = gcd(k, p-1)
+    a nonzero a has g k-th roots when a**((p-1)/g) == 1 (Euler's
+    criterion) and none otherwise; a == 0 has the single root 0.
+    """
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    if p > ROOT_ENUM_LIMIT:
-        raise ValueError(f"modulus {p} exceeds enumeration bound {ROOT_ENUM_LIMIT}")
-    return kernels.kth_root_count(a % p, k, p)
+    a %= p
+    if a == 0:
+        return 1
+    g = math.gcd(k, p - 1)
+    return g if pow(a, (p - 1) // g, p) == 1 else 0
 
 
 def crt_solve(congruences) -> tuple[int, int]:

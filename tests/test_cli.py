@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -155,6 +156,20 @@ def test_document_round_trip(micro_doc_text):
     assert doc_mod.document_to_json(doc) == micro_doc_text
     reparsed = doc_mod.parse_document(doc_mod.document_to_json(doc))
     assert reparsed == doc
+
+
+def test_document_numbers_beyond_4300_digits():
+    # CPython refuses int<->str conversions past 4300 digits by default;
+    # large-x certificates need both directions
+    cert = construct_certificate(
+        make_schedule(40, 1, "explicit", z=6.3246, y=10), seed=0
+    )
+    big = replace(cert, n=cert.n * 10**4400, m=cert.m + cert.n * 10**4400)
+    doc = doc_mod.certificate_to_document(big)
+    assert doc["modulus"] == str(cert.n) + "0" * 4400
+    assert len(doc["m"]) > 4400
+    parsed = doc_mod.parse_document(doc_mod.document_to_json(doc))
+    assert parsed["m"] == doc["m"] and parsed["modulus"] == doc["modulus"]
 
 
 # -- bench-sieve ---------------------------------------------------------------------

@@ -7,7 +7,6 @@ from primeavoid.errors import CapacityError, SearchExhausted
 from primeavoid.kpower import (
     KMatching,
     _max_matching,
-    _solvable,
     build_sets_k,
     construct_certificate_k,
     find_prime_in_ap,
@@ -18,7 +17,13 @@ from primeavoid.kpower import (
     solve_m0_k,
     verify_power_window,
 )
-from primeavoid.numtheory import is_prime, jacobi, kth_roots_mod_p, primes_upto
+from primeavoid.numtheory import (
+    is_prime,
+    jacobi,
+    kth_root_count,
+    kth_roots_mod_p,
+    primes_upto,
+)
 from primeavoid.schedule import make_schedule
 
 
@@ -112,13 +117,6 @@ def test_screen_catches_squares_for_k2():
 # -- solvability and matching ---------------------------------------------------
 
 
-def test_solvable_agrees_with_enumeration():
-    for p in primes_upto(60):
-        for k in range(1, 7):
-            for a in range(1, p):
-                assert _solvable(a, k, p) == bool(kth_roots_mod_p(a, k, p)), (a, k, p)
-
-
 def test_matching_k1_is_total_and_ascending():
     sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=6)
     sets = build_sets_k(sch)
@@ -143,7 +141,7 @@ def test_matching_roots_verify():
 
 def test_matching_k2_unsolvable_edge():
     # m^2 == -1 (mod 7) has no solution: (-1/7) = -1
-    assert not _solvable((-1) % 7, 2, 7)
+    assert kth_root_count(-1, 2, 7) == 0
     assert kth_roots_mod_p(-1, 2, 7) == set()
 
 
@@ -172,7 +170,7 @@ def test_matching_is_maximum_no_augmenting_path():
     adjacency = {
         u: tuple(
             p for p in sets.p3tilde
-            if (1 - u) % p != 0 and _solvable((1 - u) % p, sets.k, p)
+            if (1 - u) % p != 0 and kth_root_count(1 - u, sets.k, p)
         )
         for u in domain
     }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeavoid import kernels
 from primeavoid.numtheory import (
     _MR_BASES,
     MR_DETERMINISTIC_BOUND,
@@ -111,6 +112,27 @@ def test_is_prime_big_deterministic_band():
     assert is_prime(m)
     assert not is_prime(m - 2)
     assert not is_prime(m + 2)
+
+
+def thirteen_base_is_prime(n):
+    """Trial division by the thirteen bases, then a strong probable-prime
+    round to each: a proof below MR_DETERMINISTIC_BOUND."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+
+
+def test_is_prime_u64_matches_thirteen_base_test():
+    rng = random.Random(42)
+    ns = list(range(100)) + [rng.randrange(2, 2**62) for _ in range(300)]
+    ns += [2**61 - 1, 2**61 + 1, 2**63 - 259, 10**12 + 39]
+    for n in ns:
+        assert kernels.is_prime_u64(n) == thirteen_base_is_prime(n), n
+    assert kernels.is_prime_u64(2**61 - 1)  # Mersenne prime
+    assert not kernels.is_prime_u64(2**61 + 1)  # divisible by 3
 
 
 def seeded_miller_rabin(n, seed=0, rounds=64):
@@ -271,6 +293,21 @@ def test_kth_roots_match_enumeration_and_total():
                 assert kth_root_count(a, k, p) == len(expected)
                 total += len(got)
             assert total == p
+
+
+def test_kth_root_count_past_enumeration_bound():
+    # p - 1 = 2 * 3 * 166667, so gcd(k, p - 1) is 1, 2, 3, 2, 1, 6 for k = 1..6
+    p = 10**6 + 3
+    for k in range(1, 7):
+        assert kth_root_count(0, k, p) == kth_root_count(p, k, p) == 1
+    rng = random.Random(9)
+    for _ in range(50):
+        r = rng.randrange(1, p)
+        for k in range(1, 7):
+            assert kth_root_count(pow(r, k, p), k, p) == math.gcd(k, p - 1)
+        a = rng.randrange(1, p)
+        assert kth_root_count(a, 2, p) == 1 + jacobi(a, p)
+        assert kth_root_count(a, 5, p) == 1
 
 
 def test_kth_roots_validation():
