@@ -6,7 +6,8 @@ parameter grid), matrix-scan (progression rows above a certificate).
 
 Exit codes: 0 success, 1 verification/bench failure, 2 capacity failure,
 3 search exhaustion, 64 usage error, 65 malformed document, 66 missing
-certificate file.
+certificate file, 70 internal error (a construction consistency check
+failed).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
 EXIT_BAD_DOCUMENT = 65
 EXIT_NO_CERTIFICATE = 66
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,6 +125,9 @@ def _cmd_construct(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     text = doc_mod.document_to_json(doc)
     if args.out:

@@ -40,7 +40,10 @@ class KSetSystem:
     k: int
     p1: tuple[int, ...]  # p <= log x, plus the band (z, x/40k]
     p2: tuple[int, ...]  # mid band (log x, z]
-    p3tilde: tuple[int, ...]  # matchable large primes (congruence-filtered)
+    # large primes passing the band's congruence filter; for odd k the
+    # filter p == 2 (mod 3) gives gcd(k, p-1) = 1 only when k is a power
+    # of 3, so match_offsets checks each edge with kth_root_count
+    p3tilde: tuple[int, ...]
     u1: tuple[int, ...]  # offsets divisible by some band-one prime
     u2: tuple[int, ...]  # window minus u1
     u3: tuple[int, ...]  # offsets with |u| prime
@@ -131,8 +134,14 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
 
 def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     """Offsets u whose -u is a quadratic residue for too few matchable
-    primes (at most delta*x/log x of them).  Empty for odd k: every
-    matchable prime was chosen so that k-th powers cover all residues."""
+    primes (at most delta*x/log x of them).  Empty for odd k.
+
+    The odd-k filter p == 2 (mod 3) makes k-th powers cover every residue
+    mod p only when k is a power of 3: for k=5 at x=2000, 37 of the 147
+    matchable primes have 5 | p-1.  Witnesses stay valid regardless,
+    because match_offsets draws an edge only where kth_root_count finds
+    a root; an offset left unmatched and otherwise uncovered is recorded
+    as an exception by verify_power_window."""
     if sch.k % 2 == 1:
         return ()
     threshold = sch.delta * sch.x / math.log(sch.x)

@@ -34,6 +34,7 @@ from .numtheory import (
 from .schedule import Schedule, capacity_check, iter_log
 
 SQUAREFREE_TRIAL_BOUND = 10**7
+TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when smaller
 DEFAULT_MAX_STEPS = 10_000
 
 
@@ -154,35 +155,55 @@ class SquarefreeSearch:
     candidates_tried: int
 
 
-@lru_cache(maxsize=1)
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    return tuple(primes_upto(bound))
+@lru_cache(maxsize=4)  # the default bound plus a few caller-chosen ones
+def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
+    """The primes <= bound as (smallest prime, product) blocks of
+    consecutive primes, each product about TRIAL_BLOCK_BITS bits."""
+    blocks = []
+    first, product = 0, 1
+    for p in primes_upto(bound):
+        if product == 1:
+            first = p
+        product *= p
+        if product.bit_length() >= TRIAL_BLOCK_BITS:
+            blocks.append((first, product))
+            product = 1
+    if product > 1:
+        blocks.append((first, product))
+    return tuple(blocks)
 
 
 def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
     """Tiered squarefree check: "proven", "prp", "partial", or
     "not_squarefree".
 
-    Strips every prime <= bound; a repeated factor settles the question.
-    The cofactor then is 1, a prime, a proper perfect power, or opaque.
-    A prime cofactor is "proven" when is_prime's verdict is a proof (below
-    MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW probable
-    prime; the opaque case is left "partial" (possible for m > bound**2).
+    Strips every prime <= bound once, a block of consecutive primes per
+    gcd: g = gcd(rest, block) is the product of the block's primes that
+    divide rest, and a repeated factor shows as gcd(rest // g, g) > 1,
+    which settles the question.  The scan stops early once the next
+    block's smallest prime p has p*p > rest, since rest is then 1 or a
+    prime.  The cofactor then is 1, a prime, a proper perfect power, or
+    opaque.  A prime cofactor is "proven" when is_prime's verdict is a
+    proof (below MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW
+    probable prime; the opaque case is left "partial" (possible for
+    m > bound**2).  The perfect-power test runs only after the full scan,
+    so the cofactor has no prime factor <= bound; see _is_perfect_power.
     """
     rest = m
-    for p in _trial_primes(bound):
-        if p * p > rest:
+    for first, block in _trial_blocks(bound):
+        if first * first > rest:
             break
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
+        g = math.gcd(rest, block)
+        if g > 1:
+            rest //= g
+            if math.gcd(rest, g) > 1:
                 return "not_squarefree"
     if rest == 1 or rest <= bound * bound:
         # a composite cofactor below bound^2 would need a factor <= bound
         return "proven"
     if is_prime(rest):
         return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
-    if _is_perfect_power(rest):
+    if _is_perfect_power(rest, bound):
         return "not_squarefree"
     return "partial"
 
@@ -199,14 +220,16 @@ def _iroot(n: int, e: int) -> int:
         x = y
 
 
-def _is_perfect_power(n: int) -> bool:
-    for e in range(2, n.bit_length() + 1):
-        root = _iroot(n, e)
-        if root < 2:
-            break
-        if root**e == n:
-            return True
-    return False
+def _is_perfect_power(n: int, bound: int) -> bool:
+    """True iff n = r**e with e >= 2, for n with no prime factor <= bound.
+
+    Every such root r exceeds bound, so n >= (bound + 1)**e and e is at
+    most n.bit_length() // floor(log2(bound + 1)).  Only prime exponents
+    are tried: r**(p*f) is also the p-th power of r**f, which exceeds
+    bound as well.
+    """
+    max_e = n.bit_length() // (max(bound + 1, 2).bit_length() - 1)
+    return any(_iroot(n, e) ** e == n for e in primes_upto(max_e))
 
 
 def find_squarefree_in_ap(

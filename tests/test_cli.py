@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from primeavoid import cli
+from primeavoid import cli, squarefree
 from primeavoid import document as doc_mod
 from primeavoid.kpower import construct_certificate_k
 from primeavoid.schedule import make_schedule
@@ -84,6 +84,17 @@ def test_construct_literal_profile_degenerate_exits_64(capsys):
     )
     assert code == 64
     assert "degenerate" in err
+
+
+def test_construct_internal_error_exits_70(capsys, monkeypatch):
+    def broken_cover(*args):
+        raise RuntimeError("offset 5 lacks a valid witness (got p=0)")
+
+    monkeypatch.setattr(squarefree, "verify_window", broken_cover)
+    code, out, err = run_cli(capsys, "construct", "--mode", "squarefree", "--x", "60")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == "internal error: offset 5 lacks a valid witness (got p=0)\n"
 
 
 # -- verify ------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
 from primeavoid.errors import CapacityError
-from primeavoid.numtheory import is_prime, primes_upto
+from primeavoid.numtheory import MR_DETERMINISTIC_BOUND, is_prime, primes_upto
 from primeavoid.schedule import make_schedule
 from primeavoid.squarefree import (
     assign_primes,
@@ -47,6 +48,32 @@ def brute_force_squarefree(n):
             n //= d
         d += 1
     return True
+
+
+def reference_classify(m, bound):
+    """The linear classification: one modulo per prime <= bound, then
+    every exponent up to the cofactor's bit length."""
+    rest = m
+    for p in primes_upto(bound):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return "not_squarefree"
+    if rest == 1 or rest <= bound * bound:
+        return "proven"
+    if is_prime(rest):
+        return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
+    for e in range(2, rest.bit_length()):
+        lo, hi = 2, 1 << (rest.bit_length() // e + 1)  # bisect r**e == rest
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            power = mid**e
+            if power == rest:
+                return "not_squarefree"
+            lo, hi = (mid + 1, hi) if power < rest else (lo, mid - 1)
+    return "partial"
 
 
 # -- set construction ---------------------------------------------------------
@@ -210,6 +237,45 @@ def test_classify_tiers_on_opaque_cofactors():
     # a prime cofactor above MR_DETERMINISTIC_BOUND is only a BPSW verdict
     assert classify_squarefree(210 * (2**89 - 1)) == "prp"
     assert classify_squarefree(210 * q1 * q2) == "partial"  # opaque composite
+    # bound + 1 = 2**7: q**23 with q = 131 has 162 bits, and 162 // 7 == 23
+    # puts the exponent exactly at the admitted limit
+    q = 131
+    assert (q**23).bit_length() // 7 == 23
+    assert classify_squarefree(210 * q**23, bound=127) == "not_squarefree"
+    assert classify_squarefree(210 * q**22 * 137, bound=127) == "partial"
+    # composite exponents are caught through their prime factors
+    assert classify_squarefree(210 * q**4, bound=127) == "not_squarefree"
+    assert classify_squarefree(210 * q**6, bound=127) == "not_squarefree"
+    big = 2**1000 + 297  # the smallest prime above 2**1000
+    assert is_prime(big)
+    assert classify_squarefree(210 * big * big, bound=127) == "not_squarefree"
+
+
+def test_classify_matches_reference():
+    rng = random.Random(20151)
+    bound = 1000
+    small = primes_upto(bound)
+    above = [q for q in range(bound + 1, bound + 300) if is_prime(q)]
+    for _ in range(3000):
+        m = 1
+        for p in rng.sample(small, rng.randrange(4)):
+            m *= p ** rng.choice((1, 1, 1, 2))
+        q, r = rng.choice(above), rng.choice(above)  # r may equal q
+        kind = rng.randrange(6)
+        if kind == 0:
+            m *= q ** rng.randrange(2, 14)  # prime power above the bound
+        elif kind == 1:
+            m *= q * r
+        elif kind == 2:
+            m *= (q * r) ** rng.randrange(2, 6)  # composite root
+        elif kind == 3:
+            m *= rng.getrandbits(rng.randrange(8, 160)) | 1
+        elif kind == 4:
+            m *= q
+        else:
+            m *= rng.getrandbits(rng.randrange(8, 90)) | 1
+            m *= m  # a square of a random odd number
+        assert classify_squarefree(m, bound=bound) == reference_classify(m, bound), m
 
 
 def test_find_squarefree_micro(micro):
