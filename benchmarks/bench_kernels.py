@@ -35,6 +35,16 @@ def workloads(quick):
     ]
     lpf_inputs = [rng.randrange(2, 10**12) for _ in range(200 if quick else 2000)]
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
+    # the progression sieve's shape in kpower.find_prime_in_ap: every
+    # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
+    modulus = rng.getrandbits(2200) | (1 << 2199)
+    m0 = rng.randrange(modulus)
+    classes = [
+        (-(m0 % p) * pow(modulus % p, -1, p) % p, p)
+        for p in kernels.iter_primes(2**18)
+        if modulus % p
+    ]
+    chunk = 1024
 
     return [
         ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
@@ -46,6 +56,8 @@ def workloads(quick):
          lambda: [kernels.largest_prime_factor_u64(n) for n in lpf_inputs]),
         ("sifted_count(%.0e)" % sift_limit,
          lambda: kernels.sifted_count(sift_limit, sift_rules)),
+        ("strike %d primes x%d steps" % (len(classes), chunk),
+         lambda: kernels.strike(bytearray(b"\x01") * chunk, classes)),
     ]
 
 

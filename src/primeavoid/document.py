@@ -214,6 +214,11 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+# squarefree tiers from the weakest claim to the strongest; a document may
+# record a weaker tier than the verifier finds, never a stronger one
+_TIER_RANK = {"partial": 0, "prp": 1, "proven": 2}
+
+
 @dataclass
 class VerifyReport:
     sections: list[tuple[str, bool, str]]
@@ -338,15 +343,16 @@ def verify_document(doc: dict) -> VerifyReport:
     else:
         recorded = doc["metrics"].get("squarefree_status", "proven")
         actual = classify_squarefree(m)
-        ok = actual != "not_squarefree"
-        if ok and actual != recorded:
-            notes.append(f"squarefree tier changed: recorded {recorded}, now {actual}")
-        sections.append(
-            (
-                "squarefree",
-                ok,
-                f"status {actual}" if ok else "m has a square factor",
-            )
-        )
+        if actual == "not_squarefree":
+            ok, detail = False, "m has a square factor"
+        elif recorded not in _TIER_RANK:
+            ok, detail = False, f"unknown recorded tier {recorded!r}"
+        elif _TIER_RANK[recorded] > _TIER_RANK[actual]:
+            ok, detail = False, f"recorded tier {recorded} claims more than {actual}"
+        else:
+            ok, detail = True, f"status {actual}"
+            if actual != recorded:
+                notes.append(f"squarefree tier changed: recorded {recorded}, now {actual}")
+        sections.append(("squarefree", ok, detail))
 
     return VerifyReport(sections=sections, notes=notes)

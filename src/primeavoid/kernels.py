@@ -1,5 +1,5 @@
 """Fixed-width inner loops: sieve, u64 primality, Jacobi symbols,
-trial factorization and sifted counts.
+trial factorization, residue-class striking and sifted counts.
 
 All inputs are machine-range integers; arbitrary-precision work stays in
 the calling layer.  Callers reach these through the module attributes
@@ -21,15 +21,21 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def sieve_primes(limit):
     """All primes <= limit, ascending."""
+    return list(iter_primes(limit))
+
+
+def iter_primes(limit):
+    """Iterator over the primes <= limit, ascending, holding only the
+    sieve's bytearray rather than a list of the primes."""
     if limit < 2:
-        return []
+        return iter(())
     flags = bytearray(b"\x01") * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             start = p * p
             flags[start::p] = bytearray((limit - start) // p + 1)
-    return list(compress(range(limit + 1), flags))
+    return compress(range(limit + 1), flags)
 
 
 def is_prime_u64(n):
@@ -96,6 +102,16 @@ def largest_prime_factor_u64(n):
     return n if n > 1 else largest
 
 
+def strike(flags, classes):
+    """Zero flags[start], flags[start + step], ... to the end of the
+    bytearray ``flags`` for every (start, step) pair in ``classes``;
+    a start at or past the end strikes nothing."""
+    size = len(flags)
+    for start, step in classes:
+        if start < size:
+            flags[start::step] = bytes((size - 1 - start) // step + 1)
+
+
 def sifted_count(limit, rules):
     """Count n in [1, limit] avoiding every forbidden residue class.
 
@@ -104,9 +120,5 @@ def sifted_count(limit, rules):
     """
     alive = bytearray(b"\x01") * (limit + 1)
     alive[0] = 0
-    for p, residues in rules:
-        for r in residues:
-            start = r if r >= 1 else p
-            if start <= limit:
-                alive[start::p] = bytearray((limit - start) // p + 1)
+    strike(alive, ((r if r >= 1 else p, p) for p, residues in rules for r in residues))
     return sum(alive)

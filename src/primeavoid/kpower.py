@@ -12,9 +12,12 @@ explicit primality status.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import compress
 
+from . import kernels
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
     Congruence,
@@ -30,7 +33,9 @@ from .numtheory import (
 from .schedule import Schedule, capacity_check
 
 DEFAULT_PRIME_STEPS = 100_000
-_SCREEN_PRIME_LIMIT = 10**4
+# progression-sieve depth and the number of steps sieved at a time
+_SCREEN_PRIME_LIMIT = 2**18
+_SIEVE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -315,38 +320,45 @@ def solve_m0_k(
     return replace(sets, p3=p3, p4=p4), modulus, m0
 
 
-def _residue_screen(m0: int, modulus: int, limit: int = _SCREEN_PRIME_LIMIT):
-    """Per-prime (p, m0 mod p, modulus mod p) triples for cheap
-    divisibility rejection of progression members."""
-    return [
-        (p, m0 % p, modulus % p)
-        for p in primes_upto(limit)
-        if modulus % p != 0
-    ]
+def _sieved_steps(m0: int, modulus: int, last: int):
+    """Steps j = 1..last, ascending, whose member m0 + j*modulus has no
+    prime factor p <= _SCREEN_PRIME_LIMIT that is coprime to the modulus,
+    or is itself at most that bound.
 
-
-def _screen_hit(screen, j: int) -> int:
-    """First screen prime dividing m0 + j*modulus, or 0."""
-    for p, r0, rstep in screen:
-        if (r0 + j * rstep) % p == 0:
-            return p
-    return 0
+    Such a p divides the member exactly when j == -m0 / modulus (mod p).
+    The root is kept per prime in a compact array, and the steps are
+    sieved _SIEVE_CHUNK at a time.  Members at or below the bound are
+    always yielded, so a small prime member is never sieved away by
+    itself.
+    """
+    primes, roots = array("i"), array("i")
+    for p in kernels.iter_primes(_SCREEN_PRIME_LIMIT):
+        step = modulus % p
+        if step:
+            primes.append(p)
+            roots.append(-(m0 % p) * pow(step, -1, p) % p)
+    small = (_SCREEN_PRIME_LIMIT - m0) // modulus  # j <= small: member <= bound
+    for j0 in range(1, last + 1, _SIEVE_CHUNK):
+        size = min(_SIEVE_CHUNK, last + 1 - j0)
+        alive = bytearray(b"\x01") * size
+        kernels.strike(alive, (((r - j0) % p, p) for p, r in zip(primes, roots)))
+        keep = min(size, small - j0 + 1)
+        if keep > 0:
+            alive[:keep] = b"\x01" * keep
+        yield from compress(range(j0, j0 + size), alive)
 
 
 def find_prime_in_ap(
     m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS
 ) -> int:
-    """Smallest prime m0 + j*modulus with 1 <= j <= max_steps."""
+    """Smallest prime m0 + j*modulus with 1 <= j <= max_steps.
+
+    Every step that survives the progression sieve goes through the full
+    is_prime; SearchExhausted.tests counts those calls."""
     if math.gcd(m0, modulus) != 1:
         raise ValueError("m0 and modulus are not coprime: progression has no primes")
-    screen = _residue_screen(m0, modulus)
     tests = 0
-    for j in range(1, max_steps + 1):
-        hit = _screen_hit(screen, j)
-        if hit:
-            if m0 + j * modulus == hit:
-                return hit  # the member *is* that small prime
-            continue
+    for j in _sieved_steps(m0, modulus, max_steps):
         candidate = m0 + j * modulus
         tests += 1
         if is_prime(candidate):
@@ -432,15 +444,11 @@ def matrix_scan(
     if rows > 10**5:
         raise ValueError("row count exceeds the desk bound 10**5")
     exceptional = tuple(u for u in exceptional if u != 1 and -y <= u <= y)
-    screen = _residue_screen(m0, modulus)
     prime_rows = 0
     with_window_prime = 0
     avoiding: list[int] = []
-    for r in range(1, rows + 1):
+    for r in _sieved_steps(m0, modulus, rows):
         g = m0 + r * modulus
-        hit = _screen_hit(screen, r)
-        if hit and g != hit:
-            continue
         if not is_prime(g):
             continue
         prime_rows += 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernels
 
@@ -16,6 +17,9 @@ from . import kernels
 # composite passes but which is not a proof.
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# is_prime screens n >= 2**64 by one gcd with the product of the primes
+# below this bound (about 94k bits, built on first use)
+_PRIMORIAL_BOUND = 2**16
 
 SIEVE_LIMIT = 10**8
 TRIAL_FACTOR_LIMIT = 10**12
@@ -136,6 +140,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=1)
+def _small_primorial() -> int:
+    """Product of the primes below _PRIMORIAL_BOUND."""
+    return math.prod(kernels.iter_primes(_PRIMORIAL_BOUND - 1))
+
+
 def _bpsw(n: int) -> bool:
     """Baillie-PSW test for odd n > 1: a base-2 strong probable-prime test
     plus a strong Lucas test.  No composite is known to pass both."""
@@ -149,15 +159,16 @@ def is_prime(n: int) -> bool:
     MR_DETERMINISTIC_BOUND (about 3.3e24) thirteen fixed Miller-Rabin
     bases decide.  Both are proofs.  Above that bound the verdict is
     BPSW's: "False" is a proof of compositeness, "True" means a BPSW
-    probable prime.
+    probable prime.  From 2**64 up, one gcd with the product of the
+    primes below 2**16 first rejects n with a small factor: n exceeds
+    every such prime, so a common factor proves n composite.
     """
     if n < 2:
         return False
     if n < 2**64:
         return kernels.is_prime_u64(n)
-    for p in _MR_BASES:
-        if n % p == 0:
-            return False
+    if math.gcd(n, _small_primorial()) != 1:
+        return False
     if n < MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _bpsw(n)

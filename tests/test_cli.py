@@ -147,6 +147,40 @@ def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
         assert code == expected
 
 
+@pytest.fixture(scope="module")
+def partial_doc_text():
+    # x=400 leaves an opaque cofactor, so m's recorded tier is "partial"
+    cert = construct_certificate(make_schedule(400, 1, "practical"), seed=0)
+    assert cert.squarefree_status == "partial"
+    return doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
+
+
+@pytest.mark.parametrize("claimed", ["prp", "proven", "squarefree"])
+def test_verify_rejects_overclaimed_squarefree_tier(
+    tmp_path, capsys, partial_doc_text, claimed
+):
+    doc = json.loads(partial_doc_text)
+    doc["metrics"]["squarefree_status"] = claimed
+    path = tmp_path / f"{claimed}.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "[FAIL] squarefree" in out
+    assert "certificate OK" not in out
+
+
+def test_verify_accepts_underclaimed_squarefree_tier(tmp_path, capsys, micro_doc_text):
+    doc = json.loads(micro_doc_text)
+    assert doc["metrics"]["squarefree_status"] == "proven"
+    doc["metrics"]["squarefree_status"] = "partial"
+    path = tmp_path / "weaker.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert "[PASS] squarefree" in out
+    assert "recorded partial, now proven" in out
+
+
 def test_verify_missing_file_exits_66(capsys):
     code, _, _ = run_cli(capsys, "verify", "/no/such/file.json")
     assert code == 66

@@ -1,8 +1,10 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
+from primeavoid import kpower
 from primeavoid.errors import CapacityError, SearchExhausted
 from primeavoid.kpower import (
     KMatching,
@@ -292,6 +294,98 @@ def test_find_prime_exhaustion_reports_tests():
     assert err.value.steps == 1
 
 
+def naive_find_prime(m0, modulus, max_steps):
+    """First prime m0 + j*modulus with 1 <= j <= max_steps, testing every
+    step."""
+    for j in range(1, max_steps + 1):
+        if is_prime(m0 + j * modulus):
+            return m0 + j * modulus
+    return None
+
+
+def seeded_progressions():
+    rng = random.Random(5)
+    cases = [(7, 30), (1, 2), (2, 1), (0, 1), (1, 6), (5, 6), (3, 4)]
+    # tiny moduli: the first members fall at or below the sieve bound
+    for _ in range(60):
+        modulus = rng.randrange(1, 3000)
+        m0 = rng.randrange(0, 2 * modulus)
+        if math.gcd(m0, modulus) == 1:
+            cases.append((m0, modulus))
+    # moduli that put every member far above the sieve bound
+    for bits in (40, 64, 90, 200):
+        for _ in range(5):
+            modulus = rng.getrandbits(bits) | 1
+            m0 = rng.randrange(1, modulus)
+            if math.gcd(m0, modulus) == 1:
+                cases.append((m0, modulus))
+    # a modulus divisible by every prime up to 53, as in the construction
+    modulus = math.prod(primes_upto(53))
+    cases += [(rng.randrange(1, modulus) | 1, modulus) for _ in range(5)]
+    return [(m0, n) for m0, n in cases if math.gcd(m0, n) == 1]
+
+
+def test_find_prime_matches_naive_search():
+    for m0, modulus in seeded_progressions():
+        assert find_prime_in_ap(m0, modulus, max_steps=5000) == naive_find_prime(
+            m0, modulus, 5000
+        ), (m0, modulus)
+
+
+# The gap of 1132 after this prime is a maximal prime gap, so with modulus
+# 1 the first prime sits at any chosen step up to 1132.
+GAP_START = 1693182318746371
+GAP_END = GAP_START + 1132
+
+
+@pytest.mark.parametrize("j", [1023, 1024, 1025, 1132])
+def test_find_prime_across_chunk_boundary(j):
+    m0 = GAP_END - j
+    assert naive_find_prime(m0, 1, 1200) == GAP_END
+    assert find_prime_in_ap(m0, 1) == GAP_END
+
+
+def test_find_prime_exhaustion_counts_only_primality_tests(monkeypatch):
+    # 1131 steps inside the gap: crosses a chunk boundary, finds nothing
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    m0 = GAP_START
+    with pytest.raises(SearchExhausted) as err:
+        find_prime_in_ap(m0, 1, max_steps=1131)
+    assert err.value.steps == 1131
+    assert err.value.tests == len(tested)
+    # exactly the members without a prime factor <= the sieve bound
+    sieve_primorial = math.prod(primes_upto(kpower._SCREEN_PRIME_LIMIT))
+    survivors = [
+        m0 + j for j in range(1, 1132) if math.gcd(m0 + j, sieve_primorial) == 1
+    ]
+    assert tested == survivors
+    assert 0 < len(survivors) < 1131 // 5
+
+
+def test_find_prime_tests_small_members_directly(monkeypatch):
+    # members at or below the sieve bound reach is_prime even when a
+    # sieve prime divides them (here the member is that prime)
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    assert find_prime_in_ap(1, 2) == 3
+    assert find_prime_in_ap(0, 1) == 2
+    limit = kpower._SCREEN_PRIME_LIMIT
+    big_prime = max(primes_upto(limit))
+    assert find_prime_in_ap(big_prime - 1, 1) == big_prime
+    assert tested == [3, 1, 2, big_prime]
+
+
 # -- window verification ---------------------------------------------------------------
 
 
@@ -398,6 +492,33 @@ def test_matrix_scan_small_modulus_cross_check():
     direct = [r for r in range(1, 101) if is_prime(7 + 30 * r)]
     assert report.prime_rows == len(direct)
     assert list(report.avoiding_rows) == direct
+
+
+def naive_matrix_scan(m0, modulus, k, rows, exceptional):
+    prime_rows, avoiding = 0, []
+    for r in range(1, rows + 1):
+        g = m0 + r * modulus
+        if is_prime(g):
+            prime_rows += 1
+            if not any(is_prime(g**k + u - 1) for u in exceptional):
+                avoiding.append(r)
+    return prime_rows, avoiding
+
+
+def test_matrix_scan_matches_naive_scan():
+    rng = random.Random(9)
+    cases = [(m0, n, 1200) for m0, n in seeded_progressions()[:20]]
+    cases += [(GAP_END - 1025, 1, 1100)]  # one prime row, in the second chunk
+    cases += [(m0, n, 60) for m0, n in seeded_progressions()[-10:]]
+    for m0, modulus, rows in cases:
+        k = rng.choice((1, 2))
+        exceptional = tuple(rng.sample(range(-4, 5), 2))
+        report = matrix_scan(m0, modulus, k, rows, 5, exceptional=exceptional)
+        prime_rows, avoiding = naive_matrix_scan(
+            m0, modulus, k, rows, [u for u in exceptional if u != 1]
+        )
+        assert report.prime_rows == prime_rows, (m0, modulus)
+        assert list(report.avoiding_rows) == avoiding, (m0, modulus)
 
 
 def test_matrix_scan_flags_rows_with_window_primes():

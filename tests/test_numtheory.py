@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeavoid import kernels
+from primeavoid import kernels, numtheory
 from primeavoid.numtheory import (
     _MR_BASES,
     MR_DETERMINISTIC_BOUND,
@@ -203,6 +203,62 @@ def test_bpsw_matches_seeded_miller_rabin():
             if expected:
                 break
             n += 2
+
+
+def unscreened_is_prime(n):
+    """is_prime above 2**64 without the primorial gcd: trial division by
+    the thirteen bases, then Miller-Rabin or BPSW."""
+    if any(n % p == 0 for p in _MR_BASES):
+        return False
+    if n < MR_DETERMINISTIC_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _bpsw(n)
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_primorial_screen_rejects_small_factor_without_bpsw(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a probable-prime test ran")
+
+    qs = (next_prime(2**64 + 1), next_prime(2**80))
+    assert 65521 * qs[1] > MR_DETERMINISTIC_BOUND
+    monkeypatch.setattr(numtheory, "_bpsw", forbidden)
+    monkeypatch.setattr(numtheory, "_strong_probable_prime", forbidden)
+    for q in qs:
+        assert not is_prime(65521 * q)  # 65521 is the largest prime < 2**16
+        assert not is_prime(2 * q) and not is_prime(3 * q)
+
+
+def test_primorial_screen_leaves_larger_factors_to_bpsw(monkeypatch):
+    calls = []
+
+    def counting_bpsw(n):
+        calls.append(n)
+        return _bpsw(n)
+
+    q = next_prime(2**80)
+    monkeypatch.setattr(numtheory, "_bpsw", counting_bpsw)
+    assert not is_prime(65537 * q)  # 65537 is the smallest prime > 2**16
+    assert calls == [65537 * q]
+
+
+def test_primorial_screen_keeps_every_verdict():
+    rng = random.Random(16)
+    small = primes_upto(70_000)
+    for _ in range(200):
+        bits = rng.choice((65, 70, 82, 90, 128, 300, 600))
+        n = rng.getrandbits(bits) | (1 << (bits - 1))
+        if rng.random() < 0.3:
+            n = rng.choice(small) * next_prime(n >> 17)
+        if n >= 2**64:
+            assert is_prime(n) == unscreened_is_prime(n), n
+    for e in (89, 107, 127, 521):
+        assert is_prime(2**e - 1) == unscreened_is_prime(2**e - 1) is True
 
 
 # -- largest_prime_factor / is_smooth --------------------------------------
