@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels
+from primeavoid import kernels, squarefree
 
 
 def timed(fn, repeat=3):
@@ -26,6 +26,8 @@ def timed(fn, repeat=3):
 
 def workloads(quick):
     sieve_limit = 10**6 if quick else 10**7
+    # the squarefree check's gcd blocks over the odd sieve, uncached
+    build_blocks = squarefree._trial_blocks.__wrapped__
     sift_limit = 10**6 if quick else 10**7
     rng = random.Random(0)
     mr_inputs = [rng.randrange(2, 2**62) | 1 for _ in range(2000 if quick else 20000)]
@@ -48,6 +50,7 @@ def workloads(quick):
 
     return [
         ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
+        ("trial blocks(%.0e)" % sieve_limit, lambda: build_blocks(sieve_limit)),
         ("is_prime_u64 x%d" % len(mr_inputs),
          lambda: [kernels.is_prime_u64(n) for n in mr_inputs]),
         ("jacobi_sym x%d" % len(jacobi_inputs),

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from .errors import DocumentError
 from .kpower import KCertificate
 from .numtheory import MR_DETERMINISTIC_BOUND, is_prime, natural_log
-from .squarefree import AvoidanceCertificate, avoidance_constant, classify_squarefree
+from .squarefree import (
+    AvoidanceCertificate,
+    avoidance_constant,
+    cofactor_tier,
+    trial_cofactor,
+)
 
 FORMAT_VERSION = "1.0"
 MAX_LISTED_ELEMENTS = 10**4
@@ -300,10 +305,12 @@ def verify_document(doc: dict) -> VerifyReport:
     )
 
     value_base = m if mode == "squarefree" else m**k
+    # thousands of offsets share a few hundred witness primes
+    prime = {p: is_prime(p) for p in set(cover.values())}
     bad_offset = None
     for u, p in sorted(cover.items()):
         value = value_base + u if mode == "squarefree" else value_base + u - 1
-        if p < 2 or not is_prime(p) or value % p != 0 or p >= value:
+        if not prime[p] or value % p != 0 or p >= value:
             bad_offset = (u, p)
             break
     sections.append(
@@ -342,7 +349,13 @@ def verify_document(doc: dict) -> VerifyReport:
         )
     else:
         recorded = doc["metrics"].get("squarefree_status", "proven")
-        actual = classify_squarefree(m)
+        rest = trial_cofactor(m)
+        if rest is None:
+            actual = "not_squarefree"
+        else:
+            # no tier found can fall below a partial claim, so its cofactor
+            # skips the primality test, which would only pick the tier
+            actual = cofactor_tier(rest, test_primality=recorded != "partial")
         if actual == "not_squarefree":
             ok, detail = False, "m has a square factor"
         elif recorded not in _TIER_RANK:

@@ -7,7 +7,7 @@ the calling layer.  Callers reach these through the module attributes
 every call.
 """
 
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 # e2ebench/run.py's environment probe prints this and refuses to run without it.
@@ -29,13 +29,22 @@ def iter_primes(limit):
     sieve's bytearray rather than a list of the primes."""
     if limit < 2:
         return iter(())
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start::p] = bytearray((limit - start) // p + 1)
-    return compress(range(limit + 1), flags)
+    return chain((2,), compress(range(1, limit + 1, 2), odd_sieve(limit)))
+
+
+def odd_sieve(limit):
+    """Sieve of Eratosthenes over the odd numbers: a bytearray whose index
+    i is 1 exactly when 2i + 1 <= limit is prime."""
+    size = max(0, (limit + 1) // 2)
+    flags = bytearray(b"\x01") * size
+    if size:
+        flags[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(max(limit, 0)) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # the index of p*p; smaller multiples are struck
+            flags[start::p] = bytes((size - 1 - start) // p + 1)
+    return flags
 
 
 def is_prime_u64(n):

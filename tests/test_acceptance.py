@@ -26,7 +26,9 @@ from primeavoid.sievebound import (
     empirical_sifted_count,
     instance_for_rules,
 )
-from primeavoid.squarefree import build_sets, check_partition, construct_certificate
+from primeavoid.squarefree import build_sets, construct_certificate
+
+from oracles import check_partition
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from primeavoid import cli, squarefree
+from primeavoid import cli, numtheory, squarefree
 from primeavoid import document as doc_mod
 from primeavoid.kpower import construct_certificate_k
 from primeavoid.schedule import make_schedule
@@ -126,6 +126,23 @@ def test_verify_detects_tampered_witness(tmp_path, capsys, micro_doc_text):
     assert f"offset {doc['cover'][0]['u']}" in out
 
 
+def test_verify_rejects_composite_witness(tmp_path, capsys, micro_doc_text):
+    # a composite proper divisor passes every check but primality
+    doc = json.loads(micro_doc_text)
+    m = int(doc["m"])
+    for entry in doc["cover"]:
+        value = m + entry["u"]
+        d = value // next(p for p in range(2, value + 1) if value % p == 0)
+        if d > 1 and not numtheory.is_prime(d):
+            break
+    entry["witness_prime"] = str(d)
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert f"witness {d} fails at offset {entry['u']}" in out
+
+
 def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
     # m -> m + t*N stays in the progression and keeps every witness
     # divisor; the verdict then hinges on the squarefree recheck alone
@@ -167,6 +184,40 @@ def test_verify_rejects_overclaimed_squarefree_tier(
     assert code == 1
     assert "[FAIL] squarefree" in out
     assert "certificate OK" not in out
+
+
+class CofactorPrimalityTested(Exception):
+    pass
+
+
+def test_partial_claim_skips_cofactor_primality(monkeypatch, partial_doc_text):
+    def refuse(*args):
+        raise CofactorPrimalityTested
+
+    # every other number the verifier tests is below 2**64
+    monkeypatch.setattr(numtheory, "_bpsw", refuse)
+    monkeypatch.setattr(numtheory, "_strong_probable_prime", refuse)
+    report = doc_mod.verify_document(doc_mod.parse_document(partial_doc_text))
+    assert report.ok and not report.notes
+    for claimed in ("prp", "proven"):
+        doc = json.loads(partial_doc_text)
+        doc["metrics"]["squarefree_status"] = claimed
+        with pytest.raises(CofactorPrimalityTested):
+            doc_mod.verify_document(doc)
+
+
+def test_partial_claim_rejects_square_factors(partial_doc_text):
+    # m replaced by a square times m's partial-tier cofactor: a repeated
+    # small prime or a perfect-power cofactor must still fail the section
+    doc = json.loads(partial_doc_text)
+    m = int(doc["m"])
+    rest = squarefree.trial_cofactor(m)
+    assert squarefree.cofactor_tier(rest) == "partial"
+    for bad in (9 * m, 7**2 * m, rest**2, 210 * rest**3):
+        doc["m"] = str(bad)
+        report = doc_mod.verify_document(doc)
+        sections = {name: (ok, detail) for name, ok, detail in report.sections}
+        assert sections["squarefree"] == (False, "m has a square factor"), bad
 
 
 def test_verify_accepts_underclaimed_squarefree_tier(tmp_path, capsys, micro_doc_text):

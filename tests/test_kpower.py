@@ -12,7 +12,6 @@ from primeavoid.kpower import (
     build_sets_k,
     construct_certificate_k,
     find_prime_in_ap,
-    has_augmenting_path,
     legendre_screen,
     match_offsets,
     matrix_scan,
@@ -27,6 +26,8 @@ from primeavoid.numtheory import (
     primes_upto,
 )
 from primeavoid.schedule import make_schedule
+
+from oracles import has_augmenting_path
 
 
 # -- set construction -----------------------------------------------------

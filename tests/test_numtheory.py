@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,18 @@ def test_primes_upto_examples():
 def test_primes_upto_matches_trial_division():
     expected = [n for n in range(2000) if trial_division_is_prime(n)]
     assert primes_upto(1999) == expected
+
+
+def test_sieve_kernels_match_trial_division():
+    # every limit up to 3000, and each side of a square, where the odd
+    # sieve starts striking that prime
+    limits = list(range(3001))
+    limits += [p * p + d for p in (53, 101, 151, 211) for d in (-1, 0, 1)]
+    primes = [n for n in range(max(limits) + 1) if trial_division_is_prime(n)]
+    for limit in limits:
+        expected = primes[: bisect_right(primes, limit)]
+        assert kernels.sieve_primes(limit) == expected, limit
+        assert list(kernels.iter_primes(limit)) == expected, limit
 
 
 def test_primes_upto_rejects_oversized():

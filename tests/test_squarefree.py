@@ -8,16 +8,22 @@ from primeavoid.errors import CapacityError
 from primeavoid.numtheory import MR_DETERMINISTIC_BOUND, is_prime, primes_upto
 from primeavoid.schedule import make_schedule
 from primeavoid.squarefree import (
+    _iroot,
+    _is_perfect_power,
+    _not_a_power,
+    _trial_blocks,
     assign_primes,
     avoidance_constant,
     build_sets,
-    check_partition,
     classify_squarefree,
     construct_certificate,
     find_squarefree_in_ap,
     solve_m0,
+    trial_cofactor,
     verify_window,
 )
+
+from oracles import check_partition
 
 
 @pytest.fixture(scope="module")
@@ -251,9 +257,9 @@ def test_classify_tiers_on_opaque_cofactors():
     assert classify_squarefree(210 * big * big, bound=127) == "not_squarefree"
 
 
-def test_classify_matches_reference():
+def reference_cases(bound):
+    """3,000 seeded m whose every tier occurs at ``bound``."""
     rng = random.Random(20151)
-    bound = 1000
     small = primes_upto(bound)
     above = [q for q in range(bound + 1, bound + 300) if is_prime(q)]
     for _ in range(3000):
@@ -275,7 +281,54 @@ def test_classify_matches_reference():
         else:
             m *= rng.getrandbits(rng.randrange(8, 90)) | 1
             m *= m  # a square of a random odd number
+        yield m
+
+
+def test_classify_matches_reference():
+    bound = 1000
+    for m in reference_cases(bound):
         assert classify_squarefree(m, bound=bound) == reference_classify(m, bound), m
+
+
+@pytest.mark.parametrize("bound", [127, 1000, 1386, 1387, 10**5])
+def test_trial_blocks_hold_the_primes_in_order(bound):
+    expected = primes_upto(bound)
+    i, previous = 0, 0
+    for lo, product in _trial_blocks(bound):
+        # the early exit needs lo <= every prime not yet scanned
+        assert previous < lo <= expected[i]
+        while i < len(expected) and product % expected[i] == 0:
+            product //= expected[i]
+            i += 1
+        assert product == 1
+        previous = lo
+    assert i == len(expected)
+
+
+def unscreened_perfect_power(n, bound):
+    max_e = n.bit_length() // (max(bound + 1, 2).bit_length() - 1)
+    return any(_iroot(n, e) ** e == n for e in primes_upto(max_e))
+
+
+def test_power_screen_keeps_every_verdict():
+    bound = 1000
+    cofactors = {trial_cofactor(m, bound) for m in reference_cases(bound)}
+    cofactors = [c for c in cofactors if c is not None and c > bound * bound]
+    assert any(unscreened_perfect_power(c, bound) for c in cofactors)
+    for c in cofactors:
+        assert _is_perfect_power(c, bound) == unscreened_perfect_power(c, bound), c
+    # roots just above a small bound; 131 is itself a screen prime for
+    # e = 5 and e = 13, so it divides the power it screens
+    for bound in (127, 1000):
+        roots = [r for r in range(bound + 1, bound + 60) if is_prime(r)]
+        for r in roots:
+            for e in range(2, 24):
+                for n in (r**e, r**e * roots[-1], (r * roots[0]) ** e):
+                    expected = unscreened_perfect_power(n, bound)
+                    assert _is_perfect_power(n, bound) == expected, (r, e, n)
+    assert _is_perfect_power(131**5, 127) and _is_perfect_power(131**13, 127)
+    # the screen does rule exponents out
+    assert _not_a_power((10**20 + 39) * (10**20 + 153), 2)
 
 
 def test_find_squarefree_micro(micro):
