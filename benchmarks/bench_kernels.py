@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels, squarefree
+from primeavoid import kernels, numtheory
 
 
 def timed(fn, repeat=3):
@@ -27,7 +27,7 @@ def timed(fn, repeat=3):
 def workloads(quick):
     sieve_limit = 10**6 if quick else 10**7
     # the squarefree check's gcd blocks over the odd sieve, uncached
-    build_blocks = squarefree._trial_blocks.__wrapped__
+    build_blocks = numtheory._trial_blocks.__wrapped__
     sift_limit = 10**6 if quick else 10**7
     rng = random.Random(0)
     mr_inputs = [rng.randrange(2, 2**62) | 1 for _ in range(2000 if quick else 20000)]

@@ -3,7 +3,6 @@ numbers and prime powers, with machine-checkable certificates."""
 
 from .numtheory import (
     Congruence,
-    FactorWitness,
     crt_solve,
     is_prime,
     is_smooth,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Congruence",
-    "FactorWitness",
     "Schedule",
     "__version__",
     "capacity_check",

@@ -12,17 +12,21 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError
-from .kpower import KCertificate
-from .numtheory import MR_DETERMINISTIC_BOUND, is_prime, natural_log
-from .squarefree import (
-    AvoidanceCertificate,
-    avoidance_constant,
+from .numtheory import (
+    MR_DETERMINISTIC_BOUND,
     cofactor_tier,
+    is_prime,
+    natural_log,
     trial_cofactor,
 )
+
+if TYPE_CHECKING:  # the verifier never imports the construction modules
+    from .kpower import KCertificate
+    from .squarefree import AvoidanceCertificate
 
 FORMAT_VERSION = "1.0"
 MAX_LISTED_ELEMENTS = 10**4
@@ -53,121 +57,67 @@ def _set_entry(values) -> dict:
     return entry
 
 
-def _schedule_entry(sch) -> dict:
+def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
+    """The keys both modes share, read off the certificate as built, plus
+    the mode's named ``sets`` (each the lower-cased attribute of
+    cert.sets), its own metrics and top-level ``fields``."""
     return {
-        "x": sch.x,
-        "k": sch.k,
-        "c1": sch.c1,
-        "c2": sch.c2,
-        "z": sch.z,
-        "y": sch.y,
-        "profile": sch.profile,
-        "delta": sch.delta,
-        "c2_autoshrink": sch.c2_autoshrink,
-        "degenerate": sch.degenerate,
+        "format_version": FORMAT_VERSION,
+        "seed": cert.seed,
+        "schedule": asdict(cert.schedule),  # a new Schedule field changes the format
+        "sets": {name: _set_entry(getattr(cert.sets, name.lower())) for name in sets},
+        "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
+        "modulus": str(cert.modulus),
+        "m0": str(cert.m0),
+        "m": str(cert.m),
+        "cover": [
+            {"u": u, "witness_prime": str(p)} for u, p in sorted(cert.cover.items())
+        ],
+        "metrics": {
+            "log_m": natural_log(cert.m),
+            "log_modulus": natural_log(cert.modulus),
+            "exponent_report": cert.exponent_report,
+            "avoidance_constant": cert.avoidance_constant,
+            "autoshrink_trace": list(cert.autoshrink_trace),
+            **metrics,
+        },
+        **fields,
     }
 
 
 @unlimited_int_digits()
 def certificate_to_document(cert: AvoidanceCertificate) -> dict:
     """Serialize a squarefree certificate."""
-    congs = [["0", str(p)] for p in cert.sets.p1]
-    congs += [["1", str(p)] for p in cert.sets.p2]
-    congs += [[str((-u) % p), str(p)] for u, p in sorted(cert.phi.items())]
-    return {
-        "format_version": FORMAT_VERSION,
-        "mode": "squarefree",
-        "seed": cert.seed,
-        "schedule": _schedule_entry(cert.schedule),
-        "sets": {
-            "P1": _set_entry(cert.sets.p1),
-            "P2": _set_entry(cert.sets.p2),
-            "P3": _set_entry(cert.sets.p3),
-            "U1": _set_entry(cert.sets.u1),
-            "U2": _set_entry(cert.sets.u2),
-            "U3": _set_entry(cert.sets.u3),
-            "U4": _set_entry(cert.sets.u4),
-            "U5": _set_entry(cert.sets.u5),
-            "U6": _set_entry(cert.sets.u6),
-        },
-        "congruences": congs,
-        "modulus": str(cert.n),
-        "m0": str(cert.m0),
-        "m": str(cert.m),
-        "cover": [
-            {"u": u, "witness_prime": str(w.p)}
-            for u, w in sorted(cert.cover.items())
-        ],
-        "exceptions": [],
-        "metrics": {
-            "log_m": natural_log(cert.m),
-            "log_modulus": natural_log(cert.n),
-            "exponent_report": cert.exponent_report,
-            "avoidance_constant": cert.avoidance_constant,
+    return _document(
+        cert,
+        ("P1", "P2", "P3", "U1", "U2", "U3", "U4", "U5", "U6"),
+        {
             "prime_count_in_window": 0,
-            "autoshrink_trace": list(cert.autoshrink_trace),
             "squarefree_status": cert.squarefree_status,
             "squarefree_trial_bound": str(cert.squarefree_bound),
         },
-    }
+        mode="squarefree",
+        exceptions=[],
+    )
 
 
 @unlimited_int_digits()
 def kcertificate_to_document(cert: KCertificate) -> dict:
     """Serialize a k-th power certificate."""
-    congs = [["1", str(p)] for p in cert.sets.p1]
-    congs += [["2", str(p)] for p in cert.sets.p2]
-    for u in sorted(cert.matching.matched):
-        p, root = cert.matching.matched[u]
-        congs.append([str(root), str(p)])
-    if not cert.reduced:
-        congs += [["1", str(p)] for p in cert.sets.p4]
-    try:
-        constant = avoidance_constant(cert.m**cert.sets.k, cert.schedule.y)
-    except ValueError:
-        constant = None
-    return {
-        "format_version": FORMAT_VERSION,
-        "mode": "kpower",
-        "seed": cert.seed,
-        "reduced_modulus": cert.reduced,
-        "schedule": _schedule_entry(cert.schedule),
-        "sets": {
-            "P1": _set_entry(cert.sets.p1),
-            "P2": _set_entry(cert.sets.p2),
-            "P3tilde": _set_entry(cert.sets.p3tilde),
-            "P3": _set_entry(cert.sets.p3),
-            "P4": _set_entry(cert.sets.p4),
-            "U1": _set_entry(cert.sets.u1),
-            "U2": _set_entry(cert.sets.u2),
-            "U3": _set_entry(cert.sets.u3),
-            "U4": _set_entry(cert.sets.u4),
-            "U5": _set_entry(cert.sets.u5),
-            "U6": _set_entry(cert.sets.u6),
-            "U7": _set_entry(cert.sets.u7),
-        },
-        "congruences": congs,
-        "modulus": str(cert.modulus),
-        "m0": str(cert.m0),
-        "m": str(cert.m),
-        "cover": [
-            {"u": u, "witness_prime": str(w.p)}
-            for u, w in sorted(cert.cover.items())
-        ],
-        "exceptions": [{"u": u, "status": s} for u, s in cert.exceptions],
-        "metrics": {
-            "log_m": natural_log(cert.m),
-            "log_modulus": natural_log(cert.modulus),
-            "exponent_report": natural_log(cert.m) / natural_log(cert.modulus),
-            "avoidance_constant": constant,
+    return _document(
+        cert,
+        ("P1", "P2", "P3tilde", "P3", "P4", "U1", "U2", "U3", "U4", "U5", "U6", "U7"),
+        {
             "prime_count_in_window": cert.prime_count_in_window,
-            "autoshrink_trace": list(cert.autoshrink_trace),
             "unmatched_offsets": list(cert.matching.unmatched),
             "u4_card": len(cert.sets.u4),
             "u4_within_u2": cert.sets.u4_within_u2,
             "p1_upper_empty": cert.sets.p1_upper_empty,
         },
-    }
+        mode="kpower",
+        reduced_modulus=cert.reduced,
+        exceptions=[{"u": u, "status": st} for u, st in cert.exceptions],
+    )
 
 
 def document_to_json(doc: dict) -> str:
@@ -206,16 +156,28 @@ def parse_document(text: str) -> dict:
     if doc["mode"] not in ("squarefree", "kpower"):
         raise DocumentError(f"unknown mode {doc['mode']!r}")
     try:
-        int(doc["modulus"])
+        if int(doc["modulus"]) < 1:
+            raise ValueError("modulus must be positive")
         int(doc["m0"])
         int(doc["m"])
         for r, q in doc["congruences"]:
             int(r), int(q)
         for entry in doc["cover"]:
             int(entry["u"]), int(entry["witness_prime"])
+        for entry in doc["exceptions"]:
+            int(entry["u"])
+            if not isinstance(entry["status"], str):
+                raise TypeError(f"exception status {entry['status']!r} is not a string")
         int(doc["schedule"]["y"])
+        if int(doc["schedule"]["k"]) < 1:
+            raise ValueError("schedule.k must be at least 1")
     except (ValueError, TypeError, KeyError) as exc:
-        raise DocumentError(f"malformed numeric field: {exc}") from exc
+        raise DocumentError(f"malformed field: {exc}") from exc
+    metrics = doc["metrics"]
+    if not isinstance(metrics, dict):
+        raise DocumentError("metrics must be an object")
+    if not isinstance(metrics.get("squarefree_status", ""), str):
+        raise DocumentError("metrics.squarefree_status must be a string")
     return doc
 
 

@@ -21,16 +21,17 @@ from . import kernels
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
     Congruence,
-    FactorWitness,
+    avoidance_constant,
     crt_solve,
     is_prime,
     is_smooth,
     jacobi,
     kth_root_count,
     kth_roots_mod_p,
+    natural_log,
     primes_upto,
 )
-from .schedule import Schedule, capacity_check
+from .schedule import Schedule, shrink_to_capacity
 
 DEFAULT_PRIME_STEPS = 100_000
 # progression-sieve depth and the number of steps sieved at a time
@@ -107,16 +108,13 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
             available=0,
         )
 
-    in_u1 = bytearray(2 * y + 1)
-    for p in p1:
-        first = -((y // p) * p)
-        for m in range(first, y + 1, p):
-            in_u1[m + y] = 1
-    in_u1[y] = 1  # u = 0
+    # index u + y; struck where a band-one prime divides u (2 is one, so u = 0)
+    free = bytearray(b"\x01") * (2 * y + 1)
+    kernels.strike(free, ((y % p, p) for p in p1))
 
     window = range(-y, y + 1)
-    u1 = tuple(u for u in window if in_u1[u + y])
-    u2 = tuple(u for u in window if not in_u1[u + y])
+    u1 = tuple(u for u in window if not free[u + y])
+    u2 = tuple(u for u in window if free[u + y])
     u3 = tuple(u for u in window if u != 0 and is_prime(abs(u)))
     u4 = tuple(u for u in window if u != 0 and is_smooth(abs(u), z))
     shift = (1 << k) - 1
@@ -169,9 +167,6 @@ class KMatching:
 
     matched: dict[int, tuple[int, int]]
     unmatched: tuple[int, ...]
-
-    def witness_primes(self) -> set[int]:
-        return {p for p, _ in self.matched.values()}
 
 
 def _max_matching(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
@@ -278,7 +273,24 @@ def solve_m0_k(
     Returns the set system with the matched image and leftovers filled
     in, the modulus, and m0.
     """
-    p3 = tuple(sorted(matching.witness_primes()))
+    p3 = tuple(sorted(p for p, _ in matching.matched.values()))
+    p4: tuple[int, ...] = ()
+    if not reduced:
+        used = set(sets.p1) | set(sets.p2) | set(p3)
+        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
+    sets = replace(sets, p3=p3, p4=p4)
+    m0, modulus = crt_solve(covering_congruences(sets, matching))
+    if math.gcd(m0, modulus) != 1:
+        raise RuntimeError("m0 is not coprime to the modulus; construction bug")
+    return sets, modulus, m0
+
+
+def covering_congruences(
+    sets: KSetSystem, matching: KMatching
+) -> tuple[Congruence, ...]:
+    """m0 == 1 mod band-one primes, 2 mod mid-band primes, the chosen root
+    mod each matched prime, then 1 mod each leftover prime of P4 (empty
+    in reduced mode), in that order."""
     congs = [Congruence(1, p) for p in sets.p1]
     congs += [Congruence(2, p) for p in sets.p2]
     for u in sorted(matching.matched):
@@ -288,15 +300,8 @@ def solve_m0_k(
                 f"zero root chosen for offset {u}: would break coprimality"
             )
         congs.append(Congruence(root, p))
-    p4: tuple[int, ...] = ()
-    if not reduced:
-        used = set(sets.p1) | set(sets.p2) | set(p3)
-        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
-        congs += [Congruence(1, p) for p in p4]
-    m0, modulus = crt_solve(congs)
-    if math.gcd(m0, modulus) != 1:
-        raise RuntimeError("m0 is not coprime to the modulus; construction bug")
-    return replace(sets, p3=p3, p4=p4), modulus, m0
+    congs += [Congruence(1, p) for p in sets.p4]
+    return tuple(congs)
 
 
 def _sieved_steps(m0: int, modulus: int, last: int):
@@ -352,7 +357,7 @@ def find_prime_in_ap(
 
 def verify_power_window(
     m: int, sets: KSetSystem, matching: KMatching, sch: Schedule
-) -> tuple[dict[int, FactorWitness], list[tuple[int, str]], int]:
+) -> tuple[dict[int, int], list[tuple[int, str]], int]:
     """Witness or classify every window element m^k + (u - 1).
 
     u = 1 is skipped (the element is m^k, the constructed prime power).
@@ -364,7 +369,7 @@ def verify_power_window(
     u1_set = set(sets.u1)
     u3_set = set(sets.u3)
     shift = (1 << k) - 1
-    cover: dict[int, FactorWitness] = {}
+    cover: dict[int, int] = {}
     pending: list[int] = []
     for u in range(-y, y + 1):
         if u == 1:
@@ -382,7 +387,7 @@ def verify_power_window(
                 raise RuntimeError(
                     f"offset {u} has an invalid witness p={p}; construction bug"
                 )
-            cover[u] = FactorWitness.checked(value, p)
+            cover[u] = p
         else:
             pending.append(u)
     exceptions = [
@@ -455,9 +460,12 @@ class KCertificate:
     m0: int
     m: int
     reduced: bool
-    cover: dict[int, FactorWitness]
+    congruences: tuple[Congruence, ...]  # the system solved for m0, in order
+    cover: dict[int, int]  # offset u -> witness prime dividing m^k + u - 1
     exceptions: list[tuple[int, str]]
     prime_count_in_window: int
+    exponent_report: float
+    avoidance_constant: float | None  # measured on m^k
     autoshrink_trace: tuple[int, ...]
     seed: int  # recorded in the document only; no step of the run uses it
 
@@ -469,28 +477,18 @@ def construct_certificate_k(
     seed: int = 0,
 ) -> KCertificate:
     """Run the full k-th power pipeline, auto-shrinking y on capacity."""
-    trace = [sch.y]
-    while True:
-        sets = build_sets_k(sch)
-        decision = capacity_check(sch, len(sets.u7), len(sets.p3tilde))
-        if decision.ok:
-            break
-        if decision.status == "shrink":
-            sch = sch.shrunk(decision.new_y)
-            trace.append(sch.y)
-            continue
-        raise CapacityError(
-            f"capacity failed at y={sch.y}: |u7|={decision.needed} > "
-            f"|matchable primes|={decision.available} and y cannot shrink below 3",
-            needed=decision.needed,
-            available=decision.available,
-        )
-
+    sch, sets, trace = shrink_to_capacity(
+        sch, build_sets_k, lambda s: (len(s.u7), len(s.p3tilde))
+    )
     sets = replace(sets, u6=legendre_screen(sch, sets.p3tilde))
     matching = match_offsets(sets)
     sets, modulus, m0 = solve_m0_k(sch, sets, matching, reduced=reduced)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
     cover, exceptions, prime_count = verify_power_window(m, sets, matching, sch)
+    try:
+        constant = avoidance_constant(m**sch.k, sch.y)
+    except ValueError:
+        constant = None
     return KCertificate(
         schedule=sch,
         sets=sets,
@@ -499,9 +497,12 @@ def construct_certificate_k(
         m0=m0,
         m=m,
         reduced=reduced,
+        congruences=covering_congruences(sets, matching),
         cover=cover,
         exceptions=exceptions,
         prime_count_in_window=prime_count,
-        autoshrink_trace=tuple(trace),
+        exponent_report=natural_log(m) / natural_log(modulus),
+        avoidance_constant=constant,
+        autoshrink_trace=trace,
         seed=seed,
     )

@@ -1,4 +1,5 @@
-"""Exact integer and modular arithmetic primitives.
+"""Exact integer and modular arithmetic primitives, including the tiered
+squarefree check that the squarefree search and the verifier share.
 
 Everything here is a pure function over Python ints (arbitrary precision,
 no rounding); fixed-width inner loops are delegated to ``kernels``.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from . import kernels
 
@@ -27,6 +29,13 @@ ROOT_ENUM_LIMIT = 10**6
 
 _MERTENS_FRAC_BITS = 96
 
+SQUAREFREE_TRIAL_BOUND = 10**7
+TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when smaller
+# integers per trial block: theta(x) ~ x makes their primes' product
+# about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
+_TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
+_POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
+
 
 @dataclass(frozen=True)
 class Congruence:
@@ -42,32 +51,6 @@ class Congruence:
             raise ValueError(
                 f"residue {self.residue} out of range for modulus {self.modulus}"
             )
-
-    def holds_for(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
-
-@dataclass(frozen=True)
-class FactorWitness:
-    """A prime divisor p of n; p < n certifies n composite."""
-
-    n: int
-    p: int
-    cofactor_gt_one: bool
-
-    @classmethod
-    def checked(cls, n: int, p: int) -> "FactorWitness":
-        if p < 2 or n % p != 0:
-            raise ValueError(f"{p} does not witness a factor of {n}")
-        return cls(n=n, p=p, cofactor_gt_one=p < n)
-
-    def verify(self) -> bool:
-        if self.p < 2 or self.n % self.p != 0:
-            return False
-        return self.cofactor_gt_one == (self.p < self.n)
-
-    def certifies_composite(self) -> bool:
-        return self.verify() and self.cofactor_gt_one
 
 
 def primes_upto(n: int) -> list[int]:
@@ -277,3 +260,147 @@ def mertens_product(w: int) -> float:
 def natural_log(n) -> float:
     """log of an int or float of any size (math.log handles big ints)."""
     return math.log(n)
+
+
+def avoidance_constant(m: int, y: int) -> float:
+    """Measured ratio y * (logloglog m)^2 / (log m loglog m logloglog(log m)).
+
+    Needs m large enough that the fourth iterated log is positive
+    (m > e^(e^e)).
+    """
+    l1 = natural_log(m)
+    l2 = math.log(l1)
+    l3 = math.log(l2)
+    if l3 <= 0:
+        raise ValueError(f"m={m} too small: third iterated log is <= 0")
+    l4 = math.log(l3)
+    if l4 <= 0:
+        raise ValueError(f"m={m} too small: fourth iterated log is <= 0")
+    return y * l3 * l3 / (l1 * l2 * l4)
+
+
+@lru_cache(maxsize=4)  # the default bound plus a few caller-chosen ones
+def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
+    """The primes <= bound as (lower end, product) blocks, one block per
+    interval of _TRIAL_BLOCK_SPAN consecutive integers, read straight off
+    the odd sieve.  Since theta(x) ~ x, a full block's product has about
+    TRIAL_BLOCK_BITS bits.  The lower end is at most every prime of its
+    block and of the blocks after it; 2 is folded into the first block."""
+    if bound < 2:
+        return ()
+    flags = kernels.odd_sieve(bound)
+    step = _TRIAL_BLOCK_SPAN // 2  # odd numbers per interval
+    blocks = []
+    for i in range(0, len(flags), step):
+        lo = 2 * i + 1
+        primes = compress(range(lo, bound + 1, 2), flags[i : i + step])
+        product = math.prod(primes, start=2 if i == 0 else 1)
+        if product > 1:
+            blocks.append((lo, product))
+    return tuple(blocks)
+
+
+def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
+    """m with every prime <= bound divided out once, or None when one of
+    those primes divides m twice.
+
+    A block of consecutive primes per gcd: g = gcd(rest, block) is the
+    product of the block's primes that divide rest, and a repeated factor
+    shows as gcd(rest // g, g) > 1.  The scan stops early once the next
+    block's lower end p has p*p > rest, since rest is then 1 or a prime.
+    """
+    rest = m
+    for first, block in _trial_blocks(bound):
+        if first * first > rest:
+            break
+        g = math.gcd(rest, block)
+        if g > 1:
+            rest //= g
+            if math.gcd(rest, g) > 1:
+                return None
+    return rest
+
+
+def cofactor_tier(
+    rest: int, bound: int = SQUAREFREE_TRIAL_BOUND, test_primality: bool = True
+) -> str:
+    """The tier of m from its trial_cofactor ``rest``: "proven", "prp",
+    "partial" or "not_squarefree".
+
+    rest is 1, a prime, a proper perfect power, or opaque.  A prime is
+    "proven" when is_prime's verdict is a proof (below
+    MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW probable
+    prime; the opaque case is left "partial" (possible for m > bound**2).
+    The perfect-power test relies on the full scan, which leaves no prime
+    factor <= bound; see _is_perfect_power.  With ``test_primality``
+    false a prime above bound**2 is left "partial" too: the primality
+    test only picks the tier and never finds a square factor.
+    """
+    if rest == 1 or rest <= bound * bound:
+        # a composite cofactor below bound^2 would need a factor <= bound
+        return "proven"
+    if test_primality and is_prime(rest):
+        return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
+    if _is_perfect_power(rest, bound):
+        return "not_squarefree"
+    return "partial"
+
+
+def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
+    """Tiered squarefree check: "proven", "prp", "partial", or
+    "not_squarefree": the trial_cofactor scan, then its cofactor_tier."""
+    rest = trial_cofactor(m, bound)
+    if rest is None:
+        return "not_squarefree"
+    return cofactor_tier(rest, bound)
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) in pure integer arithmetic."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=None)  # one small entry per prime exponent ever tried
+def _power_screen(e: int) -> tuple[int, ...]:
+    """The first _POWER_SCREEN_PRIMES odd primes q == 1 (mod e)."""
+    step = math.lcm(2, e)  # q odd and q == 1 (mod e)
+    screen: list[int] = []
+    q = 1 + step
+    while len(screen) < _POWER_SCREEN_PRIMES:
+        if is_prime(q):
+            screen.append(q)
+        q += step
+    return tuple(screen)
+
+
+def _not_a_power(n: int, e: int) -> bool:
+    """True when some screen prime q shows n is no e-th power: for q not
+    dividing n, an e-th power r**e has (r**e)**((q-1)/e) == r**(q-1) == 1
+    (mod q) by Fermat.  False proves nothing."""
+    for q in _power_screen(e):
+        r = n % q
+        if r and pow(r, (q - 1) // e, q) != 1:
+            return True
+    return False
+
+
+def _is_perfect_power(n: int, bound: int) -> bool:
+    """True iff n = r**e with e >= 2, for n with no prime factor <= bound.
+
+    Every such root r exceeds bound, so n >= (bound + 1)**e and e is at
+    most n.bit_length() // floor(log2(bound + 1)).  Only prime exponents
+    are tried: r**(p*f) is also the p-th power of r**f, which exceeds
+    bound as well.  A residue screen rules most exponents out before the
+    exact integer root (Bernstein, Math. Comp. 67, 1998).
+    """
+    max_e = n.bit_length() // (max(bound + 1, 2).bit_length() - 1)
+    return any(
+        not _not_a_power(n, e) and _iroot(n, e) ** e == n for e in primes_upto(max_e)
+    )

@@ -1,4 +1,5 @@
-"""Run parameters: the (x, z, y) schedule and the capacity rule.
+"""Run parameters: the (x, z, y) schedule and the capacity rule, which
+both pipelines apply through ``shrink_to_capacity``.
 
 The literal profile evaluates the asymptotic formulas exactly as written;
 at desk scale those degenerate (z falls below log x), so the practical
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+from .errors import CapacityError
 
 PROFILES = ("literal", "practical", "explicit")
 
@@ -52,9 +55,6 @@ class Schedule:
     delta: float
     c2_autoshrink: bool
     degenerate: bool
-
-    def shrunk(self, new_y: int) -> "Schedule":
-        return replace(self, y=new_y)
 
 
 def make_schedule(
@@ -147,3 +147,26 @@ def capacity_check(sch: Schedule, needed: int, available: int) -> CapacityDecisi
             status="shrink", needed=needed, available=available, new_y=sch.y // 2
         )
     return CapacityDecision(status="fail", needed=needed, available=available)
+
+
+def shrink_to_capacity(sch: Schedule, build, demand):
+    """Build the set system ``build(sch)``, halving y while capacity_check
+    refuses ``demand(sets)`` = (offsets needing a covering prime, primes
+    available).  Returns the final schedule, its set system and every y
+    tried; raises CapacityError once y cannot shrink."""
+    trace = [sch.y]
+    while True:
+        sets = build(sch)
+        decision = capacity_check(sch, *demand(sets))
+        if decision.ok:
+            return sch, sets, tuple(trace)
+        if decision.status != "shrink":
+            raise CapacityError(
+                f"capacity failed at y={sch.y}: {decision.needed} offsets need a "
+                f"covering prime but only {decision.available} are available, "
+                f"and y cannot shrink below {MIN_Y}",
+                needed=decision.needed,
+                available=decision.available,
+            )
+        sch = replace(sch, y=decision.new_y)
+        trace.append(sch.y)

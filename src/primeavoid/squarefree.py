@@ -19,28 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
 
 from . import kernels
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
-    MR_DETERMINISTIC_BOUND,
+    SQUAREFREE_TRIAL_BOUND,
     Congruence,
-    FactorWitness,
+    avoidance_constant,
+    classify_squarefree,
     crt_solve,
     is_prime,
+    is_smooth,
     natural_log,
     primes_upto,
 )
-from .schedule import Schedule, capacity_check, iter_log
+from .schedule import Schedule, iter_log, shrink_to_capacity
 
-SQUAREFREE_TRIAL_BOUND = 10**7
-TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when smaller
-# integers per trial block: theta(x) ~ x makes their primes' product
-# about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
-_TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
-_POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 DEFAULT_MAX_STEPS = 10_000
 
 
@@ -76,38 +70,18 @@ def build_sets(sch: Schedule) -> SetSystem:
     p2 = tuple(p for p in primes if log_x < p <= z)
     p3 = tuple(p for p in primes if x / 4 < p <= x)
 
-    in_u1 = bytearray(2 * y + 1)  # index u + y
-    for p in p1:
-        first = -((y // p) * p)
-        for m in range(first, y + 1, p):
-            in_u1[m + y] = 1
-    in_u1[y] = 1  # u = 0: every prime divides 0
+    # index u + y; struck where a band-one prime divides u (2 is one, so u = 0)
+    free = bytearray(b"\x01") * (2 * y + 1)
+    kernels.strike(free, ((y % p, p) for p in p1))
 
-    u1 = tuple(u for u in range(-y, y + 1) if in_u1[u + y])
-    u2 = tuple(
-        u for u in range(-y, y + 1) if not in_u1[u + y] and u not in (-1, 0, 1)
-    )
+    u1 = tuple(u for u in range(-y, y + 1) if not free[u + y])
+    u2 = tuple(u for u in range(-y, y + 1) if free[u + y] and u not in (-1, 0, 1))
     u3 = tuple(u for u in u2 if is_prime(abs(u)))
-    p2_set = set(p2)
-    u4 = tuple(u for u in u2 if _factors_within(abs(u), p2_set))
+    # every prime <= log x is in P1, so z-smooth u2 offsets have only mid-band primes
+    u4 = tuple(u for u in u2 if is_smooth(abs(u), z))
     u5 = tuple(u for u in u3 if all((u + 1) % p for p in p2))
     u6 = tuple(sorted(set(u4) | set(u5) | {-1, 0, 1}))
     return SetSystem(p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
-
-
-def _factors_within(n: int, allowed: set[int]) -> bool:
-    """True iff every prime factor of n lies in ``allowed``."""
-    if n == 1:
-        return True
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            if d not in allowed:
-                return False
-            while n % d == 0:
-                n //= d
-        d += 1
-    return n == 1 or n in allowed
 
 
 def assign_primes(sets: SetSystem) -> dict[int, int]:
@@ -123,23 +97,26 @@ def assign_primes(sets: SetSystem) -> dict[int, int]:
     return dict(zip(sets.u6, sets.p3))
 
 
-def solve_m0(sets: SetSystem, phi: dict[int, int]) -> tuple[int, int]:
-    """Solve the covering congruences.
-
-    m0 == 0 mod p for band-one primes, m0 == 1 mod p for mid-band primes,
-    m0 == -u mod p_u for each assigned pair.  Returns (N, m0) with N the
-    product of all moduli and m0 the representative in [1, N] (so the
-    u = 0 witness stays valid even when the solution is 0 mod N).
-    """
-    assigned = set(phi.values())
-    if len(assigned) != len(phi):
-        raise ValueError("assignment is not injective")
-    if assigned & (set(sets.p1) | set(sets.p2)):
-        raise ValueError("duplicate modulus: assigned primes overlap the bands")
+def covering_congruences(
+    sets: SetSystem, phi: dict[int, int]
+) -> tuple[Congruence, ...]:
+    """m0 == 0 mod p for band-one primes, m0 == 1 mod p for mid-band
+    primes, m0 == -u mod p_u for each assigned pair, in that order; a
+    prime used twice makes crt_solve raise."""
     congs = [Congruence(0, p) for p in sets.p1]
     congs += [Congruence(1, p) for p in sets.p2]
     congs += [Congruence((-u) % p, p) for u, p in sorted(phi.items())]
-    m0, n = crt_solve(congs)
+    return tuple(congs)
+
+
+def solve_m0(sets: SetSystem, phi: dict[int, int]) -> tuple[int, int]:
+    """Solve the covering congruences.
+
+    Returns (N, m0) with N the product of all moduli and m0 the
+    representative in [1, N] (so the u = 0 witness stays valid even when
+    the solution is 0 mod N).
+    """
+    m0, n = crt_solve(covering_congruences(sets, phi))
     if m0 == 0:
         m0 = n
     return n, m0
@@ -154,133 +131,6 @@ class SquarefreeSearch:
     status: str  # "proven" | "prp" | "partial", see classify_squarefree
     trial_bound: int
     candidates_tried: int
-
-
-@lru_cache(maxsize=4)  # the default bound plus a few caller-chosen ones
-def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
-    """The primes <= bound as (lower end, product) blocks, one block per
-    interval of _TRIAL_BLOCK_SPAN consecutive integers, read straight off
-    the odd sieve.  Since theta(x) ~ x, a full block's product has about
-    TRIAL_BLOCK_BITS bits.  The lower end is at most every prime of its
-    block and of the blocks after it; 2 is folded into the first block."""
-    if bound < 2:
-        return ()
-    flags = kernels.odd_sieve(bound)
-    step = _TRIAL_BLOCK_SPAN // 2  # odd numbers per interval
-    blocks = []
-    for i in range(0, len(flags), step):
-        lo = 2 * i + 1
-        primes = compress(range(lo, bound + 1, 2), flags[i : i + step])
-        product = math.prod(primes, start=2 if i == 0 else 1)
-        if product > 1:
-            blocks.append((lo, product))
-    return tuple(blocks)
-
-
-def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
-    """m with every prime <= bound divided out once, or None when one of
-    those primes divides m twice.
-
-    A block of consecutive primes per gcd: g = gcd(rest, block) is the
-    product of the block's primes that divide rest, and a repeated factor
-    shows as gcd(rest // g, g) > 1.  The scan stops early once the next
-    block's lower end p has p*p > rest, since rest is then 1 or a prime.
-    """
-    rest = m
-    for first, block in _trial_blocks(bound):
-        if first * first > rest:
-            break
-        g = math.gcd(rest, block)
-        if g > 1:
-            rest //= g
-            if math.gcd(rest, g) > 1:
-                return None
-    return rest
-
-
-def cofactor_tier(
-    rest: int, bound: int = SQUAREFREE_TRIAL_BOUND, test_primality: bool = True
-) -> str:
-    """The tier of m from its trial_cofactor ``rest``: "proven", "prp",
-    "partial" or "not_squarefree".
-
-    rest is 1, a prime, a proper perfect power, or opaque.  A prime is
-    "proven" when is_prime's verdict is a proof (below
-    MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW probable
-    prime; the opaque case is left "partial" (possible for m > bound**2).
-    The perfect-power test relies on the full scan, which leaves no prime
-    factor <= bound; see _is_perfect_power.  With ``test_primality``
-    false a prime above bound**2 is left "partial" too: the primality
-    test only picks the tier and never finds a square factor.
-    """
-    if rest == 1 or rest <= bound * bound:
-        # a composite cofactor below bound^2 would need a factor <= bound
-        return "proven"
-    if test_primality and is_prime(rest):
-        return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
-    if _is_perfect_power(rest, bound):
-        return "not_squarefree"
-    return "partial"
-
-
-def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
-    """Tiered squarefree check: "proven", "prp", "partial", or
-    "not_squarefree": the trial_cofactor scan, then its cofactor_tier."""
-    rest = trial_cofactor(m, bound)
-    if rest is None:
-        return "not_squarefree"
-    return cofactor_tier(rest, bound)
-
-
-def _iroot(n: int, e: int) -> int:
-    """floor(n ** (1/e)) in pure integer arithmetic."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-@lru_cache(maxsize=None)  # one small entry per prime exponent ever tried
-def _power_screen(e: int) -> tuple[int, ...]:
-    """The first _POWER_SCREEN_PRIMES odd primes q == 1 (mod e)."""
-    step = math.lcm(2, e)  # q odd and q == 1 (mod e)
-    screen: list[int] = []
-    q = 1 + step
-    while len(screen) < _POWER_SCREEN_PRIMES:
-        if is_prime(q):
-            screen.append(q)
-        q += step
-    return tuple(screen)
-
-
-def _not_a_power(n: int, e: int) -> bool:
-    """True when some screen prime q shows n is no e-th power: for q not
-    dividing n, an e-th power r**e has (r**e)**((q-1)/e) == r**(q-1) == 1
-    (mod q) by Fermat.  False proves nothing."""
-    for q in _power_screen(e):
-        r = n % q
-        if r and pow(r, (q - 1) // e, q) != 1:
-            return True
-    return False
-
-
-def _is_perfect_power(n: int, bound: int) -> bool:
-    """True iff n = r**e with e >= 2, for n with no prime factor <= bound.
-
-    Every such root r exceeds bound, so n >= (bound + 1)**e and e is at
-    most n.bit_length() // floor(log2(bound + 1)).  Only prime exponents
-    are tried: r**(p*f) is also the p-th power of r**f, which exceeds
-    bound as well.  A residue screen rules most exponents out before the
-    exact integer root (Bernstein, Math. Comp. 67, 1998).
-    """
-    max_e = n.bit_length() // (max(bound + 1, 2).bit_length() - 1)
-    return any(
-        not _not_a_power(n, e) and _iroot(n, e) ** e == n for e in primes_upto(max_e)
-    )
 
 
 def find_squarefree_in_ap(
@@ -317,7 +167,7 @@ def find_squarefree_in_ap(
 
 def verify_window(
     m: int, sets: SetSystem, phi: dict[int, int], sch: Schedule
-) -> dict[int, FactorWitness]:
+) -> dict[int, int]:
     """One verified witness prime for every offset in [-y, y].
 
     Every witness is a pure divisibility fact (p | m+u with p < m+u);
@@ -329,7 +179,7 @@ def verify_window(
         raise ValueError(f"m={m} violates m >= 2y = {2 * y}")
     u1_set = set(sets.u1)
     u3_set = set(sets.u3)
-    cover: dict[int, FactorWitness] = {}
+    cover: dict[int, int] = {}
     for u in range(-y, y + 1):
         if u in phi:
             p = phi[u]
@@ -345,25 +195,8 @@ def verify_window(
                 f"offset {u} lacks a valid witness (got p={p}); "
                 "the covering construction is inconsistent"
             )
-        cover[u] = FactorWitness.checked(value, p)
+        cover[u] = p
     return cover
-
-
-def avoidance_constant(m: int, y: int) -> float:
-    """Measured ratio y * (logloglog m)^2 / (log m loglog m logloglog(log m)).
-
-    Needs m large enough that the fourth iterated log is positive
-    (m > e^(e^e)).
-    """
-    l1 = natural_log(m)
-    l2 = math.log(l1)
-    l3 = math.log(l2)
-    if l3 <= 0:
-        raise ValueError(f"m={m} too small: third iterated log is <= 0")
-    l4 = math.log(l3)
-    if l4 <= 0:
-        raise ValueError(f"m={m} too small: fourth iterated log is <= 0")
-    return y * l3 * l3 / (l1 * l2 * l4)
 
 
 @dataclass(frozen=True)
@@ -373,10 +206,11 @@ class AvoidanceCertificate:
     schedule: Schedule
     sets: SetSystem
     phi: dict[int, int]
-    n: int
+    modulus: int
     m0: int
     m: int
-    cover: dict[int, FactorWitness]
+    congruences: tuple[Congruence, ...]  # the system solved for m0, in order
+    cover: dict[int, int]  # offset u -> witness prime dividing m + u
     squarefree_status: str
     squarefree_bound: int
     exponent_report: float
@@ -389,23 +223,9 @@ def construct_certificate(
     sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS, seed: int = 0
 ) -> AvoidanceCertificate:
     """Run the full pipeline, auto-shrinking y until capacity holds."""
-    trace = [sch.y]
-    while True:
-        sets = build_sets(sch)
-        decision = capacity_check(sch, len(sets.u6), len(sets.p3))
-        if decision.ok:
-            break
-        if decision.status == "shrink":
-            sch = sch.shrunk(decision.new_y)
-            trace.append(sch.y)
-            continue
-        raise CapacityError(
-            f"capacity failed at y={sch.y}: |u6|={decision.needed} > "
-            f"|p3|={decision.available} and y cannot shrink below 3",
-            needed=decision.needed,
-            available=decision.available,
-        )
-
+    sch, sets, trace = shrink_to_capacity(
+        sch, build_sets, lambda s: (len(s.u6), len(s.p3))
+    )
     phi = assign_primes(sets)
     n, m0 = solve_m0(sets, phi)
     search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
@@ -418,14 +238,15 @@ def construct_certificate(
         schedule=sch,
         sets=sets,
         phi=phi,
-        n=n,
+        modulus=n,
         m0=m0,
         m=search.m,
+        congruences=covering_congruences(sets, phi),
         cover=cover,
         squarefree_status=search.status,
         squarefree_bound=search.trial_bound,
         exponent_report=natural_log(search.m) / natural_log(n),
         avoidance_constant=constant,
-        autoshrink_trace=tuple(trace),
+        autoshrink_trace=trace,
         seed=seed,
     )

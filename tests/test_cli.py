@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -211,8 +215,8 @@ def test_partial_claim_rejects_square_factors(partial_doc_text):
     # small prime or a perfect-power cofactor must still fail the section
     doc = json.loads(partial_doc_text)
     m = int(doc["m"])
-    rest = squarefree.trial_cofactor(m)
-    assert squarefree.cofactor_tier(rest) == "partial"
+    rest = numtheory.trial_cofactor(m)
+    assert numtheory.cofactor_tier(rest) == "partial"
     for bad in (9 * m, 7**2 * m, rest**2, 210 * rest**3):
         doc["m"] = str(bad)
         report = doc_mod.verify_document(doc)
@@ -247,6 +251,48 @@ def test_verify_malformed_exits_65(tmp_path, capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda doc: doc.update(exceptions=[{"u": "abc", "status": "prime"}]),
+        lambda doc: doc.update(exceptions=[{"status": "prime"}]),
+        lambda doc: doc["schedule"].update(k="two"),
+        lambda doc: doc["schedule"].update(k=-1),
+        lambda doc: doc.update(metrics=[]),
+        lambda doc: doc.update(modulus="0"),
+        lambda doc: doc["metrics"].update(squarefree_status=[]),
+    ],
+    ids=[
+        "exception-u-not-int", "exception-u-missing", "k-not-int", "k-negative",
+        "metrics-list", "modulus-zero", "status-list",
+    ],
+)
+def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tamper):
+    doc = json.loads(micro_doc_text)
+    tamper(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert "malformed document" in err
+
+
+def test_document_module_imports_no_construction_code():
+    # the verifier's trust base is numtheory; construction stays out of it
+    probe = (
+        "import sys, primeavoid.document; "
+        "print(sorted(m for m in ('primeavoid.squarefree', 'primeavoid.kpower') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(doc_mod.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_document_round_trip(micro_doc_text):
     doc = doc_mod.parse_document(micro_doc_text)
     assert doc_mod.document_to_json(doc) == micro_doc_text
@@ -260,9 +306,11 @@ def test_document_numbers_beyond_4300_digits():
     cert = construct_certificate(
         make_schedule(40, 1, "explicit", z=6.3246, y=10), seed=0
     )
-    big = replace(cert, n=cert.n * 10**4400, m=cert.m + cert.n * 10**4400)
+    big = replace(
+        cert, modulus=cert.modulus * 10**4400, m=cert.m + cert.modulus * 10**4400
+    )
     doc = doc_mod.certificate_to_document(big)
-    assert doc["modulus"] == str(cert.n) + "0" * 4400
+    assert doc["modulus"] == str(cert.modulus) + "0" * 4400
     assert len(doc["m"]) > 4400
     parsed = doc_mod.parse_document(doc_mod.document_to_json(doc))
     assert parsed["m"] == doc["m"] and parsed["modulus"] == doc["modulus"]

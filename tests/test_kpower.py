@@ -401,8 +401,8 @@ def test_k1_pipeline_cover(k1_cert):
     covered = set(cert.cover) | {u for u, _ in cert.exceptions} | {1}
     assert covered == set(range(-y, y + 1))
     for u, w in cert.cover.items():
-        assert (cert.m + u - 1) % w.p == 0
-        assert w.p < cert.m + u - 1
+        assert (cert.m + u - 1) % w == 0
+        assert w < cert.m + u - 1
     assert is_prime(cert.m)
     assert math.gcd(cert.m0, cert.modulus) == 1
 
@@ -410,17 +410,17 @@ def test_k1_pipeline_cover(k1_cert):
 def test_k1_zero_offset_covered_by_band_one(k1_cert):
     # u=0: every band-one prime divides 0 and m - 1 == 0 (mod p)
     w = k1_cert.cover[0]
-    assert w.p in k1_cert.sets.p1
+    assert w in k1_cert.sets.p1
 
 
 def test_k1_mid_band_witness_algebra(k1_cert):
     cert = k1_cert
     u3 = set(cert.sets.u3)
     for u, w in cert.cover.items():
-        if w.p in set(cert.sets.p2):
+        if w in set(cert.sets.p2):
             assert u in u3
-            assert (u + 1) % w.p == 0  # k=1: p | u + 2^1 - 1
-            assert cert.m0 % w.p == 2
+            assert (u + 1) % w == 0  # k=1: p | u + 2^1 - 1
+            assert cert.m0 % w == 2
 
 
 def test_verify_rechecks_divisions(k1_cert):
@@ -458,7 +458,7 @@ def test_k2_pipeline_small():
     assert math.gcd(cert.m0, cert.modulus) == 1
     base = cert.m**2
     for u, w in cert.cover.items():
-        assert (base + u - 1) % w.p == 0
+        assert (base + u - 1) % w == 0
     for u, status in cert.exceptions:
         assert status in ("prime", "composite")
         assert (status == "prime") == is_prime(base + u - 1)

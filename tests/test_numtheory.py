@@ -11,7 +11,6 @@ from primeavoid.numtheory import (
     _MR_BASES,
     MR_DETERMINISTIC_BOUND,
     Congruence,
-    FactorWitness,
     crt_solve,
     is_prime,
     is_smooth,
@@ -430,7 +429,6 @@ def test_congruence_validation():
         Congruence(0, 9)
     with pytest.raises(ValueError):
         Congruence(5, 5)
-    assert Congruence(3, 5).holds_for(13)
 
 
 # -- mertens ----------------------------------------------------------------
@@ -445,15 +443,3 @@ def test_mertens_small_values():
 def test_mertens_asymptotic_window(w):
     v = mertens_product(w)
     assert abs(v * math.log(w) * math.exp(EULER_GAMMA) - 1) <= 3 / math.log(w)
-
-
-# -- FactorWitness -----------------------------------------------------------
-
-
-def test_factor_witness():
-    w = FactorWitness.checked(15, 3)
-    assert w.cofactor_gt_one and w.verify() and w.certifies_composite()
-    prime_as_own_witness = FactorWitness.checked(7, 7)
-    assert not prime_as_own_witness.certifies_composite()
-    with pytest.raises(ValueError):
-        FactorWitness.checked(15, 4)

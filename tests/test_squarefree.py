@@ -5,21 +5,25 @@ from dataclasses import replace
 import pytest
 
 from primeavoid.errors import CapacityError
-from primeavoid.numtheory import MR_DETERMINISTIC_BOUND, is_prime, primes_upto
-from primeavoid.schedule import make_schedule
-from primeavoid.squarefree import (
+from primeavoid.numtheory import (
+    MR_DETERMINISTIC_BOUND,
     _iroot,
     _is_perfect_power,
     _not_a_power,
     _trial_blocks,
-    assign_primes,
     avoidance_constant,
-    build_sets,
     classify_squarefree,
+    is_prime,
+    primes_upto,
+    trial_cofactor,
+)
+from primeavoid.schedule import make_schedule
+from primeavoid.squarefree import (
+    assign_primes,
+    build_sets,
     construct_certificate,
     find_squarefree_in_ap,
     solve_m0,
-    trial_cofactor,
     verify_window,
 )
 
@@ -379,14 +383,12 @@ def test_verify_window_micro(micro):
     m = find_squarefree_in_ap(m0, n, sch).m
     cover = verify_window(m, sets, phi, sch)
     assert len(cover) == 2 * sch.y + 1
-    assert cover[-7].p == 7
-    assert cover[0].p == 17
-    assert cover[4].p == 2
+    assert cover[-7] == 7
+    assert cover[0] == 17
+    assert cover[4] == 2
     for u, witness in cover.items():
-        assert witness.n == m + u
-        assert (m + u) % witness.p == 0
-        assert witness.p < m + u
-        assert witness.certifies_composite()
+        assert (m + u) % witness == 0
+        assert witness < m + u
 
 
 def test_verify_window_rejects_small_m(micro):
@@ -427,13 +429,13 @@ def test_avoidance_constant_linear_in_y():
 def test_certificate_micro_end_to_end():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     cert = construct_certificate(sch)
-    assert cert.n == 223092870
-    assert 1 <= cert.m0 <= cert.n
-    assert cert.m % cert.n == cert.m0 % cert.n
+    assert cert.modulus == 223092870
+    assert 1 <= cert.m0 <= cert.modulus
+    assert cert.m % cert.modulus == cert.m0 % cert.modulus
     assert len(cert.cover) == 21
     assert cert.squarefree_status == "proven"
     assert cert.exponent_report == pytest.approx(
-        math.log(cert.m) / math.log(cert.n), rel=1e-12
+        math.log(cert.m) / math.log(cert.modulus), rel=1e-12
     )
 
 
@@ -443,8 +445,8 @@ def test_certificate_windows_total_coverage(x):
     y = cert.schedule.y
     assert set(cert.cover) == set(range(-y, y + 1))
     for u, witness in cert.cover.items():
-        assert witness.p <= x
-        assert (cert.m + u) % witness.p == 0
+        assert witness <= x
+        assert (cert.m + u) % witness == 0
     # every block of congruences reproduces its residues
     for p in cert.sets.p1:
         assert cert.m0 % p == 0
@@ -465,5 +467,5 @@ def test_autoshrink_trace_recorded():
 
 def test_window_primes_all_below_x():
     cert = construct_certificate(make_schedule(100, 1, "practical"))
-    assert all(w.p in set(primes_upto(100)) for w in cert.cover.values())
-    assert all(is_prime(w.p) for w in cert.cover.values())
+    assert all(w in set(primes_upto(100)) for w in cert.cover.values())
+    assert all(is_prime(w) for w in cert.cover.values())
