@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels, numtheory
+from primeavoid import kernels, kpower, numtheory
 
 
 def timed(fn, repeat=3):
@@ -47,6 +47,18 @@ def workloads(quick):
         if modulus % p
     ]
     chunk = 1024
+    # the two costs kpower._POOL_MIN_BITS weighs: one base-2 round on a
+    # survivor, and a 2-worker pool started, given one task and shut down
+    spp_rounds = 10 if quick else 50
+
+    def spp(bits):
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        return lambda: [numtheory._strong_probable_prime(n, 2) for _ in range(spp_rounds)]
+
+    def pool_start_stop():
+        pool = kpower._start_pool(2)
+        pool.submit(abs, 0).result()
+        pool.shutdown()
 
     return [
         ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
@@ -61,6 +73,9 @@ def workloads(quick):
          lambda: kernels.sifted_count(sift_limit, sift_rules)),
         ("strike %d primes x%d steps" % (len(classes), chunk),
          lambda: kernels.strike(bytearray(b"\x01") * chunk, classes)),
+        ("base-2 spp round 1024 bits x%d" % spp_rounds, spp(1024)),
+        ("base-2 spp round 2048 bits x%d" % spp_rounds, spp(2048)),
+        ("pool start+stop, 2 workers", pool_start_stop),
     ]
 
 

@@ -19,7 +19,7 @@ import sys
 
 from . import document as doc_mod
 from . import kpower, sievebound, squarefree
-from .errors import CapacityError, DocumentError, SearchExhausted
+from .errors import CapacityError, ConstructionError, DocumentError, SearchExhausted
 from .numtheory import primes_upto
 from .schedule import make_schedule
 
@@ -122,12 +122,12 @@ def _cmd_construct(args) -> int:
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except (ConstructionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
     text = doc_mod.document_to_json(doc)
     if args.out:

@@ -10,6 +10,13 @@ class CapacityError(Exception):
         self.available = available
 
 
+class ConstructionError(ValueError):
+    """Raised when the construction builds an invalid congruence system
+    (a zero root, a modulus used twice): a fault of the program, not of its
+    arguments.  A ValueError, since the system is an invalid value; the
+    CLI exits 70 on it, where other ValueErrors exit 64."""
+
+
 class SearchExhausted(Exception):
     """Raised when a progression search hits its step budget."""
 

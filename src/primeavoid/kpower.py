@@ -12,13 +12,15 @@ explicit primality status.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 
 from . import kernels
-from .errors import CapacityError, SearchExhausted
+from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     Congruence,
     avoidance_constant,
@@ -37,6 +39,15 @@ DEFAULT_PRIME_STEPS = 100_000
 # progression-sieve depth and the number of steps sieved at a time
 _SCREEN_PRIME_LIMIT = 2**18
 _SIEVE_CHUNK = 1024
+# Sieve survivors of at least this many bits are tested in worker
+# processes.  On a 2-core host (CPython 3.11) a base-2 round costs 4.4 ms
+# at 1024 bits and 30 ms at 2048, and starting and stopping a 2-worker
+# pool 15 ms (benchmarks/bench_kernels.py), so below this size the pool
+# costs more than it saves.
+_POOL_MIN_BITS = 1024
+# the tests in flight past the first prime are wasted, about one per
+# worker, so a large host forks no more workers than this
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -279,7 +290,10 @@ def solve_m0_k(
         used = set(sets.p1) | set(sets.p2) | set(p3)
         p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
     sets = replace(sets, p3=p3, p4=p4)
-    m0, modulus = crt_solve(covering_congruences(sets, matching))
+    try:
+        m0, modulus = crt_solve(covering_congruences(sets, matching))
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
     if math.gcd(m0, modulus) != 1:
         raise RuntimeError("m0 is not coprime to the modulus; construction bug")
     return sets, modulus, m0
@@ -296,7 +310,7 @@ def covering_congruences(
     for u in sorted(matching.matched):
         p, root = matching.matched[u]
         if root == 0:
-            raise ValueError(
+            raise ConstructionError(
                 f"zero root chosen for offset {u}: would break coprimality"
             )
         congs.append(Congruence(root, p))
@@ -332,21 +346,88 @@ def _sieved_steps(m0: int, modulus: int, last: int):
         yield from compress(range(j0, j0 + size), alive)
 
 
+def _pool_workers() -> int:
+    """Worker processes for the survivor tests: the CPUs this process may
+    run on, at most _MAX_WORKERS.  1 (test in-process) without os.fork, or
+    while another thread runs, since a forked worker would inherit any
+    lock that thread held."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _start_pool(workers: int):
+    """A process pool of ``workers`` forked workers: a fork starts with the
+    parent's modules already imported, where a spawned worker re-imports
+    them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _test_member(n: int) -> bool:
+    # the pool pickles this function by name; the worker then calls
+    # whatever this module's is_prime is bound to, which need not pickle
+    return is_prime(n)
+
+
+def _prime_verdicts(members):
+    """Yield (n, is_prime(n)) for every n of ``members``, in input order.
+
+    Members are tested here until the first one of _POOL_MIN_BITS bits or
+    more; from there on they go to _pool_workers() worker processes, with
+    one test in flight per worker and one more queued, so that a worker
+    that finishes need not wait for the consumer to read a verdict.
+    Every member gets the full is_prime and no verdict is skipped or
+    reordered, so a caller that stops at the first prime gets the serial
+    search's answer.  Closing the generator cancels the queued tests and
+    shuts the pool down once the running ones end.
+    """
+    members = iter(members)
+    for n in members:
+        if n.bit_length() >= _POOL_MIN_BITS and (workers := _pool_workers()) > 1:
+            break
+        yield n, is_prime(n)
+    else:
+        return
+    pool = _start_pool(workers)
+    ahead: deque = deque()
+    try:
+        for n in chain((n,), members):
+            ahead.append((n, pool.submit(_test_member, n)))
+            if len(ahead) > workers:
+                n, verdict = ahead.popleft()
+                yield n, verdict.result()
+        for n, verdict in ahead:
+            yield n, verdict.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def find_prime_in_ap(
     m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS
 ) -> int:
     """Smallest prime m0 + j*modulus with 1 <= j <= max_steps.
 
     Every step that survives the progression sieve goes through the full
-    is_prime; SearchExhausted.tests counts those calls."""
+    is_prime, in step order (_prime_verdicts); SearchExhausted.tests
+    counts those tests."""
     if math.gcd(m0, modulus) != 1:
         raise ValueError("m0 and modulus are not coprime: progression has no primes")
+    members = (m0 + j * modulus for j in _sieved_steps(m0, modulus, max_steps))
     tests = 0
-    for j in _sieved_steps(m0, modulus, max_steps):
-        candidate = m0 + j * modulus
-        tests += 1
-        if is_prime(candidate):
-            return candidate
+    with closing(_prime_verdicts(members)) as verdicts:
+        for candidate, prime in verdicts:
+            tests += 1
+            if prime:
+                return candidate
     raise SearchExhausted(
         f"no prime in {max_steps} progression steps "
         f"({tests} probable-prime tests performed)",
@@ -423,7 +504,9 @@ def matrix_scan(
     A row counts when m0 + r*modulus is prime; it is "avoiding" when
     none of its exceptional window elements (the offsets the congruence
     system left open) is prime -- every other element inherits its
-    witness divisor from the congruences, row by row.
+    witness divisor from the congruences, row by row.  The rows that
+    survive the progression sieve are tested as find_prime_in_ap tests
+    them (_prime_verdicts).
     """
     if rows > 10**5:
         raise ValueError("row count exceeds the desk bound 10**5")
@@ -431,10 +514,11 @@ def matrix_scan(
     prime_rows = 0
     with_window_prime = 0
     avoiding: list[int] = []
-    for r in _sieved_steps(m0, modulus, rows):
-        g = m0 + r * modulus
-        if not is_prime(g):
+    members = (m0 + r * modulus for r in _sieved_steps(m0, modulus, rows))
+    for g, prime in _prime_verdicts(members):
+        if not prime:
             continue
+        r = (g - m0) // modulus
         prime_rows += 1
         base = g**k
         if any(is_prime(base + u - 1) for u in exceptional):

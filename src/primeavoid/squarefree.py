@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import CapacityError, SearchExhausted
+from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     SQUAREFREE_TRIAL_BOUND,
     Congruence,
@@ -116,7 +116,10 @@ def solve_m0(sets: SetSystem, phi: dict[int, int]) -> tuple[int, int]:
     representative in [1, N] (so the u = 0 witness stays valid even when
     the solution is 0 mod N).
     """
-    m0, n = crt_solve(covering_congruences(sets, phi))
+    try:
+        m0, n = crt_solve(covering_congruences(sets, phi))
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
     if m0 == 0:
         m0 = n
     return n, m0

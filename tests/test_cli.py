@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from primeavoid import cli, numtheory, squarefree
+from primeavoid import cli, kpower, numtheory, squarefree
 from primeavoid import document as doc_mod
 from primeavoid.kpower import construct_certificate_k
 from primeavoid.schedule import make_schedule
@@ -99,6 +99,69 @@ def test_construct_internal_error_exits_70(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert err == "internal error: offset 5 lacks a valid witness (got p=0)\n"
+
+
+def _zero_root(match_offsets):
+    def spoiled(sets):
+        matching = match_offsets(sets)
+        u, (p, _) = next(iter(matching.matched.items()))
+        return replace(matching, matched={**matching.matched, u: (p, 0)})
+
+    return spoiled
+
+
+def _band_one_prime_matched(match_offsets):
+    def spoiled(sets):
+        matching = match_offsets(sets)
+        u = next(iter(matching.matched))
+        return replace(matching, matched={**matching.matched, u: (sets.p1[-1], 1)})
+
+    return spoiled
+
+
+def _first_congruence_twice(covering_congruences):
+    return lambda sets, phi: (
+        covering_congruences(sets, phi) + covering_congruences(sets, phi)[:1]
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, module, name, spoil, message",
+    [
+        ("kpower", kpower, "match_offsets", _zero_root, "zero root"),
+        ("kpower", kpower, "match_offsets", _band_one_prime_matched,
+         "duplicate modulus"),
+        ("squarefree", squarefree, "covering_congruences", _first_congruence_twice,
+         "duplicate modulus"),
+    ],
+    ids=["kpower zero root", "kpower duplicate modulus", "squarefree duplicate modulus"],
+)
+def test_construct_invalid_congruence_system_exits_70(
+    capsys, monkeypatch, mode, module, name, spoil, message
+):
+    # these construction faults raise a ValueError subclass, not a usage error
+    monkeypatch.setattr(module, name, spoil(getattr(module, name)))
+    code, out, err = run_cli(capsys, "construct", "--mode", mode, "--x", "200")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "squarefree", "--x", "1000000", "--profile", "literal"),
+        ("--mode", "squarefree", "--x", "40", "--profile", "explicit",
+         "--z", "30", "--y", "10"),
+        ("--mode", "kpower", "--x", "200000000"),
+    ],
+    ids=["degenerate schedule", "z above x/4", "x above the sieve limit"],
+)
+def test_construct_argument_fault_exits_64(capsys, argv):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == cli.EXIT_USAGE == 64
+    assert out == "" and err.startswith("error: ")
 
 
 # -- verify ------------------------------------------------------------------------
@@ -282,6 +345,23 @@ def test_document_module_imports_no_construction_code():
     probe = (
         "import sys, primeavoid.document; "
         "print(sorted(m for m in ('primeavoid.squarefree', 'primeavoid.kpower') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(doc_mod.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_package_import_loads_no_process_pool():
+    # the survivor pool's modules load only when a search starts a pool,
+    # so importing the package and the CLI stays as cheap as before
+    probe = (
+        "import sys, primeavoid, primeavoid.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
         "if m in sys.modules))"
     )
     src = str(Path(doc_mod.__file__).resolve().parents[1])

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from dataclasses import replace
 
 import pytest
@@ -385,6 +386,95 @@ def test_find_prime_tests_small_members_directly(monkeypatch):
     big_prime = max(primes_upto(limit))
     assert find_prime_in_ap(big_prime - 1, 1) == big_prime
     assert tested == [3, 1, 2, big_prime]
+
+
+# 2^1024 + 3711 and 2^1024 + 5335 are consecutive primes.  Every member of
+# the gap between them is at least _POOL_MIN_BITS bits long, so with
+# modulus 1 the first prime sits at any chosen step or survivor position
+# of a pooled search.
+BIG_GAP_START = 2**1024 + 3711
+BIG_GAP_END = 2**1024 + 5335
+POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
+
+
+@pytest.fixture(scope="module")
+def big_gap_survivors():
+    """The gap's members with no prime factor <= the sieve bound."""
+    struck = set()
+    for p in primes_upto(kpower._SCREEN_PRIME_LIMIT):
+        struck.update(range(BIG_GAP_START + p - BIG_GAP_START % p, BIG_GAP_END, p))
+    return [n for n in range(BIG_GAP_START + 1, BIG_GAP_END) if n not in struck]
+
+
+def record_tests(monkeypatch, workers):
+    """Force ``workers`` pool workers and return the list of members that
+    kpower.is_prime tests in this process; a pool worker's tests are not
+    seen."""
+    tested = []
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(kpower, "_pool_workers", lambda: workers)
+    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    return tested
+
+
+@pytest.mark.parametrize("position", [1, 2, POOL_WORKERS, POOL_WORKERS + 1])
+def test_pool_search_keeps_first_prime_at_survivor_position(
+    monkeypatch, big_gap_survivors, position
+):
+    tested = record_tests(monkeypatch, POOL_WORKERS)
+    start = big_gap_survivors[-(position - 1)] if position > 1 else BIG_GAP_END
+    m0 = start - 1
+    found = find_prime_in_ap(m0, 1)
+    assert found == naive_find_prime(m0, 1, BIG_GAP_END - m0) == BIG_GAP_END
+    assert tested == []  # every member went to a worker
+
+
+@pytest.mark.parametrize("j", [1024, 1025])
+def test_pool_search_across_chunk_boundary(monkeypatch, j):
+    record_tests(monkeypatch, POOL_WORKERS)
+    m0 = BIG_GAP_END - j
+    assert find_prime_in_ap(m0, 1) == naive_find_prime(m0, 1, j) == BIG_GAP_END
+
+
+@pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+def test_pool_search_exhaustion_counts_every_survivor(
+    monkeypatch, big_gap_survivors, workers
+):
+    tested = record_tests(monkeypatch, workers)
+    steps = BIG_GAP_END - BIG_GAP_START - 1
+    with pytest.raises(SearchExhausted) as err:
+        find_prime_in_ap(BIG_GAP_START, 1, max_steps=steps)
+    assert err.value.steps == steps
+    assert err.value.tests == len(big_gap_survivors) > POOL_WORKERS
+    # one worker: every survivor tested here, in step order
+    assert tested == (big_gap_survivors if workers == 1 else [])
+
+
+def test_pool_matrix_scan_matches_naive_scan(monkeypatch):
+    record_tests(monkeypatch, POOL_WORKERS)
+    # odd rows from inside the big gap to past its end: three prime rows
+    m0, rows, exceptional = BIG_GAP_END - 2 * 600, 950, (-1, 0, 2)
+    report = matrix_scan(m0, 2, 2, rows, 5, exceptional=exceptional)
+    prime_rows, avoiding = naive_matrix_scan(m0, 2, 2, rows, exceptional)
+    assert report.prime_rows == prime_rows == 3
+    assert list(report.avoiding_rows) == avoiding
+
+
+def test_pool_workers_bounded_and_serial_beside_another_thread():
+    assert 1 <= kpower._pool_workers() <= kpower._MAX_WORKERS
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert kpower._pool_workers() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # -- window verification ---------------------------------------------------------------
