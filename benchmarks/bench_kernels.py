@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels, kpower, numtheory
+from primeavoid import kernels, numtheory
 
 
 def timed(fn, repeat=3):
@@ -56,9 +56,40 @@ def workloads(quick):
         return lambda: [numtheory._strong_probable_prime(n, 2) for _ in range(spp_rounds)]
 
     def pool_start_stop():
-        pool = kpower._start_pool(2)
+        pool = numtheory._start_pool(2)
         pool.submit(abs, 0).result()
         pool.shutdown()
+
+    # the squarefree check's trial scan to 10^7 (numtheory._SCAN_POOL_MIN_BITS
+    # weighs these): an m with no prime factor <= 10^7, so every block is
+    # scanned, at the cutoff and (without --quick) at the size of the
+    # squarefree x=10^4 m.
+    # In-process "cold" builds the blocks first, as a process's first scan
+    # does; "warm" reuses them, as a later scan in the same process does.
+    bound = numtheory.SQUAREFREE_TRIAL_BOUND
+    above = [p for p in kernels.sieve_primes(bound + 10**4) if p > bound]
+
+    def scan_input(bits):
+        m, primes = 1, iter(above)
+        while m.bit_length() < bits:
+            m *= next(primes)
+        return m
+
+    def scan_cold(m):
+        def job():
+            numtheory._trial_blocks.cache_clear()
+            numtheory._scan_blocks(m, numtheory._trial_blocks(bound))
+        return job
+
+    def scan_rows(bits):
+        m = scan_input(bits)
+        return [
+            ("trial scan %d bits, cold" % bits, scan_cold(m)),
+            ("trial scan %d bits, warm" % bits,
+             lambda: numtheory._scan_blocks(m, numtheory._trial_blocks(bound))),
+            ("trial scan %d bits, 2 workers" % bits,
+             lambda: numtheory._pooled_cofactor(m, bound, 2)),
+        ]
 
     return [
         ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
@@ -76,6 +107,8 @@ def workloads(quick):
         ("base-2 spp round 1024 bits x%d" % spp_rounds, spp(1024)),
         ("base-2 spp round 2048 bits x%d" % spp_rounds, spp(2048)),
         ("pool start+stop, 2 workers", pool_start_stop),
+        *scan_rows(numtheory._SCAN_POOL_MIN_BITS),
+        *([] if quick else scan_rows(10625)),
     ]
 
 

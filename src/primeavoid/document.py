@@ -159,7 +159,8 @@ def parse_document(text: str) -> dict:
         if int(doc["modulus"]) < 1:
             raise ValueError("modulus must be positive")
         int(doc["m0"])
-        int(doc["m"])
+        if int(doc["m"]) < 1:
+            raise ValueError("m must be positive")
         for r, q in doc["congruences"]:
             int(r), int(q)
         for entry in doc["cover"]:

@@ -32,18 +32,27 @@ def iter_primes(limit):
     return chain((2,), compress(range(1, limit + 1, 2), odd_sieve(limit)))
 
 
-def odd_sieve(limit):
-    """Sieve of Eratosthenes over the odd numbers: a bytearray whose index
-    i is 1 exactly when 2i + 1 <= limit is prime."""
-    size = max(0, (limit + 1) // 2)
+def odd_sieve(limit, lo=1):
+    """Sieve of Eratosthenes over the odd numbers from lo (odd) up to
+    limit: a bytearray whose index i is 1 exactly when lo + 2i <= limit is
+    prime.  From lo = 1 the sieve strikes with its own primes; a segment
+    from a larger lo strikes with those of a sieve up to sqrt(limit)."""
+    size = max(0, (limit - lo) // 2 + 1)
     flags = bytearray(b"\x01") * size
-    if size:
+    if lo == 1 and size:
         flags[0] = 0  # 1 is not prime
-    for i in range(1, (isqrt(max(limit, 0)) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2  # the index of p*p; smaller multiples are struck
-            flags[start::p] = bytes((size - 1 - start) // p + 1)
+    root = isqrt(max(limit, 0))
+    # from lo = 1, flags[j] is final by the time the loop reaches it
+    base = flags if lo == 1 else odd_sieve(root)
+    for j in range(1, (root + 1) // 2):
+        if base[j]:
+            p = 2 * j + 1
+            first = max(p * p, lo + -lo % p)  # smaller multiples are struck
+            if first % 2 == 0:
+                first += p
+            i = (first - lo) // 2
+            if i < size:
+                flags[i::p] = bytes((size - 1 - i) // p + 1)
     return flags
 
 

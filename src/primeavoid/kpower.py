@@ -12,14 +12,13 @@ explicit primality status.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import chain, compress
 
-from . import kernels
+from . import kernels, numtheory
 from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     Congruence,
@@ -45,9 +44,6 @@ _SIEVE_CHUNK = 1024
 # pool 15 ms (benchmarks/bench_kernels.py), so below this size the pool
 # costs more than it saves.
 _POOL_MIN_BITS = 1024
-# the tests in flight past the first prime are wasted, about one per
-# worker, so a large host forks no more workers than this
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -346,32 +342,6 @@ def _sieved_steps(m0: int, modulus: int, last: int):
         yield from compress(range(j0, j0 + size), alive)
 
 
-def _pool_workers() -> int:
-    """Worker processes for the survivor tests: the CPUs this process may
-    run on, at most _MAX_WORKERS.  1 (test in-process) without os.fork, or
-    while another thread runs, since a forked worker would inherit any
-    lock that thread held."""
-    import threading
-
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _start_pool(workers: int):
-    """A process pool of ``workers`` forked workers: a fork starts with the
-    parent's modules already imported, where a spawned worker re-imports
-    them."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def _test_member(n: int) -> bool:
     # the pool pickles this function by name; the worker then calls
     # whatever this module's is_prime is bound to, which need not pickle
@@ -382,9 +352,10 @@ def _prime_verdicts(members):
     """Yield (n, is_prime(n)) for every n of ``members``, in input order.
 
     Members are tested here until the first one of _POOL_MIN_BITS bits or
-    more; from there on they go to _pool_workers() worker processes, with
-    one test in flight per worker and one more queued, so that a worker
-    that finishes need not wait for the consumer to read a verdict.
+    more; from there on they go to numtheory._pool_workers() worker
+    processes, with one test in flight per worker and one more queued, so
+    that a worker that finishes need not wait for the consumer to read a
+    verdict.
     Every member gets the full is_prime and no verdict is skipped or
     reordered, so a caller that stops at the first prime gets the serial
     search's answer.  Closing the generator cancels the queued tests and
@@ -392,12 +363,13 @@ def _prime_verdicts(members):
     """
     members = iter(members)
     for n in members:
-        if n.bit_length() >= _POOL_MIN_BITS and (workers := _pool_workers()) > 1:
+        big = n.bit_length() >= _POOL_MIN_BITS
+        if big and (workers := numtheory._pool_workers()) > 1:
             break
         yield n, is_prime(n)
     else:
         return
-    pool = _start_pool(workers)
+    pool = numtheory._start_pool(workers)
     ahead: deque = deque()
     try:
         for n in chain((n,), members):

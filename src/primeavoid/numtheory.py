@@ -1,13 +1,16 @@
 """Exact integer and modular arithmetic primitives, including the tiered
-squarefree check that the squarefree search and the verifier share.
+squarefree check that the squarefree search and the verifier share, and
+the worker-process policy that it and the kpower prime search use.
 
-Everything here is a pure function over Python ints (arbitrary precision,
-no rounding); fixed-width inner loops are delegated to ``kernels``.
+Everything else here is a pure function over Python ints (arbitrary
+precision, no rounding); fixed-width inner loops are delegated to
+``kernels``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -34,7 +37,21 @@ TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when
 # integers per trial block: theta(x) ~ x makes their primes' product
 # about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
 _TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
+# Trial scans of an m of at least this many bits split the blocks after
+# the first across worker processes.  A process's first in-process scan
+# builds every block ("cold"); later ones reuse them ("warm").  On a
+# 2-core host (CPython 3.11, benchmarks/bench_kernels.py) a full scan of
+# a 2048-bit m takes 0.51 s cold, 0.18 s warm and 0.30 s with 2 workers;
+# of a 10,625-bit m, 0.83 s, 0.52 s and 0.48 s.  From this size on the
+# pool saves a first scan (one per construct or verify) more than it
+# costs a repeated one; smaller m, such as a small-x search's, keep the
+# warm blocks.
+_SCAN_POOL_MIN_BITS = 2048
 _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
+# a large host forks no more workers than this: a prime search wastes
+# about one survivor test per worker past the first prime, and a trial
+# scan's slices shrink while each worker's start-up cost does not
+_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -123,10 +140,47 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def _pool_workers() -> int:
+    """Worker processes for a pooled job: the CPUs this process may run
+    on, at most _MAX_WORKERS.  1 (work in-process) without os.fork, or
+    while another thread runs, since a forked worker would inherit any
+    lock that thread held."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _start_pool(workers: int):
+    """A process pool of ``workers`` forked workers: a fork starts with the
+    parent's modules already imported, where a spawned worker re-imports
+    them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _balanced_product(values) -> int:
+    """The product of ``values``, multiplied pairwise level by level, so
+    that large operands meet only near the root, where CPython's Karatsuba
+    multiplication pays, instead of one small factor at a time."""
+    level = list(values) or [1]
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + odd
+    return level[0]
+
+
 @lru_cache(maxsize=1)
 def _small_primorial() -> int:
-    """Product of the primes below _PRIMORIAL_BOUND."""
-    return math.prod(kernels.iter_primes(_PRIMORIAL_BOUND - 1))
+    """Product of the primes below _PRIMORIAL_BOUND (94,027 bits)."""
+    return _balanced_product(kernels.iter_primes(_PRIMORIAL_BOUND - 1))
 
 
 def _bpsw(n: int) -> bool:
@@ -279,38 +333,51 @@ def avoidance_constant(m: int, y: int) -> float:
     return y * l3 * l3 / (l1 * l2 * l4)
 
 
-@lru_cache(maxsize=4)  # the default bound plus a few caller-chosen ones
-def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
-    """The primes <= bound as (lower end, product) blocks, one block per
-    interval of _TRIAL_BLOCK_SPAN consecutive integers, read straight off
-    the odd sieve.  Since theta(x) ~ x, a full block's product has about
-    TRIAL_BLOCK_BITS bits.  The lower end is at most every prime of its
-    block and of the blocks after it; 2 is folded into the first block."""
+def _trial_block_count(bound: int) -> int:
+    """Intervals of _TRIAL_BLOCK_SPAN consecutive integers up to bound."""
+    return -(-bound // _TRIAL_BLOCK_SPAN) if bound >= 2 else 0
+
+
+def _block_products(bound: int, start: int, stop: int):
+    """Yield the trial blocks of intervals start..stop-1 of the primes
+    <= bound as (lower end, product) pairs, read straight off an odd
+    sieve of just those intervals.  Since theta(x) ~ x, a full block's
+    product has about TRIAL_BLOCK_BITS bits.  The lower end is at most
+    every prime of its block and of the blocks after it; 2 is folded into
+    the first block, and an interval without a prime yields nothing."""
     if bound < 2:
-        return ()
-    flags = kernels.odd_sieve(bound)
+        return
+    lo = start * _TRIAL_BLOCK_SPAN + 1
+    hi = min(bound, stop * _TRIAL_BLOCK_SPAN)
+    flags = kernels.odd_sieve(hi, lo)
     step = _TRIAL_BLOCK_SPAN // 2  # odd numbers per interval
-    blocks = []
     for i in range(0, len(flags), step):
-        lo = 2 * i + 1
-        primes = compress(range(lo, bound + 1, 2), flags[i : i + step])
-        product = math.prod(primes, start=2 if i == 0 else 1)
+        first = lo + 2 * i
+        primes = compress(range(first, hi + 1, 2), flags[i : i + step])
+        product = math.prod(primes, start=2 if first == 1 else 1)
         if product > 1:
-            blocks.append((lo, product))
-    return tuple(blocks)
+            yield first, product
 
 
-def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
-    """m with every prime <= bound divided out once, or None when one of
-    those primes divides m twice.
+@lru_cache(maxsize=4)
+def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
+    """Every trial block of the primes <= bound, kept for in-process scans:
+    a search scans each of its candidates against them."""
+    return tuple(_block_products(bound, 0, _trial_block_count(bound)))
+
+
+def _scan_blocks(rest: int, blocks) -> int | None:
+    """rest with every prime of ``blocks`` that divides it divided out
+    once, or None when one of them divides it twice.
 
     A block of consecutive primes per gcd: g = gcd(rest, block) is the
     product of the block's primes that divide rest, and a repeated factor
     shows as gcd(rest // g, g) > 1.  The scan stops early once the next
-    block's lower end p has p*p > rest, since rest is then 1 or a prime.
+    block's lower end p has p*p > rest.  rest without its prime factors
+    below p is then less than p*p, so it is 1 or a prime: no prime from p
+    on divides rest twice, and at most one divides it at all.
     """
-    rest = m
-    for first, block in _trial_blocks(bound):
+    for first, block in blocks:
         if first * first > rest:
             break
         g = math.gcd(rest, block)
@@ -319,6 +386,67 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
             if math.gcd(rest, g) > 1:
                 return None
     return rest
+
+
+def _scan_slice(rest: int, bound: int, start: int, stop: int) -> int | None:
+    """_scan_blocks over the trial blocks of intervals start..stop-1, built
+    here; a pool worker's task, pickled by name."""
+    return _scan_blocks(rest, _block_products(bound, start, stop))
+
+
+def _pooled_cofactor(m: int, bound: int, workers: int) -> int | None:
+    """trial_cofactor with the blocks after the first split into up to
+    ``workers`` contiguous slices, one per worker process.
+
+    The first block is scanned here, so a repeated small prime returns
+    at once.  Each worker sieves and builds its own slice's blocks and
+    scans the reduced rest against them; every prime <= bound lies in
+    exactly one block, so dividing out what each worker divided out gives
+    the cofactor, and a repeated prime shows in its own slice.
+    """
+    rest = _scan_slice(m, bound, 0, 1)
+    blocks = _trial_block_count(bound)
+    slices = min(workers, blocks - 1)
+    if rest is None or slices < 1:
+        return rest
+    cuts = [1 + (blocks - 1) * i // slices for i in range(slices + 1)]
+    with _start_pool(slices) as pool:
+        parts = [
+            pool.submit(_scan_slice, rest, bound, start, stop)
+            for start, stop in zip(cuts, cuts[1:])
+        ]
+        parts = [part.result() for part in parts]
+    if any(part is None for part in parts):
+        return None
+    return rest // math.prod(rest // part for part in parts)
+
+
+def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
+    """m with the primes <= bound divided out once each, or None when one
+    of those primes divides m twice (m >= 1).
+
+    The primes are scanned in blocks (_scan_blocks).  An m below
+    _SCAN_POOL_MIN_BITS bits, or any m when _pool_workers() is 1, is
+    scanned here, against blocks built once per process.  A larger m has
+    its blocks after the first split across _pool_workers() processes
+    (_pooled_cofactor).  The verdict None is the same on both paths, and
+    so is the cofactor, unless a scan stopped early:
+
+    * in-process, the scan stops at the first block whose lower end p has
+      p*p > rest; the cofactor is then 1 or a prime, possibly <= bound;
+    * pooled, each worker stops its own slice that way, so the cofactor
+      is again 1 or a prime below bound**2, but it may differ from the
+      in-process one (a prime that one path stopped short of, the other
+      divided out).
+
+    Either way a cofactor that keeps a prime <= bound is at most bound**2,
+    so cofactor_tier gives both paths the same tier.
+    """
+    if m < 1:
+        raise ValueError(f"trial_cofactor needs m >= 1, got {m}")
+    if m.bit_length() < _SCAN_POOL_MIN_BITS or (workers := _pool_workers()) == 1:
+        return _scan_blocks(m, _trial_blocks(bound))
+    return _pooled_cofactor(m, bound, workers)
 
 
 def cofactor_tier(

@@ -324,10 +324,12 @@ def test_verify_malformed_exits_65(tmp_path, capsys):
         lambda doc: doc.update(metrics=[]),
         lambda doc: doc.update(modulus="0"),
         lambda doc: doc["metrics"].update(squarefree_status=[]),
+        lambda doc: doc.update(m="0"),
+        lambda doc: doc.update(m="-5"),
     ],
     ids=[
         "exception-u-not-int", "exception-u-missing", "k-not-int", "k-negative",
-        "metrics-list", "modulus-zero", "status-list",
+        "metrics-list", "modulus-zero", "status-list", "m-zero", "m-negative",
     ],
 )
 def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tamper):
@@ -340,37 +342,41 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     assert "malformed document" in err
 
 
-def test_document_module_imports_no_construction_code():
-    # the verifier's trust base is numtheory; construction stays out of it
-    probe = (
-        "import sys, primeavoid.document; "
-        "print(sorted(m for m in ('primeavoid.squarefree', 'primeavoid.kpower') "
-        "if m in sys.modules))"
-    )
+def modules_loaded_by(statement, names):
+    """The modules among ``names`` that a fresh interpreter has loaded
+    after running the import ``statement``."""
+    probe = f"import sys; {statement}; print(sorted(set({names!r}) & set(sys.modules)))"
     src = str(Path(doc_mod.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+CONSTRUCTION_MODULES = ("primeavoid.squarefree", "primeavoid.kpower")
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_document_module_imports_no_construction_code():
+    # the verifier's trust base is numtheory; construction stays out of it
+    assert modules_loaded_by("import primeavoid.document", CONSTRUCTION_MODULES) == "[]"
 
 
 def test_package_import_loads_no_process_pool():
     # the survivor pool's modules load only when a search starts a pool,
     # so importing the package and the CLI stays as cheap as before
-    probe = (
-        "import sys, primeavoid, primeavoid.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-        "if m in sys.modules))"
+    assert modules_loaded_by("import primeavoid, primeavoid.cli", POOL_MODULES) == "[]"
+
+
+def test_document_module_loads_no_process_pool():
+    # the verifier's trial-scan pool loads its modules only when a scan
+    # starts one, so loading the verifier costs no more than before
+    loaded = modules_loaded_by(
+        "import primeavoid.document", CONSTRUCTION_MODULES + POOL_MODULES
     )
-    src = str(Path(doc_mod.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.strip() == "[]"
+    assert loaded == "[]"
 
 
 def test_document_round_trip(micro_doc_text):

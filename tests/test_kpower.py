@@ -1,11 +1,10 @@
 import math
 import random
-import threading
 from dataclasses import replace
 
 import pytest
 
-from primeavoid import kpower
+from primeavoid import kpower, numtheory
 from primeavoid.errors import CapacityError, SearchExhausted
 from primeavoid.kpower import (
     KMatching,
@@ -416,7 +415,7 @@ def record_tests(monkeypatch, workers):
         tested.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(kpower, "_pool_workers", lambda: workers)
+    monkeypatch.setattr(numtheory, "_pool_workers", lambda: workers)
     monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
     return tested
 
@@ -462,19 +461,6 @@ def test_pool_matrix_scan_matches_naive_scan(monkeypatch):
     prime_rows, avoiding = naive_matrix_scan(m0, 2, 2, rows, exceptional)
     assert report.prime_rows == prime_rows == 3
     assert list(report.avoiding_rows) == avoiding
-
-
-def test_pool_workers_bounded_and_serial_beside_another_thread():
-    assert 1 <= kpower._pool_workers() <= kpower._MAX_WORKERS
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(10,))
-    thread.start()
-    try:
-        assert kpower._pool_workers() == 1
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
 
 
 # -- window verification ---------------------------------------------------------------

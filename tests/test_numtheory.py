@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from bisect import bisect_right
 
 import pytest
@@ -90,6 +91,23 @@ def test_sieve_kernels_match_trial_division():
         expected = primes[: bisect_right(primes, limit)]
         assert kernels.sieve_primes(limit) == expected, limit
         assert list(kernels.iter_primes(limit)) == expected, limit
+
+
+def test_odd_sieve_segment_matches_trial_division():
+    # segments that start and end on each side of a square and of a prime,
+    # inside the first block, and empty or one number long
+    odd_primes = [n for n in range(3, 50_000, 2) if trial_division_is_prime(n)]
+    edges = [1, 3, 9, 49, 1385, 1387, 2809, 10201, 10203, 22801, 44521, 49999]
+    spans = [(lo, hi) for lo in edges for hi in (lo - 2, lo, lo + 1, lo + 2, 49_999)]
+    rng = random.Random(7)
+    starts = [rng.randrange(1, 46_000) | 1 for _ in range(200)]
+    spans += [(lo, lo + rng.randrange(4000)) for lo in starts]
+    for lo, hi in spans:
+        odd = range(lo, hi + 1, 2)
+        flags = kernels.odd_sieve(hi, lo)
+        assert len(flags) == len(odd), (lo, hi)
+        expected = [p for p in odd_primes if lo <= p <= hi]
+        assert [n for n, prime in zip(odd, flags) if prime] == expected, (lo, hi)
 
 
 def test_primes_upto_rejects_oversized():
@@ -271,6 +289,31 @@ def test_primorial_screen_keeps_every_verdict():
             assert is_prime(n) == unscreened_is_prime(n), n
     for e in (89, 107, 127, 521):
         assert is_prime(2**e - 1) == unscreened_is_prime(2**e - 1) is True
+
+
+def test_small_primorial_is_the_sequential_product():
+    product = numtheory._small_primorial()
+    assert product == math.prod(primes_upto(2**16 - 1))
+    assert product.bit_length() == 94027
+    assert numtheory._balanced_product([]) == 1
+    for n in range(1, 12):  # odd and even levels of the pairwise tree
+        assert numtheory._balanced_product(range(1, n + 1)) == math.factorial(n)
+
+
+# -- worker processes -------------------------------------------------------
+
+
+def test_pool_workers_bounded_and_serial_beside_another_thread():
+    assert 1 <= numtheory._pool_workers() <= numtheory._MAX_WORKERS
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert numtheory._pool_workers() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # -- largest_prime_factor / is_smooth --------------------------------------

@@ -1,18 +1,23 @@
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
+from primeavoid import numtheory
 from primeavoid.errors import CapacityError
 from primeavoid.numtheory import (
     MR_DETERMINISTIC_BOUND,
+    SQUAREFREE_TRIAL_BOUND,
     _iroot,
     _is_perfect_power,
     _not_a_power,
     _trial_blocks,
     avoidance_constant,
     classify_squarefree,
+    cofactor_tier,
     is_prime,
     primes_upto,
     trial_cofactor,
@@ -333,6 +338,118 @@ def test_power_screen_keeps_every_verdict():
     assert _is_perfect_power(131**5, 127) and _is_perfect_power(131**13, 127)
     # the screen does rule exponents out
     assert _not_a_power((10**20 + 39) * (10**20 + 153), 2)
+
+
+# -- pooled trial scan ----------------------------------------------------------
+
+POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
+POOL_BOUND = 10**5  # 73 trial blocks: the head and three slices of 24
+BIG_PRIME = 2**89 - 1  # above POOL_BOUND**2, so no scan stops early
+
+
+def pool_slices(bound, workers=POOL_WORKERS):
+    """The block ranges the head and each worker scan, as
+    _pooled_cofactor lays them out."""
+    blocks = len(_trial_blocks(bound))
+    cuts = [1 + (blocks - 1) * i // workers for i in range(workers + 1)]
+    return [(0, 1), *zip(cuts, cuts[1:])]
+
+
+def scan_both_ways(monkeypatch, m, bound, start_pool=None):
+    """trial_cofactor(m, bound) in-process, then with the cutoff lowered
+    and POOL_WORKERS forced, and the worker counts of the pools started."""
+    started = []
+    start_pool = start_pool or numtheory._start_pool
+
+    def counting_start_pool(workers):
+        started.append(workers)
+        return start_pool(workers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "_pool_workers", lambda: 1)
+        here = trial_cofactor(m, bound)
+    with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "_pool_workers", lambda: POOL_WORKERS)
+        patch.setattr(numtheory, "_SCAN_POOL_MIN_BITS", 1)
+        patch.setattr(numtheory, "_start_pool", counting_start_pool)
+        pooled = trial_cofactor(m, bound)
+    return here, pooled, started
+
+
+def assert_paths_agree(here, pooled, m, bound, expected=None):
+    """Both scans give the same verdict and tier, and the same cofactor
+    unless the in-process scan stopped early short of a prime <= bound."""
+    expected = expected or reference_classify(m, bound)
+    if here is None or pooled is None:
+        assert here is pooled is None and expected == "not_squarefree", m
+        return
+    if not 1 < here <= bound:
+        assert pooled == here, m
+    assert cofactor_tier(pooled, bound) == cofactor_tier(here, bound) == expected, m
+
+
+def planted_primes(bound):
+    """2, which the head block holds, a prime in the middle of each
+    worker's slice, the primes on both sides of every slice boundary, and
+    the largest prime <= bound."""
+    primes = primes_upto(bound)
+    lows = [lo for lo, _ in _trial_blocks(bound)]
+    planted = {primes[-1]}
+    for start, stop in pool_slices(bound):
+        middle = lows[(start + stop) // 2]
+        planted.add(next(p for p in primes if p >= middle))
+        if start:
+            planted.add(max(p for p in primes if p < lows[start]))
+            planted.add(next(p for p in primes if p >= lows[start]))
+    return sorted(planted)
+
+
+@pytest.mark.parametrize("times", [1, 2])
+@pytest.mark.parametrize("p", planted_primes(POOL_BOUND))
+def test_pooled_scan_finds_planted_prime(monkeypatch, p, times):
+    m = BIG_PRIME * p**times
+    here, pooled, started = scan_both_ways(monkeypatch, m, POOL_BOUND)
+    assert_paths_agree(here, pooled, m, POOL_BOUND)
+    assert (pooled is None) == (times == 2)
+    assert pooled in (None, BIG_PRIME)
+    # a repeated prime of the head block is found before any pool starts
+    head_repeat = times == 2 and p < _trial_blocks(POOL_BOUND)[1][0]
+    assert started == ([] if head_repeat else [POOL_WORKERS])
+
+
+@pytest.mark.parametrize("times", [1, 2])
+def test_pooled_scan_reaches_the_last_prime_below_the_bound(monkeypatch, times):
+    p = 9_999_991
+    assert p == primes_upto(SQUAREFREE_TRIAL_BOUND)[-1]
+    m = 3 * BIG_PRIME * p**times
+    here, pooled, started = scan_both_ways(monkeypatch, m, SQUAREFREE_TRIAL_BOUND)
+    assert started == [POOL_WORKERS]
+    assert here == pooled == (BIG_PRIME if times == 1 else None)
+    assert classify_squarefree(m) == ("prp" if times == 1 else "not_squarefree")
+
+
+def test_pooled_scan_matches_reference_cases(monkeypatch):
+    # one pool serves every case, which keeps the scans quick; each case
+    # still splits its blocks across POOL_WORKERS processes
+    tiers, pooled_scans = set(), 0
+    with numtheory._start_pool(POOL_WORKERS) as pool:
+        for m in islice(reference_cases(POOL_BOUND), 300):
+            here, pooled, started = scan_both_ways(
+                monkeypatch, m, POOL_BOUND, start_pool=lambda workers: nullcontext(pool)
+            )
+            expected = reference_classify(m, POOL_BOUND)
+            assert_paths_agree(here, pooled, m, POOL_BOUND, expected)
+            assert started in ([], [POOL_WORKERS])
+            tiers.add(expected)
+            pooled_scans += len(started)
+    assert tiers == {"proven", "prp", "partial", "not_squarefree"}
+    assert pooled_scans > 200
+
+
+def test_trial_cofactor_rejects_m_below_one():
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="m >= 1"):
+            trial_cofactor(m)
 
 
 def test_find_squarefree_micro(micro):
