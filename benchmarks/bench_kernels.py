@@ -12,7 +12,8 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels, numtheory
+from primeavoid import kernels, numtheory, squarefree
+from primeavoid.schedule import make_schedule
 
 
 def timed(fn, repeat=3):
@@ -35,7 +36,9 @@ def workloads(quick):
         (rng.randrange(0, 10**9), rng.randrange(1, 10**9) * 2 + 1)
         for _ in range(20000 if quick else 200000)
     ]
-    lpf_inputs = [rng.randrange(2, 10**12) for _ in range(200 if quick else 2000)]
+    # the window and prime bands of a squarefree x=10^4 run (y = 3725)
+    sf_sch = make_schedule(10**4, 1, "practical")
+    sf_sets = squarefree.build_sets(sf_sch)
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
     # the progression sieve's shape in kpower.find_prime_in_ap: every
     # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
@@ -98,8 +101,8 @@ def workloads(quick):
          lambda: [kernels.is_prime_u64(n) for n in mr_inputs]),
         ("jacobi_sym x%d" % len(jacobi_inputs),
          lambda: [kernels.jacobi_sym(a % n, n) for a, n in jacobi_inputs]),
-        ("largest_prime_factor x%d" % len(lpf_inputs),
-         lambda: [kernels.largest_prime_factor_u64(n) for n in lpf_inputs]),
+        ("window_tables(y=%d)" % sf_sch.y,
+         lambda: numtheory.window_tables(sf_sch.y, sf_sets.p1, sf_sets.p2, 1)),
         ("sifted_count(%.0e)" % sift_limit,
          lambda: kernels.sifted_count(sift_limit, sift_rules)),
         ("strike %d primes x%d steps" % (len(classes), chunk),

@@ -5,10 +5,8 @@ from .numtheory import (
     Congruence,
     crt_solve,
     is_prime,
-    is_smooth,
     jacobi,
     kth_roots_mod_p,
-    largest_prime_factor,
     mertens_product,
     primes_upto,
 )
@@ -23,11 +21,9 @@ __all__ = [
     "capacity_check",
     "crt_solve",
     "is_prime",
-    "is_smooth",
     "iter_log",
     "jacobi",
     "kth_roots_mod_p",
-    "largest_prime_factor",
     "make_schedule",
     "mertens_product",
     "primes_upto",

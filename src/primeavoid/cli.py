@@ -33,6 +33,16 @@ EXIT_NO_CERTIFICATE = 66
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,7 +70,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=0,
                    help="recorded in the certificate's seed field only; the "
                         "construction is deterministic and does not use it")
-    c.add_argument("--max-steps", type=int, default=None)
+    c.add_argument("--max-steps", type=_positive_int, default=None)
     c.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="re-check a certificate document")
@@ -164,26 +174,31 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
-def _parse_grid(text: str, cast) -> list:
+def _parse_grid(text: str, cast, option: str) -> list:
     try:
         return [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
+    except ValueError as exc:
+        print(f"error: cannot parse {option} {text!r}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from exc
 
 
 def _cmd_bench_sieve(args) -> int:
-    lams = _parse_grid(args.lam, float)
-    bs = _parse_grid(args.b, int)
-    sch = make_schedule(args.x, k=args.k, profile="practical")
-    if args.family == "none":
-        rules = {}
-    else:
-        primes = primes_upto(math.floor(sch.x))
-        log_x = math.log(sch.x)
-        p1 = [p for p in primes if p <= log_x]
-        p2 = [p for p in primes if log_x < p <= sch.z]
-        rules = sievebound.double_residue_rules(args.k, p1, p2)
-    empirical = sievebound.empirical_sifted_count(args.range_size, rules, sch.z)
+    lams = _parse_grid(args.lam, float, "--lam")
+    bs = _parse_grid(args.b, int, "--b")
+    try:
+        sch = make_schedule(args.x, k=args.k, profile="practical")
+        if args.family == "none":
+            rules = {}
+        else:
+            primes = primes_upto(math.floor(sch.x))
+            log_x = math.log(sch.x)
+            p1 = [p for p in primes if p <= log_x]
+            p2 = [p for p in primes if log_x < p <= sch.z]
+            rules = sievebound.double_residue_rules(args.k, p1, p2)
+        empirical = sievebound.empirical_sifted_count(args.range_size, rules, sch.z)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     rows = []
     violations = 0
@@ -235,14 +250,18 @@ def _cmd_matrix_scan(args) -> int:
     exceptional = [int(e["u"]) for e in doc["exceptions"]]
     with doc_mod.unlimited_int_digits():
         m0, modulus = int(doc["m0"]), int(doc["modulus"])
-    report = kpower.matrix_scan(
-        m0,
-        modulus,
-        int(doc["schedule"]["k"]),
-        args.rows,
-        int(doc["schedule"]["y"]),
-        exceptional=exceptional,
-    )
+    try:
+        report = kpower.matrix_scan(
+            m0,
+            modulus,
+            int(doc["schedule"]["k"]),
+            args.rows,
+            int(doc["schedule"]["y"]),
+            exceptional=exceptional,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     json.dump(
         {
             "rows": report.rows,

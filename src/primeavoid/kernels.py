@@ -1,5 +1,5 @@
 """Fixed-width inner loops: sieve, u64 primality, Jacobi symbols,
-trial factorization, residue-class striking and sifted counts.
+residue-class striking and stamping, and sifted counts.
 
 All inputs are machine-range integers; arbitrary-precision work stays in
 the calling layer.  Callers reach these through the module attributes
@@ -98,28 +98,6 @@ def jacobi_sym(a, n):
     return result if n == 1 else 0
 
 
-def largest_prime_factor_u64(n):
-    """Largest prime factor of n >= 1 by trial division (n <= 10**12)."""
-    largest = 1
-    while n % 2 == 0:
-        largest = 2
-        n //= 2
-    while n % 3 == 0:
-        largest = 3
-        n //= 3
-    f = 5
-    while f * f <= n:
-        if n % f == 0:
-            largest = f
-            n //= f
-        elif n % (f + 2) == 0:
-            largest = f + 2
-            n //= f + 2
-        else:
-            f += 6
-    return n if n > 1 else largest
-
-
 def strike(flags, classes):
     """Zero flags[start], flags[start + step], ... to the end of the
     bytearray ``flags`` for every (start, step) pair in ``classes``;
@@ -128,6 +106,18 @@ def strike(flags, classes):
     for start, step in classes:
         if start < size:
             flags[start::step] = bytes((size - 1 - start) // step + 1)
+
+
+def stamp(size, classes):
+    """A list of ``size`` zeros in which every (start, step) pair of
+    ``classes`` writes step at index start, start + step, ... to the end;
+    where classes overlap, the one written last wins, and a start at or
+    past the end writes nothing."""
+    table = [0] * size
+    for start, step in classes:
+        if start < size:
+            table[start::step] = [step] * ((size - 1 - start) // step + 1)
+    return table
 
 
 def sifted_count(limit, rules):

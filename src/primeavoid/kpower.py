@@ -1,12 +1,13 @@
 """Construction of prime-avoiding k-th powers of primes.
 
-Builds the offset classes for the window around m^k, screens offsets
-whose congruence is unlikely to be solvable (quadratic-residue statistics,
-k even), matches the remaining offsets to large primes under k-th-power
-solvability, solves the congruence system, finds a prime m in the
-progression, and certifies the window: every element m^k + (u - 1) either
-carries a witness prime divisor or is listed as an exception with an
-explicit primality status.
+Builds the offset classes for the window around m^k from the sieve
+tables of numtheory.window_tables (which also give the window check its
+band witnesses), screens offsets whose congruence is unlikely to be
+solvable (quadratic-residue statistics, k even), matches the remaining
+offsets to large primes under k-th-power solvability, solves the
+congruence system, finds a prime m in the progression, and certifies the
+window: every element m^k + (u - 1) either carries a witness prime
+divisor or is listed as an exception with an explicit primality status.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .numtheory import (
     avoidance_constant,
     crt_solve,
     is_prime,
-    is_smooth,
     jacobi,
     kth_root_count,
     kth_roots_mod_p,
     natural_log,
     primes_upto,
+    window_tables,
 )
 from .schedule import Schedule, shrink_to_capacity
 
@@ -57,11 +58,12 @@ class KSetSystem:
     # filter p == 2 (mod 3) gives gcd(k, p-1) = 1 only when k is a power
     # of 3, so match_offsets checks each edge with kth_root_count
     p3tilde: tuple[int, ...]
-    u1: tuple[int, ...]  # offsets divisible by some band-one prime
+    # offset classes from window_tables(y, p1, p2, 2**k - 1), index i = u + y
+    u1: tuple[int, ...]  # band[i] > 0: some band-one prime divides u
     u2: tuple[int, ...]  # window minus u1
-    u3: tuple[int, ...]  # offsets with |u| prime
-    u4: tuple[int, ...]  # offsets with |u| z-smooth
-    u5: tuple[int, ...]  # u3 offsets no mid-band prime can cover
+    u3: tuple[int, ...]  # offsets with largest[|u|] == |u| > 1: |u| prime
+    u4: tuple[int, ...]  # u != 0 with largest[|u|] <= z: |u| z-smooth
+    u5: tuple[int, ...]  # u3 offsets with mid[i] == 0: no mid-band prime covers u
     u7: tuple[int, ...]  # u4 | u5: offsets needing matched primes
     p1_upper_empty: bool  # x/40k fell at or below z
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
@@ -115,17 +117,13 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
             available=0,
         )
 
-    # index u + y; struck where a band-one prime divides u (2 is one, so u = 0)
-    free = bytearray(b"\x01") * (2 * y + 1)
-    kernels.strike(free, ((y % p, p) for p in p1))
-
+    band, mid, largest = window_tables(y, p1, p2, (1 << k) - 1)
     window = range(-y, y + 1)
-    u1 = tuple(u for u in window if not free[u + y])
-    u2 = tuple(u for u in window if free[u + y])
-    u3 = tuple(u for u in window if u != 0 and is_prime(abs(u)))
-    u4 = tuple(u for u in window if u != 0 and is_smooth(abs(u), z))
-    shift = (1 << k) - 1
-    u5 = tuple(u for u in u3 if all((u + shift) % p for p in p2))
+    u1 = tuple(u for u in window if band[u + y])
+    u2 = tuple(u for u in window if not band[u + y])
+    u3 = tuple(u for u in window if largest[abs(u)] == abs(u) > 1)
+    u4 = tuple(u for u in window if u != 0 and largest[abs(u)] <= z)
+    u5 = tuple(u for u in u3 if not mid[u + y])
     u7 = tuple(sorted(set(u4) | set(u5)))
     return KSetSystem(
         k=k,
@@ -419,22 +417,21 @@ def verify_power_window(
     """
     k, y = sets.k, sch.y
     value_base = m**k
-    u1_set = set(sets.u1)
-    u3_set = set(sets.u3)
-    shift = (1 << k) - 1
+    band, mid, largest = window_tables(y, sets.p1, sets.p2, (1 << k) - 1)
     cover: dict[int, int] = {}
     pending: list[int] = []
     for u in range(-y, y + 1):
         if u == 1:
             continue
         value = value_base + u - 1
-        p = 0
-        if u in u1_set:
-            p = next(q for q in sets.p1 if u % q == 0)
+        if band[u + y]:
+            p = band[u + y]
         elif u in matching.matched:
             p = matching.matched[u][0]
-        elif u in u3_set:
-            p = next((q for q in sets.p2 if (u + shift) % q == 0), 0)
+        elif largest[abs(u)] == abs(u) > 1:  # u in U3
+            p = mid[u + y]
+        else:
+            p = 0
         if p:
             if value % p != 0 or p >= value:
                 raise RuntimeError(
@@ -480,8 +477,8 @@ def matrix_scan(
     survive the progression sieve are tested as find_prime_in_ap tests
     them (_prime_verdicts).
     """
-    if rows > 10**5:
-        raise ValueError("row count exceeds the desk bound 10**5")
+    if not 0 <= rows <= 10**5:
+        raise ValueError(f"row count {rows} is outside [0, 10**5]")
     exceptional = tuple(u for u in exceptional if u != 1 and -y <= u <= y)
     prime_rows = 0
     with_window_prime = 0

@@ -1,6 +1,7 @@
-"""Exact integer and modular arithmetic primitives, including the tiered
-squarefree check that the squarefree search and the verifier share, and
-the worker-process policy that it and the kpower prime search use.
+"""Exact integer and modular arithmetic primitives, including the window
+tables that both pipelines classify offsets by, the tiered squarefree
+check that the squarefree search and the verifier share, and the
+worker-process policy that it and the kpower prime search use.
 
 Everything else here is a pure function over Python ints (arbitrary
 precision, no rounding); fixed-width inner loops are delegated to
@@ -27,7 +28,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIMORIAL_BOUND = 2**16
 
 SIEVE_LIMIT = 10**8
-TRIAL_FACTOR_LIMIT = 10**12
 ROOT_ENUM_LIMIT = 10**6
 
 _MERTENS_FRAC_BITS = 96
@@ -211,27 +211,26 @@ def is_prime(n: int) -> bool:
     return _bpsw(n)
 
 
-def largest_prime_factor(n: int) -> int:
-    """P+(n) by trial division, with the convention P+(1) = 1."""
-    if n < 1:
-        raise ValueError(f"largest_prime_factor needs n >= 1, got {n}")
-    if n > TRIAL_FACTOR_LIMIT:
-        raise ValueError(f"{n} is too large to factor (bound {TRIAL_FACTOR_LIMIT})")
-    if n == 1:
-        return 1
-    return kernels.largest_prime_factor_u64(n)
+def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
+    """Sieve tables of the window [-y, y] that both pipelines classify
+    offsets by and read their band witnesses off:
 
+    * band[u + y]: the least prime of p1 dividing u, 0 when none does;
+    * mid[u + y]: the least prime of p2 dividing u + shift, 0 when none
+      does;
+    * largest[n] for 0 <= n <= y: the largest prime factor of n, 0 for
+      n = 0 and n = 1.  So |u| is prime exactly when
+      largest[|u|] == |u| > 1, and |u| >= 1 is z-smooth exactly when
+      largest[|u|] <= z.
 
-def is_smooth(n: int, z: float) -> bool:
-    """True iff every prime factor of n is <= z.
-
-    n = 1 counts as smooth for any z >= 0.
+    Each table is one kernels.stamp: the primes are stamped in the order
+    that leaves the wanted one written last at every index it divides.
     """
-    if z < 0:
-        raise ValueError(f"smoothness bound must be >= 0, got {z}")
-    if n == 1:
-        return True
-    return largest_prime_factor(n) <= z
+    size = 2 * y + 1
+    band = kernels.stamp(size, ((y % p, p) for p in sorted(p1, reverse=True)))
+    mid = kernels.stamp(size, (((y - shift) % p, p) for p in sorted(p2, reverse=True)))
+    largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
+    return band, mid, largest
 
 
 def jacobi(a: int, n: int) -> int:

@@ -6,7 +6,9 @@ each offset the small bands cannot cover, solves the resulting system of
 congruences, searches the progression for a squarefree member, and emits
 a certificate holding one witness prime divisor per window offset.
 
-Cover classes for an offset u:
+Cover classes for an offset u, read off the sieve tables of
+numtheory.window_tables, which also give verify_window its band
+witnesses:
 
   * u1 -- u divisible by a band-one prime (residue 0 covers it);
   * u3 \\ u5 -- |u| prime with some mid-band prime dividing u + 1
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import kernels
 from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     SQUAREFREE_TRIAL_BOUND,
@@ -28,10 +29,9 @@ from .numtheory import (
     avoidance_constant,
     classify_squarefree,
     crt_solve,
-    is_prime,
-    is_smooth,
     natural_log,
     primes_upto,
+    window_tables,
 )
 from .schedule import Schedule, iter_log, shrink_to_capacity
 
@@ -45,11 +45,12 @@ class SetSystem:
     p1: tuple[int, ...]  # p <= log x, plus the band (z, x/4]
     p2: tuple[int, ...]  # mid band (log x, z]
     p3: tuple[int, ...]  # large band (x/4, x]: the assignable cover primes
-    u1: tuple[int, ...]  # offsets divisible by some band-one prime
+    # offset classes from window_tables(y, p1, p2, 1), index i = u + y
+    u1: tuple[int, ...]  # band[i] > 0: some band-one prime divides u
     u2: tuple[int, ...]  # window minus u1 minus {-1, 0, 1}
-    u3: tuple[int, ...]  # u2 offsets with |u| prime
-    u4: tuple[int, ...]  # u2 offsets composed only of mid-band primes
-    u5: tuple[int, ...]  # u3 offsets with no mid-band prime dividing u+1
+    u3: tuple[int, ...]  # u2 offsets with largest[|u|] == |u|: |u| prime
+    u4: tuple[int, ...]  # u2 offsets with largest[|u|] <= z: mid-band primes only
+    u5: tuple[int, ...]  # u3 offsets with mid[i] == 0: no mid-band prime divides u+1
     u6: tuple[int, ...]  # u4 | u5 | {-1, 0, 1}: need assigned primes
 
 
@@ -70,16 +71,13 @@ def build_sets(sch: Schedule) -> SetSystem:
     p2 = tuple(p for p in primes if log_x < p <= z)
     p3 = tuple(p for p in primes if x / 4 < p <= x)
 
-    # index u + y; struck where a band-one prime divides u (2 is one, so u = 0)
-    free = bytearray(b"\x01") * (2 * y + 1)
-    kernels.strike(free, ((y % p, p) for p in p1))
-
-    u1 = tuple(u for u in range(-y, y + 1) if not free[u + y])
-    u2 = tuple(u for u in range(-y, y + 1) if free[u + y] and u not in (-1, 0, 1))
-    u3 = tuple(u for u in u2 if is_prime(abs(u)))
+    band, mid, largest = window_tables(y, p1, p2, 1)
+    u1 = tuple(u for u in range(-y, y + 1) if band[u + y])
+    u2 = tuple(u for u in range(-y, y + 1) if not band[u + y] and u not in (-1, 0, 1))
+    u3 = tuple(u for u in u2 if largest[abs(u)] == abs(u))
     # every prime <= log x is in P1, so z-smooth u2 offsets have only mid-band primes
-    u4 = tuple(u for u in u2 if is_smooth(abs(u), z))
-    u5 = tuple(u for u in u3 if all((u + 1) % p for p in p2))
+    u4 = tuple(u for u in u2 if largest[abs(u)] <= z)
+    u5 = tuple(u for u in u3 if not mid[u + y])
     u6 = tuple(sorted(set(u4) | set(u5) | {-1, 0, 1}))
     return SetSystem(p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
 
@@ -180,16 +178,15 @@ def verify_window(
     y = sch.y
     if m < 2 * y:
         raise ValueError(f"m={m} violates m >= 2y = {2 * y}")
-    u1_set = set(sets.u1)
-    u3_set = set(sets.u3)
+    band, mid, largest = window_tables(y, sets.p1, sets.p2, 1)
     cover: dict[int, int] = {}
     for u in range(-y, y + 1):
         if u in phi:
             p = phi[u]
-        elif u in u1_set:
-            p = next(q for q in sets.p1 if u % q == 0)
-        elif u in u3_set:
-            p = next((q for q in sets.p2 if (u + 1) % q == 0), 0)
+        elif band[u + y]:
+            p = band[u + y]
+        elif largest[abs(u)] == abs(u) > 1:  # u in U3
+            p = mid[u + y]
         else:
             p = 0
         value = m + u

@@ -6,6 +6,50 @@ def check_partition(sets) -> bool:
     return set(sets.u2) == set(sets.u3) | set(sets.u4)
 
 
+def largest_prime_factor(n: int) -> int:
+    """The largest prime factor of n by trial division, 0 for n < 2 (the
+    convention of numtheory.window_tables)."""
+    largest, d = 0, 2
+    while d * d <= n:
+        while n % d == 0:
+            largest, n = d, n // d
+        d += 1
+    return n if n > 1 else largest
+
+
+def least_divisor(n: int, primes) -> int:
+    """The least prime of ``primes`` that divides n, 0 when none does."""
+    return min((q for q in primes if n % q == 0), default=0)
+
+
+def squarefree_witness(u: int, sets, phi) -> int:
+    """verify_window's witness rule, from the definitions: the assigned
+    prime, else the least band-one prime dividing u, else, for |u| prime
+    and u outside U1 and {-1, 0, 1} (U3), the least mid-band prime
+    dividing u + 1; 0 when none applies."""
+    if u in phi:
+        return phi[u]
+    if least_divisor(u, sets.p1):
+        return least_divisor(u, sets.p1)
+    if largest_prime_factor(abs(u)) == abs(u) > 1:
+        return least_divisor(u + 1, sets.p2)
+    return 0
+
+
+def kpower_witness(u: int, sets, matching) -> int:
+    """verify_power_window's witness rule, from the definitions: the least
+    band-one prime dividing u, else the matched prime, else, for |u| prime
+    (U3), the least mid-band prime dividing u + 2**k - 1; 0 when none
+    applies."""
+    if least_divisor(u, sets.p1):
+        return least_divisor(u, sets.p1)
+    if u in matching.matched:
+        return matching.matched[u][0]
+    if largest_prime_factor(abs(u)) == abs(u) > 1:
+        return least_divisor(u + (1 << sets.k) - 1, sets.p2)
+    return 0
+
+
 def has_augmenting_path(adjacency, matched: dict[int, int]) -> bool:
     """Independent maximality check: True iff an augmenting path exists
     with respect to ``matched`` (then the matching is not maximum)."""

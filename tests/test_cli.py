@@ -164,6 +164,17 @@ def test_construct_argument_fault_exits_64(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["squarefree", "kpower"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_construct_rejects_max_steps_below_one(capsys, mode, steps):
+    code, out, err = run_cli(
+        capsys, "construct", "--mode", mode, "--x", "200", "--max-steps", steps
+    )
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert f"argument --max-steps: expected an integer >= 1, got '{steps}'" in err
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -442,6 +453,22 @@ def test_bench_sieve_skips_inadmissible_lambda(capsys):
     assert len(skipped) == 2  # lam=0.5 for both b values
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--x", "5"), "x must be >= 16"),
+        (("--range-size", "20000000"), "range_size must be in [0, 10000000]"),
+        (("--lam", "abc"), "cannot parse --lam 'abc'"),
+        (("--b", "1.5"), "cannot parse --b '1.5'"),
+    ],
+    ids=["x below 16", "range above the limit", "lam not a number", "b not an int"],
+)
+def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bench-sieve", *argv)
+    assert code == cli.EXIT_USAGE == 64
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 # -- matrix-scan ----------------------------------------------------------------------
 
 
@@ -468,6 +495,14 @@ def test_matrix_scan_reports_rows(capsys, k1_doc_path):
     assert report["prime_rows"] >= 1
     assert report["rows_with_window_prime"] == 0  # odd k: no exceptions
     assert len(report["avoiding_rows"]) == report["prime_rows"]
+
+
+@pytest.mark.parametrize("rows", ["200000", "-3"])
+def test_matrix_scan_row_count_out_of_range_exits_64(capsys, k1_doc_path, rows):
+    code, out, err = run_cli(capsys, "matrix-scan", str(k1_doc_path), "--rows", rows)
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert err == f"error: row count {rows} is outside [0, 10**5]\n"
 
 
 def test_matrix_scan_missing_certificate_exits_66(capsys):

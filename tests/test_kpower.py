@@ -27,7 +27,12 @@ from primeavoid.numtheory import (
 )
 from primeavoid.schedule import make_schedule
 
-from oracles import has_augmenting_path
+from oracles import (
+    has_augmenting_path,
+    kpower_witness,
+    largest_prime_factor,
+    least_divisor,
+)
 
 
 # -- set construction -----------------------------------------------------
@@ -497,6 +502,41 @@ def test_k1_mid_band_witness_algebra(k1_cert):
             assert u in u3
             assert (u + 1) % w == 0  # k=1: p | u + 2^1 - 1
             assert cert.m0 % w == 2
+
+
+@pytest.mark.parametrize(
+    "k, x", [(1, 200), (2, 2000), (3, 1000), (4, 2000), (5, 2000)]
+)
+def test_classes_and_witnesses_match_their_definitions(k, x):
+    cert = construct_certificate_k(make_schedule(x, k, "practical"))
+    sets, z, y = cert.sets, cert.schedule.z, cert.schedule.y
+    window = range(-y, y + 1)
+    assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
+    assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
+    assert sets.u3 == tuple(
+        u for u in window if largest_prime_factor(abs(u)) == abs(u) > 1
+    )
+    assert sets.u4 == tuple(
+        u for u in window if u != 0 and largest_prime_factor(abs(u)) <= z
+    )
+    shift = (1 << k) - 1
+    assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + shift, sets.p2))
+    witness = {u: kpower_witness(u, sets, cert.matching) for u in window if u != 1}
+    assert cert.cover == {u: p for u, p in witness.items() if p}
+    assert [u for u, _ in cert.exceptions] == [u for u, p in witness.items() if not p]
+
+
+def test_mid_band_witness_only_on_u3(k1_cert):
+    # every mid-band prime divides u + 1 = 0 at u = -1, but |u| = 1 is no
+    # prime: unmatched, the offset is an exception, not a mid-band witness
+    cert = k1_cert
+    assert -1 in cert.matching.matched and -1 not in cert.sets.u1
+    matched = {u: e for u, e in cert.matching.matched.items() if u != -1}
+    cover, exceptions, _ = verify_power_window(
+        cert.m, cert.sets, replace(cert.matching, matched=matched), cert.schedule
+    )
+    assert -1 not in cover
+    assert [u for u, _ in exceptions] == [-1]
 
 
 def test_verify_rechecks_divisions(k1_cert):

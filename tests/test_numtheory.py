@@ -14,17 +14,19 @@ from primeavoid.numtheory import (
     Congruence,
     crt_solve,
     is_prime,
-    is_smooth,
     jacobi,
     kth_root_count,
     kth_roots_mod_p,
-    largest_prime_factor,
     mertens_product,
     primes_upto,
+    window_tables,
     _bpsw,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
 )
+
+from oracles import largest_prime_factor as oracle_largest_prime_factor
+from oracles import least_divisor
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -41,19 +43,6 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
-
-
-def trial_division_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def stepping_crt(congs):
@@ -316,33 +305,52 @@ def test_pool_workers_bounded_and_serial_beside_another_thread():
     assert not thread.is_alive()
 
 
-# -- largest_prime_factor / is_smooth --------------------------------------
+# -- window_tables ---------------------------------------------------------
 
 
 def test_largest_prime_factor_examples():
-    assert largest_prime_factor(12) == 3
-    assert largest_prime_factor(1) == 1
-    assert largest_prime_factor(49) == 7
+    largest = window_tables(60, (), (), 1)[2]
+    assert largest[12] == 3
+    assert largest[49] == 7
+    assert largest[59] == 59
+    assert largest[0] == largest[1] == 0
 
 
 def test_largest_prime_factor_matches_factorization():
-    for n in range(1, 3000):
-        facs = trial_division_factors(n)
-        assert largest_prime_factor(n) == (max(facs) if facs else 1)
-
-
-def test_largest_prime_factor_bounds():
-    with pytest.raises(ValueError):
-        largest_prime_factor(0)
-    with pytest.raises(ValueError, match="too large"):
-        largest_prime_factor(10**13)
+    largest = window_tables(3000, (), (), 1)[2]
+    assert largest == [oracle_largest_prime_factor(n) for n in range(3001)]
 
 
 def test_is_smooth_examples():
-    assert is_smooth(12, 3)
-    assert not is_smooth(12, 2.9)
-    assert is_smooth(1, 0)
-    assert is_smooth(1, 100.0)
+    largest = window_tables(12, (), (), 1)[2]
+    assert largest[12] <= 3
+    assert not largest[12] <= 2.9
+    assert largest[1] <= 0  # 1 is z-smooth for every z >= 0
+
+
+@pytest.mark.parametrize("y", [3, 10, 61])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_window_tables_match_brute_force(y, k):
+    shift = (1 << k) - 1
+    # unsorted, and with primes above 2y + 1: at y = 3, k = 5 the mid
+    # class of 37 starts at (3 - 31) % 37 = 9, past the window's end
+    p1 = (13, 2, 19, 3, 17)
+    p2 = (37, 5, 97, 11, 7)
+    band, mid, largest = window_tables(y, p1, p2, shift)
+    assert len(band) == len(mid) == 2 * y + 1
+    for u in range(-y, y + 1):
+        assert band[u + y] == least_divisor(u, p1), u
+        assert mid[u + y] == least_divisor(u + shift, p2), u
+    assert largest == [oracle_largest_prime_factor(n) for n in range(y + 1)]
+
+
+def test_window_tables_at_zero_and_one():
+    band, mid, largest = window_tables(3, (3, 2), (7, 5), 1)
+    assert band[3] == 2  # every prime divides u = 0; the least is kept
+    assert band[2] == band[4] == 0  # u = -1, 1
+    assert mid[2] == 5  # u = -1: u + 1 = 0
+    assert mid[4] == 0  # u = 1: u + 1 = 2
+    assert largest[:2] == [0, 0]
 
 
 # -- jacobi ----------------------------------------------------------------

@@ -32,7 +32,12 @@ from primeavoid.squarefree import (
     verify_window,
 )
 
-from oracles import check_partition
+from oracles import (
+    check_partition,
+    largest_prime_factor,
+    least_divisor,
+    squarefree_witness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +496,22 @@ def test_squarefree_n_itself(micro):
 
 
 # -- window verification -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [150, 1000, 3000])
+def test_classes_and_witnesses_match_their_definitions(x):
+    cert = construct_certificate(make_schedule(x, 1, "practical"))
+    sets, z, y = cert.sets, cert.schedule.z, cert.schedule.y
+    window = range(-y, y + 1)
+    assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
+    assert sets.u2 == tuple(
+        u for u in window if not least_divisor(u, sets.p1) and u not in (-1, 0, 1)
+    )
+    largest = {u: largest_prime_factor(abs(u)) for u in window}
+    assert sets.u3 == tuple(u for u in sets.u2 if largest[u] == abs(u))
+    assert sets.u4 == tuple(u for u in sets.u2 if largest[u] <= z)
+    assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + 1, sets.p2))
+    assert cert.cover == {u: squarefree_witness(u, sets, cert.phi) for u in window}
 
 
 def test_verify_window_micro(micro):
