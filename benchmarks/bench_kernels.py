@@ -39,6 +39,11 @@ def workloads(quick):
     # the window and prime bands of a squarefree x=10^4 run (y = 3725)
     sf_sch = make_schedule(10**4, 1, "practical")
     sf_sets = squarefree.build_sets(sf_sch)
+    # its congruence system's classes, as squarefree.verify_window strikes them
+    sf_phi = squarefree.assign_primes(sf_sets)
+    sf_classes = [
+        (-c.residue, c.modulus) for c in squarefree.covering_congruences(sf_sets, sf_phi)
+    ]
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
     # the progression sieve's shape in kpower.find_prime_in_ap: every
     # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
@@ -103,6 +108,8 @@ def workloads(quick):
          lambda: [kernels.jacobi_sym(a % n, n) for a, n in jacobi_inputs]),
         ("window_tables(y=%d)" % sf_sch.y,
          lambda: numtheory.window_tables(sf_sch.y, sf_sets.p1, sf_sets.p2, 1)),
+        ("struck_witnesses(y=%d) x%d" % (sf_sch.y, len(sf_classes)),
+         lambda: numtheory.struck_witnesses(sf_sch.y, sf_classes)),
         ("sifted_count(%.0e)" % sift_limit,
          lambda: kernels.sifted_count(sift_limit, sift_rules)),
         ("strike %d primes x%d steps" % (len(classes), chunk),

@@ -186,6 +186,10 @@ def _cmd_bench_sieve(args) -> int:
     lams = _parse_grid(args.lam, float, "--lam")
     bs = _parse_grid(args.b, int, "--b")
     try:
+        if not (args.kappa > 0 and args.a2 >= 1):
+            raise ValueError(
+                f"--kappa must be > 0 and --a2 >= 1, got {args.kappa:g} and {args.a2:g}"
+            )
         sch = make_schedule(args.x, k=args.k, profile="practical")
         if args.family == "none":
             rules = {}

@@ -20,7 +20,6 @@ from .numtheory import (
     MR_DETERMINISTIC_BOUND,
     cofactor_tier,
     is_prime,
-    natural_log,
     trial_cofactor,
 )
 
@@ -28,7 +27,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "1.1"
 MAX_LISTED_ELEMENTS = 10**4
 
 
@@ -74,8 +73,8 @@ def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
             {"u": u, "witness_prime": str(p)} for u, p in sorted(cert.cover.items())
         ],
         "metrics": {
-            "log_m": natural_log(cert.m),
-            "log_modulus": natural_log(cert.modulus),
+            "log_m": math.log(cert.m),
+            "log_modulus": math.log(cert.modulus),
             "exponent_report": cert.exponent_report,
             "avoidance_constant": cert.avoidance_constant,
             "autoshrink_trace": list(cert.autoshrink_trace),

@@ -1,13 +1,13 @@
 """Construction of prime-avoiding k-th powers of primes.
 
 Builds the offset classes for the window around m^k from the sieve
-tables of numtheory.window_tables (which also give the window check its
-band witnesses), screens offsets whose congruence is unlikely to be
-solvable (quadratic-residue statistics, k even), matches the remaining
-offsets to large primes under k-th-power solvability, solves the
-congruence system, finds a prime m in the progression, and certifies the
-window: every element m^k + (u - 1) either carries a witness prime
-divisor or is listed as an exception with an explicit primality status.
+tables of numtheory.window_tables, screens offsets whose congruence is
+unlikely to be solvable (quadratic-residue statistics, k even), matches
+the remaining offsets to large primes under k-th-power solvability,
+solves the congruence system, finds a prime m in the progression, and
+certifies the window: the witness of m^k + (u - 1) is the least modulus
+q of the system whose residue r has u == 1 - r^k (mod q), and an element
+that no congruence strikes is an exception with its primality status.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .numtheory import (
     jacobi,
     kth_root_count,
     kth_roots_mod_p,
-    natural_log,
     primes_upto,
+    struck_witnesses,
     window_tables,
 )
 from .schedule import Schedule, shrink_to_capacity
@@ -389,6 +389,8 @@ def find_prime_in_ap(
     Every step that survives the progression sieve goes through the full
     is_prime, in step order (_prime_verdicts); SearchExhausted.tests
     counts those tests."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     if math.gcd(m0, modulus) != 1:
         raise ValueError("m0 and modulus are not coprime: progression has no primes")
     members = (m0 + j * modulus for j in _sieved_steps(m0, modulus, max_steps))
@@ -407,45 +409,32 @@ def find_prime_in_ap(
 
 
 def verify_power_window(
-    m: int, sets: KSetSystem, matching: KMatching, sch: Schedule
+    m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> tuple[dict[int, int], list[tuple[int, str]], int]:
-    """Witness or classify every window element m^k + (u - 1).
-
-    u = 1 is skipped (the element is m^k, the constructed prime power).
-    Offsets with no witness path get an explicit primality status; the
-    number found prime is reported, never asserted to be zero.
+    """Witness or classify every window element m^k + (u - 1): the witness
+    is the least modulus of ``congruences`` that strikes u, and an element
+    none strikes gets an explicit primality status (the number found prime
+    is reported, never asserted to be zero).  u = 1 is skipped: the
+    element is m^k, the constructed prime power.
     """
-    k, y = sets.k, sch.y
+    k, y = sch.k, sch.y
     value_base = m**k
-    band, mid, largest = window_tables(y, sets.p1, sets.p2, (1 << k) - 1)
+    witness = struck_witnesses(
+        y, ((1 - pow(c.residue, k, c.modulus), c.modulus) for c in congruences)
+    )
     cover: dict[int, int] = {}
-    pending: list[int] = []
-    for u in range(-y, y + 1):
+    exceptions: list[tuple[int, str]] = []
+    for u, p in zip(range(-y, y + 1), witness):
         if u == 1:
             continue
         value = value_base + u - 1
-        if band[u + y]:
-            p = band[u + y]
-        elif u in matching.matched:
-            p = matching.matched[u][0]
-        elif largest[abs(u)] == abs(u) > 1:  # u in U3
-            p = mid[u + y]
+        if not p:
+            exceptions.append((u, "prime" if is_prime(value) else "composite"))
+        elif value % p != 0 or p >= value:
+            raise RuntimeError(f"offset {u}: invalid witness p={p}; construction bug")
         else:
-            p = 0
-        if p:
-            if value % p != 0 or p >= value:
-                raise RuntimeError(
-                    f"offset {u} has an invalid witness p={p}; construction bug"
-                )
             cover[u] = p
-        else:
-            pending.append(u)
-    exceptions = [
-        (u, "prime" if is_prime(value_base + u - 1) else "composite")
-        for u in pending
-    ]
-    prime_count = sum(1 for _, s in exceptions if s == "prime")
-    return cover, exceptions, prime_count
+    return cover, exceptions, sum(1 for _, s in exceptions if s == "prime")
 
 
 @dataclass(frozen=True)
@@ -537,7 +526,8 @@ def construct_certificate_k(
     matching = match_offsets(sets)
     sets, modulus, m0 = solve_m0_k(sch, sets, matching, reduced=reduced)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
-    cover, exceptions, prime_count = verify_power_window(m, sets, matching, sch)
+    congruences = covering_congruences(sets, matching)
+    cover, exceptions, prime_count = verify_power_window(m, congruences, sch)
     try:
         constant = avoidance_constant(m**sch.k, sch.y)
     except ValueError:
@@ -550,11 +540,11 @@ def construct_certificate_k(
         m0=m0,
         m=m,
         reduced=reduced,
-        congruences=covering_congruences(sets, matching),
+        congruences=congruences,
         cover=cover,
         exceptions=exceptions,
         prime_count_in_window=prime_count,
-        exponent_report=natural_log(m) / natural_log(modulus),
+        exponent_report=math.log(m) / math.log(modulus),
         avoidance_constant=constant,
         autoshrink_trace=trace,
         seed=seed,

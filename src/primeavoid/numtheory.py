@@ -211,9 +211,21 @@ def is_prime(n: int) -> bool:
     return _bpsw(n)
 
 
+def struck_witnesses(y: int, classes) -> list[int]:
+    """The least modulus striking each offset of the window [-y, y]: at
+    index u + y, the least q of the (class c, prime q) pairs of
+    ``classes`` with u == c (mod q), 0 when no pair strikes u.
+
+    One kernels.stamp, with the moduli in descending order, so that the
+    least one is written last at every offset it strikes.
+    """
+    ordered = sorted(classes, key=lambda pair: pair[1], reverse=True)
+    return kernels.stamp(2 * y + 1, (((c + y) % q, q) for c, q in ordered))
+
+
 def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
     """Sieve tables of the window [-y, y] that both pipelines classify
-    offsets by and read their band witnesses off:
+    offsets by:
 
     * band[u + y]: the least prime of p1 dividing u, 0 when none does;
     * mid[u + y]: the least prime of p2 dividing u + shift, 0 when none
@@ -223,12 +235,11 @@ def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
       largest[|u|] == |u| > 1, and |u| >= 1 is z-smooth exactly when
       largest[|u|] <= z.
 
-    Each table is one kernels.stamp: the primes are stamped in the order
-    that leaves the wanted one written last at every index it divides.
+    band and mid are struck_witnesses of the classes 0 and -shift;
+    largest is one kernels.stamp of the primes in ascending order.
     """
-    size = 2 * y + 1
-    band = kernels.stamp(size, ((y % p, p) for p in sorted(p1, reverse=True)))
-    mid = kernels.stamp(size, (((y - shift) % p, p) for p in sorted(p2, reverse=True)))
+    band = struck_witnesses(y, ((0, p) for p in p1))
+    mid = struck_witnesses(y, ((-shift, p) for p in p2))
     largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
     return band, mid, largest
 
@@ -310,18 +321,13 @@ def mertens_product(w: int) -> float:
     return acc / (1 << _MERTENS_FRAC_BITS)
 
 
-def natural_log(n) -> float:
-    """log of an int or float of any size (math.log handles big ints)."""
-    return math.log(n)
-
-
 def avoidance_constant(m: int, y: int) -> float:
     """Measured ratio y * (logloglog m)^2 / (log m loglog m logloglog(log m)).
 
     Needs m large enough that the fourth iterated log is positive
     (m > e^(e^e)).
     """
-    l1 = natural_log(m)
+    l1 = math.log(m)
     l2 = math.log(l1)
     l3 = math.log(l2)
     if l3 <= 0:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernels
-from .numtheory import kth_root_count, natural_log, primes_upto
+from .numtheory import kth_root_count, primes_upto
 
 SIFT_RANGE_LIMIT = 10**7
 
@@ -156,7 +156,7 @@ def residue_avoid_prime_count(x: int, moduli, a: int) -> tuple[int, float]:
     for p in primes_upto(x):
         if all(p % r != a % r for r in rs):
             count += 1
-    comparator = x / natural_log(x)
+    comparator = x / math.log(x)
     for r in rs:
         if r <= x:
             comparator *= 1.0 - 1.0 / r

@@ -4,11 +4,10 @@ The pipeline classifies the primes up to x into three bands and the
 window offsets [-y, y] into cover classes, assigns one large prime to
 each offset the small bands cannot cover, solves the resulting system of
 congruences, searches the progression for a squarefree member, and emits
-a certificate holding one witness prime divisor per window offset.
+a certificate holding one witness prime divisor per window offset: the
+least modulus q of the system whose residue r has u == -r (mod q).
 
-Cover classes for an offset u, read off the sieve tables of
-numtheory.window_tables, which also give verify_window its band
-witnesses:
+Cover classes for an offset u, read off numtheory.window_tables:
 
   * u1 -- u divisible by a band-one prime (residue 0 covers it);
   * u3 \\ u5 -- |u| prime with some mid-band prime dividing u + 1
@@ -29,8 +28,8 @@ from .numtheory import (
     avoidance_constant,
     classify_squarefree,
     crt_solve,
-    natural_log,
     primes_upto,
+    struck_witnesses,
     window_tables,
 )
 from .schedule import Schedule, iter_log, shrink_to_capacity
@@ -167,28 +166,19 @@ def find_squarefree_in_ap(
 
 
 def verify_window(
-    m: int, sets: SetSystem, phi: dict[int, int], sch: Schedule
+    m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> dict[int, int]:
-    """One verified witness prime for every offset in [-y, y].
-
-    Every witness is a pure divisibility fact (p | m+u with p < m+u);
-    an uncovered offset means the construction itself is broken, so it
-    raises rather than returning a partial cover.
+    """One verified witness prime for every offset in [-y, y]: the least
+    modulus q of ``congruences`` that strikes u, a pure divisibility fact
+    (q | m+u with q < m+u).  An unstruck offset means the construction
+    itself is broken, so it raises rather than returning a partial cover.
     """
     y = sch.y
     if m < 2 * y:
         raise ValueError(f"m={m} violates m >= 2y = {2 * y}")
-    band, mid, largest = window_tables(y, sets.p1, sets.p2, 1)
+    witness = struck_witnesses(y, ((-c.residue, c.modulus) for c in congruences))
     cover: dict[int, int] = {}
-    for u in range(-y, y + 1):
-        if u in phi:
-            p = phi[u]
-        elif band[u + y]:
-            p = band[u + y]
-        elif largest[abs(u)] == abs(u) > 1:  # u in U3
-            p = mid[u + y]
-        else:
-            p = 0
+    for u, p in zip(range(-y, y + 1), witness):
         value = m + u
         if p == 0 or value % p != 0 or p >= value:
             raise RuntimeError(
@@ -229,7 +219,8 @@ def construct_certificate(
     phi = assign_primes(sets)
     n, m0 = solve_m0(sets, phi)
     search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
-    cover = verify_window(search.m, sets, phi, sch)
+    congruences = covering_congruences(sets, phi)
+    cover = verify_window(search.m, congruences, sch)
     try:
         constant = avoidance_constant(search.m, sch.y)
     except ValueError:
@@ -241,11 +232,11 @@ def construct_certificate(
         modulus=n,
         m0=m0,
         m=search.m,
-        congruences=covering_congruences(sets, phi),
+        congruences=congruences,
         cover=cover,
         squarefree_status=search.status,
         squarefree_bound=search.trial_bound,
-        exponent_report=natural_log(search.m) / natural_log(n),
+        exponent_report=math.log(search.m) / math.log(n),
         avoidance_constant=constant,
         autoshrink_trace=trace,
         seed=seed,

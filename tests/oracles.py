@@ -22,32 +22,10 @@ def least_divisor(n: int, primes) -> int:
     return min((q for q in primes if n % q == 0), default=0)
 
 
-def squarefree_witness(u: int, sets, phi) -> int:
-    """verify_window's witness rule, from the definitions: the assigned
-    prime, else the least band-one prime dividing u, else, for |u| prime
-    and u outside U1 and {-1, 0, 1} (U3), the least mid-band prime
-    dividing u + 1; 0 when none applies."""
-    if u in phi:
-        return phi[u]
-    if least_divisor(u, sets.p1):
-        return least_divisor(u, sets.p1)
-    if largest_prime_factor(abs(u)) == abs(u) > 1:
-        return least_divisor(u + 1, sets.p2)
-    return 0
-
-
-def kpower_witness(u: int, sets, matching) -> int:
-    """verify_power_window's witness rule, from the definitions: the least
-    band-one prime dividing u, else the matched prime, else, for |u| prime
-    (U3), the least mid-band prime dividing u + 2**k - 1; 0 when none
-    applies."""
-    if least_divisor(u, sets.p1):
-        return least_divisor(u, sets.p1)
-    if u in matching.matched:
-        return matching.matched[u][0]
-    if largest_prime_factor(abs(u)) == abs(u) > 1:
-        return least_divisor(u + (1 << sets.k) - 1, sets.p2)
-    return 0
+def congruence_witness(value: int, congruences) -> int:
+    """The witness of a window element, from the definition: the least
+    modulus among ``congruences`` that divides value, 0 when none does."""
+    return least_divisor(value, [c.modulus for c in congruences])
 
 
 def has_augmenting_path(adjacency, matched: dict[int, int]) -> bool:

@@ -460,8 +460,13 @@ def test_bench_sieve_skips_inadmissible_lambda(capsys):
         (("--range-size", "20000000"), "range_size must be in [0, 10000000]"),
         (("--lam", "abc"), "cannot parse --lam 'abc'"),
         (("--b", "1.5"), "cannot parse --b '1.5'"),
+        (("--kappa", "-1"), "--kappa must be > 0"),
+        (("--a2", "0"), "--a2 >= 1"),
     ],
-    ids=["x below 16", "range above the limit", "lam not a number", "b not an int"],
+    ids=[
+        "x below 16", "range above the limit", "lam not a number", "b not an int",
+        "kappa not positive", "a2 below one",
+    ],
 )
 def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
     code, out, err = run_cli(capsys, "bench-sieve", *argv)

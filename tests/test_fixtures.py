@@ -1,5 +1,6 @@
 """Golden certificates: each committed document is rebuilt byte for byte
-from its construct arguments, and verifies."""
+from its construct arguments, and verifies; the format-1.0 documents that
+came before them (tests/fixtures/v1.0/) still verify."""
 
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from primeavoid import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
+LEGACY = FIXTURES / "v1.0"
 
 CASES = {
     "sf_x40_explicit.json": (
@@ -30,4 +32,10 @@ def test_fixture_rebuilds_byte_identical(name, tmp_path, capsys):
     assert cli.main(["construct", *CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (FIXTURES / name).read_bytes()
     assert cli.main(["verify", str(FIXTURES / name)]) == 0
+    assert "certificate OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_format_1_0_fixture_still_verifies(name, capsys):
+    assert cli.main(["verify", str(LEGACY / name)]) == 0
     assert "certificate OK" in capsys.readouterr().out

@@ -28,8 +28,8 @@ from primeavoid.numtheory import (
 from primeavoid.schedule import make_schedule
 
 from oracles import (
+    congruence_witness,
     has_augmenting_path,
-    kpower_witness,
     largest_prime_factor,
     least_divisor,
 )
@@ -293,6 +293,14 @@ def test_find_prime_rejects_shared_factor():
         find_prime_in_ap(6, 30)
 
 
+def test_find_prime_rejects_max_steps_below_one(monkeypatch):
+    # refused before the progression sieve is built
+    monkeypatch.setattr(kpower, "_sieved_steps", None)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="max_steps"):
+            find_prime_in_ap(7, 30, max_steps=steps)
+
+
 def test_find_prime_exhaustion_reports_tests():
     # 25 mod 30: progression holds primes (55? no; 85? no...) force tiny budget
     with pytest.raises(SearchExhausted) as err:
@@ -496,10 +504,8 @@ def test_k1_zero_offset_covered_by_band_one(k1_cert):
 
 def test_k1_mid_band_witness_algebra(k1_cert):
     cert = k1_cert
-    u3 = set(cert.sets.u3)
     for u, w in cert.cover.items():
         if w in set(cert.sets.p2):
-            assert u in u3
             assert (u + 1) % w == 0  # k=1: p | u + 2^1 - 1
             assert cert.m0 % w == 2
 
@@ -521,28 +527,32 @@ def test_classes_and_witnesses_match_their_definitions(k, x):
     )
     shift = (1 << k) - 1
     assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + shift, sets.p2))
-    witness = {u: kpower_witness(u, sets, cert.matching) for u in window if u != 1}
+    base = cert.m**k
+    witness = {
+        u: congruence_witness(base + u - 1, cert.congruences) for u in window if u != 1
+    }
     assert cert.cover == {u: p for u, p in witness.items() if p}
     assert [u for u, _ in cert.exceptions] == [u for u, p in witness.items() if not p]
 
 
-def test_mid_band_witness_only_on_u3(k1_cert):
-    # every mid-band prime divides u + 1 = 0 at u = -1, but |u| = 1 is no
-    # prime: unmatched, the offset is an exception, not a mid-band witness
+def test_minus_one_struck_by_mid_band(k1_cert):
+    # every mid-band prime divides u + 1 = 0 at u = -1, so the least of
+    # them witnesses -1 although |u| = 1 is no prime, and the offset stays
+    # covered without its own matched congruence
     cert = k1_cert
     assert -1 in cert.matching.matched and -1 not in cert.sets.u1
-    matched = {u: e for u, e in cert.matching.matched.items() if u != -1}
-    cover, exceptions, _ = verify_power_window(
-        cert.m, cert.sets, replace(cert.matching, matched=matched), cert.schedule
-    )
-    assert -1 not in cover
-    assert [u for u, _ in exceptions] == [-1]
+    assert cert.cover[-1] == min(cert.sets.p2)
+    p = cert.matching.matched[-1][0]
+    congruences = tuple(c for c in cert.congruences if c.modulus != p)
+    cover, exceptions, _ = verify_power_window(cert.m, congruences, cert.schedule)
+    assert cover[-1] == min(cert.sets.p2)
+    assert -1 not in {u for u, _ in exceptions}
 
 
 def test_verify_rechecks_divisions(k1_cert):
     cert = k1_cert
     cover, exceptions, prime_count = verify_power_window(
-        cert.m, cert.sets, cert.matching, cert.schedule
+        cert.m, cert.congruences, cert.schedule
     )
     assert cover.keys() == cert.cover.keys()
     assert exceptions == cert.exceptions

@@ -19,6 +19,7 @@ from primeavoid.numtheory import (
     kth_roots_mod_p,
     mertens_product,
     primes_upto,
+    struck_witnesses,
     window_tables,
     _bpsw,
     _strong_lucas_probable_prime,
@@ -305,7 +306,20 @@ def test_pool_workers_bounded_and_serial_beside_another_thread():
     assert not thread.is_alive()
 
 
-# -- window_tables ---------------------------------------------------------
+# -- struck_witnesses and window_tables -------------------------------------
+
+
+@pytest.mark.parametrize("y", [0, 3, 10, 61])
+def test_struck_witnesses_match_brute_force(y):
+    # unsorted moduli, negative classes and classes of q or more, one
+    # modulus past the window's width, and a modulus with two classes
+    classes = [(4, 13), (-1, 2), (0, 97), (10, 3), (-7, 5), (2, 7), (5, 7)]
+    witness = struck_witnesses(y, classes)
+    assert len(witness) == 2 * y + 1
+    for u in range(-y, y + 1):
+        expected = min((q for c, q in classes if (u - c) % q == 0), default=0)
+        assert witness[u + y] == expected, u
+    assert struck_witnesses(y, ()) == [0] * (2 * y + 1)
 
 
 def test_largest_prime_factor_examples():

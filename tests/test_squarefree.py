@@ -27,6 +27,7 @@ from primeavoid.squarefree import (
     assign_primes,
     build_sets,
     construct_certificate,
+    covering_congruences,
     find_squarefree_in_ap,
     solve_m0,
     verify_window,
@@ -34,9 +35,9 @@ from primeavoid.squarefree import (
 
 from oracles import (
     check_partition,
+    congruence_witness,
     largest_prime_factor,
     least_divisor,
-    squarefree_witness,
 )
 
 
@@ -511,7 +512,9 @@ def test_classes_and_witnesses_match_their_definitions(x):
     assert sets.u3 == tuple(u for u in sets.u2 if largest[u] == abs(u))
     assert sets.u4 == tuple(u for u in sets.u2 if largest[u] <= z)
     assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + 1, sets.p2))
-    assert cert.cover == {u: squarefree_witness(u, sets, cert.phi) for u in window}
+    assert cert.cover == {
+        u: congruence_witness(cert.m + u, cert.congruences) for u in window
+    }
 
 
 def test_verify_window_micro(micro):
@@ -519,10 +522,14 @@ def test_verify_window_micro(micro):
     phi = assign_primes(sets)
     n, m0 = solve_m0(sets, phi)
     m = find_squarefree_in_ap(m0, n, sch).m
-    cover = verify_window(m, sets, phi, sch)
+    cover = verify_window(m, covering_congruences(sets, phi), sch)
     assert len(cover) == 2 * sch.y + 1
     assert cover[-7] == 7
-    assert cover[0] == 17
+    # u = 0 and -1 also carry assigned primes (17 and 13), but the least
+    # striking modulus wins: 2 | m (band one) and 5 | m - 1 (mid band)
+    assert cover[0] == 2
+    assert cover[-1] == 5
+    assert cover[1] == 19
     assert cover[4] == 2
     for u, witness in cover.items():
         assert (m + u) % witness == 0
@@ -533,7 +540,7 @@ def test_verify_window_rejects_small_m(micro):
     sch, sets = micro
     phi = assign_primes(sets)
     with pytest.raises(ValueError):
-        verify_window(5, sets, phi, sch)
+        verify_window(5, covering_congruences(sets, phi), sch)
 
 
 # -- avoidance constant --------------------------------------------------------------
