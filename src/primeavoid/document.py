@@ -27,8 +27,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.1"
-MAX_LISTED_ELEMENTS = 10**4
+FORMAT_VERSION = "1.2"
 
 
 @contextmanager
@@ -48,23 +47,15 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _set_entry(values) -> dict:
-    values = list(values)
-    entry = {"card": len(values)}
-    if len(values) <= MAX_LISTED_ELEMENTS:
-        entry["elements"] = values
-    return entry
-
-
 def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
     """The keys both modes share, read off the certificate as built, plus
-    the mode's named ``sets`` (each the lower-cased attribute of
-    cert.sets), its own metrics and top-level ``fields``."""
+    the cardinality of each of the mode's named ``sets`` (the lower-cased
+    attribute of cert.sets), its own metrics and top-level ``fields``."""
     return {
         "format_version": FORMAT_VERSION,
         "seed": cert.seed,
         "schedule": asdict(cert.schedule),  # a new Schedule field changes the format
-        "sets": {name: _set_entry(getattr(cert.sets, name.lower())) for name in sets},
+        "sets": {name: len(getattr(cert.sets, name.lower())) for name in sets},
         "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
         "modulus": str(cert.modulus),
         "m0": str(cert.m0),
@@ -89,7 +80,7 @@ def certificate_to_document(cert: AvoidanceCertificate) -> dict:
     """Serialize a squarefree certificate."""
     return _document(
         cert,
-        ("P1", "P2", "P3", "U1", "U2", "U3", "U4", "U5", "U6"),
+        ("P1", "P2", "P3", "U1", "U2", "U6"),
         {
             "prime_count_in_window": 0,
             "squarefree_status": cert.squarefree_status,
@@ -109,7 +100,6 @@ def kcertificate_to_document(cert: KCertificate) -> dict:
         {
             "prime_count_in_window": cert.prime_count_in_window,
             "unmatched_offsets": list(cert.matching.unmatched),
-            "u4_card": len(cert.sets.u4),
             "u4_within_u2": cert.sets.u4_within_u2,
             "p1_upper_empty": cert.sets.p1_upper_empty,
         },
@@ -152,6 +142,14 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
+    # 1.0 and 1.1 differ from 1.2 in how witnesses were chosen and primes
+    # assigned, and in what ``sets`` lists; verify reads none of that, as
+    # it checks each witness by its division
+    if doc["format_version"] not in ("1.0", "1.1", FORMAT_VERSION):
+        raise DocumentError(
+            f"unsupported format_version {doc['format_version']!r}; "
+            f"this verifier reads 1.0, 1.1 and {FORMAT_VERSION}"
+        )
     if doc["mode"] not in ("squarefree", "kpower"):
         raise DocumentError(f"unknown mode {doc['mode']!r}")
     try:

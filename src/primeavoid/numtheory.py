@@ -230,10 +230,10 @@ def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
     * band[u + y]: the least prime of p1 dividing u, 0 when none does;
     * mid[u + y]: the least prime of p2 dividing u + shift, 0 when none
       does;
-    * largest[n] for 0 <= n <= y: the largest prime factor of n, 0 for
-      n = 0 and n = 1.  So |u| is prime exactly when
-      largest[|u|] == |u| > 1, and |u| >= 1 is z-smooth exactly when
-      largest[|u|] <= z.
+    * largest[n] for 0 <= n <= y (kpower reads it, squarefree does not):
+      the largest prime factor of n, 0 for n = 0 and n = 1.  So |u| is
+      prime exactly when largest[|u|] == |u| > 1, and |u| >= 1 is
+      z-smooth exactly when largest[|u|] <= z.
 
     band and mid are struck_witnesses of the classes 0 and -shift;
     largest is one kernels.stamp of the primes in ascending order.

@@ -1,19 +1,22 @@
 """Construction of prime-avoiding squarefree numbers.
 
-The pipeline classifies the primes up to x into three bands and the
-window offsets [-y, y] into cover classes, assigns one large prime to
-each offset the small bands cannot cover, solves the resulting system of
-congruences, searches the progression for a squarefree member, and emits
-a certificate holding one witness prime divisor per window offset: the
-least modulus q of the system whose residue r has u == -r (mod q).
+The pipeline classifies the primes up to x into three bands, strikes the
+window offsets [-y, y] with the congruences of the two small bands,
+assigns one large prime to each offset that neither band strikes, solves
+the resulting system of congruences, searches the progression for a
+squarefree member, and emits a certificate holding one witness prime
+divisor per window offset: the least modulus q of the system whose
+residue r has u == -r (mod q).
 
-Cover classes for an offset u, read off numtheory.window_tables:
+The small bands strike, read off numtheory.window_tables:
 
-  * u1 -- u divisible by a band-one prime (residue 0 covers it);
-  * u3 \\ u5 -- |u| prime with some mid-band prime dividing u + 1
-    (residue 1 covers it);
-  * u6 -- everything left (smooth offsets, screened primes, and
-    -1, 0, 1), each covered by its own assigned large prime.
+  * u1 -- u divisible by a band-one prime (residue 0, so p | m + u);
+  * u2 \\ u6 -- no band-one prime divides u, but a mid-band prime divides
+    u + 1 (residue 1, so p | m + u);
+  * u6 -- everything left, each covered by its own assigned large prime.
+
+With 2 in band one (log x >= 2), 2 strikes u = 0 and every mid-band prime
+strikes u = -1, while neither band strikes u = 1, which takes a large prime.
 """
 
 from __future__ import annotations
@@ -46,11 +49,8 @@ class SetSystem:
     p3: tuple[int, ...]  # large band (x/4, x]: the assignable cover primes
     # offset classes from window_tables(y, p1, p2, 1), index i = u + y
     u1: tuple[int, ...]  # band[i] > 0: some band-one prime divides u
-    u2: tuple[int, ...]  # window minus u1 minus {-1, 0, 1}
-    u3: tuple[int, ...]  # u2 offsets with largest[|u|] == |u|: |u| prime
-    u4: tuple[int, ...]  # u2 offsets with largest[|u|] <= z: mid-band primes only
-    u5: tuple[int, ...]  # u3 offsets with mid[i] == 0: no mid-band prime divides u+1
-    u6: tuple[int, ...]  # u4 | u5 | {-1, 0, 1}: need assigned primes
+    u2: tuple[int, ...]  # window minus u1
+    u6: tuple[int, ...]  # u2 offsets with mid[i] == 0: unstruck, so assigned a prime
 
 
 def build_sets(sch: Schedule) -> SetSystem:
@@ -70,15 +70,11 @@ def build_sets(sch: Schedule) -> SetSystem:
     p2 = tuple(p for p in primes if log_x < p <= z)
     p3 = tuple(p for p in primes if x / 4 < p <= x)
 
-    band, mid, largest = window_tables(y, p1, p2, 1)
+    band, mid, _ = window_tables(y, p1, p2, 1)
     u1 = tuple(u for u in range(-y, y + 1) if band[u + y])
-    u2 = tuple(u for u in range(-y, y + 1) if not band[u + y] and u not in (-1, 0, 1))
-    u3 = tuple(u for u in u2 if largest[abs(u)] == abs(u))
-    # every prime <= log x is in P1, so z-smooth u2 offsets have only mid-band primes
-    u4 = tuple(u for u in u2 if largest[abs(u)] <= z)
-    u5 = tuple(u for u in u3 if not mid[u + y])
-    u6 = tuple(sorted(set(u4) | set(u5) | {-1, 0, 1}))
-    return SetSystem(p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, u3=u3, u4=u4, u5=u5, u6=u6)
+    u2 = tuple(u for u in range(-y, y + 1) if not band[u + y])
+    u6 = tuple(u for u in u2 if not mid[u + y])
+    return SetSystem(p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, u6=u6)
 
 
 def assign_primes(sets: SetSystem) -> dict[int, int]:

@@ -1,11 +1,6 @@
 """Independent reference checks that the tests hold the construction to."""
 
 
-def check_partition(sets) -> bool:
-    """Exact set equality u2 == u3 | u4 of a squarefree SetSystem."""
-    return set(sets.u2) == set(sets.u3) | set(sets.u4)
-
-
 def largest_prime_factor(n: int) -> int:
     """The largest prime factor of n by trial division, 0 for n < 2 (the
     convention of numtheory.window_tables)."""
@@ -26,6 +21,28 @@ def congruence_witness(value: int, congruences) -> int:
     """The witness of a window element, from the definition: the least
     modulus among ``congruences`` that divides value, 0 when none does."""
     return least_divisor(value, [c.modulus for c in congruences])
+
+
+def unstruck_offsets(y: int, p1, p2) -> tuple[int, ...]:
+    """The squarefree offsets of [-y, y] that need an assigned prime, from
+    the definition: no prime of p1 divides u and no prime of p2 divides
+    u + 1."""
+    return tuple(
+        u
+        for u in range(-y, y + 1)
+        if not least_divisor(u, p1) and not least_divisor(u + 1, p2)
+    )
+
+
+def offset_partition_holds(sets, y: int) -> bool:
+    """The squarefree offset law: u1 and u2 split the window [-y, y], and
+    u6 is exactly unstruck_offsets(y, p1, p2)."""
+    window = set(range(-y, y + 1))
+    return (
+        set(sets.u1) | set(sets.u2) == window
+        and not set(sets.u1) & set(sets.u2)
+        and sets.u6 == unstruck_offsets(y, sets.p1, sets.p2)
+    )
 
 
 def has_augmenting_path(adjacency, matched: dict[int, int]) -> bool:

@@ -28,7 +28,7 @@ from primeavoid.sievebound import (
 )
 from primeavoid.squarefree import build_sets, construct_certificate
 
-from oracles import check_partition
+from oracles import offset_partition_holds
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -65,11 +65,12 @@ def test_criterion_1_micro_instance_reproduction(capsys, tmp_path):
     m0 = int(doc["m0"])
     checks = [
         code == 0,
-        doc["sets"]["P1"]["elements"] == [2, 3, 7],
-        doc["sets"]["P2"]["elements"] == [5],
-        doc["sets"]["U6"]["elements"] == [-5, -1, 0, 1, 5],
-        int(doc["modulus"]) == 223092870 == oracle_n,
-        1 <= m0 <= 223092870,
+        # band one (2, 3, 7), the mid band (5), then one assigned prime for
+        # each of the unstruck offsets -5, 1, 5
+        congs == [(0, 2), (0, 3), (0, 7), (1, 5), (5, 11), (12, 13), (12, 17)],
+        doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 3},
+        int(doc["modulus"]) == 510510 == oracle_n,
+        1 <= m0 <= 510510,
         m0 == oracle_m0,
         all(m0 % q == r for r, q in congs),
         sorted(e["u"] for e in doc["cover"]) == list(range(-10, 11)),
@@ -100,10 +101,15 @@ def test_criterion_2_window_totality(capsys, x):
 
 @pytest.mark.parametrize("x", [10**3, 10**4])
 def test_criterion_3_partition_law(capsys, x):
-    sets = build_sets(make_schedule(x, 1, "practical"))
-    ok = check_partition(sets)
+    sch = make_schedule(x, 1, "practical")
+    sets = build_sets(sch)
+    ok = offset_partition_holds(sets, sch.y)
     with capsys.disabled():
-        report("3", ok, f"(x={x}: |u2|={len(sets.u2)} splits into primes/smooth)")
+        report(
+            "3", ok,
+            f"(x={x}: |u2|={len(sets.u2)} splits into {len(sets.u2) - len(sets.u6)} "
+            f"mid-band struck and {len(sets.u6)} unstruck)",
+        )
 
 
 def test_criterion_4_mertens(capsys):

@@ -31,10 +31,9 @@ def test_construct_micro_instance(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["sets"]["P1"]["elements"] == [2, 3, 7]
-    assert doc["sets"]["P2"]["elements"] == [5]
-    assert doc["sets"]["U6"]["elements"] == [-5, -1, 0, 1, 5]
-    assert doc["modulus"] == "223092870"
+    assert doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 3}
+    assert doc["congruences"][:4] == [["0", "2"], ["0", "3"], ["0", "7"], ["1", "5"]]
+    assert doc["modulus"] == "510510"
     assert len(doc["cover"]) == 21
 
 
@@ -351,6 +350,20 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     code, _, err = run_cli(capsys, "verify", str(bad))
     assert code == 65
     assert "malformed document" in err
+
+
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1", 1.2, None])
+def test_verify_unknown_format_version_exits_65(
+    tmp_path, capsys, micro_doc_text, version
+):
+    doc = json.loads(micro_doc_text)
+    doc["format_version"] = version
+    bad = tmp_path / "future.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert "unsupported format_version" in err
+    assert "certificate OK" not in out
 
 
 def modules_loaded_by(statement, names):

@@ -34,10 +34,10 @@ from primeavoid.squarefree import (
 )
 
 from oracles import (
-    check_partition,
     congruence_witness,
-    largest_prime_factor,
     least_divisor,
+    offset_partition_holds,
+    unstruck_offsets,
 )
 
 
@@ -109,29 +109,24 @@ def test_micro_prime_bands(micro):
 
 def test_micro_offset_classes(micro):
     _, sets = micro
-    assert sets.u2 == (-5, 5)
-    assert sets.u3 == (-5, 5)
-    assert sets.u4 == (-5, 5)
-    assert sets.u5 == (-5, 5)
-    assert sets.u6 == (-5, -1, 0, 1, 5)
+    assert sets.u2 == (-5, -1, 1, 5)
+    # 5 | u + 1 strikes u = -1; 0 is in u1 (2 divides it)
+    assert sets.u6 == (-5, 1, 5)
 
 
 def test_micro_window_scan_oracle(micro):
     # u2 by definition: window members coprime to every band-one prime
     _, sets = micro
-    expected = [
-        u
-        for u in range(-10, 11)
-        if u not in (-1, 0, 1) and all(u % p for p in (2, 3, 7))
-    ]
+    expected = [u for u in range(-10, 11) if all(u % p for p in (2, 3, 7))]
     assert list(sets.u2) == expected
 
 
 def test_tiny_window_edge():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=3)
     sets = build_sets(sch)
-    assert set(sets.u2) <= {-3, -2, 2, 3}
-    assert set(sets.u1) | set(sets.u2) | {-1, 0, 1} == set(range(-3, 4))
+    assert sets.u2 == (-1, 1)
+    assert set(sets.u1) | set(sets.u2) == set(range(-3, 4))
+    assert sets.u6 == (1,)
 
 
 def test_degenerate_schedule_rejected():
@@ -145,27 +140,29 @@ def test_monotone_cardinalities():
     for x in (60, 100, 150, 400):
         sch = make_schedule(x, 1, "practical")
         sets = build_sets(sch)
-        assert len(sets.u5) <= len(sets.u3) <= len(sets.u2) <= 2 * sch.y + 1
+        assert len(sets.u6) <= len(sets.u2) <= 2 * sch.y + 1
 
 
 # -- partition law ------------------------------------------------------------
 
 
 def test_partition_micro(micro):
-    _, sets = micro
-    assert check_partition(sets)
+    sch, sets = micro
+    assert offset_partition_holds(sets, sch.y)
+    assert unstruck_offsets(sch.y, sets.p1, sets.p2) == (-5, 1, 5)
 
 
 def test_partition_practical_1000():
-    sets = build_sets(make_schedule(1000, 1, "practical"))
-    assert check_partition(sets)
+    sch = make_schedule(1000, 1, "practical")
+    assert offset_partition_holds(build_sets(sch), sch.y)
 
 
 def test_partition_detects_artificial_violation(micro):
-    _, sets = micro
-    # 143 = 11*13 is not band-two-smooth and not prime: breaks the law
-    broken = replace(sets, u2=tuple(sorted(set(sets.u2) | {143})))
-    assert not check_partition(broken)
+    sch, sets = micro
+    # -1 and 0 are struck (5 | u + 1 and 2 | u), so assigning them large
+    # primes breaks the law
+    broken = replace(sets, u6=(-5, -1, 0, 1, 5))
+    assert not offset_partition_holds(broken, sch.y)
 
 
 # -- prime assignment ----------------------------------------------------------
@@ -173,7 +170,7 @@ def test_partition_detects_artificial_violation(micro):
 
 def test_assignment_micro(micro):
     _, sets = micro
-    assert assign_primes(sets) == {-5: 11, -1: 13, 0: 17, 1: 19, 5: 23}
+    assert assign_primes(sets) == {-5: 11, 1: 13, 5: 17}
 
 
 def test_assignment_empty():
@@ -198,7 +195,7 @@ def test_assignment_capacity_error(micro):
     squeezed = replace(sets, p3=sets.p3[:2])
     with pytest.raises(CapacityError) as err:
         assign_primes(squeezed)
-    assert err.value.needed == 5 and err.value.available == 2
+    assert err.value.needed == 3 and err.value.available == 2
 
 
 # -- congruence solving ---------------------------------------------------------
@@ -208,7 +205,7 @@ def test_solve_m0_micro_against_stepping_oracle(micro):
     _, sets = micro
     phi = assign_primes(sets)
     n, m0 = solve_m0(sets, phi)
-    assert n == 223092870
+    assert n == 510510
     congs = (
         [(0, p) for p in sets.p1]
         + [(1, p) for p in sets.p2]
@@ -237,7 +234,7 @@ def test_solve_m0_single_congruence(micro):
 def test_solve_m0_duplicate_modulus(micro):
     _, sets = micro
     with pytest.raises(ValueError, match="duplicate"):
-        solve_m0(sets, {-5: 2, -1: 13, 0: 17, 1: 19, 5: 23})
+        solve_m0(sets, {-5: 2, 1: 13, 5: 17})
 
 
 # -- squarefree search ------------------------------------------------------------
@@ -502,19 +499,18 @@ def test_squarefree_n_itself(micro):
 @pytest.mark.parametrize("x", [150, 1000, 3000])
 def test_classes_and_witnesses_match_their_definitions(x):
     cert = construct_certificate(make_schedule(x, 1, "practical"))
-    sets, z, y = cert.sets, cert.schedule.z, cert.schedule.y
+    sets, y = cert.sets, cert.schedule.y
     window = range(-y, y + 1)
     assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
-    assert sets.u2 == tuple(
-        u for u in window if not least_divisor(u, sets.p1) and u not in (-1, 0, 1)
-    )
-    largest = {u: largest_prime_factor(abs(u)) for u in window}
-    assert sets.u3 == tuple(u for u in sets.u2 if largest[u] == abs(u))
-    assert sets.u4 == tuple(u for u in sets.u2 if largest[u] <= z)
-    assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + 1, sets.p2))
+    assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
+    assert sets.u6 == unstruck_offsets(y, sets.p1, sets.p2)
     assert cert.cover == {
         u: congruence_witness(cert.m + u, cert.congruences) for u in window
     }
+    # an offset takes an assigned prime exactly when no small band strikes it
+    small = set(sets.p1) | set(sets.p2)
+    for u, witness in cert.cover.items():
+        assert (witness in sets.p3 if u in sets.u6 else witness in small), u
 
 
 def test_verify_window_micro(micro):
@@ -525,11 +521,11 @@ def test_verify_window_micro(micro):
     cover = verify_window(m, covering_congruences(sets, phi), sch)
     assert len(cover) == 2 * sch.y + 1
     assert cover[-7] == 7
-    # u = 0 and -1 also carry assigned primes (17 and 13), but the least
-    # striking modulus wins: 2 | m (band one) and 5 | m - 1 (mid band)
+    # u = 0 and -1 are struck by 2 | m (band one) and 5 | m - 1 (mid
+    # band), so only -5, 1 and 5 carry assigned primes
     assert cover[0] == 2
     assert cover[-1] == 5
-    assert cover[1] == 19
+    assert (cover[-5], cover[1], cover[5]) == (11, 13, 17)
     assert cover[4] == 2
     for u, witness in cover.items():
         assert (m + u) % witness == 0
@@ -574,7 +570,7 @@ def test_avoidance_constant_linear_in_y():
 def test_certificate_micro_end_to_end():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     cert = construct_certificate(sch)
-    assert cert.modulus == 223092870
+    assert cert.modulus == 510510
     assert 1 <= cert.m0 <= cert.modulus
     assert cert.m % cert.modulus == cert.m0 % cert.modulus
     assert len(cert.cover) == 21
