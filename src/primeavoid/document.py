@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.2"
+FORMAT_VERSION = "1.3"
 
 
 @contextmanager
@@ -100,7 +100,6 @@ def kcertificate_to_document(cert: KCertificate) -> dict:
         {
             "prime_count_in_window": cert.prime_count_in_window,
             "unmatched_offsets": list(cert.matching.unmatched),
-            "u4_within_u2": cert.sets.u4_within_u2,
             "p1_upper_empty": cert.sets.p1_upper_empty,
         },
         mode="kpower",
@@ -142,13 +141,13 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
-    # 1.0 and 1.1 differ from 1.2 in how witnesses were chosen and primes
-    # assigned, and in what ``sets`` lists; verify reads none of that, as
-    # it checks each witness by its division
-    if doc["format_version"] not in ("1.0", "1.1", FORMAT_VERSION):
+    # 1.0 to 1.2 differ from 1.3 in how witnesses were chosen and primes
+    # assigned or matched, and in what ``sets`` and ``metrics`` list;
+    # verify reads none of that, as it checks each witness by its division
+    if doc["format_version"] not in ("1.0", "1.1", "1.2", FORMAT_VERSION):
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
-            f"this verifier reads 1.0, 1.1 and {FORMAT_VERSION}"
+            f"this verifier reads 1.0 to {FORMAT_VERSION}"
         )
     if doc["mode"] not in ("squarefree", "kpower"):
         raise DocumentError(f"unknown mode {doc['mode']!r}")

@@ -1,13 +1,17 @@
 """Construction of prime-avoiding k-th powers of primes.
 
 Builds the offset classes for the window around m^k from the sieve
-tables of numtheory.window_tables, screens offsets whose congruence is
-unlikely to be solvable (quadratic-residue statistics, k even), matches
-the remaining offsets to large primes under k-th-power solvability,
-solves the congruence system, finds a prime m in the progression, and
-certifies the window: the witness of m^k + (u - 1) is the least modulus
-q of the system whose residue r has u == 1 - r^k (mod q), and an element
-that no congruence strikes is an exception with its primality status.
+tables of numtheory.window_tables and matches large primes, under k-th
+power solvability, to U7: the offsets u != 1 that neither small band
+strikes (no band-one prime divides u and no mid-band prime divides
+u + 2^k - 1).  An offset a band already strikes gets no matched prime of
+its own.  The capacity check still counts the paper's offsets, the
+z-smooth and prime ones (U4 | U5), so y is the paper's.  The pipeline
+then solves the congruence system, finds a prime m in the progression,
+and certifies the window: the witness of m^k + (u - 1) is the least
+modulus q of the system whose residue r has u == 1 - r^k (mod q), and an
+element that no congruence strikes is an exception with its primality
+status.
 """
 
 from __future__ import annotations
@@ -49,7 +53,12 @@ _POOL_MIN_BITS = 1024
 
 @dataclass(frozen=True)
 class KSetSystem:
-    """Prime bands and offset classes for one k-th power run."""
+    """Prime bands and offset classes for one k-th power run.
+
+    U3, U4 and U5 are the paper's prime/smooth taxonomy; they set the
+    capacity demand (paper_demand) and are reported, but no prime is
+    matched from them.  Only U7, the offsets no band strikes, is matched.
+    """
 
     k: int
     p1: tuple[int, ...]  # p <= log x, plus the band (z, x/40k]
@@ -64,18 +73,18 @@ class KSetSystem:
     u3: tuple[int, ...]  # offsets with largest[|u|] == |u| > 1: |u| prime
     u4: tuple[int, ...]  # u != 0 with largest[|u|] <= z: |u| z-smooth
     u5: tuple[int, ...]  # u3 offsets with mid[i] == 0: no mid-band prime covers u
-    u7: tuple[int, ...]  # u4 | u5: offsets needing matched primes
+    # u != 1 with band[i] == mid[i] == 0: the offsets match_offsets serves
+    u7: tuple[int, ...]
     p1_upper_empty: bool  # x/40k fell at or below z
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
     p3: tuple[int, ...] = ()  # matched image, filled after matching
     p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
 
     @property
-    def u4_within_u2(self) -> int:
-        """Smooth offsets that also avoid every band-one prime (the window
-        classes overlap; both cardinalities are reported)."""
-        u2 = set(self.u2)
-        return sum(1 for u in self.u4 if u in u2)
+    def paper_demand(self) -> int:
+        """|U4 | U5|, the paper's count of offsets needing a matched prime;
+        the capacity check takes y from it, not from |U7|."""
+        return len(set(self.u4) | set(self.u5))
 
 
 def build_sets_k(sch: Schedule) -> KSetSystem:
@@ -124,7 +133,7 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
     u3 = tuple(u for u in window if largest[abs(u)] == abs(u) > 1)
     u4 = tuple(u for u in window if u != 0 and largest[abs(u)] <= z)
     u5 = tuple(u for u in u3 if not mid[u + y])
-    u7 = tuple(sorted(set(u4) | set(u5)))
+    u7 = tuple(u for u in window if u != 1 and not band[u + y] and not mid[u + y])
     return KSetSystem(
         k=k,
         p1=p1,
@@ -149,7 +158,11 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     matchable primes have 5 | p-1.  Witnesses stay valid regardless,
     because match_offsets draws an edge only where kth_root_count finds
     a root; an offset left unmatched and otherwise uncovered is recorded
-    as an exception by verify_power_window."""
+    as an exception by verify_power_window.
+
+    The screen runs over the whole window and is only reported (U6): it
+    changes neither U7 nor the matching, which spends no prime on an
+    offset that a small band strikes, screened or not."""
     if sch.k % 2 == 1:
         return ()
     threshold = sch.delta * sch.x / math.log(sch.x)
@@ -228,18 +241,17 @@ def _max_matching(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
 
 
 def match_offsets(sets: KSetSystem) -> KMatching:
-    """Maximum matching between cover-needing offsets and matchable primes.
+    """Maximum matching between the U7 offsets and matchable primes.
 
     An edge (u, p) exists iff m**k == 1 - u (mod p) has a nonzero
     solution; zero roots are useless (the found prime m would have to be
     divisible by p), so offsets with 1 - u == 0 mod p lose that edge.
-    The offset u = 1 is excluded outright: its window element is m^k
-    itself, the constructed prime power.
+    U7 leaves out u = 1 (its window element is m^k itself, the
+    constructed prime power) and every offset a small band strikes.
     """
     k = sets.k
-    domain = [u for u in sets.u7 if u != 1]
     adjacency: dict[int, tuple[int, ...]] = {}
-    for u in domain:
+    for u in sets.u7:
         edges = []
         for p in sets.p3tilde:
             a = (1 - u) % p
@@ -259,7 +271,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
         if pow(root, k, p) != (1 - u) % p:
             raise RuntimeError(f"chosen root fails re-verification at (u={u}, p={p})")
         matched[u] = (p, root)
-    unmatched = tuple(u for u in domain if u not in matched)
+    unmatched = tuple(u for u in sets.u7 if u not in matched)
     return KMatching(matched=matched, unmatched=unmatched)
 
 
@@ -520,7 +532,7 @@ def construct_certificate_k(
 ) -> KCertificate:
     """Run the full k-th power pipeline, auto-shrinking y on capacity."""
     sch, sets, trace = shrink_to_capacity(
-        sch, build_sets_k, lambda s: (len(s.u7), len(s.p3tilde))
+        sch, build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
     )
     sets = replace(sets, u6=legendre_screen(sch, sets.p3tilde))
     matching = match_offsets(sets)

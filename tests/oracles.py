@@ -23,14 +23,15 @@ def congruence_witness(value: int, congruences) -> int:
     return least_divisor(value, [c.modulus for c in congruences])
 
 
-def unstruck_offsets(y: int, p1, p2) -> tuple[int, ...]:
-    """The squarefree offsets of [-y, y] that need an assigned prime, from
-    the definition: no prime of p1 divides u and no prime of p2 divides
-    u + 1."""
+def unstruck_offsets(y: int, p1, p2, shift: int = 1) -> tuple[int, ...]:
+    """The offsets of [-y, y] that neither small band strikes, from the
+    definition: no prime of p1 divides u and no prime of p2 divides
+    u + shift.  With shift 1 these are the squarefree offsets that need an
+    assigned prime; kpower's U7 takes shift 2^k - 1 and drops u = 1."""
     return tuple(
         u
         for u in range(-y, y + 1)
-        if not least_divisor(u, p1) and not least_divisor(u + 1, p2)
+        if not least_divisor(u, p1) and not least_divisor(u + shift, p2)
     )
 
 

@@ -124,23 +124,26 @@ def _first_congruence_twice(covering_congruences):
     )
 
 
+# kpower k=1, x=200 matches no offset, so the kpower faults spoil k=3,
+# x=1000, which matches 13
 @pytest.mark.parametrize(
-    "mode, module, name, spoil, message",
+    "argv, module, name, spoil, message",
     [
-        ("kpower", kpower, "match_offsets", _zero_root, "zero root"),
-        ("kpower", kpower, "match_offsets", _band_one_prime_matched,
-         "duplicate modulus"),
-        ("squarefree", squarefree, "covering_congruences", _first_congruence_twice,
-         "duplicate modulus"),
+        (("--mode", "kpower", "--k", "3", "--x", "1000"), kpower, "match_offsets",
+         _zero_root, "zero root"),
+        (("--mode", "kpower", "--k", "3", "--x", "1000"), kpower, "match_offsets",
+         _band_one_prime_matched, "duplicate modulus"),
+        (("--mode", "squarefree", "--x", "200"), squarefree, "covering_congruences",
+         _first_congruence_twice, "duplicate modulus"),
     ],
     ids=["kpower zero root", "kpower duplicate modulus", "squarefree duplicate modulus"],
 )
 def test_construct_invalid_congruence_system_exits_70(
-    capsys, monkeypatch, mode, module, name, spoil, message
+    capsys, monkeypatch, argv, module, name, spoil, message
 ):
     # these construction faults raise a ValueError subclass, not a usage error
     monkeypatch.setattr(module, name, spoil(getattr(module, name)))
-    code, out, err = run_cli(capsys, "construct", "--mode", mode, "--x", "200")
+    code, out, err = run_cli(capsys, "construct", *argv)
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal error: ")
@@ -352,7 +355,7 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     assert "malformed document" in err
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.4", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -539,15 +542,17 @@ def test_matrix_scan_needs_kpower_mode(tmp_path, capsys, micro_doc_text):
 
 
 @pytest.mark.parametrize(
-    "x,detail",
-    [(100, "m is proven prime"), (200, "m is a BPSW probable prime")],
+    "k,x,detail",
+    [(1, 100, "m is proven prime"), (3, 1000, "m is a BPSW probable prime")],
     ids=["proven", "bpsw"],
 )
-def test_verify_prime_base_names_its_tier(tmp_path, capsys, x, detail):
-    # x=100 gives a 56-bit m, x=200 an 82-bit m above MR_DETERMINISTIC_BOUND
-    path = tmp_path / "k1.json"
+def test_verify_prime_base_names_its_tier(tmp_path, capsys, k, x, detail):
+    # k=1, x=100 gives a 17-bit m; k=3, x=1000 a 122-bit m, above
+    # MR_DETERMINISTIC_BOUND (about 3.3*10^24, 82 bits)
+    path = tmp_path / "k.json"
     code, _, _ = run_cli(
-        capsys, "construct", "--mode", "kpower", "--x", str(x), "--out", str(path)
+        capsys, "construct", "--mode", "kpower", "--k", str(k), "--x", str(x),
+        "--out", str(path),
     )
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", str(path))

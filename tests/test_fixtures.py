@@ -1,10 +1,13 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-format-1.0 and format-1.1 documents that came before them
-(tests/fixtures/v1.0/, tests/fixtures/v1.1/) still verify."""
+format-1.0, 1.1 and 1.2 documents that came before them
+(tests/fixtures/v1.0/, v1.1/, v1.2/) still verify.  A kpower k=2,
+x=3*10^4 certificate makes the same CLI round trip without a golden
+copy."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,12 +47,16 @@ def test_fixture_rebuilds_byte_identical(name, tmp_path, capsys):
     assert_verifies(FIXTURES / name, capsys)
 
 
-@each_case
-def test_fixture_passes_the_benchmark_check(name):
+def bench_check(text):
     spec = importlib.util.spec_from_file_location("e2ebench_check", BENCH_CHECK)
     check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check)
-    assert check.check_certificate((FIXTURES / name).read_text()) == []
+    return check.check_certificate(text)
+
+
+@each_case
+def test_fixture_passes_the_benchmark_check(name):
+    assert bench_check((FIXTURES / name).read_text()) == []
 
 
 @each_case
@@ -60,3 +67,27 @@ def test_format_1_0_fixture_still_verifies(name, capsys):
 @each_case
 def test_format_1_1_fixture_still_verifies(name, capsys):
     assert_verifies(FIXTURES / "v1.1" / name, capsys)
+
+
+@each_case
+def test_format_1_2_fixture_still_verifies(name, capsys):
+    assert_verifies(FIXTURES / "v1.2" / name, capsys)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("sf")])
+def test_squarefree_fixture_differs_from_1_2_only_in_version(name):
+    # format 1.3 changed kpower matching only
+    new, old = (
+        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.2")
+    )
+    assert (new.pop("format_version"), old.pop("format_version")) == ("1.3", "1.2")
+    assert new == old
+
+
+def test_kpower_x30000_round_trip(tmp_path, capsys):
+    # construct, verify and the benchmark check at kpower k=2, x=3*10^4
+    out = tmp_path / "kp2_x30000.json"
+    args = ("--mode", "kpower", "--k", "2", "--x", "30000", "--out", str(out))
+    assert cli.main(["construct", *args]) == 0
+    assert_verifies(out, capsys)
+    assert bench_check(out.read_text()) == []

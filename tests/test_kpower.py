@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,10 @@ from oracles import (
     has_augmenting_path,
     largest_prime_factor,
     least_divisor,
+    unstruck_offsets,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # -- set construction -----------------------------------------------------
@@ -126,10 +131,12 @@ def test_screen_catches_squares_for_k2():
 
 
 def test_matching_k1_is_total_and_ascending():
-    sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=6)
+    # y=20: nine offsets that no small band strikes (y=6 leaves none)
+    sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=20)
     sets = build_sets_k(sch)
     matching = match_offsets(sets)
     domain = [u for u in sets.u7 if u != 1]
+    assert len(domain) == 9
     assert matching.unmatched == ()
     assert sorted(matching.matched) == domain
     # linear congruences always solvable: ascending offsets hit ascending
@@ -537,16 +544,69 @@ def test_classes_and_witnesses_match_their_definitions(k, x):
 
 def test_minus_one_struck_by_mid_band(k1_cert):
     # every mid-band prime divides u + 1 = 0 at u = -1, so the least of
-    # them witnesses -1 although |u| = 1 is no prime, and the offset stays
-    # covered without its own matched congruence
+    # them witnesses -1 although |u| = 1 is no prime.  The paper counts -1
+    # (z-smooth, in U4) as needing a matched prime, but it gets none, and
+    # it stays covered by the band congruences alone
     cert = k1_cert
-    assert -1 in cert.matching.matched and -1 not in cert.sets.u1
+    assert -1 in cert.sets.u4 and -1 not in cert.sets.u1
+    assert -1 not in cert.sets.u7 and -1 not in cert.matching.matched
     assert cert.cover[-1] == min(cert.sets.p2)
-    p = cert.matching.matched[-1][0]
-    congruences = tuple(c for c in cert.congruences if c.modulus != p)
+    bands = set(cert.sets.p1) | set(cert.sets.p2)
+    congruences = tuple(c for c in cert.congruences if c.modulus in bands)
     cover, exceptions, _ = verify_power_window(cert.m, congruences, cert.schedule)
     assert cover[-1] == min(cert.sets.p2)
     assert -1 not in {u for u, _ in exceptions}
+
+
+KPOWER_GRID = [(1, 100), (1, 200), (2, 600), (2, 2000), (3, 1000), (4, 2000),
+               (5, 2000)]
+
+
+@pytest.fixture(scope="module", params=KPOWER_GRID, ids=lambda kx: f"k{kx[0]}-x{kx[1]}")
+def grid_cert(request):
+    k, x = request.param
+    return construct_certificate_k(make_schedule(x, k, "practical"))
+
+
+def test_u7_is_the_offsets_no_band_strikes(grid_cert):
+    sets, y = grid_cert.sets, grid_cert.schedule.y
+    shift = (1 << sets.k) - 1
+    expected = tuple(u for u in unstruck_offsets(y, sets.p1, sets.p2, shift) if u != 1)
+    assert sets.u7 == expected
+
+
+def test_no_matched_offset_has_a_band_witness(grid_cert):
+    sets = grid_cert.sets
+    shift = (1 << sets.k) - 1
+    bands = set(sets.p1) | set(sets.p2)
+    for u in grid_cert.matching.matched:
+        assert not least_divisor(u, sets.p1) and not least_divisor(u + shift, sets.p2)
+        assert grid_cert.cover[u] not in bands
+
+
+def test_every_matched_prime_witnesses_an_offset(grid_cert):
+    witnesses = set(grid_cert.cover.values())
+    assert all(p in witnesses for p, _ in grid_cert.matching.matched.values())
+
+
+def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):
+    cert = grid_cert
+    matching = cert.matching
+    assert set(matching.matched) | set(matching.unmatched) == set(cert.sets.u7)
+    assert [u for u, _ in cert.exceptions] == list(cert.matching.unmatched)
+
+
+@pytest.mark.parametrize(
+    "name", ["kp1_x200.json", "kp2_x600_full.json", "kp3_x1000.json", "kp5_x2000.json"]
+)
+def test_fixture_keeps_format_1_2_window(name):
+    # U7 changes which primes are matched, never y or the exceptions
+    new, old = (
+        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.2")
+    )
+    assert new["schedule"] == old["schedule"]
+    assert new["metrics"]["autoshrink_trace"] == old["metrics"]["autoshrink_trace"]
+    assert [e["u"] for e in new["exceptions"]] == [e["u"] for e in old["exceptions"]]
 
 
 def test_verify_rechecks_divisions(k1_cert):
