@@ -99,6 +99,19 @@ def workloads(quick):
              lambda: numtheory._pooled_cofactor(m, bound, 2)),
         ]
 
+    # the head of a pooled trial scan (numtheory._SCAN_HEAD_BOUND): a
+    # candidate of the squarefree x=10^4 size (5,600 bits) that the square
+    # of the largest prime below 2^16 divides, rejected in-process, against
+    # the one pooled scan that rejecting it with a one-block head costs
+    head_m = scan_input(5600)
+    head_p = max(kernels.sieve_primes(numtheory._SCAN_HEAD_BOUND))
+    head_rows = [
+        ("head: p^2 | m, p=%d, 5600 bits" % head_p,
+         lambda: numtheory._pooled_cofactor(head_m * head_p**2, bound, 2)),
+        ("trial scan 5600 bits, 2 workers",
+         lambda: numtheory._pooled_cofactor(head_m, bound, 2)),
+    ]
+
     return [
         ("sieve_primes(%.0e)" % sieve_limit, lambda: kernels.sieve_primes(sieve_limit)),
         ("trial blocks(%.0e)" % sieve_limit, lambda: build_blocks(sieve_limit)),
@@ -119,6 +132,7 @@ def workloads(quick):
         ("pool start+stop, 2 workers", pool_start_stop),
         *scan_rows(numtheory._SCAN_POOL_MIN_BITS),
         *([] if quick else scan_rows(10625)),
+        *head_rows,
     ]
 
 

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.3"
+FORMAT_VERSION = "1.4"
 
 
 @contextmanager
@@ -141,10 +141,11 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
-    # 1.0 to 1.2 differ from 1.3 in how witnesses were chosen and primes
-    # assigned or matched, and in what ``sets`` and ``metrics`` list;
-    # verify reads none of that, as it checks each witness by its division
-    if doc["format_version"] not in ("1.0", "1.1", "1.2", FORMAT_VERSION):
+    # 1.0 to 1.3 differ from 1.4 in how witnesses were chosen, residues
+    # picked and primes assigned or matched, and in what ``sets`` and
+    # ``metrics`` list; verify reads none of that, as it checks each
+    # witness by its division
+    if doc["format_version"] not in ("1.0", "1.1", "1.2", "1.3", FORMAT_VERSION):
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
             f"this verifier reads 1.0 to {FORMAT_VERSION}"

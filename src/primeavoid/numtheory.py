@@ -1,7 +1,8 @@
 """Exact integer and modular arithmetic primitives, including the window
-tables that both pipelines classify offsets by, the tiered squarefree
-check that the squarefree search and the verifier share, and the
-worker-process policy that it and the kpower prime search use.
+tables and struck witnesses that both pipelines classify offsets by, the
+tiered squarefree check that the squarefree search and the verifier
+share, and the worker-process policy that it and the kpower prime search
+use.
 
 Everything else here is a pure function over Python ints (arbitrary
 precision, no rounding); fixed-width inner loops are delegated to
@@ -38,15 +39,24 @@ TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when
 # about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
 _TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
 # Trial scans of an m of at least this many bits split the blocks after
-# the first across worker processes.  A process's first in-process scan
-# builds every block ("cold"); later ones reuse them ("warm").  On a
-# 2-core host (CPython 3.11, benchmarks/bench_kernels.py) a full scan of
-# a 2048-bit m takes 0.51 s cold, 0.18 s warm and 0.30 s with 2 workers;
-# of a 10,625-bit m, 0.83 s, 0.52 s and 0.48 s.  From this size on the
-# pool saves a first scan (one per construct or verify) more than it
-# costs a repeated one; smaller m, such as a small-x search's, keep the
-# warm blocks.
+# the head (_SCAN_HEAD_BOUND) across worker processes.  A process's first
+# in-process scan builds every block ("cold"); later ones reuse them
+# ("warm").  On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py)
+# a full scan of a 2048-bit m takes 0.51 s cold, 0.18 s warm and 0.30 s
+# with 2 workers; of a 10,625-bit m, 0.83 s, 0.52 s and 0.48 s.  From
+# this size on the pool saves a first scan (one per construct or verify)
+# more than it costs a repeated one; smaller m, such as a small-x
+# search's, keep the warm blocks.
 _SCAN_POOL_MIN_BITS = 2048
+# A pooled scan first checks, in-process, every block holding a prime
+# below this bound, against blocks built once per process.  Each band-one
+# prime p of a squarefree run divides its m by construction, so p*p
+# divides a candidate with chance 1/p; a head ending at the first block
+# would leave each such p above 1386 to a pooled scan.  On a 2-core host
+# (CPython 3.11, benchmarks/bench_kernels.py, row "head: p^2 | m") the
+# head rejects a 5,600-bit candidate with p = 65521 squared in 2 ms, where
+# one pooled scan of that size takes 0.29 s.
+_SCAN_HEAD_BOUND = 2**16
 _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 # a large host forks no more workers than this: a prime search wastes
 # about one survivor test per worker past the first prime, and a trial
@@ -224,16 +234,16 @@ def struck_witnesses(y: int, classes) -> list[int]:
 
 
 def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
-    """Sieve tables of the window [-y, y] that both pipelines classify
-    offsets by:
+    """Sieve tables of the window [-y, y] that kpower classifies offsets
+    by (squarefree reads a band table off struck_witnesses alone):
 
     * band[u + y]: the least prime of p1 dividing u, 0 when none does;
     * mid[u + y]: the least prime of p2 dividing u + shift, 0 when none
       does;
-    * largest[n] for 0 <= n <= y (kpower reads it, squarefree does not):
-      the largest prime factor of n, 0 for n = 0 and n = 1.  So |u| is
-      prime exactly when largest[|u|] == |u| > 1, and |u| >= 1 is
-      z-smooth exactly when largest[|u|] <= z.
+    * largest[n] for 0 <= n <= y: the largest prime factor of n, 0 for
+      n = 0 and n = 1.  So |u| is prime exactly when
+      largest[|u|] == |u| > 1, and |u| >= 1 is z-smooth exactly when
+      largest[|u|] <= z.
 
     band and mid are struck_witnesses of the classes 0 and -shift;
     largest is one kernels.stamp of the primes in ascending order.
@@ -400,21 +410,25 @@ def _scan_slice(rest: int, bound: int, start: int, stop: int) -> int | None:
 
 
 def _pooled_cofactor(m: int, bound: int, workers: int) -> int | None:
-    """trial_cofactor with the blocks after the first split into up to
+    """trial_cofactor with the blocks after the head split into up to
     ``workers`` contiguous slices, one per worker process.
 
-    The first block is scanned here, so a repeated small prime returns
-    at once.  Each worker sieves and builds its own slice's blocks and
-    scans the reduced rest against them; every prime <= bound lies in
-    exactly one block, so dividing out what each worker divided out gives
-    the cofactor, and a repeated prime shows in its own slice.
+    The head, every block holding a prime below _SCAN_HEAD_BOUND, is
+    scanned here against blocks built once per process, so a repeated
+    prime below that bound returns at once, and so does a rest that the
+    head leaves 1 or prime.  Each worker sieves and builds its own slice's
+    blocks and scans the reduced rest against them; every prime <= bound
+    lies in exactly one block, so dividing out what each worker divided
+    out gives the cofactor, and a repeated prime shows in its own slice.
     """
-    rest = _scan_slice(m, bound, 0, 1)
+    head = _trial_block_count(min(bound, _SCAN_HEAD_BOUND))
+    rest = _scan_blocks(m, _trial_blocks(min(bound, head * _TRIAL_BLOCK_SPAN)))
     blocks = _trial_block_count(bound)
-    slices = min(workers, blocks - 1)
-    if rest is None or slices < 1:
+    slices = min(workers, blocks - head)
+    # the first block after the head starts at head * _TRIAL_BLOCK_SPAN + 1
+    if rest is None or slices < 1 or (head * _TRIAL_BLOCK_SPAN + 1) ** 2 > rest:
         return rest
-    cuts = [1 + (blocks - 1) * i // slices for i in range(slices + 1)]
+    cuts = [head + (blocks - head) * i // slices for i in range(slices + 1)]
     with _start_pool(slices) as pool:
         parts = [
             pool.submit(_scan_slice, rest, bound, start, stop)
@@ -433,9 +447,10 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     The primes are scanned in blocks (_scan_blocks).  An m below
     _SCAN_POOL_MIN_BITS bits, or any m when _pool_workers() is 1, is
     scanned here, against blocks built once per process.  A larger m has
-    its blocks after the first split across _pool_workers() processes
-    (_pooled_cofactor).  The verdict None is the same on both paths, and
-    so is the cofactor, unless a scan stopped early:
+    its blocks after the head (the primes below _SCAN_HEAD_BOUND) split
+    across _pool_workers() processes (_pooled_cofactor).  The verdict None
+    is the same on both paths, and so is the cofactor, unless a scan
+    stopped early:
 
     * in-process, the scan stops at the first block whose lower end p has
       p*p > rest; the cofactor is then 1 or a prime, possibly <= bound;

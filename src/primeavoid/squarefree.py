@@ -2,26 +2,34 @@
 
 The pipeline classifies the primes up to x into three bands, strikes the
 window offsets [-y, y] with the congruences of the two small bands,
-assigns one large prime to each offset that neither band strikes, solves
-the resulting system of congruences, searches the progression for a
+gives the offsets that neither band strikes large primes, solves the
+resulting system of congruences, searches the progression for a
 squarefree member, and emits a certificate holding one witness prime
 divisor per window offset: the least modulus q of the system whose
 residue r has u == -r (mod q).
 
-The small bands strike, read off numtheory.window_tables:
+Every prime of band one takes residue 0, so it strikes the offsets it
+divides.  The mid band and the large band choose their classes by one
+greedy rule (greedy_classes): each prime, ascending, takes the class
+that strikes the most offsets still unstruck, the least class on a tie
+(Rankin's covering, as refined by Maier and Pomerance).  So:
 
-  * u1 -- u divisible by a band-one prime (residue 0, so p | m + u);
-  * u2 \\ u6 -- no band-one prime divides u, but a mid-band prime divides
-    u + 1 (residue 1, so p | m + u);
-  * u6 -- everything left, each covered by its own assigned large prime.
+  * u1 -- u divisible by a band-one prime;
+  * u2 -- the rest of the window, the offsets the mid band runs over;
+  * u6 -- the u2 offsets no mid-band class strikes, which the large
+    band covers: a large prime q <= y may strike two of them, u and
+    u + 2q, and the offsets left above y take one prime each.
 
-With 2 in band one (log x >= 2), 2 strikes u = 0 and every mid-band prime
-strikes u = -1, while neither band strikes u = 1, which takes a large prime.
+With 2 in band one (log x >= 2), 2 strikes every even offset, so u2 and
+u6 hold odd offsets only.  A congruence whose modulus is no offset's
+least striker is dropped before the system is solved: it would only
+make m larger.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConstructionError, SearchExhausted
@@ -33,7 +41,6 @@ from .numtheory import (
     crt_solve,
     primes_upto,
     struck_witnesses,
-    window_tables,
 )
 from .schedule import Schedule, iter_log, shrink_to_capacity
 
@@ -42,19 +49,38 @@ DEFAULT_MAX_STEPS = 10_000
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Prime bands and window offset classes for one schedule."""
+    """Prime bands, window offset classes and mid-band classes for one
+    schedule."""
 
+    y: int  # window radius: the offsets are [-y, y]
     p1: tuple[int, ...]  # p <= log x, plus the band (z, x/4]
     p2: tuple[int, ...]  # mid band (log x, z]
     p3: tuple[int, ...]  # large band (x/4, x]: the assignable cover primes
-    # offset classes from window_tables(y, p1, p2, 1), index i = u + y
-    u1: tuple[int, ...]  # band[i] > 0: some band-one prime divides u
+    u1: tuple[int, ...]  # some band-one prime divides u
     u2: tuple[int, ...]  # window minus u1
-    u6: tuple[int, ...]  # u2 offsets with mid[i] == 0: unstruck, so assigned a prime
+    mid_classes: tuple[int, ...]  # greedy class c of each p2 prime over u2
+    u6: tuple[int, ...]  # u2 offsets no mid class strikes: the large band's
+
+
+def greedy_classes(offsets, primes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each prime p of ``primes``, in the order given, takes the class
+    c in [0, p) holding the most of ``offsets`` that no earlier class
+    strikes, the least such c on a tie (0 once none are left).  Returns
+    the classes, one per prime, and the offsets that no class strikes."""
+    left = tuple(offsets)
+    classes = []
+    for p in primes:
+        counts = Counter(u % p for u in left)
+        most = max(counts.values(), default=0)
+        c = min((c for c, n in counts.items() if n == most), default=0)
+        classes.append(c)
+        left = tuple(u for u in left if u % p != c)
+    return tuple(classes), left
 
 
 def build_sets(sch: Schedule) -> SetSystem:
-    """Classify primes and window offsets for a squarefree run."""
+    """Classify primes and window offsets for a squarefree run, and
+    choose the mid-band classes."""
     if sch.degenerate:
         raise ValueError(
             f"degenerate schedule: z={sch.z:.4f} <= log x={iter_log(sch.x, 1):.4f}; "
@@ -70,16 +96,24 @@ def build_sets(sch: Schedule) -> SetSystem:
     p2 = tuple(p for p in primes if log_x < p <= z)
     p3 = tuple(p for p in primes if x / 4 < p <= x)
 
-    band, mid, _ = window_tables(y, p1, p2, 1)
+    band = struck_witnesses(y, ((0, p) for p in p1))
     u1 = tuple(u for u in range(-y, y + 1) if band[u + y])
     u2 = tuple(u for u in range(-y, y + 1) if not band[u + y])
-    u6 = tuple(u for u in u2 if not mid[u + y])
-    return SetSystem(p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, u6=u6)
+    mid_classes, u6 = greedy_classes(u2, p2)
+    return SetSystem(
+        y=y, p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, mid_classes=mid_classes, u6=u6
+    )
 
 
 def assign_primes(sets: SetSystem) -> dict[int, int]:
-    """Injective map u6 -> p3, ascending offsets paired with ascending
-    primes (deterministic tie-break)."""
+    """Map every u6 offset to the large prime whose class strikes it.
+
+    The primes q <= y run greedy_classes over u6, so one class may strike
+    two offsets, u and u + 2q; a prime above y strikes at most one odd
+    offset, so the offsets still left are paired ascending with the
+    primes above y ascending.  A prime whose class strikes no offset still
+    unstruck is left out.
+    """
     if len(sets.u6) > len(sets.p3):
         raise CapacityError(
             f"{len(sets.u6)} offsets need assigned primes but only "
@@ -87,19 +121,27 @@ def assign_primes(sets: SetSystem) -> dict[int, int]:
             needed=len(sets.u6),
             available=len(sets.p3),
         )
-    return dict(zip(sets.u6, sets.p3))
+    small = [q for q in sets.p3 if q <= sets.y]
+    classes, left = greedy_classes(sets.u6, small)
+    phi = dict(zip(left, sets.p3[len(small) :]))
+    for u in set(sets.u6) - set(left):  # the first class to strike u took it
+        phi[u] = next(q for q, c in zip(small, classes) if u % q == c)
+    return dict(sorted(phi.items()))
 
 
 def covering_congruences(
     sets: SetSystem, phi: dict[int, int]
 ) -> tuple[Congruence, ...]:
-    """m0 == 0 mod p for band-one primes, m0 == 1 mod p for mid-band
-    primes, m0 == -u mod p_u for each assigned pair, in that order; a
-    prime used twice makes crt_solve raise."""
+    """m0 == 0 mod p for band-one primes, m0 == -c mod p for each mid-band
+    prime of class c, m0 == -u mod q for each assigned pair (u, q), in
+    that order, once per congruence, without those whose modulus is no
+    offset's least striker; a prime used twice makes crt_solve raise."""
     congs = [Congruence(0, p) for p in sets.p1]
-    congs += [Congruence(1, p) for p in sets.p2]
-    congs += [Congruence((-u) % p, p) for u, p in sorted(phi.items())]
-    return tuple(congs)
+    congs += [Congruence(-c % p, p) for c, p in zip(sets.mid_classes, sets.p2)]
+    pairs = sorted(phi.items(), key=lambda pair: pair[1])
+    congs += dict.fromkeys(Congruence(-u % q, q) for u, q in pairs)
+    witnesses = set(struck_witnesses(sets.y, ((-c.residue, c.modulus) for c in congs)))
+    return tuple(c for c in congs if c.modulus in witnesses)
 
 
 def solve_m0(sets: SetSystem, phi: dict[int, int]) -> tuple[int, int]:

@@ -65,12 +65,13 @@ def test_criterion_1_micro_instance_reproduction(capsys, tmp_path):
     m0 = int(doc["m0"])
     checks = [
         code == 0,
-        # band one (2, 3, 7), the mid band (5), then one assigned prime for
-        # each of the unstruck offsets -5, 1, 5
-        congs == [(0, 2), (0, 3), (0, 7), (1, 5), (5, 11), (12, 13), (12, 17)],
-        doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 3},
-        int(doc["modulus"]) == 510510 == oracle_n,
-        1 <= m0 <= 510510,
+        # band one (2, 3, 7), the mid band's 5 in its greedy class 0 (it
+        # strikes -5 and 5), then one large prime for each of the unstruck
+        # offsets -1 and 1
+        congs == [(0, 2), (0, 3), (0, 7), (0, 5), (1, 11), (12, 13)],
+        doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 2},
+        int(doc["modulus"]) == 30030 == oracle_n,
+        1 <= m0 <= 30030,
         m0 == oracle_m0,
         all(m0 % q == r for r, q in congs),
         sorted(e["u"] for e in doc["cover"]) == list(range(-10, 11)),

@@ -31,9 +31,9 @@ def test_construct_micro_instance(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 3}
-    assert doc["congruences"][:4] == [["0", "2"], ["0", "3"], ["0", "7"], ["1", "5"]]
-    assert doc["modulus"] == "510510"
+    assert doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 2}
+    assert doc["congruences"][:4] == [["0", "2"], ["0", "3"], ["0", "7"], ["0", "5"]]
+    assert doc["modulus"] == "30030"
     assert len(doc["cover"]) == 21
 
 
@@ -246,8 +246,9 @@ def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
 
 @pytest.fixture(scope="module")
 def partial_doc_text():
-    # x=400 leaves an opaque cofactor, so m's recorded tier is "partial"
-    cert = construct_certificate(make_schedule(400, 1, "practical"), seed=0)
+    # x=1160 leaves an opaque 91-bit cofactor, so m's recorded tier is
+    # "partial"
+    cert = construct_certificate(make_schedule(1160, 1, "practical"), seed=0)
     assert cert.squarefree_status == "partial"
     return doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
 
@@ -355,7 +356,7 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     assert "malformed document" in err
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.4", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.5", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):

@@ -1,10 +1,10 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-format-1.0, 1.1 and 1.2 documents that came before them
-(tests/fixtures/v1.0/, v1.1/, v1.2/) still verify.  A kpower k=2,
-x=3*10^4 certificate makes the same CLI round trip without a golden
-copy."""
+format-1.0 to 1.3 documents that came before them (tests/fixtures/v1.0/,
+v1.1/, v1.2/, v1.3/) still verify.  A kpower k=2, x=3*10^4 certificate
+and a squarefree x=3*10^4 one make the same CLI round trip without a
+golden copy."""
 
 import importlib.util
 import json
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from primeavoid import cli
+from primeavoid.document import unlimited_int_digits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_CHECK = Path(__file__).parents[1] / "e2ebench" / "check.py"
@@ -51,7 +52,8 @@ def bench_check(text):
     spec = importlib.util.spec_from_file_location("e2ebench_check", BENCH_CHECK)
     check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check)
-    return check.check_certificate(text)
+    with unlimited_int_digits():  # an x=3*10^4 squarefree m has 5.3k digits
+        return check.check_certificate(text)
 
 
 @each_case
@@ -74,20 +76,44 @@ def test_format_1_2_fixture_still_verifies(name, capsys):
     assert_verifies(FIXTURES / "v1.2" / name, capsys)
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("sf")])
-def test_squarefree_fixture_differs_from_1_2_only_in_version(name):
-    # format 1.3 changed kpower matching only
-    new, old = (
-        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.2")
-    )
-    assert (new.pop("format_version"), old.pop("format_version")) == ("1.3", "1.2")
+@each_case
+def test_format_1_3_fixture_still_verifies(name, capsys):
+    assert_verifies(FIXTURES / "v1.3" / name, capsys)
+
+
+def assert_differ_only_in_version(name, new_dir, old_dir, versions):
+    new, old = (json.loads((d / name).read_text()) for d in (new_dir, old_dir))
+    assert (new.pop("format_version"), old.pop("format_version")) == versions
     assert new == old
 
 
-def test_kpower_x30000_round_trip(tmp_path, capsys):
-    # construct, verify and the benchmark check at kpower k=2, x=3*10^4
-    out = tmp_path / "kp2_x30000.json"
-    args = ("--mode", "kpower", "--k", "2", "--x", "30000", "--out", str(out))
-    assert cli.main(["construct", *args]) == 0
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("sf")])
+def test_squarefree_fixture_differs_from_1_2_only_in_version(name):
+    # format 1.3 changed kpower matching only
+    assert_differ_only_in_version(
+        name, FIXTURES / "v1.3", FIXTURES / "v1.2", ("1.3", "1.2")
+    )
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("kp")])
+def test_kpower_fixture_differs_from_1_3_only_in_version(name):
+    # format 1.4 changed squarefree residues and assignments only
+    assert_differ_only_in_version(
+        name, FIXTURES, FIXTURES / "v1.3", ("1.4", "1.3")
+    )
+
+
+def assert_round_trip(tmp_path, capsys, *args):
+    # construct, verify and the benchmark check
+    out = tmp_path / "cert.json"
+    assert cli.main(["construct", *args, "--out", str(out)]) == 0
     assert_verifies(out, capsys)
     assert bench_check(out.read_text()) == []
+
+
+def test_kpower_x30000_round_trip(tmp_path, capsys):
+    assert_round_trip(tmp_path, capsys, "--mode", "kpower", "--k", "2", "--x", "30000")
+
+
+def test_squarefree_x30000_round_trip(tmp_path, capsys):
+    assert_round_trip(tmp_path, capsys, "--mode", "squarefree", "--x", "30000")

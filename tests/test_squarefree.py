@@ -35,17 +35,20 @@ from primeavoid.squarefree import (
 
 from oracles import (
     congruence_witness,
+    greedy_classes,
+    large_prime_classes,
     least_divisor,
     offset_partition_holds,
-    unstruck_offsets,
 )
+
+
+# x=40 explicit instance: small enough to verify by hand
+MICRO = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
 
 
 @pytest.fixture(scope="module")
 def micro():
-    """x=40 explicit instance: small enough to verify by hand."""
-    sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
-    return sch, build_sets(sch)
+    return MICRO, build_sets(MICRO)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -110,8 +113,9 @@ def test_micro_prime_bands(micro):
 def test_micro_offset_classes(micro):
     _, sets = micro
     assert sets.u2 == (-5, -1, 1, 5)
-    # 5 | u + 1 strikes u = -1; 0 is in u1 (2 divides it)
-    assert sets.u6 == (-5, 1, 5)
+    # 5's class 0 holds -5 and 5, the most of u2; 0 is in u1 (2 divides it)
+    assert sets.mid_classes == (0,)
+    assert sets.u6 == (-1, 1)
 
 
 def test_micro_window_scan_oracle(micro):
@@ -126,7 +130,9 @@ def test_tiny_window_edge():
     sets = build_sets(sch)
     assert sets.u2 == (-1, 1)
     assert set(sets.u1) | set(sets.u2) == set(range(-3, 4))
-    assert sets.u6 == (1,)
+    # 5's classes 1 and 4 hold one offset each: the tie goes to 1
+    assert sets.mid_classes == (1,)
+    assert sets.u6 == (-1,)
 
 
 def test_degenerate_schedule_rejected():
@@ -149,7 +155,7 @@ def test_monotone_cardinalities():
 def test_partition_micro(micro):
     sch, sets = micro
     assert offset_partition_holds(sets, sch.y)
-    assert unstruck_offsets(sch.y, sets.p1, sets.p2) == (-5, 1, 5)
+    assert greedy_classes(sets.u2, sets.p2) == ((0,), (-1, 1))
 
 
 def test_partition_practical_1000():
@@ -159,9 +165,9 @@ def test_partition_practical_1000():
 
 def test_partition_detects_artificial_violation(micro):
     sch, sets = micro
-    # -1 and 0 are struck (5 | u + 1 and 2 | u), so assigning them large
+    # -5 and 0 are struck (5 | u and 2 | u), so assigning them large
     # primes breaks the law
-    broken = replace(sets, u6=(-5, -1, 0, 1, 5))
+    broken = replace(sets, u6=(-5, -1, 0, 1))
     assert not offset_partition_holds(broken, sch.y)
 
 
@@ -170,7 +176,7 @@ def test_partition_detects_artificial_violation(micro):
 
 def test_assignment_micro(micro):
     _, sets = micro
-    assert assign_primes(sets) == {-5: 11, 1: 13, 5: 17}
+    assert assign_primes(sets) == {-1: 11, 1: 13}
 
 
 def test_assignment_empty():
@@ -192,10 +198,10 @@ def test_assignment_bijection_at_boundary(micro):
 
 def test_assignment_capacity_error(micro):
     _, sets = micro
-    squeezed = replace(sets, p3=sets.p3[:2])
+    squeezed = replace(sets, p3=sets.p3[:1])
     with pytest.raises(CapacityError) as err:
         assign_primes(squeezed)
-    assert err.value.needed == 3 and err.value.available == 2
+    assert err.value.needed == 2 and err.value.available == 1
 
 
 # -- congruence solving ---------------------------------------------------------
@@ -205,10 +211,10 @@ def test_solve_m0_micro_against_stepping_oracle(micro):
     _, sets = micro
     phi = assign_primes(sets)
     n, m0 = solve_m0(sets, phi)
-    assert n == 510510
+    assert n == 30030
     congs = (
         [(0, p) for p in sets.p1]
-        + [(1, p) for p in sets.p2]
+        + [((-c) % p, p) for c, p in zip(sets.mid_classes, sets.p2)]
         + [((-u) % p, p) for u, p in sorted(phi.items())]
     )
     oracle_m0, oracle_n = stepping_crt(congs)
@@ -227,8 +233,8 @@ def test_solve_m0_zero_maps_to_n(micro):
 
 def test_solve_m0_single_congruence(micro):
     _, sets = micro
-    tiny = replace(sets, p1=(), p2=(5,), u6=())
-    assert solve_m0(tiny, {}) == (5, 1)
+    tiny = replace(sets, p1=(), p2=(5,), mid_classes=(1,), u6=())
+    assert solve_m0(tiny, {}) == (5, 4)
 
 
 def test_solve_m0_duplicate_modulus(micro):
@@ -346,16 +352,19 @@ def test_power_screen_keeps_every_verdict():
 # -- pooled trial scan ----------------------------------------------------------
 
 POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
-POOL_BOUND = 10**5  # 73 trial blocks: the head and three slices of 24
+POOL_BOUND = 10**5  # 73 trial blocks: a head of 48 and slices of 8, 8 and 9
 BIG_PRIME = 2**89 - 1  # above POOL_BOUND**2, so no scan stops early
+ONE_BLOCK = numtheory._TRIAL_BLOCK_SPAN  # a head bound that gives one block
 
 
-def pool_slices(bound, workers=POOL_WORKERS):
+def pool_slices(bound, workers=POOL_WORKERS, head_bound=numtheory._SCAN_HEAD_BOUND):
     """The block ranges the head and each worker scan, as
-    _pooled_cofactor lays them out."""
+    _pooled_cofactor lays them out for a head of the primes below
+    ``head_bound``."""
     blocks = len(_trial_blocks(bound))
-    cuts = [1 + (blocks - 1) * i // workers for i in range(workers + 1)]
-    return [(0, 1), *zip(cuts, cuts[1:])]
+    head = len(_trial_blocks(min(bound, head_bound)))
+    cuts = [head + (blocks - head) * i // workers for i in range(workers + 1)]
+    return [(0, head), *zip(cuts, cuts[1:])]
 
 
 def scan_both_ways(monkeypatch, m, bound, start_pool=None):
@@ -392,18 +401,21 @@ def assert_paths_agree(here, pooled, m, bound, expected=None):
 
 
 def planted_primes(bound):
-    """2, which the head block holds, a prime in the middle of each
-    worker's slice, the primes on both sides of every slice boundary, and
-    the largest prime <= bound."""
+    """2, which the first block holds, the largest prime <= bound, and for
+    each range of the layout, a prime in its middle and the primes on
+    both sides of its start.  The ranges are those of the scan's own
+    layout and of the layout with a one-block head, whose boundaries fall
+    inside the head and inside the slices."""
     primes = primes_upto(bound)
     lows = [lo for lo, _ in _trial_blocks(bound)]
     planted = {primes[-1]}
-    for start, stop in pool_slices(bound):
-        middle = lows[(start + stop) // 2]
-        planted.add(next(p for p in primes if p >= middle))
-        if start:
-            planted.add(max(p for p in primes if p < lows[start]))
-            planted.add(next(p for p in primes if p >= lows[start]))
+    for head_bound in (ONE_BLOCK, numtheory._SCAN_HEAD_BOUND):
+        for start, stop in pool_slices(bound, head_bound=head_bound):
+            middle = lows[(start + stop) // 2]
+            planted.add(next(p for p in primes if p >= middle))
+            if start:
+                planted.add(max(p for p in primes if p < lows[start]))
+                planted.add(next(p for p in primes if p >= lows[start]))
     return sorted(planted)
 
 
@@ -415,8 +427,9 @@ def test_pooled_scan_finds_planted_prime(monkeypatch, p, times):
     assert_paths_agree(here, pooled, m, POOL_BOUND)
     assert (pooled is None) == (times == 2)
     assert pooled in (None, BIG_PRIME)
-    # a repeated prime of the head block is found before any pool starts
-    head_repeat = times == 2 and p < _trial_blocks(POOL_BOUND)[1][0]
+    # a repeated prime of the head is found before any pool starts
+    (_, head), *_ = pool_slices(POOL_BOUND)
+    head_repeat = times == 2 and p < _trial_blocks(POOL_BOUND)[head][0]
     assert started == ([] if head_repeat else [POOL_WORKERS])
 
 
@@ -433,10 +446,11 @@ def test_pooled_scan_reaches_the_last_prime_below_the_bound(monkeypatch, times):
 
 def test_pooled_scan_matches_reference_cases(monkeypatch):
     # one pool serves every case, which keeps the scans quick; each case
-    # still splits its blocks across POOL_WORKERS processes
+    # the head does not settle still splits its blocks across POOL_WORKERS
+    # processes
     tiers, pooled_scans = set(), 0
     with numtheory._start_pool(POOL_WORKERS) as pool:
-        for m in islice(reference_cases(POOL_BOUND), 300):
+        for m in islice(reference_cases(POOL_BOUND), 450):
             here, pooled, started = scan_both_ways(
                 monkeypatch, m, POOL_BOUND, start_pool=lambda workers: nullcontext(pool)
             )
@@ -447,6 +461,25 @@ def test_pooled_scan_matches_reference_cases(monkeypatch):
             pooled_scans += len(started)
     assert tiers == {"proven", "prp", "partial", "not_squarefree"}
     assert pooled_scans > 200
+
+
+@pytest.mark.parametrize("p", [1399, 65521])  # just above the first block, below 2^16
+def test_head_rejects_a_repeated_prime_below_2_16_without_a_pool(monkeypatch, p):
+    # p * p times primes above the trial bound, past the pool cutoff
+    bound = SQUAREFREE_TRIAL_BOUND
+    m, q = p * p, bound + 1
+    while m.bit_length() < numtheory._SCAN_POOL_MIN_BITS:
+        q += 2
+        if is_prime(q):
+            m *= q
+
+    def no_pool(workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(numtheory, "_pool_workers", lambda: 2)
+    monkeypatch.setattr(numtheory, "_start_pool", no_pool)
+    assert trial_cofactor(m) is None
+    assert classify_squarefree(m) == "not_squarefree"
 
 
 def test_trial_cofactor_rejects_m_below_one():
@@ -503,7 +536,7 @@ def test_classes_and_witnesses_match_their_definitions(x):
     window = range(-y, y + 1)
     assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
     assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
-    assert sets.u6 == unstruck_offsets(y, sets.p1, sets.p2)
+    assert (sets.mid_classes, sets.u6) == greedy_classes(sets.u2, sets.p2)
     assert cert.cover == {
         u: congruence_witness(cert.m + u, cert.congruences) for u in window
     }
@@ -511,6 +544,27 @@ def test_classes_and_witnesses_match_their_definitions(x):
     small = set(sets.p1) | set(sets.p2)
     for u, witness in cert.cover.items():
         assert (witness in sets.p3 if u in sets.u6 else witness in small), u
+
+
+@pytest.mark.parametrize(
+    "sch",
+    [MICRO, *(make_schedule(x, 1, "practical") for x in (150, 400, 1000))],
+    ids=["micro", "150", "400", "1000"],
+)
+def test_mid_and_large_classes_are_the_greedy_choice(sch):
+    sets = build_sets(sch)
+    assert (sets.mid_classes, sets.u6) == greedy_classes(sets.u2, sets.p2)
+    assert assign_primes(sets) == large_prime_classes(sets.u6, sets.p3, sch.y)
+
+
+@pytest.mark.parametrize("x", [150, 1000, 10**4])
+def test_every_congruence_witnesses_an_offset(x):
+    cert = construct_certificate(make_schedule(x, 1, "practical"))
+    assert {c.modulus for c in cert.congruences} == set(cert.cover.values())
+    # so every large prime covers one or two offsets, all of them in u6
+    assert set(cert.phi) == set(cert.sets.u6)
+    for p in set(cert.phi.values()):
+        assert 1 <= sum(w == p for w in cert.cover.values()) <= 2
 
 
 def test_verify_window_micro(micro):
@@ -521,11 +575,11 @@ def test_verify_window_micro(micro):
     cover = verify_window(m, covering_congruences(sets, phi), sch)
     assert len(cover) == 2 * sch.y + 1
     assert cover[-7] == 7
-    # u = 0 and -1 are struck by 2 | m (band one) and 5 | m - 1 (mid
-    # band), so only -5, 1 and 5 carry assigned primes
+    # u = 0 and +-5 are struck by 2 | m (band one) and 5 | m (mid band's
+    # class 0), so only -1 and 1 carry assigned primes
     assert cover[0] == 2
-    assert cover[-1] == 5
-    assert (cover[-5], cover[1], cover[5]) == (11, 13, 17)
+    assert cover[-5] == cover[5] == 5
+    assert (cover[-1], cover[1]) == (11, 13)
     assert cover[4] == 2
     for u, witness in cover.items():
         assert (m + u) % witness == 0
@@ -570,7 +624,7 @@ def test_avoidance_constant_linear_in_y():
 def test_certificate_micro_end_to_end():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     cert = construct_certificate(sch)
-    assert cert.modulus == 510510
+    assert cert.modulus == 30030
     assert 1 <= cert.m0 <= cert.modulus
     assert cert.m % cert.modulus == cert.m0 % cert.modulus
     assert len(cert.cover) == 21
@@ -588,11 +642,13 @@ def test_certificate_windows_total_coverage(x):
     for u, witness in cert.cover.items():
         assert witness <= x
         assert (cert.m + u) % witness == 0
-    # every block of congruences reproduces its residues
-    for p in cert.sets.p1:
-        assert cert.m0 % p == 0
-    for p in cert.sets.p2:
-        assert cert.m0 % p == 1
+    # every congruence kept reproduces its band's residue
+    residues = {c.modulus: c.residue for c in cert.congruences}
+    assert all(cert.m0 % q == r for q, r in residues.items())
+    for p in set(cert.sets.p1) & set(residues):
+        assert residues[p] == 0
+    for c, p in zip(cert.sets.mid_classes, cert.sets.p2):
+        assert residues.get(p, -c % p) == -c % p
     for u, p in cert.phi.items():
         assert (cert.m0 + u) % p == 0
 
