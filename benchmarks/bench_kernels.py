@@ -12,7 +12,7 @@ import argparse
 import random
 import time
 
-from primeavoid import kernels, numtheory, squarefree
+from primeavoid import kernels, kpower, numtheory, squarefree
 from primeavoid.schedule import make_schedule
 
 
@@ -56,12 +56,20 @@ def workloads(quick):
     ]
     chunk = 1024
     # the two costs kpower._POOL_MIN_BITS weighs: one base-2 round on a
-    # survivor, and a 2-worker pool started, given one task and shut down
+    # survivor, and a 2-worker pool started, given one task and shut down;
+    # kpower._sieve_depth weighs the round at 320 and 2800 bits (the
+    # reduced and the full-modulus kp2 certificates) against the cost of
+    # each prime's root in kpower._root_table
     spp_rounds = 10 if quick else 50
 
-    def spp(bits):
+    def spp(bits, rounds=spp_rounds):
         n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        return lambda: [numtheory._strong_probable_prime(n, 2) for _ in range(spp_rounds)]
+        return lambda: [numtheory._strong_probable_prime(n, 2) for _ in range(rounds)]
+
+    def root_table(bits, bound, repeat):
+        modulus = rng.getrandbits(bits) | (1 << (bits - 1))
+        m0 = rng.randrange(modulus)
+        return lambda: [kpower._root_table(m0, modulus, bound) for _ in range(repeat)]
 
     def pool_start_stop():
         pool = numtheory._start_pool(2)
@@ -127,8 +135,14 @@ def workloads(quick):
          lambda: kernels.sifted_count(sift_limit, sift_rules)),
         ("strike %d primes x%d steps" % (len(classes), chunk),
          lambda: kernels.strike(bytearray(b"\x01") * chunk, classes)),
+        ("base-2 spp round 320 bits x%d" % spp_rounds, spp(320)),
         ("base-2 spp round 1024 bits x%d" % spp_rounds, spp(1024)),
         ("base-2 spp round 2048 bits x%d" % spp_rounds, spp(2048)),
+        ("base-2 spp round 2800 bits x10", spp(2800, 10)),
+        ("root table 2^10, 320 bits x100", root_table(320, 2**10, 100)),
+        ("root table 2^14, 320 bits x10", root_table(320, 2**14, 10)),
+        ("root table 2^18, 320 bits", root_table(320, 2**18, 1)),
+        ("root table 2^18, 2800 bits", root_table(2800, 2**18, 1)),
         ("pool start+stop, 2 workers", pool_start_stop),
         *scan_rows(numtheory._SCAN_POOL_MIN_BITS),
         *([] if quick else scan_rows(10625)),

@@ -4,6 +4,10 @@ Subcommands: construct (run a pipeline, emit a certificate document),
 verify (re-check a document), bench-sieve (bound vs. exact count over a
 parameter grid), matrix-scan (progression rows above a certificate).
 
+Each handler imports the modules its command runs and no others, so
+that ``verify`` loads no construction code and ``construct`` only the
+mode it runs.
+
 Exit codes: 0 success, 1 verification/bench failure, 2 capacity failure,
 3 search exhaustion, 64 usage error, 65 malformed document, 66 missing
 certificate file, 70 internal error (a construction consistency check
@@ -17,11 +21,7 @@ import json
 import math
 import sys
 
-from . import document as doc_mod
-from . import kpower, sievebound, squarefree
 from .errors import CapacityError, ConstructionError, DocumentError, SearchExhausted
-from .numtheory import primes_upto
-from .schedule import make_schedule
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,6 +94,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_construct(args) -> int:
+    from . import document as doc_mod
+    from .schedule import make_schedule
+
     try:
         sch = make_schedule(
             args.x,
@@ -112,12 +115,16 @@ def _cmd_construct(args) -> int:
 
     try:
         if args.mode == "squarefree":
+            from . import squarefree
+
             max_steps = args.max_steps or squarefree.DEFAULT_MAX_STEPS
             cert = squarefree.construct_certificate(
                 sch, max_steps=max_steps, seed=args.seed
             )
             doc = doc_mod.certificate_to_document(cert)
         else:
+            from . import kpower
+
             max_steps = args.max_steps or kpower.DEFAULT_PRIME_STEPS
             cert = kpower.construct_certificate_k(
                 sch,
@@ -150,6 +157,8 @@ def _cmd_construct(args) -> int:
 
 
 def _load_document(path: str) -> dict:
+    from . import document as doc_mod
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -164,6 +173,8 @@ def _load_document(path: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from . import document as doc_mod
+
     doc = _load_document(args.path)
     report = doc_mod.verify_document(doc)
     print(report.render())
@@ -183,6 +194,10 @@ def _parse_grid(text: str, cast, option: str) -> list:
 
 
 def _cmd_bench_sieve(args) -> int:
+    from . import sievebound
+    from .numtheory import primes_upto
+    from .schedule import make_schedule
+
     lams = _parse_grid(args.lam, float, "--lam")
     bs = _parse_grid(args.b, int, "--b")
     try:
@@ -247,6 +262,9 @@ def _cmd_bench_sieve(args) -> int:
 
 
 def _cmd_matrix_scan(args) -> int:
+    from . import document as doc_mod
+    from . import kpower
+
     doc = _load_document(args.path)
     if doc["mode"] != "kpower":
         print("error: matrix-scan needs a kpower certificate", file=sys.stderr)

@@ -4,6 +4,10 @@ All big integers are carried as decimal strings so no consumer can
 truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
 primality claims); it never re-runs the construction.
+
+The verifier loads no construction module and no ``dataclasses``: the
+``verify`` command imports this module, numtheory, kernels and errors,
+and nothing else of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DocumentError
@@ -51,6 +54,8 @@ def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
     """The keys both modes share, read off the certificate as built, plus
     the cardinality of each of the mode's named ``sets`` (the lower-cased
     attribute of cert.sets), its own metrics and top-level ``fields``."""
+    from dataclasses import asdict  # loaded already by the construction
+
     return {
         "format_version": FORMAT_VERSION,
         "seed": cert.seed,
@@ -184,10 +189,13 @@ def parse_document(text: str) -> dict:
 _TIER_RANK = {"partial": 0, "prp": 1, "proven": 2}
 
 
-@dataclass
 class VerifyReport:
-    sections: list[tuple[str, bool, str]]
-    notes: list[str]
+    """The verdict of each checked section, (name, passed, detail), and
+    notes that change no verdict."""
+
+    def __init__(self, sections: list[tuple[str, bool, str]], notes: list[str]):
+        self.sections = sections
+        self.notes = notes
 
     @property
     def ok(self) -> bool:

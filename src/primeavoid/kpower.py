@@ -40,8 +40,10 @@ from .numtheory import (
 from .schedule import Schedule, shrink_to_capacity
 
 DEFAULT_PRIME_STEPS = 100_000
-# progression-sieve depth and the number of steps sieved at a time
+# the progression sieve's depth cap and floor (_sieve_depth) and the
+# number of steps sieved at a time
 _SCREEN_PRIME_LIMIT = 2**18
+_SCREEN_PRIME_FLOOR = 2**10
 _SIEVE_CHUNK = 1024
 # Sieve survivors of at least this many bits are tested in worker
 # processes.  On a 2-core host (CPython 3.11) a base-2 round costs 4.4 ms
@@ -324,10 +326,44 @@ def covering_congruences(
     return tuple(congs)
 
 
+def _sieve_depth(bits: int) -> int:
+    """The progression sieve's prime bound for members of ``bits`` bits:
+    (bits / 32)^3, at least _SCREEN_PRIME_FLOOR and at most
+    _SCREEN_PRIME_LIMIT, which it reaches at 2048 bits.
+
+    A sieve prime p costs one root in the table (_root_table) and spares
+    the test of each survivor it divides: about T / p of the
+    T ~ 0.39 * bits / ln(bound) survivors tested before the prime
+    (Mertens), each rejected by one base-2 round.  So p pays up to the
+    bound with bound * ln(bound) ~ 0.39 * bits * round / root.  On a
+    2-core host (CPython 3.11, benchmarks/bench_kernels.py) a root costs
+    1.2-1.5 us at 320 bits and 2.7 us at 2800, and a base-2 round 0.18 ms
+    and 68 ms: the balance lies near 2^11 at 320 bits and far above the
+    cap at 2800, and grows as about bits^3.  The rule stays below it,
+    since under 2^16 is_prime's primorial gcd rejects a survivor for less
+    than a round: at 320 bits, the size of the reduced kpower
+    certificates, a search takes 2-5 ms from 2^10 to 2^12 and 36-47 ms at
+    2^18, and from 1024 bits up it is flat within noise from 2^12 to 2^18.
+    """
+    return min(_SCREEN_PRIME_LIMIT, max(_SCREEN_PRIME_FLOOR, bits**3 >> 15))
+
+
+def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
+    """The primes p <= bound that do not divide the modulus, and for each
+    the step class -m0 / modulus (mod p) of the members it divides."""
+    primes, roots = array("i"), array("i")
+    for p in kernels.iter_primes(bound):
+        step = modulus % p
+        if step:
+            primes.append(p)
+            roots.append(-(m0 % p) * pow(step, -1, p) % p)
+    return primes, roots
+
+
 def _sieved_steps(m0: int, modulus: int, last: int):
     """Steps j = 1..last, ascending, whose member m0 + j*modulus has no
-    prime factor p <= _SCREEN_PRIME_LIMIT that is coprime to the modulus,
-    or is itself at most that bound.
+    prime factor p <= bound that is coprime to the modulus, or is itself
+    at most bound, where bound is the _sieve_depth of the first member.
 
     Such a p divides the member exactly when j == -m0 / modulus (mod p).
     The root is kept per prime in a compact array, and the steps are
@@ -335,13 +371,9 @@ def _sieved_steps(m0: int, modulus: int, last: int):
     always yielded, so a small prime member is never sieved away by
     itself.
     """
-    primes, roots = array("i"), array("i")
-    for p in kernels.iter_primes(_SCREEN_PRIME_LIMIT):
-        step = modulus % p
-        if step:
-            primes.append(p)
-            roots.append(-(m0 % p) * pow(step, -1, p) % p)
-    small = (_SCREEN_PRIME_LIMIT - m0) // modulus  # j <= small: member <= bound
+    bound = _sieve_depth((m0 + modulus).bit_length())
+    primes, roots = _root_table(m0, modulus, bound)
+    small = (bound - m0) // modulus  # j <= small: member <= bound
     for j0 in range(1, last + 1, _SIEVE_CHUNK):
         size = min(_SIEVE_CHUNK, last + 1 - j0)
         alive = bytearray(b"\x01") * size

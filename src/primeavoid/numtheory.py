@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -64,20 +64,19 @@ _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 _MAX_WORKERS = 8
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """residue mod a prime modulus, validated on construction."""
+class Congruence(namedtuple("Congruence", "residue modulus")):
+    """residue mod a prime modulus, validated on construction.  A named
+    tuple rather than a frozen dataclass, so the verifier, which imports
+    this module, need not load ``dataclasses``."""
 
-    residue: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 2 or not is_prime(self.modulus):
-            raise ValueError(f"congruence modulus {self.modulus} is not prime")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus}"
-            )
+    def __new__(cls, residue: int, modulus: int):
+        if modulus < 2 or not is_prime(modulus):
+            raise ValueError(f"congruence modulus {modulus} is not prime")
+        if not 0 <= residue < modulus:
+            raise ValueError(f"residue {residue} out of range for modulus {modulus}")
+        return super().__new__(cls, residue, modulus)
 
 
 def primes_upto(n: int) -> list[int]:

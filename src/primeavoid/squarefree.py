@@ -144,15 +144,15 @@ def covering_congruences(
     return tuple(c for c in congs if c.modulus in witnesses)
 
 
-def solve_m0(sets: SetSystem, phi: dict[int, int]) -> tuple[int, int]:
-    """Solve the covering congruences.
+def solve_m0(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
+    """Solve the covering congruences (covering_congruences).
 
     Returns (N, m0) with N the product of all moduli and m0 the
     representative in [1, N] (so the u = 0 witness stays valid even when
     the solution is 0 mod N).
     """
     try:
-        m0, n = crt_solve(covering_congruences(sets, phi))
+        m0, n = crt_solve(congruences)
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
     if m0 == 0:
@@ -255,9 +255,9 @@ def construct_certificate(
         sch, build_sets, lambda s: (len(s.u6), len(s.p3))
     )
     phi = assign_primes(sets)
-    n, m0 = solve_m0(sets, phi)
-    search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
     congruences = covering_congruences(sets, phi)
+    n, m0 = solve_m0(congruences)
+    search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
     cover = verify_window(search.m, congruences, sch)
     try:
         constant = avoidance_constant(search.m, sch.y)

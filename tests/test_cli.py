@@ -370,21 +370,76 @@ def test_verify_unknown_format_version_exits_65(
     assert "certificate OK" not in out
 
 
-def modules_loaded_by(statement, names):
-    """The modules among ``names`` that a fresh interpreter has loaded
-    after running the import ``statement``."""
-    probe = f"import sys; {statement}; print(sorted(set({names!r}) & set(sys.modules)))"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def last_line_printed(code):
+    """The last line that ``code`` prints to stdout in a fresh interpreter,
+    which must exit 0."""
     src = str(Path(doc_mod.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    return out.strip()
+    return out.strip().splitlines()[-1]
+
+
+def modules_loaded_by(statement, names):
+    """The modules among ``names`` that a fresh interpreter has loaded
+    after running ``statement``."""
+    return last_line_printed(
+        f"import sys\n{statement}\nprint(sorted(set({names!r}) & set(sys.modules)))"
+    )
+
+
+def command(*argv):
+    """A statement that runs ``python -m primeavoid *argv`` and requires
+    exit code 0."""
+    return (
+        f"import runpy\nsys.argv = ['primeavoid', *{list(argv)!r}]\ntry:\n"
+        "    runpy.run_module('primeavoid', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
 
 
 CONSTRUCTION_MODULES = ("primeavoid.squarefree", "primeavoid.kpower")
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
+UNUSED_BY_VERIFY = (
+    *CONSTRUCTION_MODULES, "primeavoid.sievebound", "primeavoid.schedule", "dataclasses"
+)
+
+
+@pytest.mark.parametrize("fixture", ["sf_x400.json", "kp2_x600_full.json"])
+def test_verify_command_loads_no_construction_code(fixture):
+    # the verifier reads a document with numtheory and kernels alone
+    verify = command("verify", str(FIXTURES / fixture))
+    assert modules_loaded_by(verify, UNUSED_BY_VERIFY) == "[]"
+
+
+@pytest.mark.parametrize(
+    "mode, other",
+    [(("--mode", "kpower", "--k", "3", "--x", "1000"), "primeavoid.squarefree"),
+     (("--mode", "squarefree", "--x", "400"), "primeavoid.kpower")],
+    ids=["kpower", "squarefree"],
+)
+def test_construct_command_loads_only_its_mode(tmp_path, mode, other):
+    run = command("construct", *mode, "--out", str(tmp_path / "cert.json"))
+    assert modules_loaded_by(run, (other, "primeavoid.sievebound")) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    package = Path(cli.__file__).parent
+    submodules = tuple(f"primeavoid.{path.stem}" for path in package.glob("*.py"))
+    assert modules_loaded_by("import primeavoid", submodules) == "[]"
+
+
+def test_star_import_binds_every_public_name():
+    unbound = last_line_printed(
+        "import primeavoid\nfrom primeavoid import *\n"
+        "print(sorted(set(primeavoid.__all__) - set(globals())))"
+    )
+    assert unbound == "[]"
 
 
 def test_document_module_imports_no_construction_code():

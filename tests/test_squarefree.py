@@ -210,7 +210,7 @@ def test_assignment_capacity_error(micro):
 def test_solve_m0_micro_against_stepping_oracle(micro):
     _, sets = micro
     phi = assign_primes(sets)
-    n, m0 = solve_m0(sets, phi)
+    n, m0 = solve_m0(covering_congruences(sets, phi))
     assert n == 30030
     congs = (
         [(0, p) for p in sets.p1]
@@ -227,20 +227,20 @@ def test_solve_m0_micro_against_stepping_oracle(micro):
 def test_solve_m0_zero_maps_to_n(micro):
     _, sets = micro
     tiny = replace(sets, p1=(2,), p2=(), u6=())
-    n, m0 = solve_m0(tiny, {})
+    n, m0 = solve_m0(covering_congruences(tiny, {}))
     assert (n, m0) == (2, 2)
 
 
 def test_solve_m0_single_congruence(micro):
     _, sets = micro
     tiny = replace(sets, p1=(), p2=(5,), mid_classes=(1,), u6=())
-    assert solve_m0(tiny, {}) == (5, 4)
+    assert solve_m0(covering_congruences(tiny, {})) == (5, 4)
 
 
 def test_solve_m0_duplicate_modulus(micro):
     _, sets = micro
     with pytest.raises(ValueError, match="duplicate"):
-        solve_m0(sets, {-5: 2, 1: 13, 5: 17})
+        solve_m0(covering_congruences(sets, {-5: 2, 1: 13, 5: 17}))
 
 
 # -- squarefree search ------------------------------------------------------------
@@ -491,7 +491,7 @@ def test_trial_cofactor_rejects_m_below_one():
 def test_find_squarefree_micro(micro):
     sch, sets = micro
     phi = assign_primes(sets)
-    n, m0 = solve_m0(sets, phi)
+    n, m0 = solve_m0(covering_congruences(sets, phi))
     result = find_squarefree_in_ap(m0, n, sch)
     assert result.m == m0 + result.steps * n
     assert result.m >= 2 * sch.y
@@ -512,7 +512,7 @@ def test_progression_skip_rate_for_two(micro):
     # m0 even, N == 2 mod 4: exactly every other member divisible by 4
     sch, sets = micro
     phi = assign_primes(sets)
-    n, m0 = solve_m0(sets, phi)
+    n, m0 = solve_m0(covering_congruences(sets, phi))
     assert m0 % 2 == 0 and n % 4 == 2
     skips = sum(1 for j in range(100) if (m0 + j * n) % 4 == 0)
     assert skips == 50
@@ -522,7 +522,7 @@ def test_squarefree_n_itself(micro):
     # N is a product of distinct primes, hence squarefree
     _, sets = micro
     phi = assign_primes(sets)
-    n, _ = solve_m0(sets, phi)
+    n, _ = solve_m0(covering_congruences(sets, phi))
     assert brute_force_squarefree(n)
 
 
@@ -570,7 +570,7 @@ def test_every_congruence_witnesses_an_offset(x):
 def test_verify_window_micro(micro):
     sch, sets = micro
     phi = assign_primes(sets)
-    n, m0 = solve_m0(sets, phi)
+    n, m0 = solve_m0(covering_congruences(sets, phi))
     m = find_squarefree_in_ap(m0, n, sch).m
     cover = verify_window(m, covering_congruences(sets, phi), sch)
     assert len(cover) == 2 * sch.y + 1
