@@ -44,6 +44,9 @@ def workloads(quick):
     sf_classes = [
         (-c.residue, c.modulus) for c in squarefree.covering_congruences(sf_sets, sf_phi)
     ]
+    # the first and widest set system a kpower k=2 x=10^4 run builds
+    # (y = 3725, before capacity halves y to 116)
+    kp2_sch = make_schedule(10**4, 2, "practical")
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
     # the progression sieve's shape in kpower.find_prime_in_ap: every
     # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
@@ -127,8 +130,8 @@ def workloads(quick):
          lambda: [kernels.is_prime_u64(n) for n in mr_inputs]),
         ("jacobi_sym x%d" % len(jacobi_inputs),
          lambda: [kernels.jacobi_sym(a % n, n) for a, n in jacobi_inputs]),
-        ("window_tables(y=%d)" % sf_sch.y,
-         lambda: numtheory.window_tables(sf_sch.y, sf_sets.p1, sf_sets.p2, 1)),
+        ("build_sets_k(k=2, x=1e4, y=%d)" % kp2_sch.y,
+         lambda: kpower.build_sets_k(kp2_sch)),
         ("struck_witnesses(y=%d) x%d" % (sf_sch.y, len(sf_classes)),
          lambda: numtheory.struck_witnesses(sf_sch.y, sf_classes)),
         ("sifted_count(%.0e)" % sift_limit,

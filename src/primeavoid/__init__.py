@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Congruence": "numtheory",
     "Schedule": "schedule",
-    "capacity_check": "schedule",
     "crt_solve": "numtheory",
     "is_prime": "numtheory",
     "iter_log": "schedule",

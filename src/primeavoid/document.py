@@ -54,12 +54,10 @@ def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
     """The keys both modes share, read off the certificate as built, plus
     the cardinality of each of the mode's named ``sets`` (the lower-cased
     attribute of cert.sets), its own metrics and top-level ``fields``."""
-    from dataclasses import asdict  # loaded already by the construction
-
     return {
         "format_version": FORMAT_VERSION,
         "seed": cert.seed,
-        "schedule": asdict(cert.schedule),  # a new Schedule field changes the format
+        "schedule": cert.schedule._asdict(),  # a new Schedule field changes the format
         "sets": {name: len(getattr(cert.sets, name.lower())) for name in sets},
         "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
         "modulus": str(cert.modulus),
@@ -171,7 +169,8 @@ def parse_document(text: str) -> dict:
             int(entry["u"])
             if not isinstance(entry["status"], str):
                 raise TypeError(f"exception status {entry['status']!r} is not a string")
-        int(doc["schedule"]["y"])
+        if int(doc["schedule"]["y"]) < 0:
+            raise ValueError("schedule.y must be at least 0")
         if int(doc["schedule"]["k"]) < 1:
             raise ValueError("schedule.k must be at least 1")
     except (ValueError, TypeError, KeyError) as exc:

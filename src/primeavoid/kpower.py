@@ -1,8 +1,9 @@
 """Construction of prime-avoiding k-th powers of primes.
 
-Builds the offset classes for the window around m^k from the sieve
-tables of numtheory.window_tables and matches large primes, under k-th
-power solvability, to U7: the offsets u != 1 that neither small band
+Builds the offset classes for the window around m^k from the offsets
+each small band strikes (numtheory.struck_witnesses) and a table of
+largest prime factors, and matches large primes, under k-th power
+solvability, to U7: the offsets u != 1 that neither small band
 strikes (no band-one prime divides u and no mid-band prime divides
 u + 2^k - 1).  An offset a band already strikes gets no matched prime of
 its own.  The capacity check still counts the paper's offsets, the
@@ -20,8 +21,8 @@ import math
 from array import array
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, replace
 from itertools import chain, compress
+from typing import NamedTuple
 
 from . import kernels, numtheory
 from .errors import CapacityError, ConstructionError, SearchExhausted
@@ -35,7 +36,6 @@ from .numtheory import (
     kth_roots_mod_p,
     primes_upto,
     struck_witnesses,
-    window_tables,
 )
 from .schedule import Schedule, shrink_to_capacity
 
@@ -53,8 +53,7 @@ _SIEVE_CHUNK = 1024
 _POOL_MIN_BITS = 1024
 
 
-@dataclass(frozen=True)
-class KSetSystem:
+class KSetSystem(NamedTuple):
     """Prime bands and offset classes for one k-th power run.
 
     U3, U4 and U5 are the paper's prime/smooth taxonomy; they set the
@@ -69,13 +68,12 @@ class KSetSystem:
     # filter p == 2 (mod 3) gives gcd(k, p-1) = 1 only when k is a power
     # of 3, so match_offsets checks each edge with kth_root_count
     p3tilde: tuple[int, ...]
-    # offset classes from window_tables(y, p1, p2, 2**k - 1), index i = u + y
-    u1: tuple[int, ...]  # band[i] > 0: some band-one prime divides u
+    u1: tuple[int, ...]  # some band-one prime divides u
     u2: tuple[int, ...]  # window minus u1
-    u3: tuple[int, ...]  # offsets with largest[|u|] == |u| > 1: |u| prime
-    u4: tuple[int, ...]  # u != 0 with largest[|u|] <= z: |u| z-smooth
-    u5: tuple[int, ...]  # u3 offsets with mid[i] == 0: no mid-band prime covers u
-    # u != 1 with band[i] == mid[i] == 0: the offsets match_offsets serves
+    u3: tuple[int, ...]  # |u| prime
+    u4: tuple[int, ...]  # u != 0 with |u| z-smooth
+    u5: tuple[int, ...]  # u3 offsets with no mid-band prime dividing u + 2^k - 1
+    # u != 1 that neither band strikes: the offsets match_offsets serves
     u7: tuple[int, ...]
     p1_upper_empty: bool  # x/40k fell at or below z
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
@@ -128,7 +126,13 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
             available=0,
         )
 
-    band, mid, largest = window_tables(y, p1, p2, (1 << k) - 1)
+    # at index u + y, the least band-one prime dividing u and the least
+    # mid-band prime dividing u + 2^k - 1 (0 when none does); at index
+    # n <= y, the largest prime factor of n (0 for n < 2), since the
+    # primes stamp their multiples in ascending order
+    band = struck_witnesses(y, ((0, p) for p in p1))
+    mid = struck_witnesses(y, ((1 - (1 << k), p) for p in p2))
+    largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
     window = range(-y, y + 1)
     u1 = tuple(u for u in window if band[u + y])
     u2 = tuple(u for u in window if not band[u + y])
@@ -181,8 +185,7 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     return tuple(u for u in range(-sch.y, sch.y + 1) if exceptional(u))
 
 
-@dataclass(frozen=True)
-class KMatching:
+class KMatching(NamedTuple):
     """Offset -> (prime, chosen root) assignment from the solvability graph."""
 
     matched: dict[int, tuple[int, int]]
@@ -277,34 +280,20 @@ def match_offsets(sets: KSetSystem) -> KMatching:
     return KMatching(matched=matched, unmatched=unmatched)
 
 
-def solve_m0_k(
-    sch: Schedule, sets: KSetSystem, matching: KMatching, reduced: bool = True
-) -> tuple[KSetSystem, int, int]:
-    """Solve the congruence system for the progression base.
+def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
+    """Solve the covering congruences (covering_congruences) for the
+    progression base.
 
-    Residue 1 on band-one primes, 2 on mid-band primes, the chosen root
-    on each matched prime, and (full mode only) 1 on every remaining
-    prime <= x.  Reduced mode drops that last block: it exists only to
-    force coprimality to the full primorial, and the construction's
-    coverage never uses it, while the smaller modulus makes the prime
-    search far cheaper.
-
-    Returns the set system with the matched image and leftovers filled
-    in, the modulus, and m0.
+    Returns (modulus, m0) with modulus the product of all moduli and m0
+    the solution in [0, modulus), which must be coprime to the modulus.
     """
-    p3 = tuple(sorted(p for p, _ in matching.matched.values()))
-    p4: tuple[int, ...] = ()
-    if not reduced:
-        used = set(sets.p1) | set(sets.p2) | set(p3)
-        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
-    sets = replace(sets, p3=p3, p4=p4)
     try:
-        m0, modulus = crt_solve(covering_congruences(sets, matching))
+        m0, modulus = crt_solve(congruences)
     except ValueError as exc:
         raise ConstructionError(str(exc)) from exc
     if math.gcd(m0, modulus) != 1:
         raise RuntimeError("m0 is not coprime to the modulus; construction bug")
-    return sets, modulus, m0
+    return modulus, m0
 
 
 def covering_congruences(
@@ -312,7 +301,11 @@ def covering_congruences(
 ) -> tuple[Congruence, ...]:
     """m0 == 1 mod band-one primes, 2 mod mid-band primes, the chosen root
     mod each matched prime, then 1 mod each leftover prime of P4 (empty
-    in reduced mode), in that order."""
+    in reduced mode), in that order.
+
+    Reduced mode drops the P4 block: it exists only to force coprimality
+    to the full primorial, and the construction's coverage never uses it,
+    while the smaller modulus makes the prime search far cheaper."""
     congs = [Congruence(1, p) for p in sets.p1]
     congs += [Congruence(2, p) for p in sets.p2]
     for u in sorted(matching.matched):
@@ -481,8 +474,7 @@ def verify_power_window(
     return cover, exceptions, sum(1 for _, s in exceptions if s == "prime")
 
 
-@dataclass(frozen=True)
-class MatrixScanReport:
+class MatrixScanReport(NamedTuple):
     rows: int
     prime_rows: int  # rows whose progression member is prime
     rows_with_window_prime: int  # of those, rows with a prime exception
@@ -535,8 +527,7 @@ def matrix_scan(
     )
 
 
-@dataclass(frozen=True)
-class KCertificate:
+class KCertificate(NamedTuple):
     """Complete verifiable output of one k-th power run."""
 
     schedule: Schedule
@@ -566,11 +557,16 @@ def construct_certificate_k(
     sch, sets, trace = shrink_to_capacity(
         sch, build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
     )
-    sets = replace(sets, u6=legendre_screen(sch, sets.p3tilde))
     matching = match_offsets(sets)
-    sets, modulus, m0 = solve_m0_k(sch, sets, matching, reduced=reduced)
-    m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
+    p3 = tuple(sorted(p for p, _ in matching.matched.values()))
+    p4: tuple[int, ...] = ()
+    if not reduced:  # 1 mod every other prime <= x
+        used = {*sets.p1, *sets.p2, *p3}
+        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
+    sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3, p4=p4)
     congruences = covering_congruences(sets, matching)
+    modulus, m0 = solve_m0_k(congruences)
+    m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
     cover, exceptions, prime_count = verify_power_window(m, congruences, sch)
     try:
         constant = avoidance_constant(m**sch.k, sch.y)

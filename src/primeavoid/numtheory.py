@@ -1,8 +1,8 @@
-"""Exact integer and modular arithmetic primitives, including the window
-tables and struck witnesses that both pipelines classify offsets by, the
-tiered squarefree check that the squarefree search and the verifier
-share, and the worker-process policy that it and the kpower prime search
-use.
+"""Exact integer and modular arithmetic primitives, including the struck
+witnesses that both pipelines classify offsets by and both window checks
+read, the tiered squarefree check that the squarefree search and the
+verifier share, and the worker-process policy that it and the kpower
+prime search use.
 
 Everything else here is a pure function over Python ints (arbitrary
 precision, no rounding); fixed-width inner loops are delegated to
@@ -65,9 +65,7 @@ _MAX_WORKERS = 8
 
 
 class Congruence(namedtuple("Congruence", "residue modulus")):
-    """residue mod a prime modulus, validated on construction.  A named
-    tuple rather than a frozen dataclass, so the verifier, which imports
-    this module, need not load ``dataclasses``."""
+    """residue mod a prime modulus, validated on construction."""
 
     __slots__ = ()
 
@@ -230,27 +228,6 @@ def struck_witnesses(y: int, classes) -> list[int]:
     """
     ordered = sorted(classes, key=lambda pair: pair[1], reverse=True)
     return kernels.stamp(2 * y + 1, (((c + y) % q, q) for c, q in ordered))
-
-
-def window_tables(y: int, p1, p2, shift: int) -> tuple[list[int], ...]:
-    """Sieve tables of the window [-y, y] that kpower classifies offsets
-    by (squarefree reads a band table off struck_witnesses alone):
-
-    * band[u + y]: the least prime of p1 dividing u, 0 when none does;
-    * mid[u + y]: the least prime of p2 dividing u + shift, 0 when none
-      does;
-    * largest[n] for 0 <= n <= y: the largest prime factor of n, 0 for
-      n = 0 and n = 1.  So |u| is prime exactly when
-      largest[|u|] == |u| > 1, and |u| >= 1 is z-smooth exactly when
-      largest[|u|] <= z.
-
-    band and mid are struck_witnesses of the classes 0 and -shift;
-    largest is one kernels.stamp of the primes in ascending order.
-    """
-    band = struck_witnesses(y, ((0, p) for p in p1))
-    mid = struck_witnesses(y, ((-shift, p) for p in p2))
-    largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
-    return band, mid, largest
 
 
 def jacobi(a: int, n: int) -> int:

@@ -11,7 +11,7 @@ and y verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import CapacityError
 
@@ -43,8 +43,7 @@ def iter_log(x: float, j: int) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     x: float
     k: int
     c1: float
@@ -123,50 +122,25 @@ def make_schedule(
     )
 
 
-@dataclass(frozen=True)
-class CapacityDecision:
-    """Outcome of comparing offsets needing cover against available primes."""
-
-    status: str  # "ok" | "shrink" | "fail"
-    needed: int
-    available: int
-    new_y: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def capacity_check(sch: Schedule, needed: int, available: int) -> CapacityDecision:
-    """Decide whether ``available`` covering primes suffice for ``needed``
-    offsets; if not, suggest halving y (when autoshrink is on, floor 3)."""
-    if needed <= available:
-        return CapacityDecision(status="ok", needed=needed, available=available)
-    if sch.c2_autoshrink and sch.y // 2 >= MIN_Y:
-        return CapacityDecision(
-            status="shrink", needed=needed, available=available, new_y=sch.y // 2
-        )
-    return CapacityDecision(status="fail", needed=needed, available=available)
-
-
 def shrink_to_capacity(sch: Schedule, build, demand):
-    """Build the set system ``build(sch)``, halving y while capacity_check
-    refuses ``demand(sets)`` = (offsets needing a covering prime, primes
-    available).  Returns the final schedule, its set system and every y
-    tried; raises CapacityError once y cannot shrink."""
+    """Build the set system ``build(sch)``, halving y (when autoshrink is
+    on, floor MIN_Y) while ``demand(sets)`` = (offsets needing a covering
+    prime, primes available) asks for more primes than there are.  Returns
+    the final schedule, its set system and every y tried; raises
+    CapacityError once y cannot shrink."""
     trace = [sch.y]
     while True:
         sets = build(sch)
-        decision = capacity_check(sch, *demand(sets))
-        if decision.ok:
+        needed, available = demand(sets)
+        if needed <= available:
             return sch, sets, tuple(trace)
-        if decision.status != "shrink":
+        if not sch.c2_autoshrink or sch.y // 2 < MIN_Y:
             raise CapacityError(
-                f"capacity failed at y={sch.y}: {decision.needed} offsets need a "
-                f"covering prime but only {decision.available} are available, "
+                f"capacity failed at y={sch.y}: {needed} offsets need a "
+                f"covering prime but only {available} are available, "
                 f"and y cannot shrink below {MIN_Y}",
-                needed=decision.needed,
-                available=decision.available,
+                needed=needed,
+                available=available,
             )
-        sch = replace(sch, y=decision.new_y)
+        sch = sch._replace(y=sch.y // 2)
         trace.append(sch.y)

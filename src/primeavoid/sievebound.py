@@ -18,7 +18,7 @@ bound actually dominates on concrete instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kernels
 from .numtheory import kth_root_count, primes_upto
@@ -26,8 +26,7 @@ from .numtheory import kth_root_count, primes_upto
 SIFT_RANGE_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class SieveInstance:
+class SieveInstance(NamedTuple):
     """Inputs for one upper-bound evaluation.
 
     size is X = |A|; omega maps each sifting prime to its number of
@@ -37,7 +36,7 @@ class SieveInstance:
     """
 
     size: int
-    omega: dict[int, int] = field(default_factory=dict)
+    omega: dict[int, int]
     z: float = 2.0
     kappa: float = 1.0
     a1: float = 2.0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
@@ -47,8 +47,7 @@ from .schedule import Schedule, iter_log, shrink_to_capacity
 DEFAULT_MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(NamedTuple):
     """Prime bands, window offset classes and mid-band classes for one
     schedule."""
 
@@ -160,8 +159,7 @@ def solve_m0(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
     return n, m0
 
 
-@dataclass(frozen=True)
-class SquarefreeSearch:
+class SquarefreeSearch(NamedTuple):
     """Result of the progression search."""
 
     m: int
@@ -227,8 +225,7 @@ def verify_window(
     return cover
 
 
-@dataclass(frozen=True)
-class AvoidanceCertificate:
+class AvoidanceCertificate(NamedTuple):
     """Complete verifiable output of one squarefree run."""
 
     schedule: Schedule

@@ -2,8 +2,7 @@
 
 
 def largest_prime_factor(n: int) -> int:
-    """The largest prime factor of n by trial division, 0 for n < 2 (the
-    convention of numtheory.window_tables)."""
+    """The largest prime factor of n by trial division, 0 for n < 2."""
     largest, d = 0, 2
     while d * d <= n:
         while n % d == 0:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -104,7 +103,7 @@ def _zero_root(match_offsets):
     def spoiled(sets):
         matching = match_offsets(sets)
         u, (p, _) = next(iter(matching.matched.items()))
-        return replace(matching, matched={**matching.matched, u: (p, 0)})
+        return matching._replace(matched={**matching.matched, u: (p, 0)})
 
     return spoiled
 
@@ -113,7 +112,7 @@ def _band_one_prime_matched(match_offsets):
     def spoiled(sets):
         matching = match_offsets(sets)
         u = next(iter(matching.matched))
-        return replace(matching, matched={**matching.matched, u: (sets.p1[-1], 1)})
+        return matching._replace(matched={**matching.matched, u: (sets.p1[-1], 1)})
 
     return spoiled
 
@@ -356,6 +355,21 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     assert "malformed document" in err
 
 
+@pytest.mark.parametrize("fixture", ["sf_x40_explicit.json", "kp1_x200.json"])
+def test_verify_negative_window_radius_exits_65(tmp_path, capsys, fixture):
+    # y = -1 leaves an empty window: with no cover and no exceptions,
+    # every section would pass on nothing
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc["schedule"]["y"] = -1
+    doc.update(cover=[], exceptions=[])
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert "schedule.y must be at least 0" in err
+    assert "certificate OK" not in out
+
+
 @pytest.mark.parametrize("version", ["9.9", "2.0", "1.5", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
@@ -425,7 +439,8 @@ def test_verify_command_loads_no_construction_code(fixture):
 )
 def test_construct_command_loads_only_its_mode(tmp_path, mode, other):
     run = command("construct", *mode, "--out", str(tmp_path / "cert.json"))
-    assert modules_loaded_by(run, (other, "primeavoid.sievebound")) == "[]"
+    unused = (other, "primeavoid.sievebound", "dataclasses")
+    assert modules_loaded_by(run, unused) == "[]"
 
 
 def test_package_import_loads_no_submodule():
@@ -475,8 +490,8 @@ def test_document_numbers_beyond_4300_digits():
     cert = construct_certificate(
         make_schedule(40, 1, "explicit", z=6.3246, y=10), seed=0
     )
-    big = replace(
-        cert, modulus=cert.modulus * 10**4400, m=cert.m + cert.modulus * 10**4400
+    big = cert._replace(
+        modulus=cert.modulus * 10**4400, m=cert.m + cert.modulus * 10**4400
     )
     doc = doc_mod.certificate_to_document(big)
     assert doc["modulus"] == str(cert.modulus) + "0" * 4400

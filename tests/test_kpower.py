@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from primeavoid.kpower import (
     _max_matching,
     build_sets_k,
     construct_certificate_k,
+    covering_congruences,
     find_prime_in_ap,
     legendre_screen,
     match_offsets,
@@ -244,31 +244,31 @@ def test_max_matching_on_crafted_graphs():
 def test_solve_m0_k_reduced_example():
     sch = make_schedule(1e4, 2, "practical", y=60)
     sets = build_sets_k(sch)
-    tiny = replace(sets, p1=(2, 3), p2=(5,))
+    tiny = sets._replace(p1=(2, 3), p2=(5,))
     matching = KMatching(matched={}, unmatched=())
-    _, modulus, m0 = solve_m0_k(sch, tiny, matching, reduced=True)
+    modulus, m0 = solve_m0_k(covering_congruences(tiny, matching))
     assert (modulus, m0) == (30, 7)  # 1 mod 2, 1 mod 3, 2 mod 5
 
 
 def test_solve_m0_k_full_mode_extends_with_ones():
     sch = make_schedule(200, 1, "practical")
-    sets = build_sets_k(sch)
-    matching = match_offsets(sets)
-    sets_full, modulus_full, m0_full = solve_m0_k(sch, sets, matching, reduced=False)
-    assert modulus_full == math.prod(primes_upto(200))
-    for p in sets_full.p4:
-        assert m0_full % p == 1
+    full = construct_certificate_k(sch, reduced=False)
+    assert full.modulus == math.prod(primes_upto(200))
+    assert full.sets.p4 and set(full.sets.p4).isdisjoint(full.sets.p1 + full.sets.p2)
+    for p in full.sets.p4:
+        assert full.m0 % p == 1
     # reduced solution is the full one reduced mod the smaller modulus
-    _, modulus_red, m0_red = solve_m0_k(sch, sets, matching, reduced=True)
-    assert modulus_full % modulus_red == 0
-    assert m0_full % modulus_red == m0_red
+    reduced = construct_certificate_k(sch, reduced=True)
+    assert reduced.sets.p4 == ()
+    assert full.modulus % reduced.modulus == 0
+    assert full.m0 % reduced.modulus == reduced.m0
 
 
 def test_solve_m0_k_defining_congruences():
     sch = make_schedule(200, 1, "practical")
     sets = build_sets_k(sch)
     matching = match_offsets(sets)
-    _, modulus, m0 = solve_m0_k(sch, sets, matching, reduced=True)
+    modulus, m0 = solve_m0_k(covering_congruences(sets, matching))
     k = sets.k
     assert math.gcd(m0, modulus) == 1
     for p in sets.p1:
@@ -284,7 +284,7 @@ def test_solve_m0_k_rejects_zero_root():
     sets = build_sets_k(sch)
     bad = KMatching(matched={4: (17, 0)}, unmatched=())
     with pytest.raises(ValueError, match="zero root"):
-        solve_m0_k(sch, sets, bad, reduced=True)
+        solve_m0_k(covering_congruences(sets, bad))
 
 
 # -- prime search --------------------------------------------------------------------
@@ -538,23 +538,34 @@ def test_k1_mid_band_witness_algebra(k1_cert):
 
 
 @pytest.mark.parametrize(
-    "k, x", [(1, 200), (2, 2000), (3, 1000), (4, 2000), (5, 2000)]
+    "k, x", [(1, 200), (2, 2000), (3, 1000), (4, 2000), (5, 2000), (1, 10_000)]
 )
 def test_classes_and_witnesses_match_their_definitions(k, x):
-    cert = construct_certificate_k(make_schedule(x, k, "practical"))
-    sets, z, y = cert.sets, cert.schedule.z, cert.schedule.y
-    window = range(-y, y + 1)
-    assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
-    assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
-    assert sets.u3 == tuple(
-        u for u in window if largest_prime_factor(abs(u)) == abs(u) > 1
-    )
-    assert sets.u4 == tuple(
-        u for u in window if u != 0 and largest_prime_factor(abs(u)) <= z
-    )
-    shift = (1 << k) - 1
-    assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + shift, sets.p2))
+    sch = make_schedule(x, k, "practical")
+    cert = construct_certificate_k(sch)
+    # the classes of the first y the run tries (3725 at k=1, x=10^4, so
+    # the largest-prime-factor table is checked at that size) and of the
+    # last, which the certificate keeps
+    for sets, s in ((build_sets_k(sch), sch), (cert.sets, cert.schedule)):
+        z, y, shift = s.z, s.y, (1 << k) - 1
+        window = range(-y, y + 1)
+        assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
+        assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
+        assert sets.u3 == tuple(
+            u for u in window if largest_prime_factor(abs(u)) == abs(u) > 1
+        )
+        assert sets.u4 == tuple(
+            u for u in window if u != 0 and largest_prime_factor(abs(u)) <= z
+        )
+        assert sets.u5 == tuple(
+            u for u in sets.u3 if not least_divisor(u + shift, sets.p2)
+        )
+        assert sets.u7 == tuple(
+            u for u in unstruck_offsets(y, sets.p1, sets.p2, shift) if u != 1
+        )
+    assert x < 10_000 or sch.y == 3725
     base = cert.m**k
+    window = range(-cert.schedule.y, cert.schedule.y + 1)
     witness = {
         u: congruence_witness(base + u - 1, cert.congruences) for u in window if u != 1
     }

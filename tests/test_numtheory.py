@@ -20,7 +20,6 @@ from primeavoid.numtheory import (
     mertens_product,
     primes_upto,
     struck_witnesses,
-    window_tables,
     _bpsw,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -306,7 +305,7 @@ def test_pool_workers_bounded_and_serial_beside_another_thread():
     assert not thread.is_alive()
 
 
-# -- struck_witnesses and window_tables -------------------------------------
+# -- struck_witnesses ----------------------------------------------------
 
 
 @pytest.mark.parametrize("y", [0, 3, 10, 61])
@@ -320,6 +319,19 @@ def test_struck_witnesses_match_brute_force(y):
         expected = min((q for c, q in classes if (u - c) % q == 0), default=0)
         assert witness[u + y] == expected, u
     assert struck_witnesses(y, ()) == [0] * (2 * y + 1)
+
+
+# -- the window tables kpower.build_sets_k classifies offsets by ----------
+
+
+def window_tables(y, p1, p2, shift):
+    """band, mid and largest as kpower.build_sets_k builds them: the least
+    prime of p1 dividing u, the least prime of p2 dividing u + shift, and
+    the largest prime factor of n <= y (0 for n < 2)."""
+    band = struck_witnesses(y, ((0, p) for p in p1))
+    mid = struck_witnesses(y, ((-shift, p) for p in p2))
+    largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
+    return band, mid, largest
 
 
 def test_largest_prime_factor_examples():

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
+from primeavoid.errors import CapacityError
 from primeavoid.schedule import (
-    CapacityDecision,
-    capacity_check,
     iter_log,
     make_schedule,
+    shrink_to_capacity,
 )
 
 
@@ -93,32 +93,50 @@ def test_make_schedule_validation():
         make_schedule(100, 1, "practical", c1=-1)
 
 
+def shrink(sch, demand, built=None):
+    """shrink_to_capacity with a stub build whose set system is its y;
+    ``demand(y)`` gives (offsets needing a prime, primes available), and
+    ``built`` collects every y built."""
+
+    def build(s):
+        if built is not None:
+            built.append(s.y)
+        return s.y
+
+    return shrink_to_capacity(sch, build, demand)
+
+
 def test_capacity_ok():
     sch = make_schedule(40, 1, "explicit", z=6.3246, y=10)
-    decision = capacity_check(sch, 5, 8)
-    assert decision == CapacityDecision(status="ok", needed=5, available=8)
-    assert decision.ok
+    assert shrink(sch, lambda y: (5, 8)) == (sch, 10, (10,))
 
 
 def test_capacity_shrink_halves_y():
     sch = make_schedule(40, 1, "explicit", z=6.3246, y=23)
-    decision = capacity_check(sch, 13, 8)
-    assert decision.status == "shrink"
-    assert decision.new_y == 11
+    final, sets, trace = shrink(sch, lambda y: (13 if y == 23 else 8, 8))
+    assert final == sch._replace(y=11)
+    assert (sets, trace) == (11, (23, 11))
 
 
 def test_capacity_vacuous():
     sch = make_schedule(40, 1, "explicit", z=6.3246, y=10)
-    assert capacity_check(sch, 0, 0).ok
+    assert shrink(sch, lambda y: (0, 0)) == (sch, 10, (10,))
 
 
 def test_capacity_fail_without_autoshrink():
     sch = make_schedule(40, 1, "explicit", z=6.3246, y=10, c2_autoshrink=False)
-    decision = capacity_check(sch, 12, 8)
-    assert decision.status == "fail"
-    assert (decision.needed, decision.available) == (12, 8)
+    built = []
+    with pytest.raises(CapacityError, match="capacity failed at y=10") as err:
+        shrink(sch, lambda y: (12, 8), built)
+    assert (err.value.needed, err.value.available) == (12, 8)
+    assert built == [10]
 
 
 def test_capacity_fail_at_floor():
-    sch = make_schedule(40, 1, "explicit", z=6.3246, y=4)
-    assert capacity_check(sch, 99, 1).status == "fail"
+    # y halves 23 -> 11 -> 5 and stops there: 5 // 2 is below MIN_Y = 3
+    sch = make_schedule(40, 1, "explicit", z=6.3246, y=23)
+    built = []
+    with pytest.raises(CapacityError, match="capacity failed at y=5") as err:
+        shrink(sch, lambda y: (99, 1), built)
+    assert (err.value.needed, err.value.available) == (99, 1)
+    assert built == [23, 11, 5]

@@ -1,7 +1,6 @@
 import math
 import random
 from contextlib import nullcontext
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -167,7 +166,7 @@ def test_partition_detects_artificial_violation(micro):
     sch, sets = micro
     # -5 and 0 are struck (5 | u and 2 | u), so assigning them large
     # primes breaks the law
-    broken = replace(sets, u6=(-5, -1, 0, 1))
+    broken = sets._replace(u6=(-5, -1, 0, 1))
     assert not offset_partition_holds(broken, sch.y)
 
 
@@ -185,20 +184,20 @@ def test_assignment_empty():
         None,
     )
     sets = build_sets(sch)
-    empty = replace(sets, u6=())
+    empty = sets._replace(u6=())
     assert assign_primes(empty) == {}
 
 
 def test_assignment_bijection_at_boundary(micro):
     _, sets = micro
-    squeezed = replace(sets, p3=sets.p3[: len(sets.u6)])
+    squeezed = sets._replace(p3=sets.p3[: len(sets.u6)])
     phi = assign_primes(squeezed)
     assert len(phi) == len(sets.u6) == len(set(phi.values()))
 
 
 def test_assignment_capacity_error(micro):
     _, sets = micro
-    squeezed = replace(sets, p3=sets.p3[:1])
+    squeezed = sets._replace(p3=sets.p3[:1])
     with pytest.raises(CapacityError) as err:
         assign_primes(squeezed)
     assert err.value.needed == 2 and err.value.available == 1
@@ -226,14 +225,14 @@ def test_solve_m0_micro_against_stepping_oracle(micro):
 
 def test_solve_m0_zero_maps_to_n(micro):
     _, sets = micro
-    tiny = replace(sets, p1=(2,), p2=(), u6=())
+    tiny = sets._replace(p1=(2,), p2=(), u6=())
     n, m0 = solve_m0(covering_congruences(tiny, {}))
     assert (n, m0) == (2, 2)
 
 
 def test_solve_m0_single_congruence(micro):
     _, sets = micro
-    tiny = replace(sets, p1=(), p2=(5,), mid_classes=(1,), u6=())
+    tiny = sets._replace(p1=(), p2=(5,), mid_classes=(1,), u6=())
     assert solve_m0(covering_congruences(tiny, {})) == (5, 4)
 
 
