@@ -58,13 +58,10 @@ def _build_parser() -> _Parser:
     c.add_argument("--mode", choices=("squarefree", "kpower"), required=True)
     c.add_argument("--x", type=float, required=True)
     c.add_argument("--k", type=int, default=1)
-    c.add_argument("--profile", choices=("literal", "practical", "explicit"),
+    c.add_argument("--profile", choices=("practical", "explicit"),
                    default="practical")
     c.add_argument("--z", type=float, default=None)
     c.add_argument("--y", type=int, default=None)
-    c.add_argument("--c1", type=float, default=0.1)
-    c.add_argument("--c2", type=float, default=0.25)
-    c.add_argument("--delta", type=float, default=0.01)
     c.add_argument("--reduced-modulus", choices=("on", "off"), default="on")
     c.add_argument("--no-autoshrink", action="store_true")
     c.add_argument("--seed", type=int, default=0,
@@ -102,12 +99,9 @@ def _cmd_construct(args) -> int:
             args.x,
             k=args.k,
             profile=args.profile,
-            c1=args.c1,
-            c2=args.c2,
-            delta=args.delta,
             z=args.z,
             y=args.y,
-            c2_autoshrink=not args.no_autoshrink,
+            autoshrink=not args.no_autoshrink,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .errors import DocumentError
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.4"
+FORMAT_VERSION = "1.5"
 
 
 @contextmanager
@@ -146,9 +147,11 @@ def parse_document(text: str) -> dict:
             raise DocumentError(f"missing required key {key!r}")
     # 1.0 to 1.3 differ from 1.4 in how witnesses were chosen, residues
     # picked and primes assigned or matched, and in what ``sets`` and
-    # ``metrics`` list; verify reads none of that, as it checks each
+    # ``metrics`` list, and 1.0 to 1.4 from 1.5 in the schedule keys
+    # besides y and k; verify reads none of that, as it checks each
     # witness by its division
-    if doc["format_version"] not in ("1.0", "1.1", "1.2", "1.3", FORMAT_VERSION):
+    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", FORMAT_VERSION)
+    if doc["format_version"] not in readable:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
             f"this verifier reads 1.0 to {FORMAT_VERSION}"
@@ -209,6 +212,16 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _gaps(inside, y, skip):
+    """The offsets of [-y, y] other than ``skip`` that the ascending,
+    duplicate-free ``inside`` (all in the window) leaves out, ascending;
+    the work follows len(inside) and the gaps drawn, never y."""
+    u = -y
+    for v in chain(inside, (y + 1,)):
+        yield from (g for g in range(u, v) if g != skip)
+        u = v + 1
+
+
 @unlimited_int_digits()
 def verify_document(doc: dict) -> VerifyReport:
     """Re-validate every claim a certificate document makes."""
@@ -255,21 +268,21 @@ def verify_document(doc: dict) -> VerifyReport:
     # window cover: completeness, then every witness division
     cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
     exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
-    expected = set(range(-y, y + 1))
-    if mode == "kpower":
-        expected.discard(1)
+    # counted, so that the cost follows the entries, not the y claimed
+    skip = 1 if mode == "kpower" else None  # m^k itself is no window element
     seen = set(cover) | set(exc)
-    complete = seen == expected and not (set(cover) & set(exc))
-    sections.append(
-        (
-            "completeness",
-            complete,
-            f"{len(cover)} witnessed + {len(exc)} exceptions"
-            if complete
-            else f"offsets covered do not tile the window (missing "
-            f"{sorted(expected - seen)[:5]}, extra {sorted(seen - expected)[:5]})",
+    extra = sorted(u for u in seen if not -y <= u <= y or u == skip)
+    size = 2 * y + 1 - (mode == "kpower" and y >= 1)
+    complete = len(seen) - len(extra) == size and not (extra or set(cover) & set(exc))
+    if complete:
+        detail = f"{len(cover)} witnessed + {len(exc)} exceptions"
+    else:
+        missing = list(islice(_gaps(sorted(seen.difference(extra)), y, skip), 5))
+        detail = (
+            f"offsets covered do not tile the window (missing {missing}, "
+            f"extra {extra[:5]})"
         )
-    )
+    sections.append(("completeness", complete, detail))
 
     value_base = m if mode == "squarefree" else m**k
     # thousands of offsets share a few hundred witness primes

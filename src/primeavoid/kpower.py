@@ -40,6 +40,8 @@ from .numtheory import (
 from .schedule import Schedule, shrink_to_capacity
 
 DEFAULT_PRIME_STEPS = 100_000
+# the paper's delta, which sets legendre_screen's threshold
+DELTA = 0.01
 # the progression sieve's depth cap and floor (_sieve_depth) and the
 # number of steps sieved at a time
 _SCREEN_PRIME_LIMIT = 2**18
@@ -89,10 +91,6 @@ class KSetSystem(NamedTuple):
 
 def build_sets_k(sch: Schedule) -> KSetSystem:
     """Classify primes and window offsets for a k-th power run."""
-    if sch.degenerate:
-        raise ValueError(
-            f"degenerate schedule: z={sch.z:.4f} <= log x; mid prime band empty"
-        )
     x, k, z, y = sch.x, sch.k, sch.z, sch.y
     cut = x / (40 * k)
     if cut < 1:
@@ -157,7 +155,7 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
 
 def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     """Offsets u whose -u is a quadratic residue for too few matchable
-    primes (at most delta*x/log x of them).  Empty for odd k.
+    primes (at most DELTA*x/log x of them).  Empty for odd k.
 
     The odd-k filter p == 2 (mod 3) makes k-th powers cover every residue
     mod p only when k is a power of 3: for k=5 at x=2000, 37 of the 147
@@ -171,7 +169,7 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     offset that a small band strikes, screened or not."""
     if sch.k % 2 == 1:
         return ()
-    threshold = sch.delta * sch.x / math.log(sch.x)
+    threshold = DELTA * sch.x / math.log(sch.x)
 
     def exceptional(u: int) -> bool:
         count = 0
@@ -193,56 +191,37 @@ class KMatching(NamedTuple):
 
 
 def _max_matching(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    """Hopcroft-Karp maximum bipartite matching.
+    """Maximum bipartite matching: each offset of ``adjacency``, in its
+    order, takes its first free prime; then each offset still unmatched
+    searches depth first for an augmenting path (Kuhn's algorithm).
 
     Deterministic given the iteration order of ``adjacency`` and its
     neighbor tuples.
     """
-    inf = float("inf")
     match_left: dict[int, int] = {}
     match_right: dict[int, int] = {}
 
-    while True:
-        dist: dict[int, float] = {}
-        queue: deque[int] = deque()
-        for u in adjacency:
-            if u not in match_left:
-                dist[u] = 0
-                queue.append(u)
-        shortest = inf
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= shortest:
-                continue
-            for v in adjacency[u]:
-                w = match_right.get(v)
-                if w is None:
-                    if shortest == inf:
-                        shortest = dist[u] + 1
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if shortest == inf:
-            return match_left
+    def take(u: int, v: int) -> None:
+        match_left[u] = v
+        match_right[v] = u
 
-        def augment(u: int) -> bool:
-            for v in adjacency[u]:
-                w = match_right.get(v)
-                if w is None:
-                    if dist[u] + 1 == shortest:
-                        match_left[u] = v
-                        match_right[v] = u
-                        return True
-                elif dist.get(w) == dist[u] + 1 and augment(w):
-                    match_left[u] = v
-                    match_right[v] = u
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in match_right or augment(match_right[v], seen):
+                    take(u, v)
                     return True
-            dist[u] = inf
-            return False
+        return False
 
-        for u in adjacency:
-            if u not in match_left:
-                augment(u)
+    for u, primes in adjacency.items():
+        v = next((v for v in primes if v not in match_right), None)
+        if v is not None:
+            take(u, v)
+    for u in adjacency:
+        if u not in match_left:
+            augment(u, set())
+    return match_left
 
 
 def match_offsets(sets: KSetSystem) -> KMatching:

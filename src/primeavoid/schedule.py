@@ -1,11 +1,11 @@
 """Run parameters: the (x, z, y) schedule and the capacity rule, which
 both pipelines apply through ``shrink_to_capacity``.
 
-The literal profile evaluates the asymptotic formulas exactly as written;
-at desk scale those degenerate (z falls below log x), so the practical
-profile substitutes z = sqrt(x), which keeps the mid band of primes
-nonempty while preserving the mechanism.  The explicit profile takes z
-and y verbatim.
+The paper's z = x^(c1 log_3 x / log_2 x) falls below log x at every
+desk-scale x, which leaves the mid band of primes empty, so the practical
+profile takes z = sqrt(x) and the paper's y = c2 x log x log_3 x /
+(log_2 x)^2 with c2 = 1/4.  The explicit profile takes z and y verbatim.
+A schedule with z <= log x is rejected.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from typing import NamedTuple
 
 from .errors import CapacityError
 
-PROFILES = ("literal", "practical", "explicit")
+PROFILES = ("practical", "explicit")
 
-DEFAULT_C1 = 0.1
-DEFAULT_C2 = 0.25
-DEFAULT_DELTA = 0.01
+C2 = 0.25
 
 MIN_X = 16.0
 MIN_Y = 3
@@ -46,14 +44,10 @@ def iter_log(x: float, j: int) -> float:
 class Schedule(NamedTuple):
     x: float
     k: int
-    c1: float
-    c2: float
     z: float
     y: int
     profile: str
-    delta: float
-    c2_autoshrink: bool
-    degenerate: bool
+    autoshrink: bool
 
 
 def make_schedule(
@@ -61,19 +55,15 @@ def make_schedule(
     k: int = 1,
     profile: str = "practical",
     *,
-    c1: float = DEFAULT_C1,
-    c2: float = DEFAULT_C2,
-    delta: float = DEFAULT_DELTA,
     z: float | None = None,
     y: int | None = None,
-    c2_autoshrink: bool = True,
+    autoshrink: bool = True,
 ) -> Schedule:
     """Build a validated Schedule for one construction run.
 
     ``z`` / ``y`` overrides pin those values directly and are mandatory
-    for the explicit profile.  The degenerate flag marks z <= log x, in
-    which case the mid prime band is empty and construction refuses to
-    run.
+    for the explicit profile.  A z at or below log x leaves the mid prime
+    band empty and is rejected.
     """
     x = float(x)
     if x < MIN_X:
@@ -82,43 +72,27 @@ def make_schedule(
         raise ValueError(f"k must be >= 1, got {k}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
-    if c1 <= 0 or c2 <= 0 or delta <= 0:
-        raise ValueError("c1, c2 and delta must all be positive")
+    if profile == "explicit" and (z is None or y is None):
+        raise ValueError("explicit profile requires both z and y")
 
     l1 = iter_log(x, 1)
     l2 = iter_log(x, 2)
-    l3 = iter_log(x, 3)
-
-    if profile == "literal":
-        z_val = x ** (c1 * l3 / l2)
-        y_val = math.floor(c2 * x * l1 * l3 / (l2 * l2))
-    elif profile == "practical":
-        z_val = math.sqrt(x)
-        y_val = math.floor(c2 * x * l1 * l3 / (l2 * l2))
+    z_val = math.sqrt(x) if z is None else float(z)
+    if y is None:
+        y_val = math.floor(C2 * x * l1 * iter_log(x, 3) / (l2 * l2))
     else:
-        if z is None or y is None:
-            raise ValueError("explicit profile requires both z and y")
-        z_val, y_val = float(z), int(y)
-
-    if z is not None:
-        z_val = float(z)
-    if y is not None:
         y_val = int(y)
 
     if y_val < MIN_Y:
         raise ValueError(f"window radius y must be >= {MIN_Y}, got {y_val}")
+    if z_val <= l1:
+        raise ValueError(
+            f"degenerate schedule: z={z_val:.4f} <= log x={l1:.4f}; "
+            "the mid prime band is empty"
+        )
 
     return Schedule(
-        x=x,
-        k=k,
-        c1=c1,
-        c2=c2,
-        z=z_val,
-        y=y_val,
-        profile=profile,
-        delta=delta,
-        c2_autoshrink=c2_autoshrink,
-        degenerate=z_val <= l1,
+        x=x, k=k, z=z_val, y=y_val, profile=profile, autoshrink=autoshrink
     )
 
 
@@ -134,7 +108,7 @@ def shrink_to_capacity(sch: Schedule, build, demand):
         needed, available = demand(sets)
         if needed <= available:
             return sch, sets, tuple(trace)
-        if not sch.c2_autoshrink or sch.y // 2 < MIN_Y:
+        if not sch.autoshrink or sch.y // 2 < MIN_Y:
             raise CapacityError(
                 f"capacity failed at y={sch.y}: {needed} offsets need a "
                 f"covering prime but only {available} are available, "

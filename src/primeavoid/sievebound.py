@@ -7,10 +7,10 @@ bound
                          * exp((2b+3) c / (lam log z))}
          + C_err * z^(2b + 2.01/(e^(2 lam/kappa) - 1))
 
-for a sifting instance (X, omega, z).  The constant c inside the
-exponential and the O-constant of the tail are not pinned by theory, so
-both are exposed as configuration (sieve_c, err_c, default 1) and the
-tail is reported as a separate additive line item.  The exact counter
+for a sifting instance (X, omega, z).  Theory does not pin the constant
+c inside the exponential or the O-constant C_err of the tail; both are
+taken as 1 (SIEVE_C, ERR_C), and the tail is reported as a separate
+additive line item.  The exact counter
 ``empirical_sifted_count`` is the independent check that the evaluated
 bound actually dominates on concrete instances.
 """
@@ -24,13 +24,17 @@ from . import kernels
 from .numtheory import kth_root_count, primes_upto
 
 SIFT_RANGE_LIMIT = 10**7
+# omega(p)/p <= 1 - 1/A1 for every sifting prime
+A1 = 2.0
+SIEVE_C = 1.0
+ERR_C = 1.0
 
 
 class SieveInstance(NamedTuple):
     """Inputs for one upper-bound evaluation.
 
     size is X = |A|; omega maps each sifting prime to its number of
-    forbidden residue classes.  a1 bounds omega(p)/p away from 1, and
+    forbidden residue classes.  A1 bounds omega(p)/p away from 1, and
     (kappa, a2) bound the weighted prime sums; both are checked
     numerically rather than assumed.
     """
@@ -39,23 +43,20 @@ class SieveInstance(NamedTuple):
     omega: dict[int, int]
     z: float = 2.0
     kappa: float = 1.0
-    a1: float = 2.0
     a2: float = 8.0
     lam: float = 0.2
     b: int = 1
-    sieve_c: float = 1.0
-    err_c: float = 1.0
 
     def validate(self) -> None:
         if self.size < 0:
             raise ValueError("instance size must be >= 0")
-        if self.kappa <= 0 or self.a1 < 1 or self.a2 < 1 or self.b < 1:
-            raise ValueError("need kappa > 0, A1 >= 1, A2 >= 1, b >= 1")
+        if self.kappa <= 0 or self.a2 < 1 or self.b < 1:
+            raise ValueError("need kappa > 0, A2 >= 1, b >= 1")
         if not 0 < self.lam * math.exp(1 + self.lam) < 1:
             raise ValueError(
                 f"lambda={self.lam} is inadmissible (lam*e^(1+lam) must be in (0,1))"
             )
-        cap = 1 - 1 / self.a1
+        cap = 1 - 1 / A1
         for p, w in self.omega.items():
             if not 0 <= w / p <= cap:
                 raise ValueError(
@@ -108,10 +109,10 @@ def brun_bound_terms(inst: SieveInstance) -> tuple[float, float]:
     logz = math.log(inst.z)
     if logz <= 0:
         raise ValueError(f"z must exceed 1, got {inst.z}")
-    correction = factor * math.exp((2 * inst.b + 3) * inst.sieve_c / (inst.lam * logz))
+    correction = factor * math.exp((2 * inst.b + 3) * SIEVE_C / (inst.lam * logz))
     main = inst.size * _w_product(inst) * (1.0 + correction)
     tail_exp = 2 * inst.b + 2.01 / (math.exp(2 * inst.lam / inst.kappa) - 1.0)
-    error = inst.err_c * inst.z**tail_exp
+    error = ERR_C * inst.z**tail_exp
     return main, error
 
 
@@ -193,22 +194,10 @@ def instance_for_rules(
     lam: float,
     b: int,
     kappa: float,
-    a1: float = 2.0,
     a2: float = 8.0,
-    sieve_c: float = 1.0,
-    err_c: float = 1.0,
 ) -> SieveInstance:
     """Package a forbidden-residue table as a SieveInstance."""
     omega = {p: len({r % p for r in rs}) for p, rs in rules.items() if p < z}
     return SieveInstance(
-        size=range_size,
-        omega=omega,
-        z=z,
-        kappa=kappa,
-        a1=a1,
-        a2=a2,
-        lam=lam,
-        b=b,
-        sieve_c=sieve_c,
-        err_c=err_c,
+        size=range_size, omega=omega, z=z, kappa=kappa, a2=a2, lam=lam, b=b
     )

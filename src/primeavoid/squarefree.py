@@ -42,7 +42,7 @@ from .numtheory import (
     primes_upto,
     struck_witnesses,
 )
-from .schedule import Schedule, iter_log, shrink_to_capacity
+from .schedule import Schedule, shrink_to_capacity
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -80,11 +80,6 @@ def greedy_classes(offsets, primes) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def build_sets(sch: Schedule) -> SetSystem:
     """Classify primes and window offsets for a squarefree run, and
     choose the mid-band classes."""
-    if sch.degenerate:
-        raise ValueError(
-            f"degenerate schedule: z={sch.z:.4f} <= log x={iter_log(sch.x, 1):.4f}; "
-            "the mid prime band is empty"
-        )
     x, z, y = sch.x, sch.z, sch.y
     if z > x / 4:
         raise ValueError(f"z={z} exceeds x/4={x / 4}; prime bands would overlap")

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,13 +81,17 @@ def test_construct_deterministic_bytes(capsys):
         assert out1 == out2
 
 
-def test_construct_literal_profile_degenerate_exits_64(capsys):
-    code, _, err = run_cli(
-        capsys, "construct", "--mode", "squarefree", "--x", "1000000",
-        "--profile", "literal",
+@pytest.mark.parametrize(
+    "option",
+    [("--c1", "0.1"), ("--c2", "0.25"), ("--delta", "0.01"), ("--profile", "literal")],
+    ids=" ".join,
+)
+def test_construct_removed_option_exits_64(capsys, option):
+    code, out, err = run_cli(
+        capsys, "construct", "--mode", "squarefree", "--x", "1000", *option
     )
     assert code == 64
-    assert "degenerate" in err
+    assert out == "" and option[0] in err
 
 
 def test_construct_internal_error_exits_70(capsys, monkeypatch):
@@ -152,7 +158,8 @@ def test_construct_invalid_congruence_system_exits_70(
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--mode", "squarefree", "--x", "1000000", "--profile", "literal"),
+        # z at log 1000 = 6.9078 or below leaves the mid band empty
+        ("--mode", "squarefree", "--x", "1000", "--z", "6.9"),
         ("--mode", "squarefree", "--x", "40", "--profile", "explicit",
          "--z", "30", "--y", "10"),
         ("--mode", "kpower", "--x", "200000000"),
@@ -370,7 +377,7 @@ def test_verify_negative_window_radius_exits_65(tmp_path, capsys, fixture):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.5", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.6", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -385,6 +392,50 @@ def test_verify_unknown_format_version_exits_65(
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def completeness(doc):
+    report = doc_mod.verify_document(doc)
+    return next((ok, detail) for name, ok, detail in report.sections
+                if name == "completeness")
+
+
+@pytest.mark.parametrize("fixture", ["sf_x40_explicit.json", "kp3_x1000.json"])
+def test_verify_completeness_names_missing_and_extra_offsets(fixture):
+    # the window as a set is the oracle; the verifier never builds it
+    rng = random.Random(fixture)
+    clean = json.loads((FIXTURES / fixture).read_text())
+    y = clean["schedule"]["y"]
+    window = set(range(-y, y + 1)) - ({1} if clean["mode"] == "kpower" else set())
+    for _ in range(40):
+        doc = json.loads(json.dumps(clean))
+        doc["cover"] = rng.sample(doc["cover"], rng.randrange(len(doc["cover"]) + 1))
+        for u in rng.sample([-y - 2, -y - 1, 1, y + 1, 3 * y], rng.randrange(3)):
+            doc["cover"].append({"u": u, "witness_prime": "2"})
+        seen = {e["u"] for e in doc["cover"]}
+        ok, detail = completeness(doc)
+        assert ok == (seen == window)
+        if not ok:
+            assert detail.endswith(
+                f"(missing {sorted(window - seen)[:5]}, "
+                f"extra {sorted(seen - window)[:5]})"
+            )
+
+
+def test_verify_completeness_cost_follows_the_document_not_y():
+    # 12 entries claiming y = 10^5: the verdict must not cost a set of
+    # 2*10^5 + 1 offsets (about 24 MB)
+    doc = doc_mod.parse_document((FIXTURES / "kp1_x200.json").read_text())
+    doc["schedule"]["y"] = 10**5
+    tracemalloc.start()
+    try:
+        ok, detail = completeness(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not ok
+    assert "missing [-100000, -99999, -99998, -99997, -99996], extra []" in detail
+    assert peak < 2**20
 
 
 def last_line_printed(code):
@@ -447,14 +498,6 @@ def test_package_import_loads_no_submodule():
     package = Path(cli.__file__).parent
     submodules = tuple(f"primeavoid.{path.stem}" for path in package.glob("*.py"))
     assert modules_loaded_by("import primeavoid", submodules) == "[]"
-
-
-def test_star_import_binds_every_public_name():
-    unbound = last_line_printed(
-        "import primeavoid\nfrom primeavoid import *\n"
-        "print(sorted(set(primeavoid.__all__) - set(globals())))"
-    )
-    assert unbound == "[]"
 
 
 def test_document_module_imports_no_construction_code():

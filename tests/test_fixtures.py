@@ -1,8 +1,8 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-format-1.0 to 1.3 documents that came before them (tests/fixtures/v1.0/,
-v1.1/, v1.2/, v1.3/) still verify.  A kpower k=2, x=3*10^4 certificate
+format-1.0 to 1.4 documents that came before them (tests/fixtures/v1.0/
+to v1.4/) still verify.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
 golden copy."""
 
@@ -81,6 +81,11 @@ def test_format_1_3_fixture_still_verifies(name, capsys):
     assert_verifies(FIXTURES / "v1.3" / name, capsys)
 
 
+@each_case
+def test_format_1_4_fixture_still_verifies(name, capsys):
+    assert_verifies(FIXTURES / "v1.4" / name, capsys)
+
+
 def assert_differ_only_in_version(name, new_dir, old_dir, versions):
     new, old = (json.loads((d / name).read_text()) for d in (new_dir, old_dir))
     assert (new.pop("format_version"), old.pop("format_version")) == versions
@@ -99,8 +104,23 @@ def test_squarefree_fixture_differs_from_1_2_only_in_version(name):
 def test_kpower_fixture_differs_from_1_3_only_in_version(name):
     # format 1.4 changed squarefree residues and assignments only
     assert_differ_only_in_version(
-        name, FIXTURES, FIXTURES / "v1.3", ("1.4", "1.3")
+        name, FIXTURES / "v1.4", FIXTURES / "v1.3", ("1.4", "1.3")
     )
+
+
+@each_case
+def test_fixture_differs_from_1_4_only_in_schedule_keys(name):
+    # format 1.5 dropped the schedule's c1, c2, delta and degenerate keys
+    # and renamed c2_autoshrink to autoshrink
+    new, old = (
+        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.4")
+    )
+    schedule = old["schedule"]
+    for key in ("c1", "c2", "delta", "degenerate"):
+        del schedule[key]
+    schedule["autoshrink"] = schedule.pop("c2_autoshrink")
+    assert (new.pop("format_version"), old.pop("format_version")) == ("1.5", "1.4")
+    assert new == old
 
 
 def assert_round_trip(tmp_path, capsys, *args):

@@ -633,7 +633,8 @@ def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):
 def test_fixture_keeps_format_1_2_window(name):
     # U7 changes which primes are matched, never y or the exceptions
     new, old = (
-        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.2")
+        json.loads((d / name).read_text())
+        for d in (FIXTURES / "v1.4", FIXTURES / "v1.2")
     )
     assert new["schedule"] == old["schedule"]
     assert new["metrics"]["autoshrink_trace"] == old["metrics"]["autoshrink_trace"]

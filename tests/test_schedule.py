@@ -38,32 +38,16 @@ def test_iter_log_domain_errors():
         iter_log(1000, 5)
 
 
-def test_literal_profile_degenerates_at_desk_scale():
-    sch = make_schedule(1e6, 1, "literal", c1=0.1)
-    assert sch.z == pytest.approx(1.6619, abs=2e-4)
-    assert sch.degenerate
-
-
-def test_literal_z_respects_exponent_cap():
-    for x in (1e4, 1e6, 1e7):
-        sch = make_schedule(x, 1, "literal", c1=0.1)
-        l2 = iter_log(x, 2)
-        l3 = iter_log(x, 3)
-        assert sch.z <= x ** (l3 / (10 * l2)) * (1 + 1e-12)
-
-
 def test_practical_profile():
     sch = make_schedule(40, 1, "practical")
     assert sch.z == pytest.approx(math.sqrt(40), rel=1e-12)
     assert sch.y == 5
-    assert not sch.degenerate
 
 
 def test_explicit_profile_passthrough():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     assert sch.z == pytest.approx(6.32455, abs=1e-4)
     assert sch.y == 10
-    assert not sch.degenerate
 
 
 def test_explicit_profile_requires_overrides():
@@ -77,8 +61,8 @@ def test_y_floor_rejected():
 
 
 def test_make_schedule_deterministic():
-    a = make_schedule(12345.0, 2, "practical", c2=0.2)
-    b = make_schedule(12345.0, 2, "practical", c2=0.2)
+    a = make_schedule(12345.0, 2, "practical", y=500)
+    b = make_schedule(12345.0, 2, "practical", y=500)
     assert a == b
 
 
@@ -90,7 +74,7 @@ def test_make_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(100, 1, "bogus")
     with pytest.raises(ValueError):
-        make_schedule(100, 1, "practical", c1=-1)
+        make_schedule(100, 1, "literal")
 
 
 def shrink(sch, demand, built=None):
@@ -124,7 +108,7 @@ def test_capacity_vacuous():
 
 
 def test_capacity_fail_without_autoshrink():
-    sch = make_schedule(40, 1, "explicit", z=6.3246, y=10, c2_autoshrink=False)
+    sch = make_schedule(40, 1, "explicit", z=6.3246, y=10, autoshrink=False)
     built = []
     with pytest.raises(CapacityError, match="capacity failed at y=10") as err:
         shrink(sch, lambda y: (12, 8), built)

@@ -122,7 +122,7 @@ def test_bound_small_z_blowup_is_finite():
 
 
 def test_instance_validation_rejects_heavy_omega():
-    inst = SieveInstance(size=100, omega={3: 3}, z=10.0, kappa=1.0, a1=2.0, lam=0.2, b=1)
+    inst = SieveInstance(size=100, omega={3: 3}, z=10.0, kappa=1.0, lam=0.2, b=1)
     with pytest.raises(ValueError, match="omega"):
         inst.validate()
 

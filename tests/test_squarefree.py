@@ -135,10 +135,10 @@ def test_tiny_window_edge():
 
 
 def test_degenerate_schedule_rejected():
-    sch = make_schedule(1e6, 1, "literal")
-    assert sch.degenerate
-    with pytest.raises(ValueError, match="degenerate"):
-        build_sets(sch)
+    # z at or below log x leaves the mid band empty; the schedule refuses it
+    for z in (math.log(1e6), 2.0):
+        with pytest.raises(ValueError, match="degenerate"):
+            make_schedule(1e6, 1, "practical", z=z)
 
 
 def test_monotone_cardinalities():
