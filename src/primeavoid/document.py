@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.5"
+FORMAT_VERSION = "1.6"
 
 
 @contextmanager
@@ -100,11 +100,10 @@ def kcertificate_to_document(cert: KCertificate) -> dict:
     """Serialize a k-th power certificate."""
     return _document(
         cert,
-        ("P1", "P2", "P3tilde", "P3", "P4", "U1", "U2", "U3", "U4", "U5", "U6", "U7"),
+        ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U6", "U7"),
         {
             "prime_count_in_window": cert.prime_count_in_window,
             "unmatched_offsets": list(cert.matching.unmatched),
-            "p1_upper_empty": cert.sets.p1_upper_empty,
         },
         mode="kpower",
         reduced_modulus=cert.reduced,
@@ -145,12 +144,11 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
-    # 1.0 to 1.3 differ from 1.4 in how witnesses were chosen, residues
-    # picked and primes assigned or matched, and in what ``sets`` and
-    # ``metrics`` list, and 1.0 to 1.4 from 1.5 in the schedule keys
-    # besides y and k; verify reads none of that, as it checks each
-    # witness by its division
-    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", FORMAT_VERSION)
+    # 1.0 to 1.5 differ in how witnesses were chosen, residues picked and
+    # primes assigned or matched, in what ``sets`` and ``metrics`` list,
+    # and in the schedule keys besides y and k; verify reads none of
+    # that, as it checks each witness by its division
+    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", FORMAT_VERSION)
     if doc["format_version"] not in readable:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "

@@ -1,18 +1,20 @@
 """Construction of prime-avoiding k-th powers of primes.
 
-Builds the offset classes for the window around m^k from the offsets
-each small band strikes (numtheory.struck_witnesses) and a table of
-largest prime factors, and matches large primes, under k-th power
-solvability, to U7: the offsets u != 1 that neither small band
-strikes (no band-one prime divides u and no mid-band prime divides
-u + 2^k - 1).  An offset a band already strikes gets no matched prime of
-its own.  The capacity check still counts the paper's offsets, the
-z-smooth and prime ones (U4 | U5), so y is the paper's.  The pipeline
-then solves the congruence system, finds a prime m in the progression,
-and certifies the window: the witness of m^k + (u - 1) is the least
-modulus q of the system whose residue r has u == 1 - r^k (mod q), and an
-element that no congruence strikes is an exception with its primality
-status.
+Every prime p <= max(z, x/40k), ascending, takes the admissible class
+that strikes the most window offsets still open (numtheory.greedy_classes),
+the least such class on a tie.  A class c is admissible when 1 - c is a
+nonzero k-th power residue mod p, so m == r (mod p) with r^k == 1 - c
+puts p | m^k + u - 1 for every u == c (mod p) and never strikes u = 1,
+whose element is m^k itself; the least root r is taken, and class 0 gives
+m == 1 (mod p).  U7, the offsets this pass leaves open, is matched to
+large primes under k-th power solvability.  Congruences that are no
+offset's least striker are dropped (numtheory.drop_idle).  The capacity
+check still counts the paper's offsets, the z-smooth and prime ones
+(U4 | U5), so y is the paper's.  The pipeline then solves the congruence
+system, finds a prime m in the progression, and certifies the window:
+the witness of m^k + (u - 1) is the least modulus q of the system whose
+residue r has u == 1 - r^k (mod q), and an element that no congruence
+strikes is an exception with its primality status.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .numtheory import (
     Congruence,
     avoidance_constant,
     crt_solve,
+    drop_idle,
+    greedy_classes,
     is_prime,
     jacobi,
     kth_root_count,
@@ -56,28 +60,27 @@ _POOL_MIN_BITS = 1024
 
 
 class KSetSystem(NamedTuple):
-    """Prime bands and offset classes for one k-th power run.
+    """Primes and offset classes for one k-th power run.
 
-    U3, U4 and U5 are the paper's prime/smooth taxonomy; they set the
-    capacity demand (paper_demand) and are reported, but no prime is
-    matched from them.  Only U7, the offsets no band strikes, is matched.
+    U3, U4 and U5 are the paper's prime/smooth taxonomy: they set the
+    capacity demand (paper_demand) and are reported, but only U7, the
+    offsets that the P1 classes leave open (strike_offsets), is matched.
     """
 
     k: int
-    p1: tuple[int, ...]  # p <= log x, plus the band (z, x/40k]
-    p2: tuple[int, ...]  # mid band (log x, z]
+    y: int  # window radius: the offsets are [-y, y]
+    p1: tuple[int, ...]  # p <= max(z, x/40k): the primes of greedy classes
     # large primes passing the band's congruence filter; for odd k the
     # filter p == 2 (mod 3) gives gcd(k, p-1) = 1 only when k is a power
-    # of 3, so match_offsets checks each edge with kth_root_count
+    # of 3 (for k=5 at x=2000, 37 of the 147 have 5 | p-1), so
+    # match_offsets checks each edge with kth_root_count
     p3tilde: tuple[int, ...]
-    u1: tuple[int, ...]  # some band-one prime divides u
-    u2: tuple[int, ...]  # window minus u1
     u3: tuple[int, ...]  # |u| prime
     u4: tuple[int, ...]  # u != 0 with |u| z-smooth
-    u5: tuple[int, ...]  # u3 offsets with no mid-band prime dividing u + 2^k - 1
-    # u != 1 that neither band strikes: the offsets match_offsets serves
-    u7: tuple[int, ...]
-    p1_upper_empty: bool  # x/40k fell at or below z
+    # u3 offsets with no prime of (log x, z] dividing u + 2^k - 1
+    u5: tuple[int, ...]
+    classes: tuple[int, ...] = ()  # greedy admissible class of each p1 prime
+    u7: tuple[int, ...] = ()  # u != 1 that no p1 class strikes
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
     p3: tuple[int, ...] = ()  # matched image, filled after matching
     p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
@@ -90,8 +93,14 @@ class KSetSystem(NamedTuple):
 
 
 def build_sets_k(sch: Schedule) -> KSetSystem:
-    """Classify primes and window offsets for a k-th power run."""
+    """Classify primes and window offsets for a k-th power run, without
+    the greedy classes (strike_offsets)."""
     x, k, z, y = sch.x, sch.k, sch.z, sch.y
+    if k % 6 == 0:
+        raise ValueError(
+            f"k={k} is divisible by 6: the matchable class p == 3 (mod {2 * k}) "
+            "holds no prime above 3"
+        )
     cut = x / (40 * k)
     if cut < 1:
         raise CapacityError(
@@ -102,71 +111,52 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
         )
     log_x = math.log(x)
     primes = primes_upto(math.floor(x))
-
-    p1_upper_empty = cut <= z
-    p1 = tuple(p for p in primes if p <= log_x or z < p <= cut)
-    p2 = tuple(p for p in primes if log_x < p <= z)
-    banned = set(p1) | set(p2)
+    top = max(z, cut)
+    p1 = tuple(p for p in primes if p <= top)
     if k % 2 == 1:
-        p3t = tuple(
-            p for p in primes if cut < p <= x and p % 3 == 2 and p not in banned
-        )
+        p3t = tuple(p for p in primes if top < p <= x and p % 3 == 2)
     else:
-        p3t = tuple(
-            p
-            for p in primes
-            if cut < p <= x / 2 and p % (2 * k) == 3 and p not in banned
-        )
+        p3t = tuple(p for p in primes if top < p <= x / 2 and p % (2 * k) == 3)
     if not p3t:
         raise CapacityError(
-            f"no matchable large primes in the band above x/(40k)={cut:g}",
+            f"no matchable large primes in the band above max(z, x/(40k))={top:g}",
             needed=1,
             available=0,
         )
 
-    # at index u + y, the least band-one prime dividing u and the least
-    # mid-band prime dividing u + 2^k - 1 (0 when none does); at index
-    # n <= y, the largest prime factor of n (0 for n < 2), since the
-    # primes stamp their multiples in ascending order
-    band = struck_witnesses(y, ((0, p) for p in p1))
-    mid = struck_witnesses(y, ((1 - (1 << k), p) for p in p2))
+    # at index u + y, the least prime of (log x, z] dividing u + 2^k - 1;
+    # at n <= y, the largest prime factor of n, as the primes stamp their
+    # multiples in ascending order (0 when there is none)
+    mid = struck_witnesses(y, ((1 - (1 << k), p) for p in primes if log_x < p <= z))
     largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
     window = range(-y, y + 1)
-    u1 = tuple(u for u in window if band[u + y])
-    u2 = tuple(u for u in window if not band[u + y])
     u3 = tuple(u for u in window if largest[abs(u)] == abs(u) > 1)
     u4 = tuple(u for u in window if u != 0 and largest[abs(u)] <= z)
     u5 = tuple(u for u in u3 if not mid[u + y])
-    u7 = tuple(u for u in window if u != 1 and not band[u + y] and not mid[u + y])
-    return KSetSystem(
-        k=k,
-        p1=p1,
-        p2=p2,
-        p3tilde=p3t,
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        u4=u4,
-        u5=u5,
-        u7=u7,
-        p1_upper_empty=p1_upper_empty,
+    return KSetSystem(k=k, y=y, p1=p1, p3tilde=p3t, u3=u3, u4=u4, u5=u5)
+
+
+def strike_offsets(sets: KSetSystem) -> KSetSystem:
+    """The P1 primes, ascending, take their greedy classes
+    (numtheory.greedy_classes) over the window offsets u != 1, each
+    admissible class c having 1 - c a nonzero k-th power residue mod p;
+    U7 is what they leave open."""
+    k, y = sets.k, sets.y
+    classes, u7 = greedy_classes(
+        (u for u in range(-y, y + 1) if u != 1),
+        sets.p1,
+        lambda c, p: (1 - c) % p != 0 and kth_root_count(1 - c, k, p) > 0,
     )
+    return sets._replace(classes=classes, u7=u7)
 
 
 def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
     """Offsets u whose -u is a quadratic residue for too few matchable
     primes (at most DELTA*x/log x of them).  Empty for odd k.
 
-    The odd-k filter p == 2 (mod 3) makes k-th powers cover every residue
-    mod p only when k is a power of 3: for k=5 at x=2000, 37 of the 147
-    matchable primes have 5 | p-1.  Witnesses stay valid regardless,
-    because match_offsets draws an edge only where kth_root_count finds
-    a root; an offset left unmatched and otherwise uncovered is recorded
-    as an exception by verify_power_window.
-
     The screen runs over the whole window and is only reported (U6): it
     changes neither U7 nor the matching, which spends no prime on an
-    offset that a small band strikes, screened or not."""
+    offset that a P1 class strikes, screened or not."""
     if sch.k % 2 == 1:
         return ()
     threshold = DELTA * sch.x / math.log(sch.x)
@@ -231,7 +221,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
     solution; zero roots are useless (the found prime m would have to be
     divisible by p), so offsets with 1 - u == 0 mod p lose that edge.
     U7 leaves out u = 1 (its window element is m^k itself, the
-    constructed prime power) and every offset a small band strikes.
+    constructed prime power) and every offset a P1 class strikes.
     """
     k = sets.k
     adjacency: dict[int, tuple[int, ...]] = {}
@@ -251,10 +241,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
             raise RuntimeError(
                 f"root count and enumeration disagree at (u={u}, p={p})"
             )
-        root = min(roots)
-        if pow(root, k, p) != (1 - u) % p:
-            raise RuntimeError(f"chosen root fails re-verification at (u={u}, p={p})")
-        matched[u] = (p, root)
+        matched[u] = (p, min(roots))
     unmatched = tuple(u for u in sets.u7 if u not in matched)
     return KMatching(matched=matched, unmatched=unmatched)
 
@@ -278,24 +265,22 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
 def covering_congruences(
     sets: KSetSystem, matching: KMatching
 ) -> tuple[Congruence, ...]:
-    """m0 == 1 mod band-one primes, 2 mod mid-band primes, the chosen root
-    mod each matched prime, then 1 mod each leftover prime of P4 (empty
-    in reduced mode), in that order.
-
-    Reduced mode drops the P4 block: it exists only to force coprimality
-    to the full primorial, and the construction's coverage never uses it,
-    while the smaller modulus makes the prime search far cheaper."""
-    congs = [Congruence(1, p) for p in sets.p1]
-    congs += [Congruence(2, p) for p in sets.p2]
-    for u in sorted(matching.matched):
-        p, root = matching.matched[u]
+    """m0 == r mod each P1 prime, r the least root of r^k == 1 - c for its
+    class c, then the chosen root mod each matched prime, by offset, in
+    that order, without the congruences that are no offset's least
+    striker (numtheory.drop_idle)."""
+    pairs = sorted(matching.matched.items())
+    for u, (p, root) in pairs:
         if root == 0:
             raise ConstructionError(
                 f"zero root chosen for offset {u}: would break coprimality"
             )
-        congs.append(Congruence(root, p))
-    congs += [Congruence(1, p) for p in sets.p4]
-    return tuple(congs)
+    root_of = dict(matching.matched.values())
+    classes = [*zip(sets.classes, sets.p1), *((u % p, p) for u, (p, _) in pairs)]
+    return tuple(
+        Congruence(root_of.get(p) or min(kth_roots_mod_p(1 - c, sets.k, p)), p)
+        for c, p in drop_idle(sets.y, classes)
+    )
 
 
 def _sieve_depth(bits: int) -> int:
@@ -313,7 +298,7 @@ def _sieve_depth(bits: int) -> int:
     and 68 ms: the balance lies near 2^11 at 320 bits and far above the
     cap at 2800, and grows as about bits^3.  The rule stays below it,
     since under 2^16 is_prime's primorial gcd rejects a survivor for less
-    than a round: at 320 bits, the size of the reduced kpower
+    than a round: at 320 bits, the size of the format-1.5 reduced kpower
     certificates, a search takes 2-5 ms from 2^10 to 2^12 and 36-47 ms at
     2^18, and from 1024 bits up it is flat within noise from 2^12 to 2^18.
     """
@@ -536,14 +521,16 @@ def construct_certificate_k(
     sch, sets, trace = shrink_to_capacity(
         sch, build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
     )
+    sets = strike_offsets(sets)
     matching = match_offsets(sets)
     p3 = tuple(sorted(p for p, _ in matching.matched.values()))
-    p4: tuple[int, ...] = ()
-    if not reduced:  # 1 mod every other prime <= x
-        used = {*sets.p1, *sets.p2, *p3}
-        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
-    sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3, p4=p4)
+    sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3)
     congruences = covering_congruences(sets, matching)
+    if not reduced:  # 1 mod every other prime <= x, for a full primorial
+        used = {c.modulus for c in congruences}
+        p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
+        sets = sets._replace(p4=p4)
+        congruences += tuple(Congruence(1, p) for p in p4)
     modulus, m0 = solve_m0_k(congruences)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
     cover, exceptions, prime_count = verify_power_window(m, congruences, sch)

@@ -1,6 +1,7 @@
-"""Exact integer and modular arithmetic primitives, including the struck
-witnesses that both pipelines classify offsets by and both window checks
-read, the tiered squarefree check that the squarefree search and the
+"""Exact integer and modular arithmetic primitives, including the covering
+core both pipelines share (the greedy class rule, the struck witnesses
+that both window checks read, and the pass that drops idle congruences),
+the tiered squarefree check that the squarefree search and the
 verifier share, and the worker-process policy that it and the kpower
 prime search use.
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -228,6 +229,36 @@ def struck_witnesses(y: int, classes) -> list[int]:
     """
     ordered = sorted(classes, key=lambda pair: pair[1], reverse=True)
     return kernels.stamp(2 * y + 1, (((c + y) % q, q) for c, q in ordered))
+
+
+def greedy_classes(
+    offsets, primes, admissible=lambda c, p: True
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each prime p of ``primes``, in the order given, takes the class
+    c in [0, p) with admissible(c, p) that holds the most of ``offsets``
+    that no earlier class strikes, the least such c on a tie (the least
+    admissible c once none are left).  Returns the classes, one per prime,
+    and the offsets that no class strikes."""
+    left = tuple(offsets)
+    classes = []
+    for p in primes:
+        counts = Counter(u % p for u in left)
+        best = (c for c in counts if admissible(c, p))
+        c = min(best, key=lambda c: (-counts[c], c), default=None)
+        if c is None:
+            c = next(c for c in range(p) if admissible(c, p))
+        classes.append(c)
+        left = tuple(u for u in left if u % p != c)
+    return tuple(classes), left
+
+
+def drop_idle(y: int, classes) -> list[tuple[int, int]]:
+    """The (class c, prime q) pairs of ``classes``, in order, whose q is
+    the least modulus striking some offset of [-y, y]: the others witness
+    nothing and would only make the modulus larger."""
+    classes = list(classes)
+    witnesses = set(struck_witnesses(y, classes))
+    return [pair for pair in classes if pair[1] in witnesses]
 
 
 def jacobi(a: int, n: int) -> int:

@@ -8,9 +8,9 @@ squarefree member, and emits a certificate holding one witness prime
 divisor per window offset: the least modulus q of the system whose
 residue r has u == -r (mod q).
 
-Every prime of band one takes residue 0, so it strikes the offsets it
-divides.  The mid band and the large band choose their classes by one
-greedy rule (greedy_classes): each prime, ascending, takes the class
+Every band-one prime takes residue 0, so it strikes the offsets it
+divides.  The mid and large bands take the greedy classes kpower also
+uses (numtheory.greedy_classes): each prime, ascending, takes the class
 that strikes the most offsets still unstruck, the least class on a tie
 (Rankin's covering, as refined by Maier and Pomerance).  So:
 
@@ -22,14 +22,13 @@ that strikes the most offsets still unstruck, the least class on a tie
 
 With 2 in band one (log x >= 2), 2 strikes every even offset, so u2 and
 u6 hold odd offsets only.  A congruence whose modulus is no offset's
-least striker is dropped before the system is solved: it would only
-make m larger.
+least striker is dropped (numtheory.drop_idle) before the system is
+solved: it would only make m larger.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import CapacityError, ConstructionError, SearchExhausted
@@ -39,6 +38,8 @@ from .numtheory import (
     avoidance_constant,
     classify_squarefree,
     crt_solve,
+    drop_idle,
+    greedy_classes,
     primes_upto,
     struck_witnesses,
 )
@@ -59,22 +60,6 @@ class SetSystem(NamedTuple):
     u2: tuple[int, ...]  # window minus u1
     mid_classes: tuple[int, ...]  # greedy class c of each p2 prime over u2
     u6: tuple[int, ...]  # u2 offsets no mid class strikes: the large band's
-
-
-def greedy_classes(offsets, primes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each prime p of ``primes``, in the order given, takes the class
-    c in [0, p) holding the most of ``offsets`` that no earlier class
-    strikes, the least such c on a tie (0 once none are left).  Returns
-    the classes, one per prime, and the offsets that no class strikes."""
-    left = tuple(offsets)
-    classes = []
-    for p in primes:
-        counts = Counter(u % p for u in left)
-        most = max(counts.values(), default=0)
-        c = min((c for c, n in counts.items() if n == most), default=0)
-        classes.append(c)
-        left = tuple(u for u in left if u % p != c)
-    return tuple(classes), left
 
 
 def build_sets(sch: Schedule) -> SetSystem:
@@ -130,12 +115,11 @@ def covering_congruences(
     prime of class c, m0 == -u mod q for each assigned pair (u, q), in
     that order, once per congruence, without those whose modulus is no
     offset's least striker; a prime used twice makes crt_solve raise."""
-    congs = [Congruence(0, p) for p in sets.p1]
-    congs += [Congruence(-c % p, p) for c, p in zip(sets.mid_classes, sets.p2)]
+    classes = [(0, p) for p in sets.p1]
+    classes += zip(sets.mid_classes, sets.p2)
     pairs = sorted(phi.items(), key=lambda pair: pair[1])
-    congs += dict.fromkeys(Congruence(-u % q, q) for u, q in pairs)
-    witnesses = set(struck_witnesses(sets.y, ((-c.residue, c.modulus) for c in congs)))
-    return tuple(c for c in congs if c.modulus in witnesses)
+    classes += dict.fromkeys((u % q, q) for u, q in pairs)
+    return tuple(Congruence(-c % q, q) for c, q in drop_idle(sets.y, classes))
 
 
 def solve_m0(congruences: tuple[Congruence, ...]) -> tuple[int, int]:

@@ -22,26 +22,24 @@ def congruence_witness(value: int, congruences) -> int:
     return least_divisor(value, [c.modulus for c in congruences])
 
 
-def unstruck_offsets(y: int, p1, p2, shift: int) -> tuple[int, ...]:
-    """The offsets of [-y, y] that neither small band strikes, from the
-    definition: no prime of p1 divides u and no prime of p2 divides
-    u + shift.  kpower's U7 takes shift 2^k - 1 and drops u = 1."""
-    return tuple(
-        u
-        for u in range(-y, y + 1)
-        if not least_divisor(u, p1) and not least_divisor(u + shift, p2)
-    )
+def kth_power_class(k: int):
+    """kpower's admissibility from its definition: the class c is
+    admissible mod p when some r in [1, p) has r^k == 1 - c (mod p)."""
+    return lambda c, p: any(pow(r, k, p) == (1 - c) % p for r in range(1, p))
 
 
-def greedy_classes(offsets, primes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def greedy_classes(
+    offsets, primes, admissible=lambda c, p: True
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The greedy covering rule from its definition: each prime p in turn
-    takes the class c in [0, p) holding the most offsets that no earlier
-    class strikes, the least such c on a tie.  Returns the classes and the
-    offsets left unstruck."""
+    takes the admissible class c in [0, p) holding the most offsets that
+    no earlier class strikes, the least such c on a tie.  Returns the
+    classes and the offsets left unstruck."""
     left, classes = list(offsets), []
     for p in primes:
-        counts = [sum(1 for u in left if u % p == c) for c in range(p)]
-        c = counts.index(max(counts))
+        allowed = [c for c in range(p) if admissible(c, p)]
+        counts = [sum(1 for u in left if u % p == c) for c in allowed]
+        c = allowed[counts.index(max(counts))]
         classes.append(c)
         left = [u for u in left if u % p != c]
     return tuple(classes), tuple(left)

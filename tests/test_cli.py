@@ -58,6 +58,20 @@ def test_construct_kpower_too_small_exits_2(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("k, x", [(6, 2000), (6, 10_000), (12, 10_000)])
+def test_construct_kpower_k_divisible_by_6_exits_64(capsys, k, x):
+    # p == 3 (mod 2k) holds no prime above 3 when 3 | k, at any x
+    code, out, err = run_cli(
+        capsys, "construct", "--mode", "kpower", "--k", str(k), "--x", str(x)
+    )
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert err == (
+        f"error: k={k} is divisible by 6: the matchable class "
+        f"p == 3 (mod {2 * k}) holds no prime above 3\n"
+    )
+
+
 def test_construct_bad_y_exits_64(capsys):
     code, _, _ = run_cli(
         capsys, "construct", "--mode", "squarefree", "--x", "40", "--y", "2"
@@ -377,7 +391,7 @@ def test_verify_negative_window_radius_exits_65(tmp_path, capsys, fixture):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.6", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.7", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -657,11 +671,11 @@ def test_matrix_scan_needs_kpower_mode(tmp_path, capsys, micro_doc_text):
 
 @pytest.mark.parametrize(
     "k,x,detail",
-    [(1, 100, "m is proven prime"), (3, 1000, "m is a BPSW probable prime")],
+    [(1, 100, "m is proven prime"), (3, 3000, "m is a BPSW probable prime")],
     ids=["proven", "bpsw"],
 )
 def test_verify_prime_base_names_its_tier(tmp_path, capsys, k, x, detail):
-    # k=1, x=100 gives a 17-bit m; k=3, x=1000 a 122-bit m, above
+    # k=1, x=100 gives a 17-bit m; k=3, x=3000 a 99-bit m, above
     # MR_DETERMINISTIC_BOUND (about 3.3*10^24, 82 bits)
     path = tmp_path / "k.json"
     code, _, _ = run_cli(

@@ -1,8 +1,8 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-format-1.0 to 1.4 documents that came before them (tests/fixtures/v1.0/
-to v1.4/) still verify.  A kpower k=2, x=3*10^4 certificate
+documents of every earlier format (tests/fixtures/v1.0/ to v1.5/) still
+verify.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
 golden copy."""
 
@@ -61,29 +61,19 @@ def test_fixture_passes_the_benchmark_check(name):
     assert bench_check((FIXTURES / name).read_text()) == []
 
 
-@each_case
-def test_format_1_0_fixture_still_verifies(name, capsys):
-    assert_verifies(FIXTURES / "v1.0" / name, capsys)
+def old_format_still_verifies(version):
+    @each_case
+    def test(name, capsys):
+        assert_verifies(FIXTURES / version / name, capsys)
+
+    return test
 
 
-@each_case
-def test_format_1_1_fixture_still_verifies(name, capsys):
-    assert_verifies(FIXTURES / "v1.1" / name, capsys)
-
-
-@each_case
-def test_format_1_2_fixture_still_verifies(name, capsys):
-    assert_verifies(FIXTURES / "v1.2" / name, capsys)
-
-
-@each_case
-def test_format_1_3_fixture_still_verifies(name, capsys):
-    assert_verifies(FIXTURES / "v1.3" / name, capsys)
-
-
-@each_case
-def test_format_1_4_fixture_still_verifies(name, capsys):
-    assert_verifies(FIXTURES / "v1.4" / name, capsys)
+# one test over every earlier format's directory, named by the format, so
+# that a new directory gets its test without a new function
+for _dir in sorted(FIXTURES.glob("v*")):
+    _name = f"test_format_{_dir.name[1:].replace('.', '_')}_fixture_still_verifies"
+    globals()[_name] = old_format_still_verifies(_dir.name)
 
 
 def assert_differ_only_in_version(name, new_dir, old_dir, versions):
@@ -113,7 +103,8 @@ def test_fixture_differs_from_1_4_only_in_schedule_keys(name):
     # format 1.5 dropped the schedule's c1, c2, delta and degenerate keys
     # and renamed c2_autoshrink to autoshrink
     new, old = (
-        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.4")
+        json.loads((d / name).read_text())
+        for d in (FIXTURES / "v1.5", FIXTURES / "v1.4")
     )
     schedule = old["schedule"]
     for key in ("c1", "c2", "delta", "degenerate"):
@@ -121,6 +112,24 @@ def test_fixture_differs_from_1_4_only_in_schedule_keys(name):
     schedule["autoshrink"] = schedule.pop("c2_autoshrink")
     assert (new.pop("format_version"), old.pop("format_version")) == ("1.5", "1.4")
     assert new == old
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("sf")])
+def test_squarefree_fixture_differs_from_1_5_only_in_version(name):
+    # format 1.6 changed kpower classes only
+    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.5", ("1.6", "1.5"))
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("kp")])
+def test_kpower_fixture_keeps_the_1_5_window(name):
+    # the greedy classes change the congruences, never y or its trace
+    new, old = (
+        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.5")
+    )
+    assert new["schedule"] == old["schedule"]
+    assert new["metrics"]["autoshrink_trace"] == old["metrics"]["autoshrink_trace"]
+    assert len(new["exceptions"]) <= len(old["exceptions"])
+    assert int(new["modulus"]) <= int(old["modulus"])
 
 
 def assert_round_trip(tmp_path, capsys, *args):

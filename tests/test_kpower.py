@@ -18,6 +18,7 @@ from primeavoid.kpower import (
     match_offsets,
     matrix_scan,
     solve_m0_k,
+    strike_offsets,
     verify_power_window,
 )
 from primeavoid.numtheory import (
@@ -31,10 +32,11 @@ from primeavoid.schedule import make_schedule
 
 from oracles import (
     congruence_witness,
+    greedy_classes,
     has_augmenting_path,
+    kth_power_class,
     largest_prime_factor,
     least_divisor,
-    unstruck_offsets,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -46,31 +48,31 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_build_sets_k2_x10000_prime_bands():
     sch = make_schedule(1e4, 2, "practical")
     sets = build_sets_k(sch)
-    assert sets.p1 == (2, 3, 5, 7, 101, 103, 107, 109, 113)
-    assert sets.p2[0] == 11 and sets.p2[-1] == 97
-    assert not sets.p1_upper_empty
-    # matchable band: (125, 5000], p == 3 (mod 4), outside the other bands
-    assert all(125 < p <= 5000 and p % 4 == 3 for p in sets.p3tilde)
+    # P1: every prime up to max(z, x/40k) = max(100, 125)
+    assert sets.p1 == tuple(primes_upto(125))
+    # matchable band: (125, 5000], p == 3 (mod 4)
+    assert sets.p3tilde == tuple(
+        p for p in primes_upto(5000) if p > 125 and p % 4 == 3
+    )
 
 
 def test_build_sets_k1_band_rule():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     sets = build_sets_k(sch)
-    cut = 40 / 40
-    expected = tuple(
-        p
-        for p in primes_upto(40)
-        if cut < p <= 40 and p % 3 == 2 and p not in set(sets.p1) | set(sets.p2)
-    )
+    assert sets.p1 == (2, 3, 5)  # x/40 = 1 < z = sqrt(40)
+    expected = tuple(p for p in primes_upto(40) if p > math.sqrt(40) and p % 3 == 2)
     assert sets.p3tilde == expected
 
 
 def test_build_sets_tiny_window():
     sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=3)
     sets = build_sets_k(sch)
-    assert set(sets.u1) | set(sets.u2) == set(range(-3, 4))
     assert set(sets.u3) == {-3, -2, 2, 3}
     assert set(sets.u4) == {-3, -2, -1, 1, 2, 3}
+    assert (sets.classes, sets.u7) == ((), ())  # filled by strike_offsets
+    struck = strike_offsets(sets)
+    assert struck.u7 == ()
+    assert struck._replace(classes=(), u7=()) == sets
 
 
 def test_build_sets_rejects_too_small_x():
@@ -80,19 +82,12 @@ def test_build_sets_rejects_too_small_x():
 
 
 def test_build_sets_rejects_empty_matchable_band():
-    # even k divisible by 3: p == 3 (mod 2k) forces 3 | p, so the band
-    # above x/(40k) holds no admissible prime at all
-    sch = make_schedule(400, 6, "practical")
-    with pytest.raises(CapacityError, match="no matchable"):
-        build_sets_k(sch)
-
-
-def test_upper_band_empty_is_flagged_not_fatal():
-    # x=200, k=1: x/40 = 5 < z = sqrt(200), so band one has no upper part
-    sch = make_schedule(200, 1, "practical")
-    sets = build_sets_k(sch)
-    assert sets.p1_upper_empty
-    assert sets.p1 == (2, 3, 5)
+    # k divisible by 6: p == 3 (mod 2k) forces 3 | p, so no prime above 3
+    # is matchable at any x
+    for k in (6, 12):
+        sch = make_schedule(1e4, k, "practical")
+        with pytest.raises(ValueError, match=rf"p == 3 \(mod {2 * k}\)"):
+            build_sets_k(sch)
 
 
 # -- exceptional-offset screen ------------------------------------------------
@@ -131,27 +126,33 @@ def test_screen_catches_squares_for_k2():
 
 
 def test_matching_k1_is_total_and_ascending():
-    # y=20: nine offsets that no small band strikes (y=6 leaves none)
-    sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=20)
-    sets = build_sets_k(sch)
+    # y=40: eleven offsets that no P1 class strikes (y=20 leaves three)
+    sch = make_schedule(200, 1, "explicit", z=math.sqrt(200), y=40)
+    sets = strike_offsets(build_sets_k(sch))
     matching = match_offsets(sets)
-    domain = [u for u in sets.u7 if u != 1]
-    assert len(domain) == 9
+    assert len(sets.u7) == 11 and 1 not in sets.u7
     assert matching.unmatched == ()
-    assert sorted(matching.matched) == domain
+    assert sorted(matching.matched) == list(sets.u7)
     # linear congruences always solvable: ascending offsets hit ascending
     # primes, except where 1-u == 0 mod p knocks an edge out
     primes_used = [matching.matched[u][0] for u in sorted(matching.matched)]
     assert primes_used == sorted(primes_used)
 
 
-def test_matching_roots_verify():
-    sch = make_schedule(1e4, 2, "practical", y=60)
-    sets = build_sets_k(sch)
+@pytest.fixture(scope="module")
+def k2_y300_sets():
+    # 33 offsets that no P1 class strikes, two of them unmatchable
+    return strike_offsets(build_sets_k(make_schedule(1e4, 2, "practical", y=300)))
+
+
+def test_matching_roots_verify(k2_y300_sets):
+    sets = k2_y300_sets
     matching = match_offsets(sets)
+    assert len(matching.matched) == 31
     for u, (p, root) in matching.matched.items():
         assert root != 0
         assert pow(root, sets.k, p) == (1 - u) % p
+        assert root == min(r for r in range(p) if pow(r, sets.k, p) == (1 - u) % p)
 
 
 def test_matching_k2_unsolvable_edge():
@@ -160,36 +161,35 @@ def test_matching_k2_unsolvable_edge():
     assert kth_roots_mod_p(-1, 2, 7) == set()
 
 
-def test_matching_zero_residue_edge_dropped():
+def test_matching_zero_residue_edge_dropped(k2_y300_sets):
     # 1 - u == 0 (mod p) admits only the root 0, which is useless
-    sch = make_schedule(1e4, 2, "practical", y=60)
-    sets = build_sets_k(sch)
-    matching = match_offsets(sets)
+    matching = match_offsets(k2_y300_sets)
+    assert matching.matched
     for u, (p, _) in matching.matched.items():
         assert (1 - u) % p != 0
 
 
 def test_matching_excludes_offset_one():
     sch = make_schedule(200, 1, "practical")
-    sets = build_sets_k(sch)
+    sets = strike_offsets(build_sets_k(sch))
     matching = match_offsets(sets)
+    assert matching.matched
     assert 1 not in matching.matched
     assert 1 not in matching.unmatched
 
 
-def test_matching_is_maximum_no_augmenting_path():
-    sch = make_schedule(1e4, 2, "practical", y=20)
-    sets = build_sets_k(sch)
-    domain = [u for u in sets.u7 if u != 1]
-    assert len(domain) <= 50
+def test_matching_is_maximum_no_augmenting_path(k2_y300_sets):
+    sets = k2_y300_sets
+    assert 0 < len(sets.u7) <= 50
     adjacency = {
         u: tuple(
             p for p in sets.p3tilde
             if (1 - u) % p != 0 and kth_root_count(1 - u, sets.k, p)
         )
-        for u in domain
+        for u in sets.u7
     }
     pairs = _max_matching(adjacency)
+    assert len(pairs) < len(sets.u7)
     assert not has_augmenting_path(adjacency, pairs)
 
 
@@ -244,7 +244,8 @@ def test_max_matching_on_crafted_graphs():
 def test_solve_m0_k_reduced_example():
     sch = make_schedule(1e4, 2, "practical", y=60)
     sets = build_sets_k(sch)
-    tiny = sets._replace(p1=(2, 3), p2=(5,))
+    # classes 0, 0 and 2 take the least roots 1, 1 and 2 (2^2 == 1 - 2)
+    tiny = sets._replace(p1=(2, 3, 5), classes=(0, 0, 2))
     matching = KMatching(matched={}, unmatched=())
     modulus, m0 = solve_m0_k(covering_congruences(tiny, matching))
     assert (modulus, m0) == (30, 7)  # 1 mod 2, 1 mod 3, 2 mod 5
@@ -254,29 +255,35 @@ def test_solve_m0_k_full_mode_extends_with_ones():
     sch = make_schedule(200, 1, "practical")
     full = construct_certificate_k(sch, reduced=False)
     assert full.modulus == math.prod(primes_upto(200))
-    assert full.sets.p4 and set(full.sets.p4).isdisjoint(full.sets.p1 + full.sets.p2)
-    for p in full.sets.p4:
-        assert full.m0 % p == 1
-    # reduced solution is the full one reduced mod the smaller modulus
     reduced = construct_certificate_k(sch, reduced=True)
     assert reduced.sets.p4 == ()
+    # the reduced system, then 1 mod every prime it leaves out
+    assert full.congruences == reduced.congruences + tuple(
+        (1, p) for p in full.sets.p4
+    )
+    assert set(full.sets.p4).isdisjoint(c.modulus for c in reduced.congruences)
+    # reduced solution is the full one reduced mod the smaller modulus
     assert full.modulus % reduced.modulus == 0
     assert full.m0 % reduced.modulus == reduced.m0
 
 
 def test_solve_m0_k_defining_congruences():
     sch = make_schedule(200, 1, "practical")
-    sets = build_sets_k(sch)
+    sets = strike_offsets(build_sets_k(sch))
     matching = match_offsets(sets)
-    modulus, m0 = solve_m0_k(covering_congruences(sets, matching))
+    congruences = covering_congruences(sets, matching)
+    modulus, m0 = solve_m0_k(congruences)
     k = sets.k
     assert math.gcd(m0, modulus) == 1
-    for p in sets.p1:
-        assert m0 % p == 1
-    for p in sets.p2:
-        assert m0 % p == 2
-    for u, (p, _) in matching.matched.items():
-        assert (pow(m0, k, p) + u - 1) % p == 0
+    kept = {c.modulus for c in congruences}
+    assert kept < set(sets.p1) | {p for p, _ in matching.matched.values()}
+    # m0 puts p | m0^k + u - 1 for every u == c (mod p), c the class of p
+    classes = [*zip(sets.classes, sets.p1)]
+    classes += ((u, p) for u, (p, _) in matching.matched.items())
+    assert len(kept) < len(classes)  # at y=48 some congruences are idle
+    for c, p in classes:
+        if p in kept:
+            assert (pow(m0, k, p) + c - 1) % p == 0
 
 
 def test_solve_m0_k_rejects_zero_root():
@@ -524,17 +531,9 @@ def test_k1_pipeline_cover(k1_cert):
 
 
 def test_k1_zero_offset_covered_by_band_one(k1_cert):
-    # u=0: every band-one prime divides 0 and m - 1 == 0 (mod p)
+    # u=0: class 0 of 2, the least admissible class, gives m == 1 (mod 2)
     w = k1_cert.cover[0]
-    assert w in k1_cert.sets.p1
-
-
-def test_k1_mid_band_witness_algebra(k1_cert):
-    cert = k1_cert
-    for u, w in cert.cover.items():
-        if w in set(cert.sets.p2):
-            assert (u + 1) % w == 0  # k=1: p | u + 2^1 - 1
-            assert cert.m0 % w == 2
+    assert w == 2 and k1_cert.m0 % 2 == 1
 
 
 @pytest.mark.parametrize(
@@ -543,50 +542,42 @@ def test_k1_mid_band_witness_algebra(k1_cert):
 def test_classes_and_witnesses_match_their_definitions(k, x):
     sch = make_schedule(x, k, "practical")
     cert = construct_certificate_k(sch)
-    # the classes of the first y the run tries (3725 at k=1, x=10^4, so
-    # the largest-prime-factor table is checked at that size) and of the
-    # last, which the certificate keeps
+    # the paper's classes of the first y the run tries (3725 at k=1,
+    # x=10^4, so the largest-prime-factor table is checked at that size)
+    # and of the last, which the certificate keeps
     for sets, s in ((build_sets_k(sch), sch), (cert.sets, cert.schedule)):
         z, y, shift = s.z, s.y, (1 << k) - 1
+        mid = [p for p in primes_upto(z) if p > math.log(x)]
         window = range(-y, y + 1)
-        assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
-        assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
+        assert sets.p1 == tuple(primes_upto(max(z, x / (40 * k))))
         assert sets.u3 == tuple(
             u for u in window if largest_prime_factor(abs(u)) == abs(u) > 1
         )
         assert sets.u4 == tuple(
             u for u in window if u != 0 and largest_prime_factor(abs(u)) <= z
         )
-        assert sets.u5 == tuple(
-            u for u in sets.u3 if not least_divisor(u + shift, sets.p2)
-        )
-        assert sets.u7 == tuple(
-            u for u in unstruck_offsets(y, sets.p1, sets.p2, shift) if u != 1
-        )
+        assert sets.u5 == tuple(u for u in sets.u3 if not least_divisor(u + shift, mid))
     assert x < 10_000 or sch.y == 3725
     base = cert.m**k
     window = range(-cert.schedule.y, cert.schedule.y + 1)
-    witness = {
-        u: congruence_witness(base + u - 1, cert.congruences) for u in window if u != 1
-    }
+    offsets = [u for u in window if u != 1]
+    assert (cert.sets.classes, cert.sets.u7) == greedy_classes(
+        offsets, cert.sets.p1, kth_power_class(k)
+    )
+    witness = {u: congruence_witness(base + u - 1, cert.congruences) for u in offsets}
     assert cert.cover == {u: p for u, p in witness.items() if p}
     assert [u for u, _ in cert.exceptions] == [u for u, p in witness.items() if not p]
 
 
-def test_minus_one_struck_by_mid_band(k1_cert):
-    # every mid-band prime divides u + 1 = 0 at u = -1, so the least of
-    # them witnesses -1 although |u| = 1 is no prime.  The paper counts -1
-    # (z-smooth, in U4) as needing a matched prime, but it gets none, and
-    # it stays covered by the band congruences alone
-    cert = k1_cert
-    assert -1 in cert.sets.u4 and -1 not in cert.sets.u1
-    assert -1 not in cert.sets.u7 and -1 not in cert.matching.matched
-    assert cert.cover[-1] == min(cert.sets.p2)
-    bands = set(cert.sets.p1) | set(cert.sets.p2)
-    congruences = tuple(c for c in cert.congruences if c.modulus in bands)
-    cover, exceptions, _ = verify_power_window(cert.m, congruences, cert.schedule)
-    assert cover[-1] == min(cert.sets.p2)
-    assert -1 not in {u for u, _ in exceptions}
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("x, y", [(200, 30), (1000, 60), (2000, 90)])
+def test_strike_offsets_matches_the_greedy_oracle(k, x, y):
+    sets = strike_offsets(build_sets_k(make_schedule(x, k, "practical", y=y)))
+    offsets = [u for u in range(-y, y + 1) if u != 1]
+    oracle = greedy_classes(offsets, sets.p1, kth_power_class(k))
+    assert (sets.classes, sets.u7) == oracle
+    # every class is admissible, so none strikes u = 1
+    assert all(1 % p != c for c, p in zip(sets.classes, sets.p1))
 
 
 KPOWER_GRID = [(1, 100), (1, 200), (2, 600), (2, 2000), (3, 1000), (4, 2000),
@@ -599,25 +590,56 @@ def grid_cert(request):
     return construct_certificate_k(make_schedule(x, k, "practical"))
 
 
+def struck_by_p1(sets, u):
+    return any(u % p == c for c, p in zip(sets.classes, sets.p1))
+
+
 def test_u7_is_the_offsets_no_band_strikes(grid_cert):
     sets, y = grid_cert.sets, grid_cert.schedule.y
-    shift = (1 << sets.k) - 1
-    expected = tuple(u for u in unstruck_offsets(y, sets.p1, sets.p2, shift) if u != 1)
+    expected = tuple(
+        u for u in range(-y, y + 1) if u != 1 and not struck_by_p1(sets, u)
+    )
     assert sets.u7 == expected
 
 
 def test_no_matched_offset_has_a_band_witness(grid_cert):
     sets = grid_cert.sets
-    shift = (1 << sets.k) - 1
-    bands = set(sets.p1) | set(sets.p2)
     for u in grid_cert.matching.matched:
-        assert not least_divisor(u, sets.p1) and not least_divisor(u + shift, sets.p2)
-        assert grid_cert.cover[u] not in bands
+        assert not struck_by_p1(sets, u)
+        assert grid_cert.cover[u] not in sets.p1
 
 
 def test_every_matched_prime_witnesses_an_offset(grid_cert):
     witnesses = set(grid_cert.cover.values())
     assert all(p in witnesses for p, _ in grid_cert.matching.matched.values())
+
+
+@pytest.fixture(scope="module")
+def kp2_x10000_cert():
+    return construct_certificate_k(make_schedule(1e4, 2, "practical"))
+
+
+def test_every_reduced_congruence_witnesses_an_offset(grid_cert, kp2_x10000_cert):
+    for cert in (grid_cert, kp2_x10000_cert):
+        assert cert.reduced
+        assert sorted(c.modulus for c in cert.congruences) == sorted(
+            set(cert.cover.values())
+        )
+
+
+def test_kp2_x10000_is_small_and_has_no_exception(kp2_x10000_cert):
+    cert = kp2_x10000_cert
+    assert cert.schedule.y == 116  # the paper's y, as in format 1.5
+    assert cert.modulus.bit_length() <= 170
+    assert cert.exceptions == []
+
+
+def test_full_mode_has_one_congruence_per_prime():
+    cert = construct_certificate_k(make_schedule(600, 2, "practical"), reduced=False)
+    assert len(cert.congruences) == 109
+    assert [c.modulus for c in sorted(cert.congruences, key=lambda c: c.modulus)] == (
+        primes_upto(600)
+    )
 
 
 def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):

@@ -13,6 +13,8 @@ from primeavoid.numtheory import (
     MR_DETERMINISTIC_BOUND,
     Congruence,
     crt_solve,
+    drop_idle,
+    greedy_classes,
     is_prime,
     jacobi,
     kth_root_count,
@@ -25,6 +27,8 @@ from primeavoid.numtheory import (
     _strong_probable_prime,
 )
 
+from oracles import greedy_classes as oracle_greedy_classes
+from oracles import kth_power_class
 from oracles import largest_prime_factor as oracle_largest_prime_factor
 from oracles import least_divisor
 
@@ -321,13 +325,53 @@ def test_struck_witnesses_match_brute_force(y):
     assert struck_witnesses(y, ()) == [0] * (2 * y + 1)
 
 
-# -- the window tables kpower.build_sets_k classifies offsets by ----------
+# -- the covering core: greedy classes and the drop pass ------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_classes_match_the_oracle(seed):
+    rng = random.Random(seed)
+    offsets = sorted(rng.sample(range(-60, 61), rng.randrange(0, 80)))
+    primes = primes_upto(rng.choice((13, 31, 71)))
+    assert greedy_classes(offsets, primes) == oracle_greedy_classes(offsets, primes)
+    for k in (1, 2, 3, 5):
+        admissible = kth_power_class(k)
+        expected = oracle_greedy_classes(offsets, primes, admissible)
+        # kpower's test by Euler's criterion, against the oracle's roots
+        assert greedy_classes(offsets, primes, admissible) == expected
+        assert greedy_classes(
+            offsets, primes, lambda c, p: (1 - c) % p and kth_root_count(1 - c, k, p)
+        ) == expected
+
+
+def test_greedy_classes_with_nothing_left_take_the_least_admissible_class():
+    assert greedy_classes((), (2, 3, 5)) == ((0, 0, 0), ())
+    # k=2, p=7: 1 - c is a nonzero square for c in {0, 2, 4, 5}
+    assert greedy_classes((3,), (7,), kth_power_class(2)) == ((0,), (3,))
+    assert greedy_classes((4, 11), (7,), kth_power_class(2)) == ((4,), ())
+
+
+@pytest.mark.parametrize("y", [0, 5, 30])
+def test_drop_idle_keeps_the_least_strikers(y):
+    classes = [(0, 2), (1, 3), (0, 5), (3, 7), (2, 7), (0, 61), (5, 11)]
+    kept = drop_idle(y, classes)
+    least = {
+        min((q for c, q in classes if (u - c) % q == 0), default=0)
+        for u in range(-y, y + 1)
+    }
+    assert kept == [(c, q) for c, q in classes if q in least]
+    if y == 0:  # 0 is struck by 2, 5 and 61, and 2 is the least
+        assert kept == [(0, 2)]
+
+
+# -- the window tables both build_sets functions classify offsets by -----
 
 
 def window_tables(y, p1, p2, shift):
-    """band, mid and largest as kpower.build_sets_k builds them: the least
-    prime of p1 dividing u, the least prime of p2 dividing u + shift, and
-    the largest prime factor of n <= y (0 for n < 2)."""
+    """band as squarefree.build_sets builds it, and mid and largest as
+    kpower.build_sets_k builds them: the least prime of p1 dividing u, the
+    least prime of p2 dividing u + shift, and the largest prime factor of
+    n <= y (0 for n < 2)."""
     band = struck_witnesses(y, ((0, p) for p in p1))
     mid = struck_witnesses(y, ((-shift, p) for p in p2))
     largest = kernels.stamp(y + 1, ((p, p) for p in kernels.iter_primes(y)))
