@@ -79,12 +79,11 @@ def workloads(quick):
         pool.submit(abs, 0).result()
         pool.shutdown()
 
-    # the squarefree check's trial scan to 10^7 (numtheory._SCAN_POOL_MIN_BITS
-    # weighs these): an m with no prime factor <= 10^7, so every block is
-    # scanned, at the cutoff and (without --quick) at the size of the
-    # squarefree x=10^4 m.
-    # In-process "cold" builds the blocks first, as a process's first scan
-    # does; "warm" reuses them, as a later scan in the same process does.
+    # the squarefree check's trial scan to 10^7 (numtheory.trial_cofactor
+    # cites these): an m with no prime factor <= 10^7, so every block is
+    # scanned, with the blocks after the head in one in-process slice and
+    # split across 2 workers, at 2048 bits and at the size of the
+    # squarefree x=10^4 m (5,600 bits)
     bound = numtheory.SQUAREFREE_TRIAL_BOUND
     above = [p for p in kernels.sieve_primes(bound + 10**4) if p > bound]
 
@@ -94,33 +93,33 @@ def workloads(quick):
             m *= next(primes)
         return m
 
-    def scan_cold(m):
+    def scan(m, workers):
         def job():
-            numtheory._trial_blocks.cache_clear()
-            numtheory._scan_blocks(m, numtheory._trial_blocks(bound))
+            pool_workers = numtheory._pool_workers
+            numtheory._pool_workers = lambda: workers
+            try:
+                numtheory.trial_cofactor(m, bound)
+            finally:
+                numtheory._pool_workers = pool_workers
         return job
 
     def scan_rows(bits):
         m = scan_input(bits)
         return [
-            ("trial scan %d bits, cold" % bits, scan_cold(m)),
-            ("trial scan %d bits, warm" % bits,
-             lambda: numtheory._scan_blocks(m, numtheory._trial_blocks(bound))),
-            ("trial scan %d bits, 2 workers" % bits,
-             lambda: numtheory._pooled_cofactor(m, bound, 2)),
+            ("trial scan %d bits, head + 1 slice" % bits, scan(m, 1)),
+            ("trial scan %d bits, 2 workers" % bits, scan(m, 2)),
         ]
 
-    # the head of a pooled trial scan (numtheory._SCAN_HEAD_BOUND): a
-    # candidate of the squarefree x=10^4 size (5,600 bits) that the square
-    # of the largest prime below 2^16 divides, rejected in-process, against
-    # the one pooled scan that rejecting it with a one-block head costs
-    head_m = scan_input(5600)
+    # the head (numtheory._SCAN_HEAD_BOUND) alone: a 5,600-bit candidate
+    # that the square of the largest prime below 2^16 divides, and the m
+    # of a squarefree x=400 run, whose cofactor the head leaves prime
     head_p = max(kernels.sieve_primes(numtheory._SCAN_HEAD_BOUND))
+    x400_m = squarefree.construct_certificate(make_schedule(400)).m
     head_rows = [
         ("head: p^2 | m, p=%d, 5600 bits" % head_p,
-         lambda: numtheory._pooled_cofactor(head_m * head_p**2, bound, 2)),
-        ("trial scan 5600 bits, 2 workers",
-         lambda: numtheory._pooled_cofactor(head_m, bound, 2)),
+         scan(scan_input(5600) * head_p**2, 2)),
+        ("head: m of squarefree x=400, %d bits" % x400_m.bit_length(),
+         scan(x400_m, 2)),
     ]
 
     return [
@@ -147,8 +146,8 @@ def workloads(quick):
         ("root table 2^18, 320 bits", root_table(320, 2**18, 1)),
         ("root table 2^18, 2800 bits", root_table(2800, 2**18, 1)),
         ("pool start+stop, 2 workers", pool_start_stop),
-        *scan_rows(numtheory._SCAN_POOL_MIN_BITS),
-        *([] if quick else scan_rows(10625)),
+        *scan_rows(2048),
+        *scan_rows(5600),
         *head_rows,
     ]
 
@@ -158,9 +157,9 @@ def main():
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     args = parser.parse_args()
 
-    print(f"{'kernel':<34} {'seconds':>10}")
+    print(f"{'kernel':<40} {'seconds':>10}")
     for name, job in workloads(args.quick):
-        print(f"{name:<34} {timed(job):>9.3f}s")
+        print(f"{name:<40} {timed(job):>9.3f}s")
 
 
 if __name__ == "__main__":

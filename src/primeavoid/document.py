@@ -132,11 +132,17 @@ _REQUIRED_KEYS = (
 )
 
 
+def _reject_constant(name: str):
+    """NaN, Infinity and -Infinity, which Python's json reads but JSON
+    (RFC 8259) does not define."""
+    raise DocumentError(f"not valid JSON: {name} is not a JSON value")
+
+
 @unlimited_int_digits()
 def parse_document(text: str) -> dict:
     """Parse and structurally validate a certificate document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

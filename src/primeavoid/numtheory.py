@@ -39,24 +39,14 @@ TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when
 # integers per trial block: theta(x) ~ x makes their primes' product
 # about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
 _TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
-# Trial scans of an m of at least this many bits split the blocks after
-# the head (_SCAN_HEAD_BOUND) across worker processes.  A process's first
-# in-process scan builds every block ("cold"); later ones reuse them
-# ("warm").  On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py)
-# a full scan of a 2048-bit m takes 0.51 s cold, 0.18 s warm and 0.30 s
-# with 2 workers; of a 10,625-bit m, 0.83 s, 0.52 s and 0.48 s.  From
-# this size on the pool saves a first scan (one per construct or verify)
-# more than it costs a repeated one; smaller m, such as a small-x
-# search's, keep the warm blocks.
-_SCAN_POOL_MIN_BITS = 2048
-# A pooled scan first checks, in-process, every block holding a prime
-# below this bound, against blocks built once per process.  Each band-one
-# prime p of a squarefree run divides its m by construction, so p*p
-# divides a candidate with chance 1/p; a head ending at the first block
-# would leave each such p above 1386 to a pooled scan.  On a 2-core host
-# (CPython 3.11, benchmarks/bench_kernels.py, row "head: p^2 | m") the
-# head rejects a 5,600-bit candidate with p = 65521 squared in 2 ms, where
-# one pooled scan of that size takes 0.29 s.
+# A trial scan first checks, in-process, every block holding a prime
+# below this bound (the head), against blocks built once per process.
+# Each band-one prime p of a squarefree run divides its m by
+# construction, so p*p divides a candidate with chance 1/p; a head ending
+# at the first block would leave each such p above 1386 to the blocks
+# after it.  A small m, such as a small-x search's, is settled by the
+# head alone: its cofactor falls below the square of the next block's
+# lower end, so no block above the head is built.
 _SCAN_HEAD_BOUND = 2**16
 _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 # a large host forks no more workers than this: a prime search wastes
@@ -383,8 +373,8 @@ def _block_products(bound: int, start: int, stop: int):
 
 @lru_cache(maxsize=4)
 def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
-    """Every trial block of the primes <= bound, kept for in-process scans:
-    a search scans each of its candidates against them."""
+    """Every trial block of the primes <= bound, kept for in-process
+    scans: trial_cofactor scans the head of each m against them."""
     return tuple(_block_products(bound, 0, _trial_block_count(bound)))
 
 
@@ -416,25 +406,40 @@ def _scan_slice(rest: int, bound: int, start: int, stop: int) -> int | None:
     return _scan_blocks(rest, _block_products(bound, start, stop))
 
 
-def _pooled_cofactor(m: int, bound: int, workers: int) -> int | None:
-    """trial_cofactor with the blocks after the head split into up to
-    ``workers`` contiguous slices, one per worker process.
+def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
+    """m with the primes <= bound divided out once each, or None when one
+    of those primes divides m twice (m >= 1).
 
-    The head, every block holding a prime below _SCAN_HEAD_BOUND, is
-    scanned here against blocks built once per process, so a repeated
-    prime below that bound returns at once, and so does a rest that the
-    head leaves 1 or prime.  Each worker sieves and builds its own slice's
-    blocks and scans the reduced rest against them; every prime <= bound
-    lies in exactly one block, so dividing out what each worker divided
-    out gives the cofactor, and a repeated prime shows in its own slice.
+    The primes are scanned in blocks (_scan_blocks).  The head, every
+    block holding a prime below _SCAN_HEAD_BOUND, is scanned here against
+    blocks built once per process; a repeated prime there, or a rest below
+    the square of the next block's lower end, ends the scan.  The blocks
+    after the head go in one contiguous slice per _pool_workers() process
+    (a single slice is scanned here, without a pool), and each slice
+    builds its own blocks and scans the reduced rest.  Every prime <=
+    bound lies in exactly one block, so dividing out what each slice
+    divided out gives the cofactor, and a repeated prime shows in its own
+    slice.  A slice may stop early as _scan_blocks does, so the cofactor
+    is 1, a prime below bound**2, or free of primes <= bound, and
+    cofactor_tier gives it the same tier for any number of slices.
+
+    On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py) the head
+    rejects a 5,600-bit candidate with 65521**2 in 2 ms and settles the
+    m of a squarefree x=400 run in under 1 ms.  A full scan takes 0.36 s
+    with the blocks after the head in one slice and 0.35 s in two workers
+    at 2048 bits, and 0.46 s and 0.26 s at 5,600 bits.
     """
+    if m < 1:
+        raise ValueError(f"trial_cofactor needs m >= 1, got {m}")
     head = _trial_block_count(min(bound, _SCAN_HEAD_BOUND))
     rest = _scan_blocks(m, _trial_blocks(min(bound, head * _TRIAL_BLOCK_SPAN)))
     blocks = _trial_block_count(bound)
-    slices = min(workers, blocks - head)
+    slices = min(_pool_workers(), blocks - head)
     # the first block after the head starts at head * _TRIAL_BLOCK_SPAN + 1
     if rest is None or slices < 1 or (head * _TRIAL_BLOCK_SPAN + 1) ** 2 > rest:
         return rest
+    if slices == 1:
+        return _scan_slice(rest, bound, head, blocks)
     cuts = [head + (blocks - head) * i // slices for i in range(slices + 1)]
     with _start_pool(slices) as pool:
         parts = [
@@ -445,35 +450,6 @@ def _pooled_cofactor(m: int, bound: int, workers: int) -> int | None:
     if any(part is None for part in parts):
         return None
     return rest // math.prod(rest // part for part in parts)
-
-
-def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
-    """m with the primes <= bound divided out once each, or None when one
-    of those primes divides m twice (m >= 1).
-
-    The primes are scanned in blocks (_scan_blocks).  An m below
-    _SCAN_POOL_MIN_BITS bits, or any m when _pool_workers() is 1, is
-    scanned here, against blocks built once per process.  A larger m has
-    its blocks after the head (the primes below _SCAN_HEAD_BOUND) split
-    across _pool_workers() processes (_pooled_cofactor).  The verdict None
-    is the same on both paths, and so is the cofactor, unless a scan
-    stopped early:
-
-    * in-process, the scan stops at the first block whose lower end p has
-      p*p > rest; the cofactor is then 1 or a prime, possibly <= bound;
-    * pooled, each worker stops its own slice that way, so the cofactor
-      is again 1 or a prime below bound**2, but it may differ from the
-      in-process one (a prime that one path stopped short of, the other
-      divided out).
-
-    Either way a cofactor that keeps a prime <= bound is at most bound**2,
-    so cofactor_tier gives both paths the same tier.
-    """
-    if m < 1:
-        raise ValueError(f"trial_cofactor needs m >= 1, got {m}")
-    if m.bit_length() < _SCAN_POOL_MIN_BITS or (workers := _pool_workers()) == 1:
-        return _scan_blocks(m, _trial_blocks(bound))
-    return _pooled_cofactor(m, bound, workers)
 
 
 def cofactor_tier(

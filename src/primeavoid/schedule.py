@@ -62,10 +62,13 @@ def make_schedule(
     """Build a validated Schedule for one construction run.
 
     ``z`` / ``y`` overrides pin those values directly and are mandatory
-    for the explicit profile.  A z at or below log x leaves the mid prime
-    band empty and is rejected.
+    for the explicit profile.  A non-finite x or z is rejected, and so is
+    a z at or below log x, which leaves the mid prime band empty.
     """
     x = float(x)
+    for name, value in (("x", x), ("z", z)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if x < MIN_X:
         raise ValueError(f"x must be >= {MIN_X} (log log x must exceed 1), got {x}")
     if k < 1:

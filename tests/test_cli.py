@@ -186,6 +186,24 @@ def test_construct_argument_fault_exits_64(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (("--mode", "squarefree", "--x", "100", "--z", "nan"), "z", "nan"),
+        (("--mode", "squarefree", "--x", "inf"), "x", "inf"),
+        (("--mode", "squarefree", "--x", "nan"), "x", "nan"),
+        (("--mode", "kpower", "--x", "1000", "--z", "nan"), "z", "nan"),
+        (("--mode", "kpower", "--x", "1000", "--k", "2", "--z", "inf"), "z", "inf"),
+    ],
+    ids=["sf z nan", "sf x inf", "sf x nan", "kp z nan", "kp2 z inf"],
+)
+def test_construct_rejects_non_finite_x_and_z(capsys, argv, name, value):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert err == f"error: {name} must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("mode", ["squarefree", "kpower"])
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_construct_rejects_max_steps_below_one(capsys, mode, steps):
@@ -388,6 +406,20 @@ def test_verify_negative_window_radius_exits_65(tmp_path, capsys, fixture):
     code, out, err = run_cli(capsys, "verify", str(bad))
     assert code == 65
     assert "schedule.y must be at least 0" in err
+    assert "certificate OK" not in out
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
+    # Python's json writes and reads these, but they are not JSON values
+    doc = json.loads((FIXTURES / "sf_x400.json").read_text())
+    doc["schedule"]["z"] = float(constant.replace("Infinity", "inf"))
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert f'"z": {constant}' in bad.read_text()
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert "malformed document" in err and f"{constant} is not a JSON value" in err
     assert "certificate OK" not in out
 
 

@@ -1,11 +1,13 @@
+import json
 import math
 import random
 from contextlib import nullcontext
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
-from primeavoid import numtheory
+from primeavoid import kernels, numtheory
 from primeavoid.errors import CapacityError
 from primeavoid.numtheory import (
     MR_DETERMINISTIC_BOUND,
@@ -358,7 +360,7 @@ ONE_BLOCK = numtheory._TRIAL_BLOCK_SPAN  # a head bound that gives one block
 
 def pool_slices(bound, workers=POOL_WORKERS, head_bound=numtheory._SCAN_HEAD_BOUND):
     """The block ranges the head and each worker scan, as
-    _pooled_cofactor lays them out for a head of the primes below
+    trial_cofactor lays them out for a head of the primes below
     ``head_bound``."""
     blocks = len(_trial_blocks(bound))
     head = len(_trial_blocks(min(bound, head_bound)))
@@ -367,8 +369,9 @@ def pool_slices(bound, workers=POOL_WORKERS, head_bound=numtheory._SCAN_HEAD_BOU
 
 
 def scan_both_ways(monkeypatch, m, bound, start_pool=None):
-    """trial_cofactor(m, bound) in-process, then with the cutoff lowered
-    and POOL_WORKERS forced, and the worker counts of the pools started."""
+    """trial_cofactor(m, bound) with one worker, which scans the blocks
+    after the head in one slice in-process and starts no pool, then with
+    POOL_WORKERS forced, and the worker counts of the pools started."""
     started = []
     start_pool = start_pool or numtheory._start_pool
 
@@ -377,12 +380,11 @@ def scan_both_ways(monkeypatch, m, bound, start_pool=None):
         return start_pool(workers)
 
     with monkeypatch.context() as patch:
+        patch.setattr(numtheory, "_start_pool", counting_start_pool)
         patch.setattr(numtheory, "_pool_workers", lambda: 1)
         here = trial_cofactor(m, bound)
-    with monkeypatch.context() as patch:
+        assert started == []
         patch.setattr(numtheory, "_pool_workers", lambda: POOL_WORKERS)
-        patch.setattr(numtheory, "_SCAN_POOL_MIN_BITS", 1)
-        patch.setattr(numtheory, "_start_pool", counting_start_pool)
         pooled = trial_cofactor(m, bound)
     return here, pooled, started
 
@@ -464,10 +466,10 @@ def test_pooled_scan_matches_reference_cases(monkeypatch):
 
 @pytest.mark.parametrize("p", [1399, 65521])  # just above the first block, below 2^16
 def test_head_rejects_a_repeated_prime_below_2_16_without_a_pool(monkeypatch, p):
-    # p * p times primes above the trial bound, past the pool cutoff
+    # p * p times primes above the trial bound, to 2048 bits
     bound = SQUAREFREE_TRIAL_BOUND
     m, q = p * p, bound + 1
-    while m.bit_length() < numtheory._SCAN_POOL_MIN_BITS:
+    while m.bit_length() < 2048:
         q += 2
         if is_prime(q):
             m *= q
@@ -485,6 +487,35 @@ def test_trial_cofactor_rejects_m_below_one():
     for m in (0, -5):
         with pytest.raises(ValueError, match="m >= 1"):
             trial_cofactor(m)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# the head's blocks end here, at the end of the block holding 2^16
+HEAD_END = numtheory._trial_block_count(numtheory._SCAN_HEAD_BOUND) * ONE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        65497 * 65519 * 65521,  # 48 bits, the three primes just below 2^16
+        int(json.loads((FIXTURES / "sf_x400.json").read_text())["m"]),
+    ],
+    ids=["48-bit", "sf_x400"],
+)
+def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
+    # the head leaves these a cofactor below the square of the next
+    # block's lower end, so the check sieves no further than the head
+    limits = []
+    odd_sieve = kernels.odd_sieve
+
+    def recording_odd_sieve(limit, lo=1):
+        limits.append(limit)
+        return odd_sieve(limit, lo)
+
+    numtheory._trial_blocks.cache_clear()
+    monkeypatch.setattr(kernels, "odd_sieve", recording_odd_sieve)
+    assert classify_squarefree(m) == "proven"
+    assert limits and max(limits) <= HEAD_END < 2**16 + ONE_BLOCK
 
 
 def test_find_squarefree_micro(micro):
