@@ -39,10 +39,12 @@ def workloads(quick):
     # the window and prime bands of a squarefree x=10^4 run (y = 3725)
     sf_sch = make_schedule(10**4, 1, "practical")
     sf_sets = squarefree.build_sets(sf_sch)
-    # its congruence system's classes, as squarefree.verify_window strikes them
-    sf_phi = squarefree.assign_primes(sf_sets)
+    # its congruence system's classes, as squarefree.verify_window strikes
+    # them: the two small bands' and the large band's (class, prime) pairs
+    sf_pairs = squarefree.assign_primes(sf_sets)
     sf_classes = [
-        (-c.residue, c.modulus) for c in squarefree.covering_congruences(sf_sets, sf_phi)
+        (-c.residue, c.modulus)
+        for c in squarefree.covering_congruences(sf_sets, sf_pairs)
     ]
     # the first and widest set system a kpower k=2 x=10^4 run builds
     # (y = 3725, before capacity halves y to 116)

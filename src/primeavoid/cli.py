@@ -112,10 +112,8 @@ def _cmd_construct(args) -> int:
             from . import squarefree
 
             max_steps = args.max_steps or squarefree.DEFAULT_MAX_STEPS
-            cert = squarefree.construct_certificate(
-                sch, max_steps=max_steps, seed=args.seed
-            )
-            doc = doc_mod.certificate_to_document(cert)
+            cert = squarefree.construct_certificate(sch, max_steps=max_steps)
+            doc = doc_mod.certificate_to_document(cert, seed=args.seed)
         else:
             from . import kpower
 
@@ -124,9 +122,8 @@ def _cmd_construct(args) -> int:
                 sch,
                 reduced=args.reduced_modulus == "on",
                 max_steps=max_steps,
-                seed=args.seed,
             )
-            doc = doc_mod.kcertificate_to_document(cert)
+            doc = doc_mod.kcertificate_to_document(cert, seed=args.seed)
     except CapacityError as exc:
         print(f"capacity failure: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -190,7 +187,7 @@ def _parse_grid(text: str, cast, option: str) -> list:
 def _cmd_bench_sieve(args) -> int:
     from . import sievebound
     from .numtheory import primes_upto
-    from .schedule import make_schedule
+    from .schedule import MIN_Y, make_schedule
 
     lams = _parse_grid(args.lam, float, "--lam")
     bs = _parse_grid(args.b, int, "--b")
@@ -199,7 +196,8 @@ def _cmd_bench_sieve(args) -> int:
             raise ValueError(
                 f"--kappa must be > 0 and --a2 >= 1, got {args.kappa:g} and {args.a2:g}"
             )
-        sch = make_schedule(args.x, k=args.k, profile="practical")
+        # only x and z are read; a pinned y skips the window rule (y < 3 at x=16)
+        sch = make_schedule(args.x, k=args.k, y=MIN_Y)
         if args.family == "none":
             rules = {}
         else:

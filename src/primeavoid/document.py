@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING
 from .errors import DocumentError
 from .numtheory import (
     MR_DETERMINISTIC_BOUND,
+    SQUAREFREE_TRIAL_BOUND,
+    avoidance_constant,
     cofactor_tier,
     is_prime,
     trial_cofactor,
@@ -51,13 +53,19 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
-    """The keys both modes share, read off the certificate as built, plus
-    the cardinality of each of the mode's named ``sets`` (the lower-cased
-    attribute of cert.sets), its own metrics and top-level ``fields``."""
+def _document(cert, seed, sets, exceptions, metrics: dict, **fields) -> dict:
+    """The keys both modes share, read off the certificate as built: the
+    cardinality of each of the mode's named ``sets`` (the lower-cased
+    attribute of cert.sets), the (u, status) ``exceptions``, the metrics
+    derived here and the mode's own, and top-level ``fields``."""
+    log_m, log_modulus = math.log(cert.m), math.log(cert.modulus)
+    try:
+        constant = avoidance_constant(cert.m**cert.schedule.k, cert.schedule.y)
+    except ValueError:  # m^k <= e^(e^e), below the constant's domain
+        constant = None
     return {
         "format_version": FORMAT_VERSION,
-        "seed": cert.seed,
+        "seed": seed,
         "schedule": cert.schedule._asdict(),  # a new Schedule field changes the format
         "sets": {name: len(getattr(cert.sets, name.lower())) for name in sets},
         "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
@@ -67,11 +75,13 @@ def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
         "cover": [
             {"u": u, "witness_prime": str(p)} for u, p in sorted(cert.cover.items())
         ],
+        "exceptions": [{"u": u, "status": st} for u, st in exceptions],
         "metrics": {
-            "log_m": math.log(cert.m),
-            "log_modulus": math.log(cert.modulus),
-            "exponent_report": cert.exponent_report,
-            "avoidance_constant": cert.avoidance_constant,
+            "log_m": log_m,
+            "log_modulus": log_modulus,
+            "exponent_report": log_m / log_modulus,
+            "avoidance_constant": constant,
+            "prime_count_in_window": sum(st == "prime" for _, st in exceptions),
             "autoshrink_trace": list(cert.autoshrink_trace),
             **metrics,
         },
@@ -80,34 +90,32 @@ def _document(cert, sets: tuple[str, ...], metrics: dict, **fields) -> dict:
 
 
 @unlimited_int_digits()
-def certificate_to_document(cert: AvoidanceCertificate) -> dict:
-    """Serialize a squarefree certificate."""
+def certificate_to_document(cert: AvoidanceCertificate, seed: int = 0) -> dict:
+    """Serialize a squarefree certificate; ``seed`` is recorded only."""
     return _document(
         cert,
+        seed,
         ("P1", "P2", "P3", "U1", "U2", "U6"),
+        (),
         {
-            "prime_count_in_window": 0,
             "squarefree_status": cert.squarefree_status,
-            "squarefree_trial_bound": str(cert.squarefree_bound),
+            "squarefree_trial_bound": str(SQUAREFREE_TRIAL_BOUND),
         },
         mode="squarefree",
-        exceptions=[],
     )
 
 
 @unlimited_int_digits()
-def kcertificate_to_document(cert: KCertificate) -> dict:
-    """Serialize a k-th power certificate."""
+def kcertificate_to_document(cert: KCertificate, seed: int = 0) -> dict:
+    """Serialize a k-th power certificate; ``seed`` is recorded only."""
     return _document(
         cert,
+        seed,
         ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U6", "U7"),
-        {
-            "prime_count_in_window": cert.prime_count_in_window,
-            "unmatched_offsets": list(cert.matching.unmatched),
-        },
+        cert.exceptions,
+        {"unmatched_offsets": list(cert.matching.unmatched)},
         mode="kpower",
         reduced_modulus=cert.reduced,
-        exceptions=[{"u": u, "status": st} for u, st in cert.exceptions],
     )
 
 
@@ -138,6 +146,20 @@ def _reject_constant(name: str):
     raise DocumentError(f"not valid JSON: {name} is not a JSON value")
 
 
+def _integer(value) -> int:
+    """A JSON integer: neither a float nor a boolean."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
+def _big_integer(value) -> int:
+    """A big integer, carried as a string of ASCII decimal digits."""
+    if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+        raise TypeError(f"{value!r} is not a string of decimal digits")
+    return int(value)
+
+
 @unlimited_int_digits()
 def parse_document(text: str) -> dict:
     """Parse and structurally validate a certificate document."""
@@ -163,22 +185,22 @@ def parse_document(text: str) -> dict:
     if doc["mode"] not in ("squarefree", "kpower"):
         raise DocumentError(f"unknown mode {doc['mode']!r}")
     try:
-        if int(doc["modulus"]) < 1:
+        if _big_integer(doc["modulus"]) < 1:
             raise ValueError("modulus must be positive")
-        int(doc["m0"])
-        if int(doc["m"]) < 1:
+        _big_integer(doc["m0"])
+        if _big_integer(doc["m"]) < 1:
             raise ValueError("m must be positive")
         for r, q in doc["congruences"]:
-            int(r), int(q)
+            _big_integer(r), _big_integer(q)
         for entry in doc["cover"]:
-            int(entry["u"]), int(entry["witness_prime"])
+            _integer(entry["u"]), _big_integer(entry["witness_prime"])
         for entry in doc["exceptions"]:
-            int(entry["u"])
+            _integer(entry["u"])
             if not isinstance(entry["status"], str):
                 raise TypeError(f"exception status {entry['status']!r} is not a string")
-        if int(doc["schedule"]["y"]) < 0:
+        if _integer(doc["schedule"]["y"]) < 0:
             raise ValueError("schedule.y must be at least 0")
-        if int(doc["schedule"]["k"]) < 1:
+        if _integer(doc["schedule"]["k"]) < 1:
             raise ValueError("schedule.k must be at least 1")
     except (ValueError, TypeError, KeyError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc

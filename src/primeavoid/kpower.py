@@ -30,7 +30,6 @@ from . import kernels, numtheory
 from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     Congruence,
-    avoidance_constant,
     crt_solve,
     drop_idle,
     greedy_classes,
@@ -174,9 +173,9 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
 
 
 class KMatching(NamedTuple):
-    """Offset -> (prime, chosen root) assignment from the solvability graph."""
+    """Offset -> prime assignment from the solvability graph."""
 
-    matched: dict[int, tuple[int, int]]
+    matched: dict[int, int]
     unmatched: tuple[int, ...]
 
 
@@ -233,15 +232,7 @@ def match_offsets(sets: KSetSystem) -> KMatching:
                 edges.append(p)
         adjacency[u] = tuple(edges)
     pairs = _max_matching(adjacency)
-    matched: dict[int, tuple[int, int]] = {}
-    for u in sorted(pairs):
-        p = pairs[u]
-        roots = kth_roots_mod_p((1 - u) % p, k, p)
-        if not roots:
-            raise RuntimeError(
-                f"root count and enumeration disagree at (u={u}, p={p})"
-            )
-        matched[u] = (p, min(roots))
+    matched = {u: pairs[u] for u in sorted(pairs)}
     unmatched = tuple(u for u in sets.u7 if u not in matched)
     return KMatching(matched=matched, unmatched=unmatched)
 
@@ -253,10 +244,7 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
     Returns (modulus, m0) with modulus the product of all moduli and m0
     the solution in [0, modulus), which must be coprime to the modulus.
     """
-    try:
-        m0, modulus = crt_solve(congruences)
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
+    m0, modulus = crt_solve(congruences)
     if math.gcd(m0, modulus) != 1:
         raise RuntimeError("m0 is not coprime to the modulus; construction bug")
     return modulus, m0
@@ -265,22 +253,20 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
 def covering_congruences(
     sets: KSetSystem, matching: KMatching
 ) -> tuple[Congruence, ...]:
-    """m0 == r mod each P1 prime, r the least root of r^k == 1 - c for its
-    class c, then the chosen root mod each matched prime, by offset, in
-    that order, without the congruences that are no offset's least
-    striker (numtheory.drop_idle)."""
-    pairs = sorted(matching.matched.items())
-    for u, (p, root) in pairs:
-        if root == 0:
-            raise ConstructionError(
-                f"zero root chosen for offset {u}: would break coprimality"
-            )
-    root_of = dict(matching.matched.values())
-    classes = [*zip(sets.classes, sets.p1), *((u % p, p) for u, (p, _) in pairs)]
-    return tuple(
-        Congruence(root_of.get(p) or min(kth_roots_mod_p(1 - c, sets.k, p)), p)
-        for c, p in drop_idle(sets.y, classes)
-    )
+    """m0 == r mod p, r the least root of r^k == 1 - c, for each P1 prime
+    p of class c, then each matched prime with its offset's class, by
+    offset, without the pairs that are no offset's least striker
+    (numtheory.drop_idle).  A kept pair whose roots are none or 0, which
+    would put p | m, raises ConstructionError."""
+    matched = sorted(matching.matched.items())
+    classes = [*zip(sets.classes, sets.p1), *((u % p, p) for u, p in matched)]
+    congruences = []
+    for c, p in drop_idle(sets.y, classes):
+        roots = kth_roots_mod_p(1 - c, sets.k, p)
+        if not roots or 0 in roots:
+            raise ConstructionError(f"class {c} mod {p}: no nonzero root for m")
+        congruences.append(Congruence(min(roots), p))
+    return tuple(congruences)
 
 
 def _sieve_depth(bits: int) -> int:
@@ -411,7 +397,7 @@ def find_prime_in_ap(
 
 def verify_power_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
-) -> tuple[dict[int, int], list[tuple[int, str]], int]:
+) -> tuple[dict[int, int], list[tuple[int, str]]]:
     """Witness or classify every window element m^k + (u - 1): the witness
     is the least modulus of ``congruences`` that strikes u, and an element
     none strikes gets an explicit primality status (the number found prime
@@ -435,7 +421,7 @@ def verify_power_window(
             raise RuntimeError(f"offset {u}: invalid witness p={p}; construction bug")
         else:
             cover[u] = p
-    return cover, exceptions, sum(1 for _, s in exceptions if s == "prime")
+    return cover, exceptions
 
 
 class MatrixScanReport(NamedTuple):
@@ -492,7 +478,8 @@ def matrix_scan(
 
 
 class KCertificate(NamedTuple):
-    """Complete verifiable output of one k-th power run."""
+    """Complete verifiable output of one k-th power run; the document
+    derives its metrics from these fields."""
 
     schedule: Schedule
     sets: KSetSystem
@@ -503,19 +490,14 @@ class KCertificate(NamedTuple):
     reduced: bool
     congruences: tuple[Congruence, ...]  # the system solved for m0, in order
     cover: dict[int, int]  # offset u -> witness prime dividing m^k + u - 1
-    exceptions: list[tuple[int, str]]
-    prime_count_in_window: int
-    exponent_report: float
-    avoidance_constant: float | None  # measured on m^k
+    exceptions: list[tuple[int, str]]  # (u, "prime" | "composite")
     autoshrink_trace: tuple[int, ...]
-    seed: int  # recorded in the document only; no step of the run uses it
 
 
 def construct_certificate_k(
     sch: Schedule,
     reduced: bool = True,
     max_steps: int = DEFAULT_PRIME_STEPS,
-    seed: int = 0,
 ) -> KCertificate:
     """Run the full k-th power pipeline, auto-shrinking y on capacity."""
     sch, sets, trace = shrink_to_capacity(
@@ -523,7 +505,7 @@ def construct_certificate_k(
     )
     sets = strike_offsets(sets)
     matching = match_offsets(sets)
-    p3 = tuple(sorted(p for p, _ in matching.matched.values()))
+    p3 = tuple(sorted(matching.matched.values()))
     sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3)
     congruences = covering_congruences(sets, matching)
     if not reduced:  # 1 mod every other prime <= x, for a full primorial
@@ -533,11 +515,7 @@ def construct_certificate_k(
         congruences += tuple(Congruence(1, p) for p in p4)
     modulus, m0 = solve_m0_k(congruences)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
-    cover, exceptions, prime_count = verify_power_window(m, congruences, sch)
-    try:
-        constant = avoidance_constant(m**sch.k, sch.y)
-    except ValueError:
-        constant = None
+    cover, exceptions = verify_power_window(m, congruences, sch)
     return KCertificate(
         schedule=sch,
         sets=sets,
@@ -549,9 +527,5 @@ def construct_certificate_k(
         congruences=congruences,
         cover=cover,
         exceptions=exceptions,
-        prime_count_in_window=prime_count,
-        exponent_report=math.log(m) / math.log(modulus),
-        avoidance_constant=constant,
         autoshrink_trace=trace,
-        seed=seed,
     )

@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import compress
 
 from . import kernels
+from .errors import ConstructionError
 
 # The first thirteen primes decide primality for every n below this
 # bound (Sorenson & Webster); above it is_prime runs BPSW, which no known
@@ -295,7 +296,8 @@ def crt_solve(congruences) -> tuple[int, int]:
     """Solve a system of congruences with pairwise distinct prime moduli.
 
     Returns (m0, N) with N the product of the moduli and m0 the unique
-    solution in [0, N).
+    solution in [0, N).  A modulus used twice is a fault of the system's
+    builder, so it raises ConstructionError.
     """
     congs = [
         c if isinstance(c, Congruence) else Congruence(residue=c[0], modulus=c[1])
@@ -304,7 +306,7 @@ def crt_solve(congruences) -> tuple[int, int]:
     seen = set()
     for c in congs:
         if c.modulus in seen:
-            raise ValueError(f"duplicate modulus {c.modulus}")
+            raise ConstructionError(f"duplicate modulus {c.modulus}")
         seen.add(c.modulus)
     m, prod = 0, 1
     for c in congs:

@@ -31,11 +31,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CapacityError, ConstructionError, SearchExhausted
+from .errors import CapacityError, SearchExhausted
 from .numtheory import (
-    SQUAREFREE_TRIAL_BOUND,
     Congruence,
-    avoidance_constant,
     classify_squarefree,
     crt_solve,
     drop_idle,
@@ -64,8 +62,10 @@ class SetSystem(NamedTuple):
 
 def build_sets(sch: Schedule) -> SetSystem:
     """Classify primes and window offsets for a squarefree run, and
-    choose the mid-band classes."""
+    choose the mid-band classes.  The mode squares nothing: k must be 1."""
     x, z, y = sch.x, sch.z, sch.y
+    if sch.k != 1:
+        raise ValueError(f"squarefree mode takes k=1, got k={sch.k}")
     if z > x / 4:
         raise ValueError(f"z={z} exceeds x/4={x / 4}; prime bands would overlap")
     log_x = math.log(x)
@@ -84,14 +84,15 @@ def build_sets(sch: Schedule) -> SetSystem:
     )
 
 
-def assign_primes(sets: SetSystem) -> dict[int, int]:
-    """Map every u6 offset to the large prime whose class strikes it.
+def assign_primes(sets: SetSystem) -> list[tuple[int, int]]:
+    """The large band's (class, prime) pairs, in ascending prime order.
 
-    The primes q <= y run greedy_classes over u6, so one class may strike
-    two offsets, u and u + 2q; a prime above y strikes at most one odd
-    offset, so the offsets still left are paired ascending with the
-    primes above y ascending.  A prime whose class strikes no offset still
-    unstruck is left out.
+    The primes q <= y take their greedy classes over u6, so one class may
+    strike two offsets, u and u + 2q; a prime above y strikes at most one
+    odd offset, so the offsets still left are paired ascending with the
+    primes above y ascending, as (u mod q, q).  A q <= y whose class
+    strikes no offset still open is no offset's least striker, so
+    covering_congruences drops it.
     """
     if len(sets.u6) > len(sets.p3):
         raise CapacityError(
@@ -102,23 +103,20 @@ def assign_primes(sets: SetSystem) -> dict[int, int]:
         )
     small = [q for q in sets.p3 if q <= sets.y]
     classes, left = greedy_classes(sets.u6, small)
-    phi = dict(zip(left, sets.p3[len(small) :]))
-    for u in set(sets.u6) - set(left):  # the first class to strike u took it
-        phi[u] = next(q for q, c in zip(small, classes) if u % q == c)
-    return dict(sorted(phi.items()))
+    above = zip(left, sets.p3[len(small) :])
+    return [*zip(classes, small), *((u % q, q) for u, q in above)]
 
 
 def covering_congruences(
-    sets: SetSystem, phi: dict[int, int]
+    sets: SetSystem, pairs: list[tuple[int, int]]
 ) -> tuple[Congruence, ...]:
     """m0 == 0 mod p for band-one primes, m0 == -c mod p for each mid-band
-    prime of class c, m0 == -u mod q for each assigned pair (u, q), in
-    that order, once per congruence, without those whose modulus is no
-    offset's least striker; a prime used twice makes crt_solve raise."""
+    prime of class c and for each large-band pair (c, q) of assign_primes,
+    in that order, without those whose modulus is no offset's least
+    striker; a prime used twice makes crt_solve raise."""
     classes = [(0, p) for p in sets.p1]
     classes += zip(sets.mid_classes, sets.p2)
-    pairs = sorted(phi.items(), key=lambda pair: pair[1])
-    classes += dict.fromkeys((u % q, q) for u, q in pairs)
+    classes += pairs
     return tuple(Congruence(-c % q, q) for c, q in drop_idle(sets.y, classes))
 
 
@@ -129,10 +127,7 @@ def solve_m0(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
     representative in [1, N] (so the u = 0 witness stays valid even when
     the solution is 0 mod N).
     """
-    try:
-        m0, n = crt_solve(congruences)
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
+    m0, n = crt_solve(congruences)
     if m0 == 0:
         m0 = n
     return n, m0
@@ -144,7 +139,6 @@ class SquarefreeSearch(NamedTuple):
     m: int
     steps: int  # progression index j with m = m0 + j*N
     status: str  # "proven" | "prp" | "partial", see classify_squarefree
-    trial_bound: int
     candidates_tried: int
 
 
@@ -169,7 +163,6 @@ def find_squarefree_in_ap(
                 m=m,
                 steps=j,
                 status=status,
-                trial_bound=SQUAREFREE_TRIAL_BOUND,
                 candidates_tried=tried,
             )
         j += 1
@@ -205,53 +198,39 @@ def verify_window(
 
 
 class AvoidanceCertificate(NamedTuple):
-    """Complete verifiable output of one squarefree run."""
+    """Complete verifiable output of one squarefree run; the document
+    derives its metrics from these fields."""
 
     schedule: Schedule
     sets: SetSystem
-    phi: dict[int, int]
     modulus: int
     m0: int
     m: int
     congruences: tuple[Congruence, ...]  # the system solved for m0, in order
     cover: dict[int, int]  # offset u -> witness prime dividing m + u
     squarefree_status: str
-    squarefree_bound: int
-    exponent_report: float
-    avoidance_constant: float | None
     autoshrink_trace: tuple[int, ...]
-    seed: int  # recorded in the document only; no step of the run uses it
 
 
 def construct_certificate(
-    sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS, seed: int = 0
+    sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS
 ) -> AvoidanceCertificate:
     """Run the full pipeline, auto-shrinking y until capacity holds."""
     sch, sets, trace = shrink_to_capacity(
         sch, build_sets, lambda s: (len(s.u6), len(s.p3))
     )
-    phi = assign_primes(sets)
-    congruences = covering_congruences(sets, phi)
+    congruences = covering_congruences(sets, assign_primes(sets))
     n, m0 = solve_m0(congruences)
     search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
     cover = verify_window(search.m, congruences, sch)
-    try:
-        constant = avoidance_constant(search.m, sch.y)
-    except ValueError:
-        constant = None
     return AvoidanceCertificate(
         schedule=sch,
         sets=sets,
-        phi=phi,
         modulus=n,
         m0=m0,
         m=search.m,
         congruences=congruences,
         cover=cover,
         squarefree_status=search.status,
-        squarefree_bound=search.trial_bound,
-        exponent_report=math.log(search.m) / math.log(n),
-        avoidance_constant=constant,
         autoshrink_trace=trace,
-        seed=seed,
     )

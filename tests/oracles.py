@@ -61,6 +61,17 @@ def large_prime_classes(u6, p3, y: int) -> dict[int, int]:
     return cover
 
 
+def least_strikers(offsets, pairs) -> dict[int, int]:
+    """Each offset's least prime q among the (class c, prime q) ``pairs``
+    with u == c (mod q); offsets that no pair strikes are left out."""
+    cover = {}
+    for u in offsets:
+        struck = [q for c, q in pairs if u % q == c]
+        if struck:
+            cover[u] = min(struck)
+    return cover
+
+
 def offset_partition_holds(sets, y: int) -> bool:
     """The squarefree offset law: u1 holds the offsets of [-y, y] that a
     band-one prime divides, u2 the rest, and u6 exactly the u2 offsets

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -119,43 +120,64 @@ def test_construct_internal_error_exits_70(capsys, monkeypatch):
     assert err == "internal error: offset 5 lacks a valid witness (got p=0)\n"
 
 
-def _zero_root(match_offsets):
-    def spoiled(sets):
-        matching = match_offsets(sets)
-        u, (p, _) = next(iter(matching.matched.items()))
-        return matching._replace(matched={**matching.matched, u: (p, 0)})
+def _roots(roots, band):
+    """kth_roots_mod_p answering ``roots`` for the P1 prime 2, or for the
+    primes above sqrt(1000) = max(z, x/40k) at k=3, x=1000, the matched
+    ones."""
 
-    return spoiled
+    def spoil(kth_roots_mod_p):
+        def spoiled(a, k, p):
+            hit = p == 2 if band == "P1" else p > 31
+            return set(roots) if hit else kth_roots_mod_p(a, k, p)
+
+        return spoiled
+
+    return spoil
 
 
 def _band_one_prime_matched(match_offsets):
+    # the first matched offset also takes a P1 prime, one under which its
+    # class has a nonzero root
     def spoiled(sets):
         matching = match_offsets(sets)
         u = next(iter(matching.matched))
-        return matching._replace(matched={**matching.matched, u: (sets.p1[-1], 1)})
+        p = next(
+            p for p in reversed(sets.p1)
+            if (1 - u) % p and numtheory.kth_root_count(1 - u, sets.k, p)
+        )
+        return matching._replace(matched={**matching.matched, u: p})
 
     return spoiled
 
 
 def _first_congruence_twice(covering_congruences):
-    return lambda sets, phi: (
-        covering_congruences(sets, phi) + covering_congruences(sets, phi)[:1]
+    return lambda sets, pairs: (
+        covering_congruences(sets, pairs) + covering_congruences(sets, pairs)[:1]
     )
 
 
+KP3 = ("--mode", "kpower", "--k", "3", "--x", "1000")
+
+
 # kpower k=1, x=200 matches no offset, so the kpower faults spoil k=3,
-# x=1000, which matches 13
+# x=1000, which matches 4.  A class without a nonzero root is the
+# program's fault wherever it arises, so it is no usage error (64).
 @pytest.mark.parametrize(
     "argv, module, name, spoil, message",
     [
-        (("--mode", "kpower", "--k", "3", "--x", "1000"), kpower, "match_offsets",
-         _zero_root, "zero root"),
-        (("--mode", "kpower", "--k", "3", "--x", "1000"), kpower, "match_offsets",
-         _band_one_prime_matched, "duplicate modulus"),
+        (KP3, kpower, "kth_roots_mod_p", _roots({0}, "matched"), "no nonzero root"),
+        (KP3, kpower, "kth_roots_mod_p", _roots(set(), "matched"), "no nonzero root"),
+        (KP3, kpower, "kth_roots_mod_p", _roots({0}, "P1"), "no nonzero root"),
+        (KP3, kpower, "kth_roots_mod_p", _roots(set(), "P1"), "no nonzero root"),
+        (KP3, kpower, "match_offsets", _band_one_prime_matched, "duplicate modulus"),
         (("--mode", "squarefree", "--x", "200"), squarefree, "covering_congruences",
          _first_congruence_twice, "duplicate modulus"),
     ],
-    ids=["kpower zero root", "kpower duplicate modulus", "squarefree duplicate modulus"],
+    ids=[
+        "kpower zero root", "kpower matched prime without a root",
+        "kpower P1 zero root", "kpower P1 class without a root",
+        "kpower duplicate modulus", "squarefree duplicate modulus",
+    ],
 )
 def test_construct_invalid_congruence_system_exits_70(
     capsys, monkeypatch, argv, module, name, spoil, message
@@ -177,8 +199,14 @@ def test_construct_invalid_congruence_system_exits_70(
         ("--mode", "squarefree", "--x", "40", "--profile", "explicit",
          "--z", "30", "--y", "10"),
         ("--mode", "kpower", "--x", "200000000"),
+        # the squarefree pipeline raises nothing to a power
+        ("--mode", "squarefree", "--x", "150", "--k", "2"),
+        ("--mode", "squarefree", "--x", "150", "--k", "3"),
     ],
-    ids=["degenerate schedule", "z above x/4", "x above the sieve limit"],
+    ids=[
+        "degenerate schedule", "z above x/4", "x above the sieve limit",
+        "squarefree k=2", "squarefree k=3",
+    ],
 )
 def test_construct_argument_fault_exits_64(capsys, argv):
     code, out, err = run_cli(capsys, "construct", *argv)
@@ -221,7 +249,7 @@ def test_construct_rejects_max_steps_below_one(capsys, mode, steps):
 @pytest.fixture(scope="module")
 def micro_doc_text():
     cert = construct_certificate(
-        make_schedule(40, 1, "explicit", z=6.3246, y=10), seed=0
+        make_schedule(40, 1, "explicit", z=6.3246, y=10)
     )
     return doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
 
@@ -286,7 +314,7 @@ def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
 def partial_doc_text():
     # x=1160 leaves an opaque 91-bit cofactor, so m's recorded tier is
     # "partial"
-    cert = construct_certificate(make_schedule(1160, 1, "practical"), seed=0)
+    cert = construct_certificate(make_schedule(1160, 1, "practical"))
     assert cert.squarefree_status == "partial"
     return doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
 
@@ -378,10 +406,25 @@ def test_verify_malformed_exits_65(tmp_path, capsys):
         lambda doc: doc["metrics"].update(squarefree_status=[]),
         lambda doc: doc.update(m="0"),
         lambda doc: doc.update(m="-5"),
+        # int() took each of these, and the document verified
+        lambda doc: doc["schedule"].update(y=10.9),
+        lambda doc: doc["schedule"].update(y=10.0),
+        lambda doc: doc["schedule"].update(k=True),
+        lambda doc: doc["schedule"].update(k="1"),
+        lambda doc: doc["cover"][0].update(u=-10.0),
+        lambda doc: doc["cover"][0].update(u=False),
+        lambda doc: doc.update(m=int(doc["m"])),
+        lambda doc: doc.update(m0="1_3"),
+        lambda doc: doc.update(modulus=" 30030"),
+        lambda doc: doc["congruences"][0].__setitem__(1, "\u0662"),
+        lambda doc: doc["cover"][0].update(witness_prime="\uff17"),
     ],
     ids=[
         "exception-u-not-int", "exception-u-missing", "k-not-int", "k-negative",
         "metrics-list", "modulus-zero", "status-list", "m-zero", "m-negative",
+        "y-float", "y-integral-float", "k-boolean", "k-string", "u-float",
+        "u-boolean", "m-json-number", "m0-underscore", "modulus-space",
+        "modulus-arabic-indic-digit", "witness-fullwidth-digit",
     ],
 )
 def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tamper):
@@ -577,7 +620,7 @@ def test_document_numbers_beyond_4300_digits():
     # CPython refuses int<->str conversions past 4300 digits by default;
     # large-x certificates need both directions
     cert = construct_certificate(
-        make_schedule(40, 1, "explicit", z=6.3246, y=10), seed=0
+        make_schedule(40, 1, "explicit", z=6.3246, y=10)
     )
     big = cert._replace(
         modulus=cert.modulus * 10**4400, m=cert.m + cert.modulus * 10**4400
@@ -590,6 +633,15 @@ def test_document_numbers_beyond_4300_digits():
 
 
 # -- bench-sieve ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", ["16", "20"])
+def test_bench_sieve_takes_z_where_the_window_rule_has_no_y(capsys, x):
+    # the practical y is below 3 here, but bench-sieve reads only x and z
+    code, out, err = run_cli(capsys, "bench-sieve", "--x", x, "--range-size", "1000")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["z"] == math.sqrt(float(x)) and report["violations"] == 0
 
 
 def test_bench_sieve_default_grid(capsys):
@@ -633,6 +685,7 @@ def test_bench_sieve_skips_inadmissible_lambda(capsys):
     "argv, message",
     [
         (("--x", "5"), "x must be >= 16"),
+        (("--x", "15"), "x must be >= 16"),
         (("--range-size", "20000000"), "range_size must be in [0, 10000000]"),
         (("--lam", "abc"), "cannot parse --lam 'abc'"),
         (("--b", "1.5"), "cannot parse --b '1.5'"),
@@ -640,8 +693,8 @@ def test_bench_sieve_skips_inadmissible_lambda(capsys):
         (("--a2", "0"), "--a2 >= 1"),
     ],
     ids=[
-        "x below 16", "range above the limit", "lam not a number", "b not an int",
-        "kappa not positive", "a2 below one",
+        "x below 16", "x 15", "range above the limit", "lam not a number",
+        "b not an int", "kappa not positive", "a2 below one",
     ],
 )
 def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
@@ -655,7 +708,7 @@ def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
 
 @pytest.fixture(scope="module")
 def k1_doc_path(tmp_path_factory):
-    cert = construct_certificate_k(make_schedule(200, 1, "practical"), seed=0)
+    cert = construct_certificate_k(make_schedule(200, 1, "practical"))
     path = tmp_path_factory.mktemp("certs") / "k1.json"
     path.write_text(doc_mod.document_to_json(doc_mod.kcertificate_to_document(cert)))
     return path

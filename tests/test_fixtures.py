@@ -4,8 +4,10 @@ output check (e2ebench/check.py, which never imports primeavoid); the
 documents of every earlier format (tests/fixtures/v1.0/ to v1.5/) still
 verify.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
-golden copy."""
+golden copy, and the benchmark's seed-0 instances keep their documents'
+sha256."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -13,7 +15,15 @@ from pathlib import Path
 import pytest
 
 from primeavoid import cli
-from primeavoid.document import unlimited_int_digits
+from primeavoid.document import (
+    certificate_to_document,
+    document_to_json,
+    kcertificate_to_document,
+    unlimited_int_digits,
+)
+from primeavoid.kpower import construct_certificate_k
+from primeavoid.schedule import make_schedule
+from primeavoid.squarefree import construct_certificate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_CHECK = Path(__file__).parents[1] / "e2ebench" / "check.py"
@@ -146,3 +156,31 @@ def test_kpower_x30000_round_trip(tmp_path, capsys):
 
 def test_squarefree_x30000_round_trip(tmp_path, capsys):
     assert_round_trip(tmp_path, capsys, "--mode", "squarefree", "--x", "30000")
+
+
+# The seed-0 instances of the benchmark's two workloads (e2ebench/run.py),
+# built in-process, with the sha256 of their canonical documents: the
+# fixtures stop at x=2000, so these pin byte identity at benchmark scale.
+# A format change updates the digests together with format_version.
+BENCHMARK_DIGESTS = {
+    ("squarefree", 1, 10_000): (
+        "330b2db8ef783e3917b204e4084cb300f346124a2fd7a321acf9f24e07901b34"
+    ),
+    ("kpower", 2, 10_000): (
+        "eb3e4182257ae835ba1fafa5461a9edb5388815aea1f68e39285c29e7a69ffdd"
+    ),
+    ("kpower", 5, 5000): (
+        "8a76ccbb7657db9ff282a51b9e451c9d5dce15b0377607e6d678dd4ef12fb20c"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, k, x", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_instance_document_digest(mode, k, x):
+    sch = make_schedule(x, k)
+    if mode == "squarefree":
+        doc = certificate_to_document(construct_certificate(sch))
+    else:
+        doc = kcertificate_to_document(construct_certificate_k(sch))
+    digest = hashlib.sha256(document_to_json(doc).encode()).hexdigest()
+    assert digest == BENCHMARK_DIGESTS[mode, k, x]

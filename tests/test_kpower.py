@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from primeavoid import document as doc_mod
 from primeavoid import kpower, numtheory
-from primeavoid.errors import CapacityError, SearchExhausted
+from primeavoid.errors import CapacityError, ConstructionError, SearchExhausted
 from primeavoid.kpower import (
     KMatching,
     _max_matching,
@@ -135,7 +136,7 @@ def test_matching_k1_is_total_and_ascending():
     assert sorted(matching.matched) == list(sets.u7)
     # linear congruences always solvable: ascending offsets hit ascending
     # primes, except where 1-u == 0 mod p knocks an edge out
-    primes_used = [matching.matched[u][0] for u in sorted(matching.matched)]
+    primes_used = [matching.matched[u] for u in sorted(matching.matched)]
     assert primes_used == sorted(primes_used)
 
 
@@ -146,13 +147,18 @@ def k2_y300_sets():
 
 
 def test_matching_roots_verify(k2_y300_sets):
+    # each matched prime's congruence takes the least nonzero root of its
+    # offset's class
     sets = k2_y300_sets
     matching = match_offsets(sets)
     assert len(matching.matched) == 31
-    for u, (p, root) in matching.matched.items():
-        assert root != 0
-        assert pow(root, sets.k, p) == (1 - u) % p
-        assert root == min(r for r in range(p) if pow(r, sets.k, p) == (1 - u) % p)
+    root = {c.modulus: c.residue for c in covering_congruences(sets, matching)}
+    kept = {u: p for u, p in matching.matched.items() if p in root}
+    assert kept
+    for u, p in kept.items():
+        assert root[p] != 0
+        assert pow(root[p], sets.k, p) == (1 - u) % p
+        assert root[p] == min(r for r in range(p) if pow(r, sets.k, p) == (1 - u) % p)
 
 
 def test_matching_k2_unsolvable_edge():
@@ -165,7 +171,7 @@ def test_matching_zero_residue_edge_dropped(k2_y300_sets):
     # 1 - u == 0 (mod p) admits only the root 0, which is useless
     matching = match_offsets(k2_y300_sets)
     assert matching.matched
-    for u, (p, _) in matching.matched.items():
+    for u, p in matching.matched.items():
         assert (1 - u) % p != 0
 
 
@@ -276,10 +282,10 @@ def test_solve_m0_k_defining_congruences():
     k = sets.k
     assert math.gcd(m0, modulus) == 1
     kept = {c.modulus for c in congruences}
-    assert kept < set(sets.p1) | {p for p, _ in matching.matched.values()}
+    assert kept < set(sets.p1) | set(matching.matched.values())
     # m0 puts p | m0^k + u - 1 for every u == c (mod p), c the class of p
     classes = [*zip(sets.classes, sets.p1)]
-    classes += ((u, p) for u, (p, _) in matching.matched.items())
+    classes += ((u, p) for u, p in matching.matched.items())
     assert len(kept) < len(classes)  # at y=48 some congruences are idle
     for c, p in classes:
         if p in kept:
@@ -287,10 +293,10 @@ def test_solve_m0_k_defining_congruences():
 
 
 def test_solve_m0_k_rejects_zero_root():
-    sch = make_schedule(200, 1, "practical")
-    sets = build_sets_k(sch)
-    bad = KMatching(matched={4: (17, 0)}, unmatched=())
-    with pytest.raises(ValueError, match="zero root"):
+    # 1 - 18 == 0 (mod 17) admits only the root 0
+    sets = build_sets_k(make_schedule(200, 1, "practical"))
+    bad = KMatching(matched={18: 17}, unmatched=())
+    with pytest.raises(ConstructionError, match="no nonzero root"):
         solve_m0_k(covering_congruences(sets, bad))
 
 
@@ -515,7 +521,7 @@ def test_pool_matrix_scan_matches_naive_scan(monkeypatch):
 
 @pytest.fixture(scope="module")
 def k1_cert():
-    return construct_certificate_k(make_schedule(200, 1, "practical"), seed=0)
+    return construct_certificate_k(make_schedule(200, 1, "practical"))
 
 
 def test_k1_pipeline_cover(k1_cert):
@@ -611,7 +617,7 @@ def test_no_matched_offset_has_a_band_witness(grid_cert):
 
 def test_every_matched_prime_witnesses_an_offset(grid_cert):
     witnesses = set(grid_cert.cover.values())
-    assert all(p in witnesses for p, _ in grid_cert.matching.matched.values())
+    assert all(p in witnesses for p in grid_cert.matching.matched.values())
 
 
 @pytest.fixture(scope="module")
@@ -665,18 +671,35 @@ def test_fixture_keeps_format_1_2_window(name):
 
 def test_verify_rechecks_divisions(k1_cert):
     cert = k1_cert
-    cover, exceptions, prime_count = verify_power_window(
-        cert.m, cert.congruences, cert.schedule
-    )
+    cover, exceptions = verify_power_window(cert.m, cert.congruences, cert.schedule)
     assert cover.keys() == cert.cover.keys()
     assert exceptions == cert.exceptions
-    assert prime_count == cert.prime_count_in_window
+    metrics = doc_mod.kcertificate_to_document(cert)["metrics"]
+    assert metrics["prime_count_in_window"] == sum(s == "prime" for _, s in exceptions)
+
+
+def test_document_derives_the_metrics(k1_cert, kp2_x10000_cert):
+    # the exponent, the constant on m^k and the window primes come from
+    # the certificate's m, modulus, y and exceptions
+    cert = kp2_x10000_cert._replace(
+        exceptions=[(-3, "prime"), (5, "composite"), (7, "prime")]
+    )
+    doc = doc_mod.kcertificate_to_document(cert, seed=9)
+    metrics = doc["metrics"]
+    assert doc["seed"] == 9
+    assert metrics["exponent_report"] == math.log(cert.m) / math.log(cert.modulus)
+    assert metrics["prime_count_in_window"] == 2
+    assert metrics["avoidance_constant"] == numtheory.avoidance_constant(
+        cert.m**2, cert.schedule.y
+    )
+    # a 17-bit m is below e^(e^e), where the constant is undefined
+    assert k1_cert.m < 2**17
+    metrics = doc_mod.kcertificate_to_document(k1_cert)["metrics"]
+    assert metrics["avoidance_constant"] is None
 
 
 def test_k1_full_modulus_pipeline():
-    cert = construct_certificate_k(
-        make_schedule(200, 1, "practical"), reduced=False, seed=0
-    )
+    cert = construct_certificate_k(make_schedule(200, 1, "practical"), reduced=False)
     assert cert.modulus == math.prod(primes_upto(200))
     assert math.gcd(cert.m0, cert.modulus) == 1
     assert is_prime(cert.m)
@@ -691,7 +714,7 @@ def test_k1_full_modulus_pipeline():
 
 def test_k2_pipeline_small():
     cert = construct_certificate_k(
-        make_schedule(1e4, 2, "practical", y=60), seed=0
+        make_schedule(1e4, 2, "practical", y=60)
     )
     y = cert.schedule.y
     assert is_prime(cert.m)

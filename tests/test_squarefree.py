@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from primeavoid import document as doc_mod
 from primeavoid import kernels, numtheory
 from primeavoid.errors import CapacityError
 from primeavoid.numtheory import (
@@ -39,6 +40,7 @@ from oracles import (
     greedy_classes,
     large_prime_classes,
     least_divisor,
+    least_strikers,
     offset_partition_holds,
 )
 
@@ -177,7 +179,9 @@ def test_partition_detects_artificial_violation(micro):
 
 def test_assignment_micro(micro):
     _, sets = micro
-    assert assign_primes(sets) == {-1: 11, 1: 13}
+    pairs = assign_primes(sets)
+    assert pairs == [(10, 11), (1, 13)]
+    assert least_strikers(sets.u6, pairs) == {-1: 11, 1: 13}
 
 
 def test_assignment_empty():
@@ -187,13 +191,13 @@ def test_assignment_empty():
     )
     sets = build_sets(sch)
     empty = sets._replace(u6=())
-    assert assign_primes(empty) == {}
+    assert assign_primes(empty) == []
 
 
 def test_assignment_bijection_at_boundary(micro):
     _, sets = micro
     squeezed = sets._replace(p3=sets.p3[: len(sets.u6)])
-    phi = assign_primes(squeezed)
+    phi = least_strikers(sets.u6, assign_primes(squeezed))
     assert len(phi) == len(sets.u6) == len(set(phi.values()))
 
 
@@ -210,9 +214,10 @@ def test_assignment_capacity_error(micro):
 
 def test_solve_m0_micro_against_stepping_oracle(micro):
     _, sets = micro
-    phi = assign_primes(sets)
-    n, m0 = solve_m0(covering_congruences(sets, phi))
+    pairs = assign_primes(sets)
+    n, m0 = solve_m0(covering_congruences(sets, pairs))
     assert n == 30030
+    phi = least_strikers(sets.u6, pairs)
     congs = (
         [(0, p) for p in sets.p1]
         + [((-c) % p, p) for c, p in zip(sets.mid_classes, sets.p2)]
@@ -228,20 +233,20 @@ def test_solve_m0_micro_against_stepping_oracle(micro):
 def test_solve_m0_zero_maps_to_n(micro):
     _, sets = micro
     tiny = sets._replace(p1=(2,), p2=(), u6=())
-    n, m0 = solve_m0(covering_congruences(tiny, {}))
+    n, m0 = solve_m0(covering_congruences(tiny, []))
     assert (n, m0) == (2, 2)
 
 
 def test_solve_m0_single_congruence(micro):
     _, sets = micro
     tiny = sets._replace(p1=(), p2=(5,), mid_classes=(1,), u6=())
-    assert solve_m0(covering_congruences(tiny, {})) == (5, 4)
+    assert solve_m0(covering_congruences(tiny, [])) == (5, 4)
 
 
 def test_solve_m0_duplicate_modulus(micro):
     _, sets = micro
     with pytest.raises(ValueError, match="duplicate"):
-        solve_m0(covering_congruences(sets, {-5: 2, 1: 13, 5: 17}))
+        solve_m0(covering_congruences(sets, [(-5 % 2, 2), (1, 13), (5, 17)]))
 
 
 # -- squarefree search ------------------------------------------------------------
@@ -520,8 +525,8 @@ def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
 
 def test_find_squarefree_micro(micro):
     sch, sets = micro
-    phi = assign_primes(sets)
-    n, m0 = solve_m0(covering_congruences(sets, phi))
+    pairs = assign_primes(sets)
+    n, m0 = solve_m0(covering_congruences(sets, pairs))
     result = find_squarefree_in_ap(m0, n, sch)
     assert result.m == m0 + result.steps * n
     assert result.m >= 2 * sch.y
@@ -541,8 +546,8 @@ def test_find_squarefree_skips_square_multiples(micro):
 def test_progression_skip_rate_for_two(micro):
     # m0 even, N == 2 mod 4: exactly every other member divisible by 4
     sch, sets = micro
-    phi = assign_primes(sets)
-    n, m0 = solve_m0(covering_congruences(sets, phi))
+    pairs = assign_primes(sets)
+    n, m0 = solve_m0(covering_congruences(sets, pairs))
     assert m0 % 2 == 0 and n % 4 == 2
     skips = sum(1 for j in range(100) if (m0 + j * n) % 4 == 0)
     assert skips == 50
@@ -551,8 +556,7 @@ def test_progression_skip_rate_for_two(micro):
 def test_squarefree_n_itself(micro):
     # N is a product of distinct primes, hence squarefree
     _, sets = micro
-    phi = assign_primes(sets)
-    n, _ = solve_m0(covering_congruences(sets, phi))
+    n, _ = solve_m0(covering_congruences(sets, assign_primes(sets)))
     assert brute_force_squarefree(n)
 
 
@@ -584,7 +588,10 @@ def test_classes_and_witnesses_match_their_definitions(x):
 def test_mid_and_large_classes_are_the_greedy_choice(sch):
     sets = build_sets(sch)
     assert (sets.mid_classes, sets.u6) == greedy_classes(sets.u2, sets.p2)
-    assert assign_primes(sets) == large_prime_classes(sets.u6, sets.p3, sch.y)
+    pairs = assign_primes(sets)
+    assert least_strikers(sets.u6, pairs) == large_prime_classes(
+        sets.u6, sets.p3, sch.y
+    )
 
 
 @pytest.mark.parametrize("x", [150, 1000, 10**4])
@@ -592,17 +599,18 @@ def test_every_congruence_witnesses_an_offset(x):
     cert = construct_certificate(make_schedule(x, 1, "practical"))
     assert {c.modulus for c in cert.congruences} == set(cert.cover.values())
     # so every large prime covers one or two offsets, all of them in u6
-    assert set(cert.phi) == set(cert.sets.u6)
-    for p in set(cert.phi.values()):
+    large = {u: p for u, p in cert.cover.items() if p in cert.sets.p3}
+    assert set(large) == set(cert.sets.u6)
+    for p in set(large.values()):
         assert 1 <= sum(w == p for w in cert.cover.values()) <= 2
 
 
 def test_verify_window_micro(micro):
     sch, sets = micro
-    phi = assign_primes(sets)
-    n, m0 = solve_m0(covering_congruences(sets, phi))
+    pairs = assign_primes(sets)
+    n, m0 = solve_m0(covering_congruences(sets, pairs))
     m = find_squarefree_in_ap(m0, n, sch).m
-    cover = verify_window(m, covering_congruences(sets, phi), sch)
+    cover = verify_window(m, covering_congruences(sets, pairs), sch)
     assert len(cover) == 2 * sch.y + 1
     assert cover[-7] == 7
     # u = 0 and +-5 are struck by 2 | m (band one) and 5 | m (mid band's
@@ -618,9 +626,8 @@ def test_verify_window_micro(micro):
 
 def test_verify_window_rejects_small_m(micro):
     sch, sets = micro
-    phi = assign_primes(sets)
     with pytest.raises(ValueError):
-        verify_window(5, covering_congruences(sets, phi), sch)
+        verify_window(5, covering_congruences(sets, assign_primes(sets)), sch)
 
 
 # -- avoidance constant --------------------------------------------------------------
@@ -659,9 +666,14 @@ def test_certificate_micro_end_to_end():
     assert cert.m % cert.modulus == cert.m0 % cert.modulus
     assert len(cert.cover) == 21
     assert cert.squarefree_status == "proven"
-    assert cert.exponent_report == pytest.approx(
+    metrics = doc_mod.certificate_to_document(cert)["metrics"]
+    assert metrics["exponent_report"] == pytest.approx(
         math.log(cert.m) / math.log(cert.modulus), rel=1e-12
     )
+    assert metrics["squarefree_trial_bound"] == str(SQUAREFREE_TRIAL_BOUND)
+    assert metrics["prime_count_in_window"] == 0
+    # m = 69,510 is below e^(e^e) ~ 3.8 * 10^6, where the constant is undefined
+    assert metrics["avoidance_constant"] is None
 
 
 @pytest.mark.parametrize("x", [60, 100, 150])
@@ -679,8 +691,8 @@ def test_certificate_windows_total_coverage(x):
         assert residues[p] == 0
     for c, p in zip(cert.sets.mid_classes, cert.sets.p2):
         assert residues.get(p, -c % p) == -c % p
-    for u, p in cert.phi.items():
-        assert (cert.m0 + u) % p == 0
+    for u in cert.sets.u6:
+        assert (cert.m0 + u) % cert.cover[u] == 0
 
 
 def test_autoshrink_trace_recorded():
