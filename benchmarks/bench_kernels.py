@@ -9,6 +9,7 @@ best wall time.
 """
 
 import argparse
+import math
 import random
 import time
 
@@ -50,7 +51,7 @@ def workloads(quick):
     # (y = 3725, before capacity halves y to 116)
     kp2_sch = make_schedule(10**4, 2, "practical")
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
-    # the progression sieve's shape in kpower.find_prime_in_ap: every
+    # the progression sieve's shape in numtheory.find_prime_in_ap: every
     # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
     modulus = rng.getrandbits(2200) | (1 << 2199)
     m0 = rng.randrange(modulus)
@@ -60,11 +61,11 @@ def workloads(quick):
         if modulus % p
     ]
     chunk = 1024
-    # the two costs kpower._POOL_MIN_BITS weighs: one base-2 round on a
+    # the two costs numtheory._POOL_MIN_BITS weighs: one base-2 round on a
     # survivor, and a 2-worker pool started, given one task and shut down;
-    # kpower._sieve_depth weighs the round at 320 and 2800 bits (the
+    # numtheory._sieve_depth weighs the round at 320 and 2800 bits (the
     # reduced and the full-modulus kp2 certificates) against the cost of
-    # each prime's root in kpower._root_table
+    # each prime's root in numtheory._root_table
     spp_rounds = 10 if quick else 50
 
     def spp(bits, rounds=spp_rounds):
@@ -74,7 +75,9 @@ def workloads(quick):
     def root_table(bits, bound, repeat):
         modulus = rng.getrandbits(bits) | (1 << (bits - 1))
         m0 = rng.randrange(modulus)
-        return lambda: [kpower._root_table(m0, modulus, bound) for _ in range(repeat)]
+        return lambda: [
+            numtheory._root_table(m0, modulus, bound) for _ in range(repeat)
+        ]
 
     def pool_start_stop():
         pool = numtheory._start_pool(2)
@@ -111,6 +114,22 @@ def workloads(quick):
             ("trial scan %d bits, head + 1 slice" % bits, scan(m, 1)),
             ("trial scan %d bits, 2 workers" % bits, scan(m, 2)),
         ]
+
+    # what replaces those scans at squarefree x=10^4: the search for a
+    # prime C in C0 + j*(N/B), B the product of the residue-0 moduli
+    # (squarefree.find_squarefree_in_ap), and the verifier's one test of
+    # the C it finds
+    sf_n, sf_m0 = squarefree.solve_m0(
+        squarefree.covering_congruences(sf_sets, sf_pairs)
+    )
+    sf_b = math.gcd(sf_m0, sf_n)
+    sf_c0, sf_step = sf_m0 // sf_b, sf_n // sf_b
+    sf_c = numtheory.find_prime_in_ap(sf_c0, sf_step)
+    prime_c_rows = [
+        ("prime-C search, N/B of x=10^4, %d bits" % sf_step.bit_length(),
+         lambda: numtheory.find_prime_in_ap(sf_c0, sf_step)),
+        ("is_prime(C), %d bits" % sf_c.bit_length(), lambda: numtheory.is_prime(sf_c)),
+    ]
 
     # the head (numtheory._SCAN_HEAD_BOUND) alone: a 5,600-bit candidate
     # that the square of the largest prime below 2^16 divides, and the m
@@ -150,6 +169,7 @@ def workloads(quick):
         ("pool start+stop, 2 workers", pool_start_stop),
         *scan_rows(2048),
         *scan_rows(5600),
+        *prime_c_rows,
         *head_rows,
     ]
 

@@ -3,7 +3,13 @@
 All big integers are carried as decimal strings so no consumer can
 truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
-primality claims); it never re-runs the construction.
+primality claims); it never re-runs the construction.  A squarefree m
+is checked by one primality test when m = B*C with B the product of the
+residue-0 moduli and C a prime not dividing B (what format 1.7 builds
+when N/B has 94 to 1400 bits, as at x=10^4), and by the trial scan to
+10^7 otherwise.  A
+kpower document whose k * bits(m) exceeds numtheory.MAX_POWER_BITS is
+refused before m^k is built.
 
 The verifier loads no construction module and no ``dataclasses``: the
 ``verify`` command imports this module, numtheory, kernels and errors,
@@ -21,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DocumentError
 from .numtheory import (
+    MAX_POWER_BITS,
     MR_DETERMINISTIC_BOUND,
     SQUAREFREE_TRIAL_BOUND,
     avoidance_constant,
@@ -33,7 +40,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.6"
+FORMAT_VERSION = "1.7"
 
 
 @contextmanager
@@ -172,11 +179,12 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
-    # 1.0 to 1.5 differ in how witnesses were chosen, residues picked and
-    # primes assigned or matched, in what ``sets`` and ``metrics`` list,
-    # and in the schedule keys besides y and k; verify reads none of
-    # that, as it checks each witness by its division
-    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", FORMAT_VERSION)
+    # 1.0 to 1.6 differ in how witnesses were chosen, residues picked,
+    # primes assigned or matched and m searched for, in what ``sets`` and
+    # ``metrics`` list, and in the schedule keys besides y and k; verify
+    # reads none of that, as it checks each witness by its division and m
+    # by its factors
+    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", FORMAT_VERSION)
     if doc["format_version"] not in readable:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
@@ -188,7 +196,7 @@ def parse_document(text: str) -> dict:
         if _big_integer(doc["modulus"]) < 1:
             raise ValueError("modulus must be positive")
         _big_integer(doc["m0"])
-        if _big_integer(doc["m"]) < 1:
+        if (m := _big_integer(doc["m"])) < 1:
             raise ValueError("m must be positive")
         for r, q in doc["congruences"]:
             _big_integer(r), _big_integer(q)
@@ -200,10 +208,16 @@ def parse_document(text: str) -> dict:
                 raise TypeError(f"exception status {entry['status']!r} is not a string")
         if _integer(doc["schedule"]["y"]) < 0:
             raise ValueError("schedule.y must be at least 0")
-        if _integer(doc["schedule"]["k"]) < 1:
+        if (k := _integer(doc["schedule"]["k"])) < 1:
             raise ValueError("schedule.k must be at least 1")
     except (ValueError, TypeError, KeyError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc
+    # kpower is the mode whose verifier builds m^k
+    if doc["mode"] == "kpower" and k * m.bit_length() > MAX_POWER_BITS:
+        raise DocumentError(
+            f"m^k too large: k * bits(m) = {k} * {m.bit_length()} exceeds "
+            f"{MAX_POWER_BITS}"
+        )
     metrics = doc["metrics"]
     if not isinstance(metrics, dict):
         raise DocumentError("metrics must be an object")
@@ -236,6 +250,29 @@ class VerifyReport:
             lines.append(f"  [{mark}] {name:<14} {detail}")
         lines.extend(f"  [note] {n}" for n in self.notes)
         return "\n".join(lines)
+
+
+def _prime_cofactor_tier(m: int, congs) -> str | None:
+    """m's tier when m = B*C with B the product of the residue-0 moduli of
+    ``congs``, those moduli distinct primes, and C a prime that does not
+    divide B: then m is squarefree, "proven" when C < MR_DETERMINISTIC_BOUND
+    and "prp" above.  None when m has no such shape.
+
+    The proof reads nothing else of the document, so it holds for every
+    format.  When C is prime and every prime of B is at most the trial
+    bound, the trial scan would find the same tier: it divides B out and
+    leaves C, or 1 when C is at most the bound.
+    """
+    zero = [q for r, q in congs if r == 0]
+    if len(set(zero)) != len(zero) or not all(is_prime(q) for q in zero):
+        return None
+    b = math.prod(zero)
+    if m % b:
+        return None
+    c = m // b
+    if b % c == 0 or not is_prime(c):
+        return None
+    return "proven" if c < MR_DETERMINISTIC_BOUND else "prp"
 
 
 def _gaps(inside, y, skip):
@@ -355,13 +392,18 @@ def verify_document(doc: dict) -> VerifyReport:
         )
     else:
         recorded = doc["metrics"].get("squarefree_status", "proven")
-        rest = trial_cofactor(m)
-        if rest is None:
-            actual = "not_squarefree"
-        else:
-            # no tier found can fall below a partial claim, so its cofactor
-            # skips the primality test, which would only pick the tier
-            actual = cofactor_tier(rest, test_primality=recorded != "partial")
+        # no tier found can fall below a partial claim, so it skips every
+        # primality test that would only pick the tier: the one on m/B, and
+        # the one on the trial cofactor
+        test_primality = recorded != "partial"
+        actual = _prime_cofactor_tier(m, congs) if test_primality else None
+        proof = "m/B prime" if actual else "trial scan"
+        if actual is None:
+            rest = trial_cofactor(m)
+            if rest is None:
+                actual = "not_squarefree"
+            else:
+                actual = cofactor_tier(rest, test_primality=test_primality)
         if actual == "not_squarefree":
             ok, detail = False, "m has a square factor"
         elif recorded not in _TIER_RANK:
@@ -369,7 +411,7 @@ def verify_document(doc: dict) -> VerifyReport:
         elif _TIER_RANK[recorded] > _TIER_RANK[actual]:
             ok, detail = False, f"recorded tier {recorded} claims more than {actual}"
         else:
-            ok, detail = True, f"status {actual}"
+            ok, detail = True, f"status {actual} ({proof})"
             if actual != recorded:
                 notes.append(f"squarefree tier changed: recorded {recorded}, now {actual}")
         sections.append(("squarefree", ok, detail))

@@ -11,27 +11,26 @@ large primes under k-th power solvability.  Congruences that are no
 offset's least striker are dropped (numtheory.drop_idle).  The capacity
 check still counts the paper's offsets, the z-smooth and prime ones
 (U4 | U5), so y is the paper's.  The pipeline then solves the congruence
-system, finds a prime m in the progression, and certifies the window:
-the witness of m^k + (u - 1) is the least modulus q of the system whose
-residue r has u == 1 - r^k (mod q), and an element that no congruence
-strikes is an exception with its primality status.
+system, finds a prime m in the progression (numtheory.find_prime_in_ap,
+the search squarefree runs for its prime cofactor too), and certifies
+the window: the witness of m^k + (u - 1) is the least modulus q of the
+system whose residue r has u == 1 - r^k (mod q), and an element that no
+congruence strikes is an exception with its primality status.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections import deque
-from contextlib import closing
-from itertools import chain, compress
 from typing import NamedTuple
 
 from . import kernels, numtheory
-from .errors import CapacityError, ConstructionError, SearchExhausted
+from .errors import CapacityError, ConstructionError
 from .numtheory import (
+    DEFAULT_PRIME_STEPS,
     Congruence,
     crt_solve,
     drop_idle,
+    find_prime_in_ap,
     greedy_classes,
     is_prime,
     jacobi,
@@ -42,20 +41,8 @@ from .numtheory import (
 )
 from .schedule import Schedule, shrink_to_capacity
 
-DEFAULT_PRIME_STEPS = 100_000
 # the paper's delta, which sets legendre_screen's threshold
 DELTA = 0.01
-# the progression sieve's depth cap and floor (_sieve_depth) and the
-# number of steps sieved at a time
-_SCREEN_PRIME_LIMIT = 2**18
-_SCREEN_PRIME_FLOOR = 2**10
-_SIEVE_CHUNK = 1024
-# Sieve survivors of at least this many bits are tested in worker
-# processes.  On a 2-core host (CPython 3.11) a base-2 round costs 4.4 ms
-# at 1024 bits and 30 ms at 2048, and starting and stopping a 2-worker
-# pool 15 ms (benchmarks/bench_kernels.py), so below this size the pool
-# costs more than it saves.
-_POOL_MIN_BITS = 1024
 
 
 class KSetSystem(NamedTuple):
@@ -269,132 +256,6 @@ def covering_congruences(
     return tuple(congruences)
 
 
-def _sieve_depth(bits: int) -> int:
-    """The progression sieve's prime bound for members of ``bits`` bits:
-    (bits / 32)^3, at least _SCREEN_PRIME_FLOOR and at most
-    _SCREEN_PRIME_LIMIT, which it reaches at 2048 bits.
-
-    A sieve prime p costs one root in the table (_root_table) and spares
-    the test of each survivor it divides: about T / p of the
-    T ~ 0.39 * bits / ln(bound) survivors tested before the prime
-    (Mertens), each rejected by one base-2 round.  So p pays up to the
-    bound with bound * ln(bound) ~ 0.39 * bits * round / root.  On a
-    2-core host (CPython 3.11, benchmarks/bench_kernels.py) a root costs
-    1.2-1.5 us at 320 bits and 2.7 us at 2800, and a base-2 round 0.18 ms
-    and 68 ms: the balance lies near 2^11 at 320 bits and far above the
-    cap at 2800, and grows as about bits^3.  The rule stays below it,
-    since under 2^16 is_prime's primorial gcd rejects a survivor for less
-    than a round: at 320 bits, the size of the format-1.5 reduced kpower
-    certificates, a search takes 2-5 ms from 2^10 to 2^12 and 36-47 ms at
-    2^18, and from 1024 bits up it is flat within noise from 2^12 to 2^18.
-    """
-    return min(_SCREEN_PRIME_LIMIT, max(_SCREEN_PRIME_FLOOR, bits**3 >> 15))
-
-
-def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
-    """The primes p <= bound that do not divide the modulus, and for each
-    the step class -m0 / modulus (mod p) of the members it divides."""
-    primes, roots = array("i"), array("i")
-    for p in kernels.iter_primes(bound):
-        step = modulus % p
-        if step:
-            primes.append(p)
-            roots.append(-(m0 % p) * pow(step, -1, p) % p)
-    return primes, roots
-
-
-def _sieved_steps(m0: int, modulus: int, last: int):
-    """Steps j = 1..last, ascending, whose member m0 + j*modulus has no
-    prime factor p <= bound that is coprime to the modulus, or is itself
-    at most bound, where bound is the _sieve_depth of the first member.
-
-    Such a p divides the member exactly when j == -m0 / modulus (mod p).
-    The root is kept per prime in a compact array, and the steps are
-    sieved _SIEVE_CHUNK at a time.  Members at or below the bound are
-    always yielded, so a small prime member is never sieved away by
-    itself.
-    """
-    bound = _sieve_depth((m0 + modulus).bit_length())
-    primes, roots = _root_table(m0, modulus, bound)
-    small = (bound - m0) // modulus  # j <= small: member <= bound
-    for j0 in range(1, last + 1, _SIEVE_CHUNK):
-        size = min(_SIEVE_CHUNK, last + 1 - j0)
-        alive = bytearray(b"\x01") * size
-        kernels.strike(alive, (((r - j0) % p, p) for p, r in zip(primes, roots)))
-        keep = min(size, small - j0 + 1)
-        if keep > 0:
-            alive[:keep] = b"\x01" * keep
-        yield from compress(range(j0, j0 + size), alive)
-
-
-def _test_member(n: int) -> bool:
-    # the pool pickles this function by name; the worker then calls
-    # whatever this module's is_prime is bound to, which need not pickle
-    return is_prime(n)
-
-
-def _prime_verdicts(members):
-    """Yield (n, is_prime(n)) for every n of ``members``, in input order.
-
-    Members are tested here until the first one of _POOL_MIN_BITS bits or
-    more; from there on they go to numtheory._pool_workers() worker
-    processes, with one test in flight per worker and one more queued, so
-    that a worker that finishes need not wait for the consumer to read a
-    verdict.
-    Every member gets the full is_prime and no verdict is skipped or
-    reordered, so a caller that stops at the first prime gets the serial
-    search's answer.  Closing the generator cancels the queued tests and
-    shuts the pool down once the running ones end.
-    """
-    members = iter(members)
-    for n in members:
-        big = n.bit_length() >= _POOL_MIN_BITS
-        if big and (workers := numtheory._pool_workers()) > 1:
-            break
-        yield n, is_prime(n)
-    else:
-        return
-    pool = numtheory._start_pool(workers)
-    ahead: deque = deque()
-    try:
-        for n in chain((n,), members):
-            ahead.append((n, pool.submit(_test_member, n)))
-            if len(ahead) > workers:
-                n, verdict = ahead.popleft()
-                yield n, verdict.result()
-        for n, verdict in ahead:
-            yield n, verdict.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def find_prime_in_ap(
-    m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS
-) -> int:
-    """Smallest prime m0 + j*modulus with 1 <= j <= max_steps.
-
-    Every step that survives the progression sieve goes through the full
-    is_prime, in step order (_prime_verdicts); SearchExhausted.tests
-    counts those tests."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if math.gcd(m0, modulus) != 1:
-        raise ValueError("m0 and modulus are not coprime: progression has no primes")
-    members = (m0 + j * modulus for j in _sieved_steps(m0, modulus, max_steps))
-    tests = 0
-    with closing(_prime_verdicts(members)) as verdicts:
-        for candidate, prime in verdicts:
-            tests += 1
-            if prime:
-                return candidate
-    raise SearchExhausted(
-        f"no prime in {max_steps} progression steps "
-        f"({tests} probable-prime tests performed)",
-        steps=max_steps,
-        tests=tests,
-    )
-
-
 def verify_power_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> tuple[dict[int, int], list[tuple[int, str]]]:
@@ -450,7 +311,7 @@ def matrix_scan(
     system left open) is prime -- every other element inherits its
     witness divisor from the congruences, row by row.  The rows that
     survive the progression sieve are tested as find_prime_in_ap tests
-    them (_prime_verdicts).
+    them (numtheory._prime_verdicts).
     """
     if not 0 <= rows <= 10**5:
         raise ValueError(f"row count {rows} is outside [0, 10**5]")
@@ -458,8 +319,9 @@ def matrix_scan(
     prime_rows = 0
     with_window_prime = 0
     avoiding: list[int] = []
-    members = (m0 + r * modulus for r in _sieved_steps(m0, modulus, rows))
-    for g, prime in _prime_verdicts(members):
+    rows_left = numtheory._sieved_steps(m0, modulus, rows)
+    members = (m0 + r * modulus for r in rows_left)
+    for g, prime in numtheory._prime_verdicts(members):
         if not prime:
             continue
         r = (g - m0) // modulus
@@ -515,6 +377,11 @@ def construct_certificate_k(
         congruences += tuple(Congruence(1, p) for p in p4)
     modulus, m0 = solve_m0_k(congruences)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
+    if sch.k * m.bit_length() > numtheory.MAX_POWER_BITS:
+        raise ConstructionError(
+            f"m^k too large: k * bits(m) = {sch.k} * {m.bit_length()} exceeds "
+            f"{numtheory.MAX_POWER_BITS}, which a verifier refuses"
+        )
     cover, exceptions = verify_power_window(m, congruences, sch)
     return KCertificate(
         schedule=sch,

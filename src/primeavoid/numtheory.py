@@ -1,9 +1,12 @@
 """Exact integer and modular arithmetic primitives, including the covering
 core both pipelines share (the greedy class rule, the struck witnesses
 that both window checks read, and the pass that drops idle congruences),
-the tiered squarefree check that the squarefree search and the
-verifier share, and the worker-process policy that it and the kpower
-prime search use.
+the progression prime search both pipelines run (find_prime_in_ap: kpower
+for its prime m, squarefree for the prime cofactor of its m), the tiered
+squarefree check that the squarefree search and the verifier fall back
+on, the cap on the powers m^k that the kpower construction and the
+verifier build (MAX_POWER_BITS), and the worker-process policy that the
+prime search and the trial scan use.
 
 Everything else here is a pure function over Python ints (arbitrary
 precision, no rounding); fixed-width inner loops are delegated to
@@ -14,12 +17,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter, namedtuple
+from array import array
+from collections import Counter, deque, namedtuple
+from contextlib import closing
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 from . import kernels
-from .errors import ConstructionError
+from .errors import ConstructionError, SearchExhausted
 
 # The first thirteen primes decide primality for every n below this
 # bound (Sorenson & Webster); above it is_prime runs BPSW, which no known
@@ -50,6 +55,25 @@ _TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
 # lower end, so no block above the head is built.
 _SCAN_HEAD_BOUND = 2**16
 _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
+# The verifier and the kpower construction build m^k only when k * bits(m)
+# is at most this.  The largest power any documented run builds, kpower
+# k=3 at x=10^5, has 3 * 2,792 = 8,376 bits; a copy of a kpower k=2
+# x=600 certificate claiming k = 3*10^6 would ask for a power of 2.4*10^9
+# bits and run for minutes before any verdict.
+MAX_POWER_BITS = 2**16
+
+DEFAULT_PRIME_STEPS = 100_000
+# the progression sieve's depth cap and floor (_sieve_depth) and the
+# number of steps sieved at a time
+_SCREEN_PRIME_LIMIT = 2**18
+_SCREEN_PRIME_FLOOR = 2**10
+_SIEVE_CHUNK = 1024
+# Sieve survivors of at least this many bits are tested in worker
+# processes.  On a 2-core host (CPython 3.11) a base-2 round costs 4.4 ms
+# at 1024 bits and 30 ms at 2048, and starting and stopping a 2-worker
+# pool 15 ms (benchmarks/bench_kernels.py), so below this size the pool
+# costs more than it saves.
+_POOL_MIN_BITS = 1024
 # a large host forks no more workers than this: a prime search wastes
 # about one survivor test per worker past the first prime, and a trial
 # scan's slices shrink while each worker's start-up cost does not
@@ -208,6 +232,132 @@ def is_prime(n: int) -> bool:
     if n < MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _bpsw(n)
+
+
+def _sieve_depth(bits: int) -> int:
+    """The progression sieve's prime bound for members of ``bits`` bits:
+    (bits / 32)^3, at least _SCREEN_PRIME_FLOOR and at most
+    _SCREEN_PRIME_LIMIT, which it reaches at 2048 bits.
+
+    A sieve prime p costs one root in the table (_root_table) and spares
+    the test of each survivor it divides: about T / p of the
+    T ~ 0.39 * bits / ln(bound) survivors tested before the prime
+    (Mertens), each rejected by one base-2 round.  So p pays up to the
+    bound with bound * ln(bound) ~ 0.39 * bits * round / root.  On a
+    2-core host (CPython 3.11, benchmarks/bench_kernels.py) a root costs
+    1.2-1.5 us at 320 bits and 2.7 us at 2800, and a base-2 round 0.18 ms
+    and 68 ms: the balance lies near 2^11 at 320 bits and far above the
+    cap at 2800, and grows as about bits^3.  The rule stays below it,
+    since under 2^16 is_prime's primorial gcd rejects a survivor for less
+    than a round: at 320 bits, the size of the format-1.5 reduced kpower
+    certificates, a search takes 2-5 ms from 2^10 to 2^12 and 36-47 ms at
+    2^18, and from 1024 bits up it is flat within noise from 2^12 to 2^18.
+    """
+    return min(_SCREEN_PRIME_LIMIT, max(_SCREEN_PRIME_FLOOR, bits**3 >> 15))
+
+
+def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
+    """The primes p <= bound that do not divide the modulus, and for each
+    the step class -m0 / modulus (mod p) of the members it divides."""
+    primes, roots = array("i"), array("i")
+    for p in kernels.iter_primes(bound):
+        step = modulus % p
+        if step:
+            primes.append(p)
+            roots.append(-(m0 % p) * pow(step, -1, p) % p)
+    return primes, roots
+
+
+def _sieved_steps(m0: int, modulus: int, last: int):
+    """Steps j = 1..last, ascending, whose member m0 + j*modulus has no
+    prime factor p <= bound that is coprime to the modulus, or is itself
+    at most bound, where bound is the _sieve_depth of the first member.
+
+    Such a p divides the member exactly when j == -m0 / modulus (mod p).
+    The root is kept per prime in a compact array, and the steps are
+    sieved _SIEVE_CHUNK at a time.  Members at or below the bound are
+    always yielded, so a small prime member is never sieved away by
+    itself.
+    """
+    bound = _sieve_depth((m0 + modulus).bit_length())
+    primes, roots = _root_table(m0, modulus, bound)
+    small = (bound - m0) // modulus  # j <= small: member <= bound
+    for j0 in range(1, last + 1, _SIEVE_CHUNK):
+        size = min(_SIEVE_CHUNK, last + 1 - j0)
+        alive = bytearray(b"\x01") * size
+        kernels.strike(alive, (((r - j0) % p, p) for p, r in zip(primes, roots)))
+        keep = min(size, small - j0 + 1)
+        if keep > 0:
+            alive[:keep] = b"\x01" * keep
+        yield from compress(range(j0, j0 + size), alive)
+
+
+def _test_member(n: int) -> bool:
+    # the pool pickles this function by name; the worker then calls
+    # whatever this module's is_prime is bound to, which need not pickle
+    return is_prime(n)
+
+
+def _prime_verdicts(members):
+    """Yield (n, is_prime(n)) for every n of ``members``, in input order.
+
+    Members are tested here until the first one of _POOL_MIN_BITS bits or
+    more; from there on they go to _pool_workers() worker processes,
+    with one test in flight per worker and one more queued, so that a
+    worker that finishes need not wait for the consumer to read a
+    verdict.
+    Every member gets the full is_prime and no verdict is skipped or
+    reordered, so a caller that stops at the first prime gets the serial
+    search's answer.  Closing the generator cancels the queued tests and
+    shuts the pool down once the running ones end.
+    """
+    members = iter(members)
+    for n in members:
+        big = n.bit_length() >= _POOL_MIN_BITS
+        if big and (workers := _pool_workers()) > 1:
+            break
+        yield n, is_prime(n)
+    else:
+        return
+    pool = _start_pool(workers)
+    ahead: deque = deque()
+    try:
+        for n in chain((n,), members):
+            ahead.append((n, pool.submit(_test_member, n)))
+            if len(ahead) > workers:
+                n, verdict = ahead.popleft()
+                yield n, verdict.result()
+        for n, verdict in ahead:
+            yield n, verdict.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def find_prime_in_ap(
+    m0: int, modulus: int, max_steps: int = DEFAULT_PRIME_STEPS
+) -> int:
+    """Smallest prime m0 + j*modulus with 1 <= j <= max_steps.
+
+    Every step that survives the progression sieve goes through the full
+    is_prime, in step order (_prime_verdicts); SearchExhausted.tests
+    counts those tests."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if math.gcd(m0, modulus) != 1:
+        raise ValueError("m0 and modulus are not coprime: progression has no primes")
+    members = (m0 + j * modulus for j in _sieved_steps(m0, modulus, max_steps))
+    tests = 0
+    with closing(_prime_verdicts(members)) as verdicts:
+        for candidate, prime in verdicts:
+            tests += 1
+            if prime:
+                return candidate
+    raise SearchExhausted(
+        f"no prime in {max_steps} progression steps "
+        f"({tests} probable-prime tests performed)",
+        steps=max_steps,
+        tests=tests,
+    )
 
 
 def struck_witnesses(y: int, classes) -> list[int]:

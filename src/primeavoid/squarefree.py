@@ -24,6 +24,16 @@ With 2 in band one (log x >= 2), 2 strikes every even offset, so u2 and
 u6 hold odd offsets only.  A congruence whose modulus is no offset's
 least striker is dropped (numtheory.drop_idle) before the system is
 solved: it would only make m larger.
+
+The solution is m0 mod N.  B = gcd(m0, N) is the product of the
+residue-0 moduli, and every other modulus leaves m0 a nonzero residue.
+When N/B has PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, the
+search takes m = B*C with C the least prime of C0 + j*(N/B), C0 = m0/B,
+above every modulus (numtheory.find_prime_in_ap): m is squarefree by
+construction, with tier "proven" when C < MR_DETERMINISTIC_BOUND and
+"prp" above.  Outside that window it takes the first member of m0 + j*N
+that the tiered trial scan (numtheory.classify_squarefree) does not
+reject, with the scan's tier.
 """
 
 from __future__ import annotations
@@ -33,10 +43,12 @@ from typing import NamedTuple
 
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
+    MR_DETERMINISTIC_BOUND,
     Congruence,
     classify_squarefree,
     crt_solve,
     drop_idle,
+    find_prime_in_ap,
     greedy_classes,
     primes_upto,
     struck_witnesses,
@@ -44,6 +56,24 @@ from .numtheory import (
 from .schedule import Schedule, shrink_to_capacity
 
 DEFAULT_MAX_STEPS = 10_000
+# The bit lengths of N/B for which find_squarefree_in_ap searches for a
+# prime cofactor C; the trial scan runs outside.  On a 2-core host
+# (CPython 3.11, in-process):
+#   * Below the window the scan's tier is luck worth keeping.  From x =
+#     1000 to 5000 in steps of 100, the scan proves m at x = 1000, 1100,
+#     1200, 1300, 1500 and 1600, where N/B has 58 to 93 bits.  At 1000
+#     and 1600 (93 and 92 bits) a prime C, above N/B, would pass
+#     MR_DETERMINISTIC_BOUND (about 2^81.5) and be only "prp".  No x of
+#     that sweep with 94 or more bits is "proven"; 1700, 1800 and 2800
+#     (97, 103 and 96 bits) are "partial".
+#   * Above the window the search costs more than the scan.  Mean search
+#     times, prime C against the scan, over the x from 10^4 to 2.6*10^4
+#     (steps of 500) whose N/B falls in each band: 500-1000 bits 0.16 s
+#     against 0.24 s (7 runs), 1000-1400 bits 0.18 s against 0.22 s (6),
+#     1400-1800 bits 0.57 s against 0.23 s (8).  Single searches swing
+#     with the prime gaps: 0.07 to 1.14 s between 1,500 and 1,700 bits.
+PRIME_COFACTOR_MIN_BITS = 94
+PRIME_COFACTOR_MAX_BITS = 1400
 
 
 class SetSystem(NamedTuple):
@@ -138,20 +168,52 @@ class SquarefreeSearch(NamedTuple):
 
     m: int
     steps: int  # progression index j with m = m0 + j*N
-    status: str  # "proven" | "prp" | "partial", see classify_squarefree
-    candidates_tried: int
+    status: str  # "proven" | "prp" | "partial", see find_squarefree_in_ap
+    candidates_tried: int  # members classified, or stepped over for C
+
+
+def _prime_cofactor(
+    m0: int, n: int, b: int, sch: Schedule, max_steps: int
+) -> SquarefreeSearch:
+    """m = B*C for the least prime C of C0 + j*(N/B), C0 = m0/B, above
+    both x (so above every modulus) and 2y.
+
+    C0 is coprime to N/B, since each prime of N/B leaves m0 a nonzero
+    residue and is coprime to B.  C is a prime that no prime of B equals,
+    and B is a product of distinct primes, so m is squarefree; and
+    m = B*C0 + j*N = m0 + j*N.
+    """
+    c0, step = m0 // b, n // b
+    least = max(math.floor(sch.x), 2 * sch.y)
+    skip = max(0, (least - c0) // step)  # the members after this one exceed least
+    c = find_prime_in_ap(c0 + skip * step, step, max_steps)
+    steps = (c - c0) // step
+    return SquarefreeSearch(
+        m=b * c,
+        steps=steps,
+        status="proven" if c < MR_DETERMINISTIC_BOUND else "prp",
+        candidates_tried=steps - skip,
+    )
 
 
 def find_squarefree_in_ap(
     m0: int, n: int, sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS
 ) -> SquarefreeSearch:
-    """Smallest m = m0 + j*N with m >= 2y passing the squarefree check.
+    """A squarefree m = m0 + j*N with m >= 2y, and its tier.
 
-    Verification is tiered: full when trial factorization to the bound
-    settles it, otherwise the partial tier is recorded honestly.
+    With B = gcd(m0, N), the product of the residue-0 moduli: when N/B has
+    PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, m = B*C with
+    C prime (_prime_cofactor), "proven" when C < MR_DETERMINISTIC_BOUND
+    and "prp" above.  Otherwise the least such j whose member
+    classify_squarefree does not reject, with its tier: full when trial
+    factorization to the bound settles it, otherwise the partial tier is
+    recorded honestly.  Either search tries at most max_steps members.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    b = math.gcd(m0, n)
+    if PRIME_COFACTOR_MIN_BITS <= (n // b).bit_length() <= PRIME_COFACTOR_MAX_BITS:
+        return _prime_cofactor(m0, n, b, sch, max_steps)
     j = max(0, -(-(2 * sch.y - m0) // n))  # ceil division
     tried = 0
     while tried < max_steps:

@@ -1,5 +1,7 @@
 """Independent reference checks that the tests hold the construction to."""
 
+import math
+
 
 def largest_prime_factor(n: int) -> int:
     """The largest prime factor of n by trial division, 0 for n < 2."""
@@ -104,3 +106,22 @@ def has_augmenting_path(adjacency, matched: dict[int, int]) -> bool:
                     seen_left.add(w)
                     frontier.append(w)
     return False
+
+
+def squarefree_by_cube_root(n: int) -> bool:
+    """Whether n >= 1 is squarefree, by trial division and a square test.
+
+    Each d >= 2 whose cube is at most what is left of n divides it out
+    once, and a second division proves a square factor.  What is left
+    then has no prime factor below d, and d^3 exceeds it, so it is 1, a
+    prime or a product of two primes: squarefree unless it is a square
+    above 1.
+    """
+    d = 2
+    while d**3 <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
+        d += 1
+    return n == 1 or math.isqrt(n) ** 2 != n

@@ -11,9 +11,13 @@ import pytest
 
 from primeavoid import cli, kpower, numtheory, squarefree
 from primeavoid import document as doc_mod
+from primeavoid.errors import DocumentError
 from primeavoid.kpower import construct_certificate_k
 from primeavoid.schedule import make_schedule
 from primeavoid.squarefree import construct_certificate
+
+
+FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -367,6 +371,126 @@ def test_partial_claim_rejects_square_factors(partial_doc_text):
         assert sections["squarefree"] == (False, "m has a square factor"), bad
 
 
+@pytest.fixture(scope="module")
+def prime_cofactor_doc():
+    # x=1700: N/B has 97 bits, so m = B*C with C a 100-bit prime, "prp"
+    cert = construct_certificate(make_schedule(1700))
+    assert cert.squarefree_status == "prp"
+    return doc_mod.parse_document(
+        doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
+    )
+
+
+def squarefree_section(doc):
+    report = doc_mod.verify_document(doc)
+    return next((ok, detail) for name, ok, detail in report.sections
+                if name == "squarefree")
+
+
+def scan_section(m, recorded):
+    """The squarefree section that the trial scan alone gives m."""
+    rest = numtheory.trial_cofactor(m)
+    if rest is None:
+        return False, "m has a square factor"
+    actual = numtheory.cofactor_tier(rest)
+    rank = {"partial": 0, "prp": 1, "proven": 2}
+    if rank[recorded] > rank[actual]:
+        return False, f"recorded tier {recorded} claims more than {actual}"
+    return True, f"status {actual} (trial scan)"
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The m that the verifier hands to its trial scan, in order."""
+    scanned = []
+
+    def recording(m, *args):
+        scanned.append(m)
+        return numtheory.trial_cofactor(m, *args)
+
+    monkeypatch.setattr(doc_mod, "trial_cofactor", recording)
+    return scanned
+
+
+def test_prime_cofactor_proves_m_without_the_scan(prime_cofactor_doc, scans):
+    assert squarefree_section(prime_cofactor_doc) == (True, "status prp (m/B prime)")
+    assert scans == []
+
+
+def spoiled_prime_cofactor_docs(doc):
+    """(name, document) pairs: the prime-cofactor document with m, or m
+    and its residue-0 moduli, changed so that no prime m/B proves m."""
+    m = int(doc["m"])
+    zero = [int(q) for r, q in doc["congruences"] if r == "0"]
+    b = math.prod(zero)
+    c = m // b
+    step = int(doc["modulus"]) // b
+    composite = next(
+        c + j * step for j in range(1, 100) if not numtheory.is_prime(c + j * step)
+    )
+    beyond_scan = next(p for p in range(2**64 + 1, 2**64 + 10**3, 2)
+                       if numtheory.is_prime(p))
+
+    def with_m(new_m, congruences=None):
+        spoiled = json.loads(json.dumps(doc))
+        spoiled["m"] = str(new_m)
+        if congruences is not None:
+            spoiled["congruences"] = congruences
+        return spoiled
+
+    q = zero[-1]
+    above_x = next(p for p in range(1701, 2000) if numtheory.is_prime(p))
+    yield "m*p^2, p | B", with_m(m * q**2)
+    yield "m*p^2, p = 2", with_m(m * 4)
+    yield "m*p^2, p not in B", with_m(m * above_x**2)
+    yield "m*p^2, p beyond the scan", with_m(m * beyond_scan**2)
+    yield "C composite", with_m(b * composite)
+    # 2 | B: residue 0 mod 4 instead of mod 2, or mod 2 twice, with m
+    # doubled, would make m/B prime again while 4 divides m
+    congs = doc["congruences"]
+    four = [["0", "4"] if rq == ["0", "2"] else rq for rq in congs]
+    yield "residue-0 modulus composite", with_m(2 * m, four)
+    yield "residue-0 modulus twice", with_m(2 * m, [*congs, ["0", "2"]])
+    yield "C a prime of B", with_m(b * q)
+
+
+def test_spoiled_prime_cofactor_falls_back_to_the_scan(prime_cofactor_doc, scans):
+    for name, doc in spoiled_prime_cofactor_docs(prime_cofactor_doc):
+        m = int(doc["m"])
+        scans.clear()
+        ok, detail = squarefree_section(doc)
+        assert scans == [m], name
+        assert (ok, detail) == scan_section(m, "prp"), name
+        assert not ok, name
+
+
+def test_partial_prime_cofactor_claim_runs_no_bpsw(monkeypatch, prime_cofactor_doc):
+    def refuse(*args):
+        raise CofactorPrimalityTested
+
+    doc = json.loads(json.dumps(prime_cofactor_doc))
+    doc["metrics"]["squarefree_status"] = "partial"
+    monkeypatch.setattr(numtheory, "_bpsw", refuse)
+    report = doc_mod.verify_document(doc)
+    assert report.ok and not report.notes
+    assert squarefree_section(doc) == (True, "status partial (trial scan)")
+
+
+SQUAREFREE_FIXTURES = sorted(FIXTURES_DIR.glob("**/sf_*.json"))
+
+
+@pytest.mark.parametrize(
+    "path", SQUAREFREE_FIXTURES, ids=lambda p: str(p.relative_to(FIXTURES_DIR))
+)
+def test_squarefree_fixture_keeps_its_scan_verdict(path):
+    # whether or not m/B is prime, every format's squarefree fixture gets
+    # the tier the trial scan gives it
+    doc = doc_mod.parse_document(path.read_text())
+    tier = numtheory.cofactor_tier(numtheory.trial_cofactor(int(doc["m"])))
+    ok, detail = squarefree_section(doc)
+    assert ok and detail.startswith(f"status {tier} (")
+
+
 def test_verify_accepts_underclaimed_squarefree_tier(tmp_path, capsys, micro_doc_text):
     doc = json.loads(micro_doc_text)
     assert doc["metrics"]["squarefree_status"] == "proven"
@@ -452,6 +576,56 @@ def test_verify_negative_window_radius_exits_65(tmp_path, capsys, fixture):
     assert "certificate OK" not in out
 
 
+def test_verify_power_above_the_cap_exits_65_at_once(tmp_path):
+    # an 818-bit m with k = 3*10^6 claims a power of 2.4*10^9 bits; the
+    # verifier refuses it before building m^k
+    doc = json.loads((FIXTURES / "kp2_x600_full.json").read_text())
+    doc["schedule"]["k"] = 3 * 10**6
+    bad = tmp_path / "huge_k.json"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(doc_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "primeavoid", "verify", str(bad)],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 65
+    assert "m^k too large: k * bits(m) = 3000000 * 818 exceeds 65536" in done.stderr
+    assert "certificate OK" not in done.stdout
+
+
+def test_power_cap_is_inclusive(monkeypatch):
+    # k * bits(m) = MAX_POWER_BITS parses; one bit less of cap does not
+    text = (FIXTURES / "kp2_x600_full.json").read_text()
+    bits = int(json.loads(text)["m"]).bit_length()
+    monkeypatch.setattr(doc_mod, "MAX_POWER_BITS", 2 * bits)
+    assert doc_mod.parse_document(text)["schedule"]["k"] == 2
+    monkeypatch.setattr(doc_mod, "MAX_POWER_BITS", 2 * bits - 1)
+    with pytest.raises(DocumentError, match="m\\^k too large"):
+        doc_mod.parse_document(text)
+
+
+def test_squarefree_document_has_no_power_cap(micro_doc_text, monkeypatch):
+    # squarefree verification never raises m to the power k
+    monkeypatch.setattr(doc_mod, "MAX_POWER_BITS", 1)
+    assert doc_mod.parse_document(micro_doc_text)["mode"] == "squarefree"
+
+
+def test_construct_power_above_the_cap_exits_70(capsys, monkeypatch):
+    # kp3 x=1000 finds a 64-bit m: 3 * 64 = 192 bits of m^3
+    monkeypatch.setattr(numtheory, "MAX_POWER_BITS", 191)
+    code, out, err = run_cli(capsys, "construct", *KP3)
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == (
+        "internal error: m^k too large: k * bits(m) = 3 * 64 exceeds 191, "
+        "which a verifier refuses\n"
+    )
+    monkeypatch.setattr(numtheory, "MAX_POWER_BITS", 192)
+    code, _, _ = run_cli(capsys, "construct", *KP3)
+    assert code == 0
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     # Python's json writes and reads these, but they are not JSON values
@@ -466,7 +640,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.7", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.8", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):

@@ -1,7 +1,7 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.5/) still
+documents of every earlier format (tests/fixtures/v1.0/ to v1.6/) still
 verify.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
 golden copy, and the benchmark's seed-0 instances keep their documents'
@@ -127,19 +127,29 @@ def test_fixture_differs_from_1_4_only_in_schedule_keys(name):
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("sf")])
 def test_squarefree_fixture_differs_from_1_5_only_in_version(name):
     # format 1.6 changed kpower classes only
-    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.5", ("1.6", "1.5"))
+    assert_differ_only_in_version(
+        name, FIXTURES / "v1.6", FIXTURES / "v1.5", ("1.6", "1.5")
+    )
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("kp")])
 def test_kpower_fixture_keeps_the_1_5_window(name):
     # the greedy classes change the congruences, never y or its trace
     new, old = (
-        json.loads((d / name).read_text()) for d in (FIXTURES, FIXTURES / "v1.5")
+        json.loads((d / name).read_text())
+        for d in (FIXTURES / "v1.6", FIXTURES / "v1.5")
     )
     assert new["schedule"] == old["schedule"]
     assert new["metrics"]["autoshrink_trace"] == old["metrics"]["autoshrink_trace"]
     assert len(new["exceptions"]) <= len(old["exceptions"])
     assert int(new["modulus"]) <= int(old["modulus"])
+
+
+@each_case
+def test_fixture_differs_from_1_6_only_in_version(name):
+    # format 1.7 changed the squarefree m where N/B has 94 to 1400 bits,
+    # which no fixture reaches
+    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.6", ("1.7", "1.6"))
 
 
 def assert_round_trip(tmp_path, capsys, *args):
@@ -164,13 +174,13 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 # A format change updates the digests together with format_version.
 BENCHMARK_DIGESTS = {
     ("squarefree", 1, 10_000): (
-        "330b2db8ef783e3917b204e4084cb300f346124a2fd7a321acf9f24e07901b34"
+        "219429df60c4e6b2ec8d043ab72fe780b4274464a783108db24ad81820e88e9b"
     ),
     ("kpower", 2, 10_000): (
-        "eb3e4182257ae835ba1fafa5461a9edb5388815aea1f68e39285c29e7a69ffdd"
+        "8abcc7bcf9cd2b8c02d1b42497f4c82fa76599e8c2e6d21e820f47633bfceb76"
     ),
     ("kpower", 5, 5000): (
-        "8a76ccbb7657db9ff282a51b9e451c9d5dce15b0377607e6d678dd4ef12fb20c"
+        "db285beec57bd061c24ae9b49bf8accadb538b6567f5e90d5aa117b01323c74a"
     ),
 }
 

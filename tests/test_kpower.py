@@ -301,6 +301,13 @@ def test_solve_m0_k_rejects_zero_root():
 
 
 # -- prime search --------------------------------------------------------------------
+# find_prime_in_ap and its sieve live in numtheory, where squarefree's
+# prime-cofactor search calls them too; the tests patch them there
+
+
+def test_find_prime_is_numtheorys_search():
+    assert find_prime_in_ap is numtheory.find_prime_in_ap
+    assert kpower.DEFAULT_PRIME_STEPS == numtheory.DEFAULT_PRIME_STEPS
 
 
 def test_find_prime_examples():
@@ -315,7 +322,7 @@ def test_find_prime_rejects_shared_factor():
 
 def test_find_prime_rejects_max_steps_below_one(monkeypatch):
     # refused before the progression sieve is built
-    monkeypatch.setattr(kpower, "_sieved_steps", None)
+    monkeypatch.setattr(numtheory, "_sieved_steps", None)
     for steps in (0, -1):
         with pytest.raises(ValueError, match="max_steps"):
             find_prime_in_ap(7, 30, max_steps=steps)
@@ -387,14 +394,14 @@ def test_find_prime_exhaustion_counts_only_primality_tests(monkeypatch):
         tested.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
     m0 = GAP_START
     with pytest.raises(SearchExhausted) as err:
         find_prime_in_ap(m0, 1, max_steps=1131)
     assert err.value.steps == 1131
     assert err.value.tests == len(tested)
     # exactly the members without a prime factor <= the sieve bound
-    bound = kpower._sieve_depth((m0 + 1).bit_length())
+    bound = numtheory._sieve_depth((m0 + 1).bit_length())
     sieve_primorial = math.prod(primes_upto(bound))
     survivors = [
         m0 + j for j in range(1, 1132) if math.gcd(m0 + j, sieve_primorial) == 1
@@ -412,10 +419,10 @@ def test_find_prime_tests_small_members_directly(monkeypatch):
         tested.append(n)
         return is_prime(n)
 
-    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
     assert find_prime_in_ap(1, 2) == 3
     assert find_prime_in_ap(0, 1) == 2
-    limit = kpower._sieve_depth(1)  # members this small sieve with the floor
+    limit = numtheory._sieve_depth(1)  # members this small sieve with the floor
     big_prime = max(primes_upto(limit))
     assert find_prime_in_ap(big_prime - 1, 1) == big_prime
     assert tested == [3, 1, 2, big_prime]
@@ -434,14 +441,14 @@ POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
 def big_gap_survivors():
     """The gap's members with no prime factor <= the sieve bound."""
     struck = set()
-    for p in primes_upto(kpower._sieve_depth(BIG_GAP_START.bit_length())):
+    for p in primes_upto(numtheory._sieve_depth(BIG_GAP_START.bit_length())):
         struck.update(range(BIG_GAP_START + p - BIG_GAP_START % p, BIG_GAP_END, p))
     return [n for n in range(BIG_GAP_START + 1, BIG_GAP_END) if n not in struck]
 
 
 def record_tests(monkeypatch, workers):
     """Force ``workers`` pool workers and return the list of members that
-    kpower.is_prime tests in this process; a pool worker's tests are not
+    numtheory.is_prime tests in this process; a pool worker's tests are not
     seen."""
     tested = []
 
@@ -450,7 +457,7 @@ def record_tests(monkeypatch, workers):
         return is_prime(n)
 
     monkeypatch.setattr(numtheory, "_pool_workers", lambda: workers)
-    monkeypatch.setattr(kpower, "is_prime", counting_is_prime)
+    monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
     return tested
 
 
@@ -496,9 +503,9 @@ def test_pool_search_exhaustion_counts_every_survivor(
 def test_find_prime_sieve_depth_either_side_of_cap(monkeypatch, prime, at_cap):
     tested = record_tests(monkeypatch, 1)
     m0 = prime - 64
-    bound = kpower._sieve_depth((m0 + 1).bit_length())
-    assert (bound == kpower._SCREEN_PRIME_LIMIT) == at_cap
-    assert bound > kpower._SCREEN_PRIME_LIMIT - 400
+    bound = numtheory._sieve_depth((m0 + 1).bit_length())
+    assert (bound == numtheory._SCREEN_PRIME_LIMIT) == at_cap
+    assert bound > numtheory._SCREEN_PRIME_LIMIT - 400
     assert find_prime_in_ap(m0, 1) == naive_find_prime(m0, 1, 64) == prime
     # the survivors are exactly the members without a prime factor <= bound
     sieve_primorial = math.prod(primes_upto(bound))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from primeavoid import document as doc_mod
-from primeavoid import kernels, numtheory
+from primeavoid import kernels, numtheory, squarefree
 from primeavoid.errors import CapacityError
 from primeavoid.numtheory import (
     MR_DETERMINISTIC_BOUND,
@@ -42,6 +42,7 @@ from oracles import (
     least_divisor,
     least_strikers,
     offset_partition_holds,
+    squarefree_by_cube_root,
 )
 
 
@@ -541,6 +542,95 @@ def test_find_squarefree_skips_square_multiples(micro):
 
     with pytest.raises(SearchExhausted):
         find_squarefree_in_ap(4, 8, sch, max_steps=50)
+
+
+def residue_zero_product(cert):
+    """B, the product of the certificate's residue-0 moduli."""
+    return math.prod(c.modulus for c in cert.congruences if c.residue == 0)
+
+
+def test_x10000_m_is_a_prime_cofactor_times_b():
+    cert = construct_certificate(make_schedule(10**4))
+    b = residue_zero_product(cert)
+    assert b == math.gcd(cert.m0, cert.modulus)
+    assert cert.m % b == 0
+    c = cert.m // b
+    assert is_prime(c) and c > max(q.modulus for q in cert.congruences)
+    assert c.bit_length() == 522 and (cert.modulus // b).bit_length() == 516
+    assert cert.squarefree_status == "prp"
+    assert cert.m == cert.m0 + find_squarefree_in_ap(
+        cert.m0, cert.modulus, cert.schedule
+    ).steps * cert.modulus
+
+
+# The x of the sweep from 1000 to 5000 (steps of 100) whose trial scan
+# proves m, and three whose scan leaves it partial; the window's lower end
+# keeps the first on the scan and puts the others on the prime cofactor.
+@pytest.mark.parametrize(
+    "x, tier",
+    [(1000, "proven"), (1100, "proven"), (1200, "proven"), (1300, "proven"),
+     (1500, "proven"), (1600, "proven"), (1700, "prp"), (1800, "prp"),
+     (2800, "prp")],
+)
+def test_window_keeps_the_scan_where_it_proves(x, tier):
+    cert = construct_certificate(make_schedule(x))
+    bits = (cert.modulus // residue_zero_product(cert)).bit_length()
+    on_scan = bits < squarefree.PRIME_COFACTOR_MIN_BITS
+    assert on_scan == (tier == "proven")
+    assert cert.squarefree_status == tier
+
+
+@pytest.mark.parametrize("x", [150, 400])
+def test_forced_prime_cofactor_is_squarefree(monkeypatch, x):
+    # N/B has 11 and 25 bits here, below the window; forced onto the prime
+    # cofactor, C is small and must still clear every modulus and 2y
+    monkeypatch.setattr(squarefree, "PRIME_COFACTOR_MIN_BITS", 1)
+    monkeypatch.setattr(squarefree, "classify_squarefree", None)  # no scan
+    cert = construct_certificate(make_schedule(x))
+    b = residue_zero_product(cert)
+    c = cert.m // b
+    assert cert.m == b * c and is_prime(c)
+    assert c > max(x, 2 * cert.schedule.y)
+    assert cert.squarefree_status == "proven"  # C < MR_DETERMINISTIC_BOUND
+    assert squarefree_by_cube_root(cert.m)
+    report = doc_mod.verify_document(doc_mod.certificate_to_document(cert))
+    assert report.ok
+
+
+def test_prime_cofactor_search_reports_its_steps(monkeypatch):
+    # m = m0 + j*N with j the step of C in C0 + j*(N/B); candidates_tried
+    # counts the members from the first above x and 2y, and a budget one
+    # short of it finds no C
+    from primeavoid.errors import SearchExhausted
+
+    monkeypatch.setattr(squarefree, "PRIME_COFACTOR_MIN_BITS", 1)
+    sch = make_schedule(150)
+    sets = build_sets(sch)
+    n, m0 = solve_m0(covering_congruences(sets, assign_primes(sets)))
+    b = math.gcd(m0, n)
+    c0, step = m0 // b, n // b
+    result = find_squarefree_in_ap(m0, n, sch)
+    assert result.m == m0 + result.steps * n
+    least = max(150, 2 * sch.y)
+    naive = next(
+        j for j in range(1, 10**4)
+        if c0 + j * step > least and is_prime(c0 + j * step)
+    )
+    assert result.steps == naive == 11
+    skip = max(0, (least - c0) // step)
+    assert result.candidates_tried == naive - skip
+    with pytest.raises(SearchExhausted):
+        find_squarefree_in_ap(m0, n, sch, max_steps=result.candidates_tried - 1)
+
+
+def test_prime_cofactor_clears_x_and_2y(micro, monkeypatch):
+    # m0 = 12 mod 210: B = 6, C0 = 2 and N/B = 35.  The prime 37 = C0 + 35
+    # is below x = 40, so C skips to 107 (72 is the one member tried
+    # before it)
+    monkeypatch.setattr(squarefree, "PRIME_COFACTOR_MIN_BITS", 1)
+    sch, _ = micro
+    result = find_squarefree_in_ap(12, 210, sch)
+    assert result == (6 * 107, 3, "proven", 2)
 
 
 def test_progression_skip_rate_for_two(micro):
