@@ -17,7 +17,7 @@ from primeavoid.schedule import make_schedule
 from primeavoid.squarefree import construct_certificate
 
 
-FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -476,11 +476,11 @@ def test_partial_prime_cofactor_claim_runs_no_bpsw(monkeypatch, prime_cofactor_d
     assert squarefree_section(doc) == (True, "status partial (trial scan)")
 
 
-SQUAREFREE_FIXTURES = sorted(FIXTURES_DIR.glob("**/sf_*.json"))
+SQUAREFREE_FIXTURES = sorted(FIXTURES.glob("**/sf_*.json"))
 
 
 @pytest.mark.parametrize(
-    "path", SQUAREFREE_FIXTURES, ids=lambda p: str(p.relative_to(FIXTURES_DIR))
+    "path", SQUAREFREE_FIXTURES, ids=lambda p: str(p.relative_to(FIXTURES))
 )
 def test_squarefree_fixture_keeps_its_scan_verdict(path):
     # whether or not m/B is prime, every format's squarefree fixture gets
@@ -652,9 +652,6 @@ def test_verify_unknown_format_version_exits_65(
     assert code == 65
     assert "unsupported format_version" in err
     assert "certificate OK" not in out
-
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def completeness(doc):
