@@ -52,18 +52,19 @@ def workloads(quick):
     kp2_sch = make_schedule(10**4, 2, "practical")
     sift_rules = [(p, (0, 1 % p)) for p in kernels.sieve_primes(100)]
     # the progression sieve's shape in numtheory.find_prime_in_ap: every
-    # prime <= 2^18 not dividing a ~2200-bit modulus, over one chunk
+    # prime <= numtheory._SIEVE_DEPTH not dividing a ~2200-bit modulus,
+    # over one chunk
     modulus = rng.getrandbits(2200) | (1 << 2199)
     m0 = rng.randrange(modulus)
     classes = [
         (-(m0 % p) * pow(modulus % p, -1, p) % p, p)
-        for p in kernels.iter_primes(2**18)
+        for p in kernels.iter_primes(numtheory._SIEVE_DEPTH)
         if modulus % p
     ]
     chunk = 1024
     # the two costs numtheory._POOL_MIN_BITS weighs: one base-2 round on a
     # survivor, and a 2-worker pool started, given one task and shut down;
-    # numtheory._sieve_depth weighs the round at 320 and 2800 bits (the
+    # numtheory._SIEVE_DEPTH weighs the round at 320 and 2800 bits (the
     # reduced and the full-modulus kp2 certificates) against the cost of
     # each prime's root in numtheory._root_table
     spp_rounds = 10 if quick else 50
@@ -163,9 +164,9 @@ def workloads(quick):
         ("base-2 spp round 2048 bits x%d" % spp_rounds, spp(2048)),
         ("base-2 spp round 2800 bits x10", spp(2800, 10)),
         ("root table 2^10, 320 bits x100", root_table(320, 2**10, 100)),
+        ("root table 2^12, 320 bits x100", root_table(320, 2**12, 100)),
+        ("root table 2^12, 2800 bits x100", root_table(2800, 2**12, 100)),
         ("root table 2^14, 320 bits x10", root_table(320, 2**14, 10)),
-        ("root table 2^18, 320 bits", root_table(320, 2**18, 1)),
-        ("root table 2^18, 2800 bits", root_table(2800, 2**18, 1)),
         ("pool start+stop, 2 workers", pool_start_stop),
         *scan_rows(2048),
         *scan_rows(5600),

@@ -92,6 +92,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_construct(args) -> int:
     from . import document as doc_mod
+    from .numtheory import DEFAULT_PRIME_STEPS
     from .schedule import make_schedule
 
     try:
@@ -107,17 +108,16 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    max_steps = args.max_steps or DEFAULT_PRIME_STEPS
     try:
         if args.mode == "squarefree":
             from . import squarefree
 
-            max_steps = args.max_steps or squarefree.DEFAULT_MAX_STEPS
             cert = squarefree.construct_certificate(sch, max_steps=max_steps)
             doc = doc_mod.certificate_to_document(cert, seed=args.seed)
         else:
             from . import kpower
 
-            max_steps = args.max_steps or kpower.DEFAULT_PRIME_STEPS
             cert = kpower.construct_certificate_k(
                 sch,
                 reduced=args.reduced_modulus == "on",

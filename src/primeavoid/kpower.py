@@ -15,7 +15,9 @@ system, finds a prime m in the progression (numtheory.find_prime_in_ap,
 the search squarefree runs for its prime cofactor too), and certifies
 the window: the witness of m^k + (u - 1) is the least modulus q of the
 system whose residue r has u == 1 - r^k (mod q), and an element that no
-congruence strikes is an exception with its primality status.
+congruence strikes is an exception with its primality status.  The
+window rule, class to root and the witness check, is numtheory's, shared
+with squarefree: the element is m^k + u + shift with shift -1 here.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ from .errors import CapacityError, ConstructionError
 from .numtheory import (
     DEFAULT_PRIME_STEPS,
     Congruence,
+    class_congruences,
     crt_solve,
-    drop_idle,
     find_prime_in_ap,
     greedy_classes,
     is_prime,
     jacobi,
     kth_root_count,
-    kth_roots_mod_p,
     primes_upto,
     struck_witnesses,
+    window_cover,
 )
 from .schedule import Schedule, shrink_to_capacity
 
@@ -240,49 +242,27 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
 def covering_congruences(
     sets: KSetSystem, matching: KMatching
 ) -> tuple[Congruence, ...]:
-    """m0 == r mod p, r the least root of r^k == 1 - c, for each P1 prime
-    p of class c, then each matched prime with its offset's class, by
-    offset, without the pairs that are no offset's least striker
-    (numtheory.drop_idle).  A kept pair whose roots are none or 0, which
-    would put p | m, raises ConstructionError."""
+    """The congruences (numtheory.class_congruences, shift -1) of each P1
+    prime's class, then each matched prime with its offset's class, by
+    offset.  A root 0, which would put p | m, raises ConstructionError."""
     matched = sorted(matching.matched.items())
     classes = [*zip(sets.classes, sets.p1), *((u % p, p) for u, p in matched)]
-    congruences = []
-    for c, p in drop_idle(sets.y, classes):
-        roots = kth_roots_mod_p(1 - c, sets.k, p)
-        if not roots or 0 in roots:
-            raise ConstructionError(f"class {c} mod {p}: no nonzero root for m")
-        congruences.append(Congruence(min(roots), p))
-    return tuple(congruences)
+    congruences = class_congruences(sets.y, classes, sets.k, -1)
+    if 0 in (c.residue for c in congruences):
+        raise ConstructionError("a kept class has root 0: no nonzero root for m")
+    return congruences
 
 
 def verify_power_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> tuple[dict[int, int], list[tuple[int, str]]]:
-    """Witness or classify every window element m^k + (u - 1): the witness
-    is the least modulus of ``congruences`` that strikes u, and an element
-    none strikes gets an explicit primality status (the number found prime
-    is reported, never asserted to be zero).  u = 1 is skipped: the
-    element is m^k, the constructed prime power.
-    """
-    k, y = sch.k, sch.y
-    value_base = m**k
-    witness = struck_witnesses(
-        y, ((1 - pow(c.residue, k, c.modulus), c.modulus) for c in congruences)
-    )
-    cover: dict[int, int] = {}
-    exceptions: list[tuple[int, str]] = []
-    for u, p in zip(range(-y, y + 1), witness):
-        if u == 1:
-            continue
-        value = value_base + u - 1
-        if not p:
-            exceptions.append((u, "prime" if is_prime(value) else "composite"))
-        elif value % p != 0 or p >= value:
-            raise RuntimeError(f"offset {u}: invalid witness p={p}; construction bug")
-        else:
-            cover[u] = p
-    return cover, exceptions
+    """The witness of each window element m^k + u - 1 that a congruence
+    strikes (numtheory.window_cover, shift -1) and the primality of each
+    other one; u = 1 is skipped: its element is m^k, the prime power."""
+    cover, unstruck = window_cover(m, congruences, sch.y, sch.k, -1)
+    base = m**sch.k - 1
+    status = {True: "prime", False: "composite"}
+    return cover, [(u, status[is_prime(base + u)]) for u in unstruck if u != 1]
 
 
 class MatrixScanReport(NamedTuple):

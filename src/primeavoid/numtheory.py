@@ -1,6 +1,8 @@
 """Exact integer and modular arithmetic primitives, including the covering
-core both pipelines share (the greedy class rule, the struck witnesses
-that both window checks read, and the pass that drops idle congruences),
+core both pipelines share: the greedy class rule, the pass that drops
+idle congruences, and the window rule keyed by the element m^k + u + shift
+(squarefree k = 1, shift 0; kpower shift -1), which turns classes into
+congruences (class_congruences) and checks the window (window_cover);
 the progression prime search both pipelines run (find_prime_in_ap: kpower
 for its prime m, squarefree for the prime cofactor of its m), the tiered
 squarefree check that the squarefree search and the verifier fall back
@@ -63,10 +65,19 @@ _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 MAX_POWER_BITS = 2**16
 
 DEFAULT_PRIME_STEPS = 100_000
-# the progression sieve's depth cap and floor (_sieve_depth) and the
-# number of steps sieved at a time
-_SCREEN_PRIME_LIMIT = 2**18
-_SCREEN_PRIME_FLOOR = 2**10
+# The progression sieve's prime bound, for members of every size.  A
+# sieve prime p costs one root in the table (_root_table) and spares the
+# test of each survivor it divides, and under 2^16 is_prime's primorial
+# gcd already rejects a survivor for less than a base-2 round.  On a
+# 2-core host (CPython 3.11), find_prime_in_ap's medians with a bound of
+# (bits/32)^3 in [2^10, 2^18] against this one: 5.5 against 5.5 ms at
+# 517 bits, 3.0 against 3.8 ms at 170, 1.5 against 1.5 ms at 167, 102
+# against 89 ms at 1,311, 1,141 against 1,105 ms at 2,089 and 515
+# against 520 ms at 2,789; from 1024 bits up the search is flat within
+# noise from 2^12 to 2^18, and single runs at 2,089 bits were 7% slower
+# at 2^11 and 12% slower at 2^10.
+_SIEVE_DEPTH = 2**12
+# the number of steps sieved at a time
 _SIEVE_CHUNK = 1024
 # Sieve survivors of at least this many bits are tested in worker
 # processes.  On a 2-core host (CPython 3.11) a base-2 round costs 4.4 ms
@@ -234,28 +245,6 @@ def is_prime(n: int) -> bool:
     return _bpsw(n)
 
 
-def _sieve_depth(bits: int) -> int:
-    """The progression sieve's prime bound for members of ``bits`` bits:
-    (bits / 32)^3, at least _SCREEN_PRIME_FLOOR and at most
-    _SCREEN_PRIME_LIMIT, which it reaches at 2048 bits.
-
-    A sieve prime p costs one root in the table (_root_table) and spares
-    the test of each survivor it divides: about T / p of the
-    T ~ 0.39 * bits / ln(bound) survivors tested before the prime
-    (Mertens), each rejected by one base-2 round.  So p pays up to the
-    bound with bound * ln(bound) ~ 0.39 * bits * round / root.  On a
-    2-core host (CPython 3.11, benchmarks/bench_kernels.py) a root costs
-    1.2-1.5 us at 320 bits and 2.7 us at 2800, and a base-2 round 0.18 ms
-    and 68 ms: the balance lies near 2^11 at 320 bits and far above the
-    cap at 2800, and grows as about bits^3.  The rule stays below it,
-    since under 2^16 is_prime's primorial gcd rejects a survivor for less
-    than a round: at 320 bits, the size of the format-1.5 reduced kpower
-    certificates, a search takes 2-5 ms from 2^10 to 2^12 and 36-47 ms at
-    2^18, and from 1024 bits up it is flat within noise from 2^12 to 2^18.
-    """
-    return min(_SCREEN_PRIME_LIMIT, max(_SCREEN_PRIME_FLOOR, bits**3 >> 15))
-
-
 def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
     """The primes p <= bound that do not divide the modulus, and for each
     the step class -m0 / modulus (mod p) of the members it divides."""
@@ -270,18 +259,17 @@ def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
 
 def _sieved_steps(m0: int, modulus: int, last: int):
     """Steps j = 1..last, ascending, whose member m0 + j*modulus has no
-    prime factor p <= bound that is coprime to the modulus, or is itself
-    at most bound, where bound is the _sieve_depth of the first member.
+    prime factor p <= _SIEVE_DEPTH that is coprime to the modulus, or is
+    itself at most _SIEVE_DEPTH.
 
     Such a p divides the member exactly when j == -m0 / modulus (mod p).
     The root is kept per prime in a compact array, and the steps are
-    sieved _SIEVE_CHUNK at a time.  Members at or below the bound are
+    sieved _SIEVE_CHUNK at a time.  Members at or below _SIEVE_DEPTH are
     always yielded, so a small prime member is never sieved away by
     itself.
     """
-    bound = _sieve_depth((m0 + modulus).bit_length())
-    primes, roots = _root_table(m0, modulus, bound)
-    small = (bound - m0) // modulus  # j <= small: member <= bound
+    primes, roots = _root_table(m0, modulus, _SIEVE_DEPTH)
+    small = (_SIEVE_DEPTH - m0) // modulus  # j <= small: member <= _SIEVE_DEPTH
     for j0 in range(1, last + 1, _SIEVE_CHUNK):
         size = min(_SIEVE_CHUNK, last + 1 - j0)
         alive = bytearray(b"\x01") * size
@@ -400,6 +388,36 @@ def drop_idle(y: int, classes) -> list[tuple[int, int]]:
     classes = list(classes)
     witnesses = set(struck_witnesses(y, classes))
     return [pair for pair in classes if pair[1] in witnesses]
+
+
+def class_congruences(y: int, classes, k: int, shift: int) -> tuple[Congruence, ...]:
+    """m == r (mod p) for each (class c, prime p) that drop_idle keeps, r
+    the least root of r^k == -shift - c (mod p), so that p divides
+    m^k + u + shift for every u == c (mod p); ConstructionError if none."""
+    congruences = []
+    for c, p in drop_idle(y, classes):
+        a = (-shift - c) % p
+        roots = (a,) if k == 1 else kth_roots_mod_p(a, k, p)
+        if not roots:
+            raise ConstructionError(f"class {c} mod {p}: no nonzero root for m")
+        congruences.append(Congruence(min(roots), p))
+    return tuple(congruences)
+
+
+def window_cover(m: int, congruences, y: int, k: int, shift: int):
+    """(cover, unstruck): the least modulus q striking each offset u of
+    [-y, y], where m == r (mod q) strikes u == -shift - r^k, checked to
+    divide m^k + u + shift and to be below it (RuntimeError otherwise),
+    and the offsets that no congruence strikes, ascending."""
+    base = m**k + shift
+    witness = struck_witnesses(
+        y, ((-shift - pow(c.residue, k, c.modulus), c.modulus) for c in congruences)
+    )
+    cover = {u: q for u, q in zip(range(-y, y + 1), witness) if q}
+    for u, q in cover.items():
+        if (base + u) % q or q >= base + u:
+            raise RuntimeError(f"offset {u}: invalid witness q={q}; construction bug")
+    return cover, [u for u in range(-y, y + 1) if u not in cover]
 
 
 def jacobi(a: int, n: int) -> int:

@@ -21,7 +21,6 @@ import math
 from typing import NamedTuple
 
 from . import kernels
-from .numtheory import kth_root_count, primes_upto
 
 SIFT_RANGE_LIMIT = 10**7
 # omega(p)/p <= 1 - 1/A1 for every sifting prime
@@ -116,12 +115,6 @@ def brun_bound_terms(inst: SieveInstance) -> tuple[float, float]:
     return main, error
 
 
-def brun_upper_bound(inst: SieveInstance) -> float:
-    """Evaluated sieve upper bound (main term plus error budget)."""
-    main, error = brun_bound_terms(inst)
-    return main + error
-
-
 def empirical_sifted_count(range_size: int, residue_rules, z: float) -> int:
     """Exact |{n in [1, range_size] : n mod p not forbidden, all p < z}|.
 
@@ -138,43 +131,6 @@ def empirical_sifted_count(range_size: int, residue_rules, z: float) -> int:
         if p < z
     ]
     return kernels.sifted_count(range_size, rules)
-
-
-def residue_avoid_prime_count(x: int, moduli, a: int) -> tuple[int, float]:
-    """Count primes p <= x with p != a (mod r) for every r in moduli.
-
-    Returns the exact count and the comparator value
-    (x / log x) * prod_{r <= x} (1 - 1/r); their ratio is reported by
-    callers, never asserted.
-    """
-    if a not in (-1, 1):
-        raise ValueError(f"a must be -1 or 1, got {a}")
-    if x > SIFT_RANGE_LIMIT:
-        raise ValueError(f"x must be <= {SIFT_RANGE_LIMIT}")
-    rs = sorted(set(moduli))
-    count = 0
-    for p in primes_upto(x):
-        if all(p % r != a % r for r in rs):
-            count += 1
-    comparator = x / math.log(x)
-    for r in rs:
-        if r <= x:
-            comparator *= 1.0 - 1.0 / r
-    return count, comparator
-
-
-def rho_product(k: int, v: int, p_lo: int, p_hi: int) -> float:
-    """prod_{p_lo < p <= p_hi} (1 - rho(p)/p) with rho(p) the number of
-    solutions of n**k + v - 1 == 0 (mod p)."""
-    if p_hi > 10**6:
-        raise ValueError("p_hi exceeds the desk bound 10**6")
-    acc = 1.0
-    for p in primes_upto(p_hi):
-        if p <= p_lo:
-            continue
-        rho = kth_root_count((1 - v) % p, k, p)
-        acc *= 1.0 - rho / p
-    return acc
 
 
 def double_residue_rules(k: int, single_primes, double_primes) -> dict[int, set[int]]:

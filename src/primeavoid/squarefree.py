@@ -6,7 +6,9 @@ gives the offsets that neither band strikes large primes, solves the
 resulting system of congruences, searches the progression for a
 squarefree member, and emits a certificate holding one witness prime
 divisor per window offset: the least modulus q of the system whose
-residue r has u == -r (mod q).
+residue r has u == -r (mod q).  The window rule, class to congruence and
+the witness check, is numtheory's, shared with kpower: the element is
+m^k + u + shift with k = 1 and shift 0 here.
 
 Every band-one prime takes residue 0, so it strikes the offsets it
 divides.  The mid and large bands take the greedy classes kpower also
@@ -43,19 +45,20 @@ from typing import NamedTuple
 
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
+    DEFAULT_PRIME_STEPS,
     MR_DETERMINISTIC_BOUND,
     Congruence,
+    class_congruences,
     classify_squarefree,
     crt_solve,
-    drop_idle,
     find_prime_in_ap,
     greedy_classes,
     primes_upto,
     struck_witnesses,
+    window_cover,
 )
 from .schedule import Schedule, shrink_to_capacity
 
-DEFAULT_MAX_STEPS = 10_000
 # The bit lengths of N/B for which find_squarefree_in_ap searches for a
 # prime cofactor C; the trial scan runs outside.  On a 2-core host
 # (CPython 3.11, in-process):
@@ -143,11 +146,12 @@ def covering_congruences(
     """m0 == 0 mod p for band-one primes, m0 == -c mod p for each mid-band
     prime of class c and for each large-band pair (c, q) of assign_primes,
     in that order, without those whose modulus is no offset's least
-    striker; a prime used twice makes crt_solve raise."""
+    striker (numtheory.class_congruences with k = 1, shift 0); a prime
+    used twice makes crt_solve raise."""
     classes = [(0, p) for p in sets.p1]
     classes += zip(sets.mid_classes, sets.p2)
     classes += pairs
-    return tuple(Congruence(-c % q, q) for c, q in drop_idle(sets.y, classes))
+    return class_congruences(sets.y, classes, 1, 0)
 
 
 def solve_m0(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
@@ -197,7 +201,7 @@ def _prime_cofactor(
 
 
 def find_squarefree_in_ap(
-    m0: int, n: int, sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS
+    m0: int, n: int, sch: Schedule, max_steps: int = DEFAULT_PRIME_STEPS
 ) -> SquarefreeSearch:
     """A squarefree m = m0 + j*N with m >= 2y, and its tier.
 
@@ -238,24 +242,14 @@ def find_squarefree_in_ap(
 def verify_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> dict[int, int]:
-    """One verified witness prime for every offset in [-y, y]: the least
-    modulus q of ``congruences`` that strikes u, a pure divisibility fact
-    (q | m+u with q < m+u).  An unstruck offset means the construction
-    itself is broken, so it raises rather than returning a partial cover.
-    """
+    """The least striker of every offset in [-y, y] (numtheory.window_cover,
+    k = 1, shift 0); an unstruck offset is a construction bug, so it raises."""
     y = sch.y
     if m < 2 * y:
         raise ValueError(f"m={m} violates m >= 2y = {2 * y}")
-    witness = struck_witnesses(y, ((-c.residue, c.modulus) for c in congruences))
-    cover: dict[int, int] = {}
-    for u, p in zip(range(-y, y + 1), witness):
-        value = m + u
-        if p == 0 or value % p != 0 or p >= value:
-            raise RuntimeError(
-                f"offset {u} lacks a valid witness (got p={p}); "
-                "the covering construction is inconsistent"
-            )
-        cover[u] = p
+    cover, unstruck = window_cover(m, congruences, y, 1, 0)
+    if unstruck:
+        raise RuntimeError(f"offset {unstruck[0]} lacks a witness; construction bug")
     return cover
 
 
@@ -275,7 +269,7 @@ class AvoidanceCertificate(NamedTuple):
 
 
 def construct_certificate(
-    sch: Schedule, max_steps: int = DEFAULT_MAX_STEPS
+    sch: Schedule, max_steps: int = DEFAULT_PRIME_STEPS
 ) -> AvoidanceCertificate:
     """Run the full pipeline, auto-shrinking y until capacity holds."""
     sch, sets, trace = shrink_to_capacity(

@@ -24,6 +24,20 @@ def congruence_witness(value: int, congruences) -> int:
     return least_divisor(value, [c.modulus for c in congruences])
 
 
+def window_witnesses(m: int, congruences, y: int, k: int, shift: int) -> dict[int, int]:
+    """Each offset u of [-y, y] with its least modulus q among
+    ``congruences`` that divides the element m^k + u + shift, found by
+    direct division; 0 when none does."""
+    return {
+        u: congruence_witness(m**k + u + shift, congruences) for u in range(-y, y + 1)
+    }
+
+
+def least_root(a: int, k: int, p: int):
+    """The least r in [0, p) with r^k == a (mod p), None when none does."""
+    return next((r for r in range(p) if pow(r, k, p) == a % p), None)
+
+
 def kth_power_class(k: int):
     """kpower's admissibility from its definition: the class c is
     admissible mod p when some r in [1, p) has r^k == 1 - c (mod p)."""

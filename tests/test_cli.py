@@ -169,10 +169,11 @@ KP3 = ("--mode", "kpower", "--k", "3", "--x", "1000")
 @pytest.mark.parametrize(
     "argv, module, name, spoil, message",
     [
-        (KP3, kpower, "kth_roots_mod_p", _roots({0}, "matched"), "no nonzero root"),
-        (KP3, kpower, "kth_roots_mod_p", _roots(set(), "matched"), "no nonzero root"),
-        (KP3, kpower, "kth_roots_mod_p", _roots({0}, "P1"), "no nonzero root"),
-        (KP3, kpower, "kth_roots_mod_p", _roots(set(), "P1"), "no nonzero root"),
+        (KP3, numtheory, "kth_roots_mod_p", _roots({0}, "matched"), "no nonzero root"),
+        (KP3, numtheory, "kth_roots_mod_p", _roots(set(), "matched"),
+         "no nonzero root"),
+        (KP3, numtheory, "kth_roots_mod_p", _roots({0}, "P1"), "no nonzero root"),
+        (KP3, numtheory, "kth_roots_mod_p", _roots(set(), "P1"), "no nonzero root"),
         (KP3, kpower, "match_offsets", _band_one_prime_matched, "duplicate modulus"),
         (("--mode", "squarefree", "--x", "200"), squarefree, "covering_congruences",
          _first_congruence_twice, "duplicate modulus"),

@@ -401,8 +401,7 @@ def test_find_prime_exhaustion_counts_only_primality_tests(monkeypatch):
     assert err.value.steps == 1131
     assert err.value.tests == len(tested)
     # exactly the members without a prime factor <= the sieve bound
-    bound = numtheory._sieve_depth((m0 + 1).bit_length())
-    sieve_primorial = math.prod(primes_upto(bound))
+    sieve_primorial = math.prod(primes_upto(numtheory._SIEVE_DEPTH))
     survivors = [
         m0 + j for j in range(1, 1132) if math.gcd(m0 + j, sieve_primorial) == 1
     ]
@@ -422,8 +421,7 @@ def test_find_prime_tests_small_members_directly(monkeypatch):
     monkeypatch.setattr(numtheory, "is_prime", counting_is_prime)
     assert find_prime_in_ap(1, 2) == 3
     assert find_prime_in_ap(0, 1) == 2
-    limit = numtheory._sieve_depth(1)  # members this small sieve with the floor
-    big_prime = max(primes_upto(limit))
+    big_prime = max(primes_upto(numtheory._SIEVE_DEPTH))
     assert find_prime_in_ap(big_prime - 1, 1) == big_prime
     assert tested == [3, 1, 2, big_prime]
 
@@ -441,7 +439,7 @@ POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
 def big_gap_survivors():
     """The gap's members with no prime factor <= the sieve bound."""
     struck = set()
-    for p in primes_upto(numtheory._sieve_depth(BIG_GAP_START.bit_length())):
+    for p in primes_upto(numtheory._SIEVE_DEPTH):
         struck.update(range(BIG_GAP_START + p - BIG_GAP_START % p, BIG_GAP_END, p))
     return [n for n in range(BIG_GAP_START + 1, BIG_GAP_END) if n not in struck]
 
@@ -492,25 +490,6 @@ def test_pool_search_exhaustion_counts_every_survivor(
     assert err.value.tests == len(big_gap_survivors) > POOL_WORKERS
     # one worker: every survivor tested here, in step order
     assert tested == (big_gap_survivors if workers == 1 else [])
-
-
-# 2^2046 + 4147 and 2^2047 + 1919 are the first primes above those powers
-# of two.  Members of 2047 bits sieve just below the cap, and members of
-# 2048 bits at it.
-@pytest.mark.parametrize(
-    "prime, at_cap", [(2**2046 + 4147, False), (2**2047 + 1919, True)]
-)
-def test_find_prime_sieve_depth_either_side_of_cap(monkeypatch, prime, at_cap):
-    tested = record_tests(monkeypatch, 1)
-    m0 = prime - 64
-    bound = numtheory._sieve_depth((m0 + 1).bit_length())
-    assert (bound == numtheory._SCREEN_PRIME_LIMIT) == at_cap
-    assert bound > numtheory._SCREEN_PRIME_LIMIT - 400
-    assert find_prime_in_ap(m0, 1) == naive_find_prime(m0, 1, 64) == prime
-    # the survivors are exactly the members without a prime factor <= bound
-    sieve_primorial = math.prod(primes_upto(bound))
-    members = range(m0 + 1, prime + 1)
-    assert tested == [n for n in members if math.gcd(n, sieve_primorial) == 1]
 
 
 def test_pool_matrix_scan_matches_naive_scan(monkeypatch):

@@ -7,12 +7,9 @@ from primeavoid.sievebound import (
     SieveInstance,
     brun_bound_terms,
     brun_main_factor,
-    brun_upper_bound,
     double_residue_rules,
     empirical_sifted_count,
     instance_for_rules,
-    residue_avoid_prime_count,
-    rho_product,
 )
 
 
@@ -102,7 +99,7 @@ def test_bound_dominates_count_on_grid(lam, b):
     x, z, size = 1000.0, math.sqrt(1000), 10**4
     rules = lemma_style_rules(x, z)
     inst = instance_for_rules(size, rules, z, lam=lam, b=b, kappa=2.0)
-    bound = brun_upper_bound(inst)
+    bound = sum(brun_bound_terms(inst))
     count = empirical_sifted_count(size, rules, z)
     assert bound >= count
 
@@ -111,7 +108,7 @@ def test_bound_with_no_sifting():
     inst = SieveInstance(size=1000, omega={}, z=10.0, kappa=1.0, lam=0.2, b=1)
     main, err = brun_bound_terms(inst)
     assert main >= 1000  # W(z) = 1, positive correction
-    assert brun_upper_bound(inst) == pytest.approx(main + err, rel=1e-12)
+    assert math.isfinite(err) and err > 0
 
 
 def test_bound_small_z_blowup_is_finite():
@@ -143,64 +140,7 @@ def test_instance_weighted_sum_condition():
         tight.validate()
 
 
-# -- residue-avoiding prime counter -------------------------------------------
-
-
-def test_residue_avoid_empty_ruleset_gives_pi():
-    count, comparator = residue_avoid_prime_count(100, [], 1)
-    assert count == 25
-    assert comparator == pytest.approx(100 / math.log(100), rel=1e-12)
-
-
-def test_residue_avoid_mod3():
-    count, _ = residue_avoid_prime_count(100, [3], 1)
-    expected = sum(1 for p in primes_upto(100) if p % 3 != 1)
-    assert count == expected == 14
-
-
-def test_residue_avoid_mod2_leaves_only_two():
-    count, _ = residue_avoid_prime_count(100, [2], 1)
-    assert count == 1  # every odd prime is 1 mod 2
-
-
-def test_residue_avoid_minus_one():
-    count, _ = residue_avoid_prime_count(200, [5], -1)
-    expected = sum(1 for p in primes_upto(200) if p % 5 != 4)
-    assert count == expected
-
-
-# -- rho product -------------------------------------------------------------
-
-
-def test_rho_product_linear_case():
-    # k=1: exactly one root per prime
-    got = rho_product(1, 5, 10, 100)
-    expected = 1.0
-    for p in primes_upto(100):
-        if p > 10:
-            expected *= 1 - 1 / p
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_rho_product_quadratic_counts():
-    # k=2, v=2: n^2 == -1 (mod p) has 2 roots iff p == 1 (mod 4), else 0
-    for p in primes_upto(100):
-        if p == 2:
-            continue
-        rho = sum(1 for n in range(p) if (n * n + 1) % p == 0)
-        assert rho == (2 if p % 4 == 1 else 0)
-    got = rho_product(2, 2, 2, 100)
-    expected = 1.0
-    for p in primes_upto(100):
-        if p <= 2:
-            continue
-        rho = sum(1 for n in range(p) if (n * n + 1) % p == 0)
-        expected *= 1 - rho / p
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_rho_product_empty_range():
-    assert rho_product(2, 2, 50, 50) == 1.0
+# -- k-th power root counts ----------------------------------------------------
 
 
 def test_rho_bounded_by_gcd():
