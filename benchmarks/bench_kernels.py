@@ -47,6 +47,9 @@ def workloads(quick):
         (-c.residue, c.modulus)
         for c in squarefree.covering_congruences(sf_sets, sf_pairs)
     ]
+    # the large band (numtheory.large_band) over U7 of a kpower k=3,
+    # x=3*10^4 run, at the y capacity leaves (752)
+    kp3_sets = kpower.construct_certificate_k(make_schedule(3 * 10**4, 3)).sets
     # the first and widest set system a kpower k=2 x=10^4 run builds
     # (y = 3725, before capacity halves y to 116)
     kp2_sch = make_schedule(10**4, 2, "practical")
@@ -153,6 +156,10 @@ def workloads(quick):
          lambda: [kernels.jacobi_sym(a % n, n) for a, n in jacobi_inputs]),
         ("build_sets_k(k=2, x=1e4, y=%d)" % kp2_sch.y,
          lambda: kpower.build_sets_k(kp2_sch)),
+        ("large band kp3 x=3e4, %d offsets" % len(kp3_sets.u7),
+         lambda: kpower.match_offsets(kp3_sets)),
+        ("large band sf x=1e4, %d offsets" % len(sf_sets.u6),
+         lambda: squarefree.assign_primes(sf_sets)),
         ("struck_witnesses(y=%d) x%d" % (sf_sch.y, len(sf_classes)),
          lambda: numtheory.struck_witnesses(sf_sch.y, sf_classes)),
         ("sifted_count(%.0e)" % sift_limit,

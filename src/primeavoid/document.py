@@ -5,11 +5,10 @@ truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
 primality claims); it never re-runs the construction.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
-residue-0 moduli and C a prime not dividing B (what format 1.7 builds
-when N/B has 94 to 1400 bits, as at x=10^4), and by the trial scan to
-10^7 otherwise.  A
-kpower document whose k * bits(m) exceeds numtheory.MAX_POWER_BITS is
-refused before m^k is built.
+residue-0 moduli and C a prime not dividing B (what formats 1.7 and
+1.8 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
+scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
+numtheory.MAX_POWER_BITS is refused before m^k is built.
 
 The verifier loads no construction module and no ``dataclasses``: the
 ``verify`` command imports this module, numtheory, kernels and errors,
@@ -21,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, islice
 from typing import TYPE_CHECKING
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # the verifier never imports the construction modules
     from .kpower import KCertificate
     from .squarefree import AvoidanceCertificate
 
-FORMAT_VERSION = "1.7"
+FORMAT_VERSION = "1.8"
 
 
 @contextmanager
@@ -179,12 +179,12 @@ def parse_document(text: str) -> dict:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError(f"missing required key {key!r}")
-    # 1.0 to 1.6 differ in how witnesses were chosen, residues picked,
+    # 1.0 to 1.7 differ in how witnesses were chosen, residues picked,
     # primes assigned or matched and m searched for, in what ``sets`` and
     # ``metrics`` list, and in the schedule keys besides y and k; verify
     # reads none of that, as it checks each witness by its division and m
     # by its factors
-    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", FORMAT_VERSION)
+    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7", FORMAT_VERSION)
     if doc["format_version"] not in readable:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
@@ -336,8 +336,17 @@ def verify_document(doc: dict) -> VerifyReport:
     seen = set(cover) | set(exc)
     extra = sorted(u for u in seen if not -y <= u <= y or u == skip)
     size = 2 * y + 1 - (mode == "kpower" and y >= 1)
+    twice = [  # a dict keeps one entry per offset: only a count shows a repeat
+        (name, u) for name, kept in (("cover", cover), ("exceptions", exc))
+        if len(doc[name]) > len(kept)
+        for u, n in Counter(int(e["u"]) for e in doc[name]).items() if n > 1
+    ]
     complete = len(seen) - len(extra) == size and not (extra or set(cover) & set(exc))
-    if complete:
+    if twice:
+        complete, detail = False, "offset {1} listed twice in {0}".format(*twice[0])
+    elif mode == "squarefree" and exc:  # every squarefree offset needs a witness
+        complete, detail = False, f"squarefree document lists exception {min(exc)}"
+    elif complete:
         detail = f"{len(cover)} witnessed + {len(exc)} exceptions"
     else:
         missing = list(islice(_gaps(sorted(seen.difference(extra)), y, skip), 5))

@@ -6,18 +6,19 @@ the least such class on a tie.  A class c is admissible when 1 - c is a
 nonzero k-th power residue mod p, so m == r (mod p) with r^k == 1 - c
 puts p | m^k + u - 1 for every u == c (mod p) and never strikes u = 1,
 whose element is m^k itself; the least root r is taken, and class 0 gives
-m == 1 (mod p).  U7, the offsets this pass leaves open, is matched to
-large primes under k-th power solvability.  Congruences that are no
-offset's least striker are dropped (numtheory.drop_idle).  The capacity
-check still counts the paper's offsets, the z-smooth and prime ones
-(U4 | U5), so y is the paper's.  The pipeline then solves the congruence
-system, finds a prime m in the progression (numtheory.find_prime_in_ap,
-the search squarefree runs for its prime cofactor too), and certifies
-the window: the witness of m^k + (u - 1) is the least modulus q of the
-system whose residue r has u == 1 - r^k (mod q), and an element that no
-congruence strikes is an exception with its primality status.  The
-window rule, class to root and the witness check, is numtheory's, shared
-with squarefree: the element is m^k + u + shift with shift -1 here.
+m == 1 (mod p).  U7, the offsets this pass leaves open, goes to the
+large band that squarefree runs too (numtheory.large_band), under the
+same rule.  Congruences that are no offset's least striker are dropped
+(numtheory.drop_idle).  The capacity check still counts the paper's
+offsets, the z-smooth and prime ones (U4 | U5), so y is the paper's.
+The pipeline then solves the congruence system, finds a prime m in the
+progression (numtheory.find_prime_in_ap, the search squarefree runs for
+its prime cofactor too), and certifies the window: the witness of
+m^k + (u - 1) is the least modulus q of the system whose residue r has
+u == 1 - r^k (mod q), and an element that no congruence strikes is an
+exception with its primality status.  The window rule, class to root
+and the witness check, is numtheory's, shared with squarefree: the
+element is m^k + u + shift with shift -1 here.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .numtheory import (
     is_prime,
     jacobi,
     kth_root_count,
+    large_band,
     primes_upto,
     struck_witnesses,
     window_cover,
@@ -61,7 +63,7 @@ class KSetSystem(NamedTuple):
     # large primes passing the band's congruence filter; for odd k the
     # filter p == 2 (mod 3) gives gcd(k, p-1) = 1 only when k is a power
     # of 3 (for k=5 at x=2000, 37 of the 147 have 5 | p-1), so
-    # match_offsets checks each edge with kth_root_count
+    # match_offsets checks each class it tries with kth_root_count
     p3tilde: tuple[int, ...]
     u3: tuple[int, ...]  # |u| prime
     u4: tuple[int, ...]  # u != 0 with |u| z-smooth
@@ -70,7 +72,7 @@ class KSetSystem(NamedTuple):
     classes: tuple[int, ...] = ()  # greedy admissible class of each p1 prime
     u7: tuple[int, ...] = ()  # u != 1 that no p1 class strikes
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
-    p3: tuple[int, ...] = ()  # matched image, filled after matching
+    p3: tuple[int, ...] = ()  # band primes striking a U7 offset, after matching
     p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
 
     @property
@@ -124,16 +126,19 @@ def build_sets_k(sch: Schedule) -> KSetSystem:
     return KSetSystem(k=k, y=y, p1=p1, p3tilde=p3t, u3=u3, u4=u4, u5=u5)
 
 
+def _admissible(k: int):
+    """The class rule of both kpower bands: 1 - c is a nonzero k-th power
+    residue mod p, so m == r (mod p) with r^k == 1 - c has r != 0."""
+    return lambda c, p: (1 - c) % p != 0 and kth_root_count(1 - c, k, p) > 0
+
+
 def strike_offsets(sets: KSetSystem) -> KSetSystem:
     """The P1 primes, ascending, take their greedy classes
-    (numtheory.greedy_classes) over the window offsets u != 1, each
-    admissible class c having 1 - c a nonzero k-th power residue mod p;
-    U7 is what they leave open."""
-    k, y = sets.k, sets.y
+    (numtheory.greedy_classes) over the window offsets u != 1 under
+    _admissible; U7 is what they leave open."""
+    y = sets.y
     classes, u7 = greedy_classes(
-        (u for u in range(-y, y + 1) if u != 1),
-        sets.p1,
-        lambda c, p: (1 - c) % p != 0 and kth_root_count(1 - c, k, p) > 0,
+        (u for u in range(-y, y + 1) if u != 1), sets.p1, _admissible(sets.k)
     )
     return sets._replace(classes=classes, u7=u7)
 
@@ -162,68 +167,26 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
 
 
 class KMatching(NamedTuple):
-    """Offset -> prime assignment from the solvability graph."""
+    """The large band's (class, prime) pairs, ascending by prime, the prime
+    striking each offset it covers, by offset, and the offsets left open."""
 
+    pairs: tuple[tuple[int, int], ...]
     matched: dict[int, int]
     unmatched: tuple[int, ...]
 
 
-def _max_matching(adjacency: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    """Maximum bipartite matching: each offset of ``adjacency``, in its
-    order, takes its first free prime; then each offset still unmatched
-    searches depth first for an augmenting path (Kuhn's algorithm).
-
-    Deterministic given the iteration order of ``adjacency`` and its
-    neighbor tuples.
-    """
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-
-    def take(u: int, v: int) -> None:
-        match_left[u] = v
-        match_right[v] = u
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                if v not in match_right or augment(match_right[v], seen):
-                    take(u, v)
-                    return True
-        return False
-
-    for u, primes in adjacency.items():
-        v = next((v for v in primes if v not in match_right), None)
-        if v is not None:
-            take(u, v)
-    for u in adjacency:
-        if u not in match_left:
-            augment(u, set())
-    return match_left
-
-
 def match_offsets(sets: KSetSystem) -> KMatching:
-    """Maximum matching between the U7 offsets and matchable primes.
-
-    An edge (u, p) exists iff m**k == 1 - u (mod p) has a nonzero
-    solution; zero roots are useless (the found prime m would have to be
-    divisible by p), so offsets with 1 - u == 0 mod p lose that edge.
-    U7 leaves out u = 1 (its window element is m^k itself, the
-    constructed prime power) and every offset a P1 class strikes.
+    """The large band (numtheory.large_band) over U7 and P3tilde under
+    _admissible: u = 1 (whose element is m^k) and every offset a P1 class
+    strikes are left out, and an edge (u, p) holds when m^k == 1 - u
+    (mod p) has a nonzero root.  2 takes class 0 in P1, so every U7
+    offset is odd and a prime above y strikes only its matched offset.
     """
-    k = sets.k
-    adjacency: dict[int, tuple[int, ...]] = {}
-    for u in sets.u7:
-        edges = []
-        for p in sets.p3tilde:
-            a = (1 - u) % p
-            if a != 0 and kth_root_count(a, k, p):
-                edges.append(p)
-        adjacency[u] = tuple(edges)
-    pairs = _max_matching(adjacency)
-    matched = {u: pairs[u] for u in sorted(pairs)}
-    unmatched = tuple(u for u in sets.u7 if u not in matched)
-    return KMatching(matched=matched, unmatched=unmatched)
+    y = sets.y
+    pairs, unmatched = large_band(sets.u7, sets.p3tilde, y, _admissible(sets.k))
+    witness = struck_witnesses(y, pairs)
+    matched = {u: q for u in sets.u7 if (q := witness[u + y])}
+    return KMatching(pairs=tuple(pairs), matched=matched, unmatched=unmatched)
 
 
 def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
@@ -239,14 +202,11 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
     return modulus, m0
 
 
-def covering_congruences(
-    sets: KSetSystem, matching: KMatching
-) -> tuple[Congruence, ...]:
+def covering_congruences(sets: KSetSystem, pairs) -> tuple[Congruence, ...]:
     """The congruences (numtheory.class_congruences, shift -1) of each P1
-    prime's class, then each matched prime with its offset's class, by
-    offset.  A root 0, which would put p | m, raises ConstructionError."""
-    matched = sorted(matching.matched.items())
-    classes = [*zip(sets.classes, sets.p1), *((u % p, p) for u, p in matched)]
+    prime's class, then of each large-band pair of match_offsets.  A root
+    0, which would put p | m, raises ConstructionError."""
+    classes = [*zip(sets.classes, sets.p1), *pairs]
     congruences = class_congruences(sets.y, classes, sets.k, -1)
     if 0 in (c.residue for c in congruences):
         raise ConstructionError("a kept class has root 0: no nonzero root for m")
@@ -347,9 +307,9 @@ def construct_certificate_k(
     )
     sets = strike_offsets(sets)
     matching = match_offsets(sets)
-    p3 = tuple(sorted(matching.matched.values()))
+    p3 = tuple(sorted(set(matching.matched.values())))
     sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3)
-    congruences = covering_congruences(sets, matching)
+    congruences = covering_congruences(sets, matching.pairs)
     if not reduced:  # 1 mod every other prime <= x, for a full primorial
         used = {c.modulus for c in congruences}
         p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)

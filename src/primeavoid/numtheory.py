@@ -1,6 +1,7 @@
 """Exact integer and modular arithmetic primitives, including the covering
-core both pipelines share: the greedy class rule, the pass that drops
-idle congruences, and the window rule keyed by the element m^k + u + shift
+core both pipelines share: the greedy class rule, the large band built
+on it (large_band), the pass that drops idle congruences, and the
+window rule keyed by the element m^k + u + shift
 (squarefree k = 1, shift 0; kpower shift -1), which turns classes into
 congruences (class_congruences) and checks the window (window_cover);
 the progression prime search both pipelines run (find_prime_in_ap: kpower
@@ -379,6 +380,40 @@ def greedy_classes(
         classes.append(c)
         left = tuple(u for u in left if u % p != c)
     return tuple(classes), left
+
+
+def large_band(offsets, primes, y: int, admissible=lambda c, p: True):
+    """The large band's (class, prime) pairs, ascending by prime, and the
+    offsets left open.  The primes q <= y take greedy classes; the offsets
+    they leave are matched to the primes above y, the edge (u, q) holding
+    when admissible(u mod q, q): each, in order, takes the first free
+    prime whose edge holds, then each one unmatched seeks an augmenting
+    path (Kuhn's algorithm).  An edge is tested once, when reached."""
+    small = [q for q in primes if q <= y]
+    above = [q for q in primes if q > y]
+    classes, left = greedy_classes(offsets, small, admissible)
+    edge = lru_cache(maxsize=None)(lambda u, q: admissible(u % q, q))
+    owner: dict[int, int] = {}  # matched prime -> its offset
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for q in above:
+            if q not in seen and edge(u, q):
+                seen.add(q)
+                if q not in owner or augment(owner[q], seen):
+                    owner[q] = u
+                    return True
+        return False
+
+    free, waiting = list(above), []
+    for u in left:
+        i = next((i for i, q in enumerate(free) if edge(u, q)), None)
+        if i is None:
+            waiting.append(u)
+        else:
+            owner[free.pop(i)] = u
+    still = tuple(u for u in waiting if not augment(u, set()))
+    matched = ((owner[q] % q, q) for q in above if q in owner)
+    return [*zip(classes, small), *matched], still
 
 
 def drop_idle(y: int, classes) -> list[tuple[int, int]]:

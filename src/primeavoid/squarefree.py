@@ -19,8 +19,9 @@ that strikes the most offsets still unstruck, the least class on a tie
   * u1 -- u divisible by a band-one prime;
   * u2 -- the rest of the window, the offsets the mid band runs over;
   * u6 -- the u2 offsets no mid-band class strikes, which the large
-    band covers: a large prime q <= y may strike two of them, u and
-    u + 2q, and the offsets left above y take one prime each.
+    band that kpower runs too covers (numtheory.large_band): a large
+    prime q <= y may strike two of them, u and u + 2q, and the offsets
+    left above y take one prime each.
 
 With 2 in band one (log x >= 2), 2 strikes every even offset, so u2 and
 u6 hold odd offsets only.  A congruence whose modulus is no offset's
@@ -53,6 +54,7 @@ from .numtheory import (
     crt_solve,
     find_prime_in_ap,
     greedy_classes,
+    large_band,
     primes_upto,
     struck_witnesses,
     window_cover,
@@ -118,15 +120,11 @@ def build_sets(sch: Schedule) -> SetSystem:
 
 
 def assign_primes(sets: SetSystem) -> list[tuple[int, int]]:
-    """The large band's (class, prime) pairs, in ascending prime order.
-
-    The primes q <= y take their greedy classes over u6, so one class may
-    strike two offsets, u and u + 2q; a prime above y strikes at most one
-    odd offset, so the offsets still left are paired ascending with the
-    primes above y ascending, as (u mod q, q).  A q <= y whose class
-    strikes no offset still open is no offset's least striker, so
-    covering_congruences drops it.
-    """
+    """The large band's (class, prime) pairs over u6, ascending by prime
+    (numtheory.large_band).  Every class is admissible, so the offsets the
+    primes q <= y leave are paired ascending with the primes above y.  A
+    q <= y whose class strikes no offset still open is no offset's least
+    striker, so covering_congruences drops it."""
     if len(sets.u6) > len(sets.p3):
         raise CapacityError(
             f"{len(sets.u6)} offsets need assigned primes but only "
@@ -134,10 +132,7 @@ def assign_primes(sets: SetSystem) -> list[tuple[int, int]]:
             needed=len(sets.u6),
             available=len(sets.p3),
         )
-    small = [q for q in sets.p3 if q <= sets.y]
-    classes, left = greedy_classes(sets.u6, small)
-    above = zip(left, sets.p3[len(small) :])
-    return [*zip(classes, small), *((u % q, q) for u, q in above)]
+    return large_band(sets.u6, sets.p3, sets.y)[0]
 
 
 def covering_congruences(

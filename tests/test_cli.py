@@ -149,7 +149,7 @@ def _band_one_prime_matched(match_offsets):
             p for p in reversed(sets.p1)
             if (1 - u) % p and numtheory.kth_root_count(1 - u, sets.k, p)
         )
-        return matching._replace(matched={**matching.matched, u: p})
+        return matching._replace(pairs=(*matching.pairs, (u % p, p)))
 
     return spoiled
 
@@ -641,7 +641,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.8", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.9", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -673,10 +673,14 @@ def test_verify_completeness_names_missing_and_extra_offsets(fixture):
         doc["cover"] = rng.sample(doc["cover"], rng.randrange(len(doc["cover"]) + 1))
         for u in rng.sample([-y - 2, -y - 1, 1, y + 1, 3 * y], rng.randrange(3)):
             doc["cover"].append({"u": u, "witness_prime": "2"})
-        seen = {e["u"] for e in doc["cover"]}
+        listed = [e["u"] for e in doc["cover"]]
+        seen = set(listed)
+        twice = [u for i, u in enumerate(listed) if u in listed[:i]]
         ok, detail = completeness(doc)
-        assert ok == (seen == window)
-        if not ok:
+        assert ok == (seen == window and not twice)
+        if twice:
+            assert detail == f"offset {twice[0]} listed twice in cover"
+        elif not ok:
             assert detail.endswith(
                 f"(missing {sorted(window - seen)[:5]}, "
                 f"extra {sorted(seen - window)[:5]})"
@@ -697,6 +701,52 @@ def test_verify_completeness_cost_follows_the_document_not_y():
     assert not ok
     assert "missing [-100000, -99999, -99998, -99997, -99996], extra []" in detail
     assert peak < 2**20
+
+
+def verify_mutated(tmp_path, capsys, fixture, mutate):
+    """verify's exit code and stdout on ``fixture`` after ``mutate(doc)``."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    return code, out
+
+
+def test_verify_rejects_an_offset_witnessed_twice(tmp_path, capsys):
+    # 7 does not divide m - 108; the true witness of -108 comes later
+    def mutate(doc):
+        assert (int(doc["m"]) - 108) % 7
+        doc["cover"].insert(0, {"u": -108, "witness_prime": "7"})
+
+    code, out = verify_mutated(tmp_path, capsys, "sf_x400.json", mutate)
+    assert code == 1
+    assert "[FAIL] completeness   offset -108 listed twice in cover" in out
+
+
+def test_verify_rejects_an_exception_listed_twice(tmp_path, capsys):
+    # a struck element is composite: the first status is false, the last
+    # true, and both name one offset
+    def mutate(doc):
+        u = doc["cover"].pop(0)["u"]
+        doc["exceptions"] = [
+            {"u": u, "status": "prime"}, {"u": u, "status": "composite"}
+        ]
+
+    code, out = verify_mutated(tmp_path, capsys, "kp3_x1000.json", mutate)
+    assert code == 1
+    assert "[FAIL] completeness   offset -38 listed twice in exceptions" in out
+
+
+def test_verify_rejects_a_squarefree_exception(tmp_path, capsys):
+    # every squarefree offset needs its witness; none may be waived
+    def mutate(doc):
+        u = doc["cover"].pop(0)["u"]
+        doc["exceptions"] = [{"u": u, "status": "prime"}]
+
+    code, out = verify_mutated(tmp_path, capsys, "sf_x400.json", mutate)
+    assert code == 1
+    assert "[FAIL] completeness   squarefree document lists exception -108" in out
 
 
 def last_line_printed(code):

@@ -1,7 +1,7 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.6/) still
+documents of every earlier format (tests/fixtures/v1.0/ to v1.7/) still
 verify.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
 golden copy, and the benchmark's seed-0 instances keep their documents'
@@ -149,7 +149,17 @@ def test_kpower_fixture_keeps_the_1_5_window(name):
 def test_fixture_differs_from_1_6_only_in_version(name):
     # format 1.7 changed the squarefree m where N/B has 94 to 1400 bits,
     # which no fixture reaches
-    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.6", ("1.7", "1.6"))
+    assert_differ_only_in_version(
+        name, FIXTURES / "v1.7", FIXTURES / "v1.6", ("1.7", "1.6")
+    )
+
+
+@each_case
+def test_fixture_differs_from_1_7_only_in_version(name):
+    # format 1.8 gave the kpower band primes q <= y greedy classes, which
+    # no fixture reaches: kp1 and kp2 leave no U7 offset, and the bands of
+    # kp3 and kp5 start above y
+    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.7", ("1.8", "1.7"))
 
 
 def assert_round_trip(tmp_path, capsys, *args):
@@ -174,13 +184,13 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 # A format change updates the digests together with format_version.
 BENCHMARK_DIGESTS = {
     ("squarefree", 1, 10_000): (
-        "219429df60c4e6b2ec8d043ab72fe780b4274464a783108db24ad81820e88e9b"
+        "c3bb939cccb92e88eea10b9d304d38d69198851d09092dcb87c69c3b0dbbd31a"
     ),
     ("kpower", 2, 10_000): (
-        "8abcc7bcf9cd2b8c02d1b42497f4c82fa76599e8c2e6d21e820f47633bfceb76"
+        "3499de2cd2789017876d85727cb64504c0466f29543d08c563f15674e63e5357"
     ),
     ("kpower", 5, 5000): (
-        "db285beec57bd061c24ae9b49bf8accadb538b6567f5e90d5aa117b01323c74a"
+        "df0b6f85402336de66d7f1ebc414e3843d8d9e28f9fe2a8e72ba5164ac9566f0"
     ),
 }
 

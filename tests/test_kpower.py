@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,6 @@ from primeavoid import document as doc_mod
 from primeavoid import kpower, numtheory
 from primeavoid.errors import CapacityError, ConstructionError, SearchExhausted
 from primeavoid.kpower import (
-    KMatching,
-    _max_matching,
     build_sets_k,
     construct_certificate_k,
     covering_congruences,
@@ -27,9 +26,10 @@ from primeavoid.numtheory import (
     jacobi,
     kth_root_count,
     kth_roots_mod_p,
+    large_band,
     primes_upto,
 )
-from primeavoid.schedule import make_schedule
+from primeavoid.schedule import make_schedule, shrink_to_capacity
 
 from oracles import (
     congruence_witness,
@@ -134,10 +134,16 @@ def test_matching_k1_is_total_and_ascending():
     assert len(sets.u7) == 11 and 1 not in sets.u7
     assert matching.unmatched == ()
     assert sorted(matching.matched) == list(sets.u7)
-    # linear congruences always solvable: ascending offsets hit ascending
-    # primes, except where 1-u == 0 mod p knocks an edge out
-    primes_used = [matching.matched[u] for u in sorted(matching.matched)]
-    assert primes_used == sorted(primes_used)
+    # linear congruences always solvable: the offsets the band primes
+    # q <= y leave hit the primes above y ascending, except where
+    # 1-u == 0 mod p knocks an edge out
+    above = [p for u, p in sorted(matching.matched.items()) if p > sets.y]
+    assert above == sorted(above)
+    # the pairs come in ascending prime order, each with its offsets' class
+    primes = [p for _, p in matching.pairs]
+    assert primes == sorted(primes)
+    for u, p in matching.matched.items():
+        assert (u % p, p) in matching.pairs
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +158,7 @@ def test_matching_roots_verify(k2_y300_sets):
     sets = k2_y300_sets
     matching = match_offsets(sets)
     assert len(matching.matched) == 31
-    root = {c.modulus: c.residue for c in covering_congruences(sets, matching)}
+    root = {c.modulus: c.residue for c in covering_congruences(sets, matching.pairs)}
     kept = {u: p for u, p in matching.matched.items() if p in root}
     assert kept
     for u, p in kept.items():
@@ -185,23 +191,41 @@ def test_matching_excludes_offset_one():
 
 
 def test_matching_is_maximum_no_augmenting_path(k2_y300_sets):
+    # the band primes q <= y take greedy classes, and the matching of the
+    # offsets they leave to the primes above y admits no augmenting path
     sets = k2_y300_sets
     assert 0 < len(sets.u7) <= 50
+    admissible = kth_power_class(sets.k)
+    small = [p for p in sets.p3tilde if p <= sets.y]
+    _, left = greedy_classes(sets.u7, small, admissible)
     adjacency = {
-        u: tuple(
-            p for p in sets.p3tilde
-            if (1 - u) % p != 0 and kth_root_count(1 - u, sets.k, p)
-        )
-        for u in sets.u7
+        u: tuple(p for p in sets.p3tilde if p > sets.y and admissible(u % p, p))
+        for u in left
     }
-    pairs = _max_matching(adjacency)
-    assert len(pairs) < len(sets.u7)
+    matching = match_offsets(sets)
+    pairs = {u: p for u, p in matching.matched.items() if p > sets.y}
+    assert set(pairs) <= set(left)
+    assert len(pairs) < len(left)
     assert not has_augmenting_path(adjacency, pairs)
 
 
-def test_max_matching_equals_exhaustive_optimum():
-    import random
+def band_matching(adjacency):
+    """numtheory.large_band over a bipartite graph of offsets 0, 1, ...
+    and primes above them and above y = 0: each offset is its own class
+    mod every prime, so the pairs read back as offset -> prime."""
+    pairs, left = large_band(
+        list(adjacency), sorted({v for vs in adjacency.values() for v in vs}), 0,
+        lambda c, p: p in adjacency[c],
+    )
+    assert len(pairs) + len(left) == len(adjacency)
+    return dict(pairs)
 
+
+# primes above every offset of the graphs below (at most 8 offsets)
+RIGHT = primes_upto(100)[4:]
+
+
+def test_max_matching_equals_exhaustive_optimum():
     def brute_max(adjacency):
         lefts = list(adjacency)
         best = 0
@@ -225,23 +249,63 @@ def test_max_matching_equals_exhaustive_optimum():
     for _ in range(80):
         nl, nr = rng.randrange(1, 8), rng.randrange(1, 8)
         adjacency = {
-            u: tuple(v for v in range(nr) if rng.random() < 0.4) for u in range(nl)
+            u: tuple(v for v in RIGHT[:nr] if rng.random() < 0.4) for u in range(nl)
         }
-        pairs = _max_matching(adjacency)
+        pairs = band_matching(adjacency)
         assert not has_augmenting_path(adjacency, pairs)
         assert len(pairs) == brute_max(adjacency)
 
 
 def test_max_matching_on_crafted_graphs():
     # would be size 2 under greedy, 3 under maximum
-    adjacency = {1: (10, 20), 2: (10,), 3: (20, 30)}
-    pairs = _max_matching(adjacency)
+    a, b, c = RIGHT[:3]
+    adjacency = {1: (a, b), 2: (a,), 3: (b, c)}
+    pairs = band_matching(adjacency)
     assert len(pairs) == 3
     assert not has_augmenting_path(adjacency, pairs)
-    starved = {1: (10,), 2: (10,), 3: (10,)}
-    pairs = _max_matching(starved)
+    starved = {1: (a,), 2: (a,), 3: (a,)}
+    pairs = band_matching(starved)
     assert len(pairs) == 1
     assert not has_augmenting_path(starved, pairs)
+
+
+@pytest.fixture(scope="module")
+def kp3_x30000_sets():
+    # the y that capacity leaves (752): 65 U7 offsets, 1,607 band primes
+    _, sets, _ = shrink_to_capacity(
+        make_schedule(3e4, 3), build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
+    )
+    return strike_offsets(sets)
+
+
+def test_band_prime_below_y_strikes_two_offsets(kp3_x30000_sets):
+    # a band prime q <= y takes the greedy class, which may strike two U7
+    # offsets, u and u + 2q
+    sets = kp3_x30000_sets
+    matching = match_offsets(sets)
+    twice = [
+        q for q, n in Counter(matching.matched.values()).items() if n == 2
+    ]
+    assert twice and all(q <= sets.y for q in twice)
+    for q in twice:
+        u, v = sorted(u for u, p in matching.matched.items() if p == q)
+        assert (v - u) % (2 * q) == 0
+
+
+def test_band_tests_edges_lazily(kp3_x30000_sets, monkeypatch):
+    # an edge is tested when the matching reaches it, and once
+    sets = kp3_x30000_sets
+    assert (len(sets.u7), len(sets.p3tilde)) == (65, 1607)
+    calls = []
+    admissible = kpower._admissible
+
+    def counting(k):
+        rule = admissible(k)
+        return lambda c, p: calls.append((c, p)) or rule(c, p)
+
+    monkeypatch.setattr(kpower, "_admissible", counting)
+    match_offsets(sets)
+    assert len(calls) < len(sets.u7) * len(sets.p3tilde) // 20
 
 
 # -- congruence solving -----------------------------------------------------------
@@ -252,8 +316,7 @@ def test_solve_m0_k_reduced_example():
     sets = build_sets_k(sch)
     # classes 0, 0 and 2 take the least roots 1, 1 and 2 (2^2 == 1 - 2)
     tiny = sets._replace(p1=(2, 3, 5), classes=(0, 0, 2))
-    matching = KMatching(matched={}, unmatched=())
-    modulus, m0 = solve_m0_k(covering_congruences(tiny, matching))
+    modulus, m0 = solve_m0_k(covering_congruences(tiny, ()))
     assert (modulus, m0) == (30, 7)  # 1 mod 2, 1 mod 3, 2 mod 5
 
 
@@ -277,16 +340,17 @@ def test_solve_m0_k_defining_congruences():
     sch = make_schedule(200, 1, "practical")
     sets = strike_offsets(build_sets_k(sch))
     matching = match_offsets(sets)
-    congruences = covering_congruences(sets, matching)
+    congruences = covering_congruences(sets, matching.pairs)
     modulus, m0 = solve_m0_k(congruences)
     k = sets.k
     assert math.gcd(m0, modulus) == 1
     kept = {c.modulus for c in congruences}
-    assert kept < set(sets.p1) | set(matching.matched.values())
+    assert kept <= set(sets.p1) | set(matching.matched.values())
     # m0 puts p | m0^k + u - 1 for every u == c (mod p), c the class of p
     classes = [*zip(sets.classes, sets.p1)]
     classes += ((u, p) for u, p in matching.matched.items())
-    assert len(kept) < len(classes)  # at y=48 some congruences are idle
+    # at y=48 the band primes 17 and 23 each strike two offsets
+    assert len(kept) < len(classes)
     for c, p in classes:
         if p in kept:
             assert (pow(m0, k, p) + c - 1) % p == 0
@@ -295,9 +359,8 @@ def test_solve_m0_k_defining_congruences():
 def test_solve_m0_k_rejects_zero_root():
     # 1 - 18 == 0 (mod 17) admits only the root 0
     sets = build_sets_k(make_schedule(200, 1, "practical"))
-    bad = KMatching(matched={18: 17}, unmatched=())
     with pytest.raises(ConstructionError, match="no nonzero root"):
-        solve_m0_k(covering_congruences(sets, bad))
+        solve_m0_k(covering_congruences(sets, [(18 % 17, 17)]))
 
 
 # -- prime search --------------------------------------------------------------------

@@ -48,9 +48,8 @@ def mode_classes(mode, k, x):
         classes += squarefree.assign_primes(sets)
     else:
         cert = construct_certificate_k(sch)
-        matched = sorted(cert.matching.matched.items())
         classes = [*zip(cert.sets.classes, cert.sets.p1)]
-        classes += [(u % p, p) for u, p in matched]
+        classes += cert.matching.pairs
     return cert.schedule, tuple(classes), cert.congruences
 
 
