@@ -135,6 +135,26 @@ def workloads(quick):
         ("is_prime(C), %d bits" % sf_c.bit_length(), lambda: numtheory.is_prime(sf_c)),
     ]
 
+    # the verifier's witness check on the squarefree x=10^4 certificate:
+    # one division of m + u per offset, against one residue of m per
+    # distinct witness and a small-int sum per offset; and the primality
+    # test of each congruence modulus, which the verifier runs once each
+    sf_cert = squarefree.construct_certificate(sf_sch)
+    sf_cover = sorted(sf_cert.cover.items())
+    sf_moduli = [c.modulus for c in sf_cert.congruences]
+
+    def by_residues():
+        residue = {q: sf_cert.m % q for q in set(sf_cert.cover.values())}
+        return [(residue[q] + u) % q for u, q in sf_cover]
+
+    witness_rows = [
+        ("witnesses sf x=1e4: divisions",
+         lambda: [(sf_cert.m + u) % q for u, q in sf_cover]),
+        ("witnesses sf x=1e4: residues", by_residues),
+        ("is_prime_u64 x%d, moduli of sf x=1e4" % len(sf_moduli),
+         lambda: [kernels.is_prime_u64(q) for q in sf_moduli]),
+    ]
+
     # the head (numtheory._SCAN_HEAD_BOUND) alone: a 5,600-bit candidate
     # that the square of the largest prime below 2^16 divides, and the m
     # of a squarefree x=400 run, whose cofactor the head leaves prime
@@ -178,6 +198,7 @@ def workloads(quick):
         *scan_rows(2048),
         *scan_rows(5600),
         *prime_c_rows,
+        *witness_rows,
         *head_rows,
     ]
 

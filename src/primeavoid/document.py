@@ -3,7 +3,12 @@
 All big integers are carried as decimal strings so no consumer can
 truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
-primality claims); it never re-runs the construction.  A squarefree m
+primality claims); it never re-runs the construction.  Its work goes
+per distinct prime, not per offset: each congruence modulus and each
+witness q gets one primality test, and each witness one residue r_q of
+m^k (of m in squarefree mode) mod q; an offset u then costs the small-int
+checks q | r_q + u + shift and q - u - shift < m^k (shift 0 squarefree,
+-1 kpower), so no element m^k + u + shift is built.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
 residue-0 moduli and C a prime not dividing B (what formats 1.7 and
 1.8 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
@@ -252,11 +257,13 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _prime_cofactor_tier(m: int, congs) -> str | None:
+def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
     """m's tier when m = B*C with B the product of the residue-0 moduli of
     ``congs``, those moduli distinct primes, and C a prime that does not
     divide B: then m is squarefree, "proven" when C < MR_DETERMINISTIC_BOUND
-    and "prp" above.  None when m has no such shape.
+    and "prp" above.  None when m has no such shape.  ``prime`` maps each
+    modulus of ``congs`` to its is_prime verdict; C is the one number
+    tested here.
 
     The proof reads nothing else of the document, so it holds for every
     format.  When C is prime and every prime of B is at most the trial
@@ -264,7 +271,7 @@ def _prime_cofactor_tier(m: int, congs) -> str | None:
     leaves C, or 1 when C is at most the bound.
     """
     zero = [q for r, q in congs if r == 0]
-    if len(set(zero)) != len(zero) or not all(is_prime(q) for q in zero):
+    if len(set(zero)) != len(zero) or not all(prime[q] for q in zero):
         return None
     b = math.prod(zero)
     if m % b:
@@ -298,8 +305,14 @@ def verify_document(doc: dict) -> VerifyReport:
     m = int(doc["m"])
     congs = [(int(r), int(q)) for r, q in doc["congruences"]]
 
-    # congruence system: distinct prime moduli, m0 in range, all satisfied
+    cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
+    exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
     moduli = [q for _, q in congs]
+    # one verdict per distinct number, moduli and witnesses together (in a
+    # valid document every witness is a modulus)
+    prime = {q: is_prime(q) for q in set(moduli).union(cover.values())}
+
+    # congruence system: distinct prime moduli, m0 in range, all satisfied
     problems = []
     if len(set(moduli)) != len(moduli):
         problems.append("duplicate moduli")
@@ -308,7 +321,7 @@ def verify_document(doc: dict) -> VerifyReport:
     if not 1 <= m0 <= modulus:
         problems.append(f"m0={m0} outside [1, modulus]")
     for r, q in congs:
-        if not is_prime(q):
+        if not prime[q]:
             problems.append(f"modulus {q} is not prime")
             break
         if m0 % q != r % q:
@@ -329,8 +342,6 @@ def verify_document(doc: dict) -> VerifyReport:
     sections.append(("progression", member, detail))
 
     # window cover: completeness, then every witness division
-    cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
-    exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
     # counted, so that the cost follows the entries, not the y claimed
     skip = 1 if mode == "kpower" else None  # m^k itself is no window element
     seen = set(cover) | set(exc)
@@ -356,14 +367,16 @@ def verify_document(doc: dict) -> VerifyReport:
         )
     sections.append(("completeness", complete, detail))
 
-    value_base = m if mode == "squarefree" else m**k
-    # thousands of offsets share a few hundred witness primes
-    prime = {p: is_prime(p) for p in set(cover.values())}
+    # the element of offset u is power + u + shift
+    e, shift = (1, 0) if mode == "squarefree" else (k, -1)
+    power = m**e
+    # thousands of offsets share a few hundred witness primes: m^e is
+    # reduced once per prime, and each offset is checked in small ints
+    residue = {q: pow(m, e, q) for q in set(cover.values()) if prime[q]}
     bad_offset = None
-    for u, p in sorted(cover.items()):
-        value = value_base + u if mode == "squarefree" else value_base + u - 1
-        if not prime[p] or value % p != 0 or p >= value:
-            bad_offset = (u, p)
+    for u, q in sorted(cover.items()):
+        if not prime[q] or (residue[q] + u + shift) % q or q - u - shift >= power:
+            bad_offset = (u, q)
             break
     sections.append(
         (
@@ -386,7 +399,7 @@ def verify_document(doc: dict) -> VerifyReport:
         sections.append(("prime_base", m_prime, detail))
         mismatch = None
         for u, status in sorted(exc.items()):
-            actual = "prime" if is_prime(value_base + u - 1) else "composite"
+            actual = "prime" if is_prime(power + u + shift) else "composite"
             if actual != status:
                 mismatch = (u, status, actual)
                 break
@@ -405,7 +418,7 @@ def verify_document(doc: dict) -> VerifyReport:
         # primality test that would only pick the tier: the one on m/B, and
         # the one on the trial cofactor
         test_primality = recorded != "partial"
-        actual = _prime_cofactor_tier(m, congs) if test_primality else None
+        actual = _prime_cofactor_tier(m, congs, prime) if test_primality else None
         proof = "m/B prime" if actual else "trial scan"
         if actual is None:
             rest = trial_cofactor(m)

@@ -1,4 +1,5 @@
-"""Fixed-width inner loops: sieve, u64 primality, Jacobi symbols,
+"""Fixed-width inner loops: sieve, u64 primality (a strong-pseudoprime
+test whose bases, one to twelve, follow the size of n), Jacobi symbols,
 residue-class striking and stamping, and sifted counts.
 
 All inputs are machine-range integers; arbitrary-precision work stays in
@@ -17,6 +18,21 @@ BACKEND = "python"
 # for every n below 318665857834031151167461 (Sorenson & Webster), which
 # covers the full uint64 range this kernel accepts.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Fewer suffice for smaller n: each bound is the least strong pseudoprime
+# to all of the first t prime bases (Pomerance, Selfridge & Wagstaff 1980;
+# Jaeschke, Math. Comp. 61, 1993), so below it those t bases decide.
+_BASE_TIERS = tuple(
+    (bound, _WITNESSES[:t])
+    for bound, t in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+    )
+)
 
 
 def sieve_primes(limit):
@@ -57,18 +73,21 @@ def odd_sieve(limit, lo=1):
 
 
 def is_prime_u64(n):
-    """Deterministic strong-pseudoprime test, n < 2**64."""
+    """Deterministic strong-pseudoprime test, n < 2**64: trial division by
+    the twelve witnesses, then a round to each base of the least tier of
+    _BASE_TIERS whose bound exceeds n (all twelve from 341550071728321 up)."""
     if n < 2:
         return False
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
+    bases = next((b for bound, b in _BASE_TIERS if n < bound), _WITNESSES)
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

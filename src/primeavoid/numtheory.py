@@ -227,7 +227,8 @@ def _bpsw(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for every n.
 
-    Below 2**64 the kernel's fixed-base test decides; below
+    Below 2**64 the kernel's strong-pseudoprime test decides, with the
+    first one to twelve primes as bases by the size of n; below
     MR_DETERMINISTIC_BOUND (about 3.3e24) thirteen fixed Miller-Rabin
     bases decide.  Both are proofs.  Above that bound the verdict is
     BPSW's: "False" is a proof of compositeness, "True" means a BPSW
@@ -443,14 +444,17 @@ def window_cover(m: int, congruences, y: int, k: int, shift: int):
     """(cover, unstruck): the least modulus q striking each offset u of
     [-y, y], where m == r (mod q) strikes u == -shift - r^k, checked to
     divide m^k + u + shift and to be below it (RuntimeError otherwise),
-    and the offsets that no congruence strikes, ascending."""
+    and the offsets that no congruence strikes, ascending.  The base
+    m^k + shift is reduced once per modulus; each offset is then checked
+    in small ints, and no element is built."""
     base = m**k + shift
+    residue = {c.modulus: base % c.modulus for c in congruences}
     witness = struck_witnesses(
         y, ((-shift - pow(c.residue, k, c.modulus), c.modulus) for c in congruences)
     )
     cover = {u: q for u, q in zip(range(-y, y + 1), witness) if q}
     for u, q in cover.items():
-        if (base + u) % q or q >= base + u:
+        if (residue[q] + u) % q or q - u >= base:
             raise RuntimeError(f"offset {u}: invalid witness q={q}; construction bug")
     return cover, [u for u in range(-y, y + 1) if u not in cover]
 

@@ -294,6 +294,90 @@ def test_verify_rejects_composite_witness(tmp_path, capsys, micro_doc_text):
     assert f"witness {d} fails at offset {entry['u']}" in out
 
 
+def witnesses_section(doc):
+    report = doc_mod.verify_document(doc)
+    return next((ok, detail) for name, ok, detail in report.sections
+                if name == "witnesses")
+
+
+def hand_built_doc(mode, k, m, y, congruences, cover):
+    """A document of ``mode`` with m0 the least member of m's progression
+    and ``cover`` an {offset: witness} dict; the verifier reads nothing
+    else of it."""
+    modulus = math.prod(q for _, q in congruences)
+    return {
+        "format_version": doc_mod.FORMAT_VERSION,
+        "mode": mode,
+        "seed": 0,
+        "schedule": {"y": y, "k": k},
+        "sets": {},
+        "congruences": [[str(r), str(q)] for r, q in congruences],
+        "modulus": str(modulus),
+        "m0": str(m % modulus or modulus),
+        "m": str(m),
+        "cover": [{"u": u, "witness_prime": str(q)} for u, q in sorted(cover.items())],
+        "exceptions": [],
+        "metrics": {"squarefree_status": "partial"},
+    }
+
+
+@pytest.mark.parametrize(
+    "mode, k, m, y, congruences, cover, u",
+    [
+        # elements 6, 7, 8: the witness 7 of u = 0 is the element itself
+        ("squarefree", 1, 7, 1, [(1, 2), (0, 7)], {-1: 2, 0: 7, 1: 2}, 0),
+        # elements 3^2 + u - 1 = 7, 8 (u = 1 is m^k): 7 is the element of u = -1
+        ("kpower", 2, 3, 1, [(3, 7), (1, 2)], {-1: 7, 0: 2}, -1),
+    ],
+)
+def test_verify_refuses_a_witness_equal_to_its_element(
+    mode, k, m, y, congruences, cover, u
+):
+    doc = hand_built_doc(mode, k, m, y, congruences, cover)
+    assert witnesses_section(doc) == (False, f"witness {cover[u]} fails at offset {u}")
+    # the next member of the progression keeps every division, and each
+    # witness is then a proper divisor
+    doc = hand_built_doc(mode, k, m + 14, y, congruences, cover)
+    assert witnesses_section(doc) == (True, f"{len(cover)} divisions verified")
+
+
+@pytest.mark.parametrize("name", ["sf_x400.json", "kp2_x600_full.json"])
+@pytest.mark.parametrize("step", [1, -1])
+def test_verify_refuses_a_witness_one_class_off(name, step):
+    # the witness of u + step divides the element next to u's, so never
+    # u's own: the element's shift and the offset must both be exact
+    doc = doc_mod.parse_document((FIXTURES / name).read_text())
+    assert witnesses_section(doc)[0]
+    cover = {e["u"]: e for e in doc["cover"]}
+    u = next(u for u in sorted(cover) if u + step in cover
+             and cover[u]["witness_prime"] != cover[u + step]["witness_prime"])
+    q = cover[u + step]["witness_prime"]
+    cover[u]["witness_prime"] = q
+    assert witnesses_section(doc) == (False, f"witness {q} fails at offset {u}")
+
+
+def test_verify_tests_each_distinct_prime_once(monkeypatch):
+    # the squarefree x=10^4 benchmark instance: 545 distinct moduli, which
+    # include every witness, and the prime cofactor C
+    doc = doc_mod.parse_document(doc_mod.document_to_json(
+        doc_mod.certificate_to_document(construct_certificate(make_schedule(10_000)))
+    ))
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return numtheory.is_prime(n)
+
+    monkeypatch.setattr(doc_mod, "is_prime", counting)
+    assert doc_mod.verify_document(doc).ok
+    moduli = {int(q) for _, q in doc["congruences"]}
+    witnesses = {int(e["witness_prime"]) for e in doc["cover"]}
+    zero = math.prod(int(q) for r, q in doc["congruences"] if r == "0")
+    assert witnesses <= moduli
+    assert sorted(tested) == sorted(moduli | {int(doc["m"]) // zero})
+    assert len(tested) == 546
+
+
 def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
     # m -> m + t*N stays in the progression and keeps every witness
     # divisor; the verdict then hinges on the squarefree recheck alone

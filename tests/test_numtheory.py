@@ -159,6 +159,41 @@ def test_is_prime_u64_matches_thirteen_base_test():
     assert not kernels.is_prime_u64(2**61 + 1)  # divisible by 3
 
 
+def test_is_prime_u64_refuses_each_tier_bound():
+    # each bound is a strong pseudoprime to every base of the tiers below
+    # it, so only the next tier's bases show it composite
+    bounds = [bound for bound, _ in kernels._BASE_TIERS]
+    assert bounds == [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321,
+    ]
+    # 2047 = 23 * 89 falls to trial division, so the base-3 round of the
+    # second tier also meets 8321 = 53 * 157, the least base-2 strong
+    # pseudoprime with no factor among the twelve witnesses
+    for n, bases in [*kernels._BASE_TIERS, (8321, (2,))]:
+        assert all(_strong_probable_prime(n, a) for a in bases), n
+        assert not kernels.is_prime_u64(n), n
+
+
+def test_is_prime_u64_matches_thirteen_base_test_in_every_tier():
+    rng = random.Random(25)
+    edges = [2, *(bound for bound, _ in kernels._BASE_TIERS), 2**64]
+    for lo, hi in zip(edges, edges[1:]):
+        # every n of the one-base tier, where 41^2 is the least composite
+        # that trial division passes
+        ns = [rng.randrange(lo, hi) for _ in range(60)] if lo > 2 else list(range(hi))
+        ns += [lo, hi - 1]
+        # a prime from each of a few random starts, so that every tier
+        # runs its full set of rounds on primes as well as composites
+        for start in ns[:8]:
+            n = start
+            while n < hi - 1 and not thirteen_base_is_prime(n):
+                n += 1
+            ns.append(n)
+        for n in ns:
+            assert kernels.is_prime_u64(n) == thirteen_base_is_prime(n), n
+
+
 def seeded_miller_rabin(n, seed=0, rounds=64):
     """The test is_prime ran above MR_DETERMINISTIC_BOUND before BPSW:
     trial division by the thirteen bases, then 64 strong probable-prime
