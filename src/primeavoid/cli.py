@@ -114,7 +114,6 @@ def _cmd_construct(args) -> int:
             from . import squarefree
 
             cert = squarefree.construct_certificate(sch, max_steps=max_steps)
-            doc = doc_mod.certificate_to_document(cert, seed=args.seed)
         else:
             from . import kpower
 
@@ -123,7 +122,7 @@ def _cmd_construct(args) -> int:
                 reduced=args.reduced_modulus == "on",
                 max_steps=max_steps,
             )
-            doc = doc_mod.kcertificate_to_document(cert, seed=args.seed)
+        doc = doc_mod.certificate_to_document(cert, seed=args.seed)
     except CapacityError as exc:
         print(f"capacity failure: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -15,6 +15,11 @@ residue-0 moduli and C a prime not dividing B (what formats 1.7 and
 scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.
 
+This module owns the format, and so the record both modes build,
+``Certificate``, and its one serializer.  The serializer names no mode:
+each set system lists the sets it reports (``REPORTED``), and each mode
+passes its own metrics and top-level fields.
+
 The verifier loads no construction module and no ``dataclasses``: the
 ``verify`` command imports this module, numtheory, kernels and errors,
 and nothing else of the package.
@@ -28,22 +33,21 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DocumentError
 from .numtheory import (
     MAX_POWER_BITS,
     MR_DETERMINISTIC_BOUND,
-    SQUAREFREE_TRIAL_BOUND,
+    Congruence,
     avoidance_constant,
     cofactor_tier,
     is_prime,
     trial_cofactor,
 )
 
-if TYPE_CHECKING:  # the verifier never imports the construction modules
-    from .kpower import KCertificate
-    from .squarefree import AvoidanceCertificate
+if TYPE_CHECKING:  # the verifier never imports the schedule module
+    from .schedule import Schedule
 
 FORMAT_VERSION = "1.8"
 
@@ -65,11 +69,33 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _document(cert, seed, sets, exceptions, metrics: dict, **fields) -> dict:
-    """The keys both modes share, read off the certificate as built: the
-    cardinality of each of the mode's named ``sets`` (the lower-cased
-    attribute of cert.sets), the (u, status) ``exceptions``, the metrics
-    derived here and the mode's own, and top-level ``fields``."""
+class Certificate(NamedTuple):
+    """The verifiable output of one run of either mode.  The serializer
+    reads every field and names no mode: each mode's set system lists the
+    sets it reports (``REPORTED``; each name, lower-cased, is one of its
+    fields), and each mode passes its own ``metrics`` and top-level
+    ``fields``."""
+
+    mode: str
+    schedule: Schedule
+    sets: NamedTuple  # the mode's set system
+    modulus: int
+    m0: int
+    m: int
+    congruences: tuple[Congruence, ...]  # the system solved for m0, in order
+    cover: dict[int, int]  # offset u -> witness prime dividing m^k + u + shift
+    exceptions: list[tuple[int, str]]  # (u, status); empty in squarefree
+    metrics: dict  # the mode's own metrics, after the derived ones
+    fields: dict  # the mode's own top-level keys
+    autoshrink_trace: tuple[int, ...]
+
+
+@unlimited_int_digits()
+def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
+    """Serialize a certificate; ``seed`` is recorded only.  The keys every
+    document holds are read off the certificate as built: the cardinality
+    of each set its set system reports, the exceptions, the metrics
+    derived here, then the mode's own metrics and top-level fields."""
     log_m, log_modulus = math.log(cert.m), math.log(cert.modulus)
     try:
         constant = avoidance_constant(cert.m**cert.schedule.k, cert.schedule.y)
@@ -77,9 +103,12 @@ def _document(cert, seed, sets, exceptions, metrics: dict, **fields) -> dict:
         constant = None
     return {
         "format_version": FORMAT_VERSION,
+        "mode": cert.mode,
         "seed": seed,
         "schedule": cert.schedule._asdict(),  # a new Schedule field changes the format
-        "sets": {name: len(getattr(cert.sets, name.lower())) for name in sets},
+        "sets": {
+            name: len(getattr(cert.sets, name.lower())) for name in cert.sets.REPORTED
+        },
         "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
         "modulus": str(cert.modulus),
         "m0": str(cert.m0),
@@ -87,48 +116,23 @@ def _document(cert, seed, sets, exceptions, metrics: dict, **fields) -> dict:
         "cover": [
             {"u": u, "witness_prime": str(p)} for u, p in sorted(cert.cover.items())
         ],
-        "exceptions": [{"u": u, "status": st} for u, st in exceptions],
+        "exceptions": [{"u": u, "status": st} for u, st in cert.exceptions],
         "metrics": {
             "log_m": log_m,
             "log_modulus": log_modulus,
             "exponent_report": log_m / log_modulus,
             "avoidance_constant": constant,
-            "prime_count_in_window": sum(st == "prime" for _, st in exceptions),
+            "prime_count_in_window": sum(st == "prime" for _, st in cert.exceptions),
             "autoshrink_trace": list(cert.autoshrink_trace),
-            **metrics,
+            **cert.metrics,
         },
-        **fields,
+        **cert.fields,
     }
 
 
-@unlimited_int_digits()
-def certificate_to_document(cert: AvoidanceCertificate, seed: int = 0) -> dict:
-    """Serialize a squarefree certificate; ``seed`` is recorded only."""
-    return _document(
-        cert,
-        seed,
-        ("P1", "P2", "P3", "U1", "U2", "U6"),
-        (),
-        {
-            "squarefree_status": cert.squarefree_status,
-            "squarefree_trial_bound": str(SQUAREFREE_TRIAL_BOUND),
-        },
-        mode="squarefree",
-    )
-
-
-@unlimited_int_digits()
-def kcertificate_to_document(cert: KCertificate, seed: int = 0) -> dict:
-    """Serialize a k-th power certificate; ``seed`` is recorded only."""
-    return _document(
-        cert,
-        seed,
-        ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U6", "U7"),
-        cert.exceptions,
-        {"unmatched_offsets": list(cert.matching.unmatched)},
-        mode="kpower",
-        reduced_modulus=cert.reduced,
-    )
+# e2ebench/traced.py times the serializer under this name as well; the
+# alias goes when the per-mode stage names do
+kcertificate_to_document = certificate_to_document
 
 
 def document_to_json(doc: dict) -> str:

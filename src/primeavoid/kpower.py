@@ -19,6 +19,9 @@ u == 1 - r^k (mod q), and an element that no congruence strikes is an
 exception with its primality status.  The window rule, class to root
 and the witness check, is numtheory's, shared with squarefree: the
 element is m^k + u + shift with shift -1 here.
+
+The run's record is document.Certificate, as in squarefree; kpower adds
+the unmatched offsets as a metric and reduced_modulus as a field.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from typing import NamedTuple
 
 from . import kernels, numtheory
+from .document import Certificate
 from .errors import CapacityError, ConstructionError
 from .numtheory import (
     DEFAULT_PRIME_STEPS,
@@ -74,6 +78,9 @@ class KSetSystem(NamedTuple):
     u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
     p3: tuple[int, ...] = ()  # band primes striking a U7 offset, after matching
     p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
+
+    # the sets whose cardinalities the document reports
+    REPORTED = ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U6", "U7")
 
     @property
     def paper_demand(self) -> int:
@@ -168,7 +175,8 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
 
 class KMatching(NamedTuple):
     """The large band's (class, prime) pairs, ascending by prime, the prime
-    striking each offset it covers, by offset, and the offsets left open."""
+    striking each offset it covers, by offset, and the offsets left open;
+    the certificate keeps only the last, as a metric."""
 
     pairs: tuple[tuple[int, int], ...]
     matched: dict[int, int]
@@ -279,28 +287,11 @@ def matrix_scan(
     )
 
 
-class KCertificate(NamedTuple):
-    """Complete verifiable output of one k-th power run; the document
-    derives its metrics from these fields."""
-
-    schedule: Schedule
-    sets: KSetSystem
-    matching: KMatching
-    modulus: int
-    m0: int
-    m: int
-    reduced: bool
-    congruences: tuple[Congruence, ...]  # the system solved for m0, in order
-    cover: dict[int, int]  # offset u -> witness prime dividing m^k + u - 1
-    exceptions: list[tuple[int, str]]  # (u, "prime" | "composite")
-    autoshrink_trace: tuple[int, ...]
-
-
 def construct_certificate_k(
     sch: Schedule,
     reduced: bool = True,
     max_steps: int = DEFAULT_PRIME_STEPS,
-) -> KCertificate:
+) -> Certificate:
     """Run the full k-th power pipeline, auto-shrinking y on capacity."""
     sch, sets, trace = shrink_to_capacity(
         sch, build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
@@ -323,16 +314,17 @@ def construct_certificate_k(
             f"{numtheory.MAX_POWER_BITS}, which a verifier refuses"
         )
     cover, exceptions = verify_power_window(m, congruences, sch)
-    return KCertificate(
+    return Certificate(
+        mode="kpower",
         schedule=sch,
         sets=sets,
-        matching=matching,
         modulus=modulus,
         m0=m0,
         m=m,
-        reduced=reduced,
         congruences=congruences,
         cover=cover,
         exceptions=exceptions,
+        metrics={"unmatched_offsets": list(matching.unmatched)},
+        fields={"reduced_modulus": reduced},
         autoshrink_trace=trace,
     )

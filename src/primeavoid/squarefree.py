@@ -31,12 +31,16 @@ solved: it would only make m larger.
 The solution is m0 mod N.  B = gcd(m0, N) is the product of the
 residue-0 moduli, and every other modulus leaves m0 a nonzero residue.
 When N/B has PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, the
-search takes m = B*C with C the least prime of C0 + j*(N/B), C0 = m0/B,
-above every modulus (numtheory.find_prime_in_ap): m is squarefree by
-construction, with tier "proven" when C < MR_DETERMINISTIC_BOUND and
-"prp" above.  Outside that window it takes the first member of m0 + j*N
-that the tiered trial scan (numtheory.classify_squarefree) does not
-reject, with the scan's tier.
+search takes m = B*C with C the least prime C0 + j*(N/B), C0 = m0/B and
+j >= 1, above max(x, 2y) and so above every modulus
+(numtheory.find_prime_in_ap); C0 itself is never tried, even when it
+exceeds max(x, 2y).  So m is squarefree by construction, with tier
+"proven" when C < MR_DETERMINISTIC_BOUND and "prp" above.  Outside that
+window it takes the first member of m0 + j*N that the tiered trial scan
+(numtheory.classify_squarefree) does not reject, with the scan's tier.
+
+The run's record is document.Certificate, as in kpower; squarefree adds
+m's tier and the trial bound as metrics, and lists no exceptions.
 """
 
 from __future__ import annotations
@@ -44,10 +48,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .document import Certificate
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
     DEFAULT_PRIME_STEPS,
     MR_DETERMINISTIC_BOUND,
+    SQUAREFREE_TRIAL_BOUND,
     Congruence,
     class_congruences,
     classify_squarefree,
@@ -93,6 +99,9 @@ class SetSystem(NamedTuple):
     u2: tuple[int, ...]  # window minus u1
     mid_classes: tuple[int, ...]  # greedy class c of each p2 prime over u2
     u6: tuple[int, ...]  # u2 offsets no mid class strikes: the large band's
+
+    # the sets whose cardinalities the document reports
+    REPORTED = ("P1", "P2", "P3", "U1", "U2", "U6")
 
 
 def build_sets(sch: Schedule) -> SetSystem:
@@ -174,8 +183,8 @@ class SquarefreeSearch(NamedTuple):
 def _prime_cofactor(
     m0: int, n: int, b: int, sch: Schedule, max_steps: int
 ) -> SquarefreeSearch:
-    """m = B*C for the least prime C of C0 + j*(N/B), C0 = m0/B, above
-    both x (so above every modulus) and 2y.
+    """m = B*C for the least prime C = C0 + j*(N/B), C0 = m0/B and j >= 1,
+    above both x (so above every modulus) and 2y; C0 itself is not tried.
 
     C0 is coprime to N/B, since each prime of N/B leaves m0 a nonzero
     residue and is coprime to B.  C is a prime that no prime of B equals,
@@ -202,8 +211,9 @@ def find_squarefree_in_ap(
 
     With B = gcd(m0, N), the product of the residue-0 moduli: when N/B has
     PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, m = B*C with
-    C prime (_prime_cofactor), "proven" when C < MR_DETERMINISTIC_BOUND
-    and "prp" above.  Otherwise the least such j whose member
+    C the least prime C0 + j*(N/B), j >= 1, above max(x, 2y)
+    (_prime_cofactor), "proven" when C < MR_DETERMINISTIC_BOUND and "prp"
+    above.  Otherwise the least such j whose member
     classify_squarefree does not reject, with its tier: full when trial
     factorization to the bound settles it, otherwise the partial tier is
     recorded honestly.  Either search tries at most max_steps members.
@@ -248,24 +258,9 @@ def verify_window(
     return cover
 
 
-class AvoidanceCertificate(NamedTuple):
-    """Complete verifiable output of one squarefree run; the document
-    derives its metrics from these fields."""
-
-    schedule: Schedule
-    sets: SetSystem
-    modulus: int
-    m0: int
-    m: int
-    congruences: tuple[Congruence, ...]  # the system solved for m0, in order
-    cover: dict[int, int]  # offset u -> witness prime dividing m + u
-    squarefree_status: str
-    autoshrink_trace: tuple[int, ...]
-
-
 def construct_certificate(
     sch: Schedule, max_steps: int = DEFAULT_PRIME_STEPS
-) -> AvoidanceCertificate:
+) -> Certificate:
     """Run the full pipeline, auto-shrinking y until capacity holds."""
     sch, sets, trace = shrink_to_capacity(
         sch, build_sets, lambda s: (len(s.u6), len(s.p3))
@@ -274,7 +269,8 @@ def construct_certificate(
     n, m0 = solve_m0(congruences)
     search = find_squarefree_in_ap(m0, n, sch, max_steps=max_steps)
     cover = verify_window(search.m, congruences, sch)
-    return AvoidanceCertificate(
+    return Certificate(
+        mode="squarefree",
         schedule=sch,
         sets=sets,
         modulus=n,
@@ -282,6 +278,11 @@ def construct_certificate(
         m=search.m,
         congruences=congruences,
         cover=cover,
-        squarefree_status=search.status,
+        exceptions=[],
+        metrics={
+            "squarefree_status": search.status,
+            "squarefree_trial_bound": str(SQUAREFREE_TRIAL_BOUND),
+        },
+        fields={},
         autoshrink_trace=trace,
     )

@@ -12,7 +12,7 @@ import pytest
 
 from primeavoid import cli
 from primeavoid import document as doc_mod
-from primeavoid.kpower import construct_certificate_k
+from primeavoid.kpower import construct_certificate_k, match_offsets
 from primeavoid.numtheory import (
     is_prime,
     kth_roots_mod_p,
@@ -173,7 +173,7 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
     )
     y = cert.schedule.y
     exception_offsets = {u for u, _ in cert.exceptions}
-    excluded = {1} | set(cert.sets.u6) | set(cert.matching.unmatched)
+    excluded = {1} | set(cert.sets.u6) | set(match_offsets(cert.sets).unmatched)
     base = cert.m**k
     witnessed = 0
     required = 0

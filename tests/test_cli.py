@@ -404,7 +404,7 @@ def partial_doc_text():
     # x=1160 leaves an opaque 91-bit cofactor, so m's recorded tier is
     # "partial"
     cert = construct_certificate(make_schedule(1160, 1, "practical"))
-    assert cert.squarefree_status == "partial"
+    assert cert.metrics["squarefree_status"] == "partial"
     return doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
 
 
@@ -460,7 +460,7 @@ def test_partial_claim_rejects_square_factors(partial_doc_text):
 def prime_cofactor_doc():
     # x=1700: N/B has 97 bits, so m = B*C with C a 100-bit prime, "prp"
     cert = construct_certificate(make_schedule(1700))
-    assert cert.squarefree_status == "prp"
+    assert cert.metrics["squarefree_status"] == "prp"
     return doc_mod.parse_document(
         doc_mod.document_to_json(doc_mod.certificate_to_document(cert))
     )

@@ -1,0 +1,95 @@
+"""One certificate record and one serializer serve both modes.  The
+serializer (document.certificate_to_document) counts the sets that a
+set system reports and adds the metrics and top-level fields that a mode
+passes; it names no mode, set, metric or field of its own beyond the keys
+every document holds."""
+
+import inspect
+import re
+from typing import NamedTuple
+
+from primeavoid import document as doc_mod
+from primeavoid.document import Certificate, certificate_to_document
+from primeavoid.kpower import KSetSystem
+from primeavoid.numtheory import Congruence
+from primeavoid.schedule import make_schedule
+from primeavoid.squarefree import SetSystem
+
+SHARED_KEYS = {
+    "format_version", "mode", "seed", "schedule", "sets", "congruences",
+    "modulus", "m0", "m", "cover", "exceptions", "metrics",
+}
+DERIVED_METRICS = {
+    "log_m", "log_modulus", "exponent_report", "avoidance_constant",
+    "prime_count_in_window", "autoshrink_trace",
+}
+# what the two modes name themselves, which the serializer must not
+MODE_NAMES = {
+    *SetSystem.REPORTED, *KSetSystem.REPORTED, "squarefree", "kpower",
+    "squarefree_status", "squarefree_trial_bound", "unmatched_offsets",
+    "reduced_modulus",
+}
+
+
+class StubSets(NamedTuple):
+    """A set system that reports one of its two sets."""
+
+    w9: tuple[int, ...]
+    hidden: tuple[int, ...]
+
+    REPORTED = ("W9",)
+
+
+def stub_certificate():
+    return Certificate(
+        mode="stub",
+        schedule=make_schedule(40, 1, "explicit", z=6.3246, y=3),
+        sets=StubSets(w9=(1, 2, 3), hidden=(4,)),
+        modulus=15,
+        m0=7,
+        m=22,
+        congruences=(Congruence(1, 3), Congruence(2, 5)),
+        cover={-2: 5, 2: 3},
+        exceptions=[(-1, "prime"), (0, "composite"), (1, "prime")],
+        metrics={"stub_metric": 7},
+        fields={"stub_field": True},
+        autoshrink_trace=(4, 2),
+    )
+
+
+def test_a_stub_mode_serializes_to_its_own_sets_metrics_and_fields():
+    doc = certificate_to_document(stub_certificate(), seed=5)
+    assert set(doc) == SHARED_KEYS | {"stub_field"}
+    assert doc["stub_field"] is True
+    assert (doc["mode"], doc["seed"]) == ("stub", 5)
+    assert doc["sets"] == {"W9": 3}
+    assert set(doc["metrics"]) == DERIVED_METRICS | {"stub_metric"}
+    assert doc["metrics"]["stub_metric"] == 7
+    assert doc["metrics"]["prime_count_in_window"] == 2
+    assert doc["metrics"]["autoshrink_trace"] == [4, 2]
+    assert doc["exceptions"] == [
+        {"u": -1, "status": "prime"},
+        {"u": 0, "status": "composite"},
+        {"u": 1, "status": "prime"},
+    ]
+    assert doc["cover"] == [
+        {"u": -2, "witness_prime": "5"}, {"u": 2, "witness_prime": "3"}
+    ]
+
+
+def test_the_serializer_names_no_mode():
+    source = inspect.getsource(certificate_to_document)
+    named = [n for n in MODE_NAMES if re.search(rf"\b{n}\b", source, re.IGNORECASE)]
+    assert named == []
+    assert doc_mod.kcertificate_to_document is certificate_to_document
+
+
+def test_the_document_module_imports_no_construction_module():
+    source = inspect.getsource(doc_mod)
+    assert not re.search(r"^\s*from \.(squarefree|kpower) import", source, re.MULTILINE)
+
+
+def test_every_reported_set_is_a_field_of_its_set_system():
+    for system in (SetSystem, KSetSystem):
+        for name in system.REPORTED:
+            assert name.lower() in system._fields

@@ -659,14 +659,15 @@ def test_u7_is_the_offsets_no_band_strikes(grid_cert):
 
 def test_no_matched_offset_has_a_band_witness(grid_cert):
     sets = grid_cert.sets
-    for u in grid_cert.matching.matched:
+    for u in match_offsets(sets).matched:
         assert not struck_by_p1(sets, u)
         assert grid_cert.cover[u] not in sets.p1
 
 
 def test_every_matched_prime_witnesses_an_offset(grid_cert):
     witnesses = set(grid_cert.cover.values())
-    assert all(p in witnesses for p in grid_cert.matching.matched.values())
+    matched = match_offsets(grid_cert.sets).matched
+    assert all(p in witnesses for p in matched.values())
 
 
 @pytest.fixture(scope="module")
@@ -676,7 +677,7 @@ def kp2_x10000_cert():
 
 def test_every_reduced_congruence_witnesses_an_offset(grid_cert, kp2_x10000_cert):
     for cert in (grid_cert, kp2_x10000_cert):
-        assert cert.reduced
+        assert cert.fields["reduced_modulus"]
         assert sorted(c.modulus for c in cert.congruences) == sorted(
             set(cert.cover.values())
         )
@@ -699,9 +700,10 @@ def test_full_mode_has_one_congruence_per_prime():
 
 def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):
     cert = grid_cert
-    matching = cert.matching
+    matching = match_offsets(cert.sets)
     assert set(matching.matched) | set(matching.unmatched) == set(cert.sets.u7)
-    assert [u for u, _ in cert.exceptions] == list(cert.matching.unmatched)
+    assert [u for u, _ in cert.exceptions] == list(matching.unmatched)
+    assert cert.metrics["unmatched_offsets"] == list(matching.unmatched)
 
 
 @pytest.mark.parametrize(

@@ -557,7 +557,7 @@ def test_x10000_m_is_a_prime_cofactor_times_b():
     c = cert.m // b
     assert is_prime(c) and c > max(q.modulus for q in cert.congruences)
     assert c.bit_length() == 522 and (cert.modulus // b).bit_length() == 516
-    assert cert.squarefree_status == "prp"
+    assert cert.metrics["squarefree_status"] == "prp"
     assert cert.m == cert.m0 + find_squarefree_in_ap(
         cert.m0, cert.modulus, cert.schedule
     ).steps * cert.modulus
@@ -577,7 +577,7 @@ def test_window_keeps_the_scan_where_it_proves(x, tier):
     bits = (cert.modulus // residue_zero_product(cert)).bit_length()
     on_scan = bits < squarefree.PRIME_COFACTOR_MIN_BITS
     assert on_scan == (tier == "proven")
-    assert cert.squarefree_status == tier
+    assert cert.metrics["squarefree_status"] == tier
 
 
 @pytest.mark.parametrize("x", [150, 400])
@@ -591,7 +591,7 @@ def test_forced_prime_cofactor_is_squarefree(monkeypatch, x):
     c = cert.m // b
     assert cert.m == b * c and is_prime(c)
     assert c > max(x, 2 * cert.schedule.y)
-    assert cert.squarefree_status == "proven"  # C < MR_DETERMINISTIC_BOUND
+    assert cert.metrics["squarefree_status"] == "proven"  # C < MR_DETERMINISTIC_BOUND
     assert squarefree_by_cube_root(cert.m)
     report = doc_mod.verify_document(doc_mod.certificate_to_document(cert))
     assert report.ok
@@ -755,7 +755,7 @@ def test_certificate_micro_end_to_end():
     assert 1 <= cert.m0 <= cert.modulus
     assert cert.m % cert.modulus == cert.m0 % cert.modulus
     assert len(cert.cover) == 21
-    assert cert.squarefree_status == "proven"
+    assert cert.metrics["squarefree_status"] == "proven"
     metrics = doc_mod.certificate_to_document(cert)["metrics"]
     assert metrics["exponent_report"] == pytest.approx(
         math.log(cert.m) / math.log(cert.modulus), rel=1e-12

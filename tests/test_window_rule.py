@@ -9,7 +9,7 @@ import pytest
 
 from primeavoid import squarefree
 from primeavoid.errors import ConstructionError
-from primeavoid.kpower import construct_certificate_k
+from primeavoid.kpower import construct_certificate_k, match_offsets
 from primeavoid.numtheory import (
     Congruence,
     class_congruences,
@@ -49,7 +49,7 @@ def mode_classes(mode, k, x):
     else:
         cert = construct_certificate_k(sch)
         classes = [*zip(cert.sets.classes, cert.sets.p1)]
-        classes += cert.matching.pairs
+        classes += match_offsets(cert.sets).pairs
     return cert.schedule, tuple(classes), cert.congruences
 
 
