@@ -28,8 +28,12 @@ def timed(fn, repeat=3):
 
 def workloads(quick):
     sieve_limit = 10**6 if quick else 10**7
-    # the squarefree check's gcd blocks over the odd sieve, uncached
-    build_blocks = numtheory._trial_blocks.__wrapped__
+    # the squarefree check's gcd blocks over the odd sieve, as a slice
+    # builds them
+    def build_blocks(bound):
+        count = numtheory._trial_block_count(bound)
+        return list(numtheory._block_products(bound, 0, count))
+
     sift_limit = 10**6 if quick else 10**7
     rng = random.Random(0)
     mr_inputs = [rng.randrange(2, 2**62) | 1 for _ in range(2000 if quick else 20000)]
@@ -74,7 +78,7 @@ def workloads(quick):
 
     def spp(bits, rounds=spp_rounds):
         n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        return lambda: [numtheory._strong_probable_prime(n, 2) for _ in range(rounds)]
+        return lambda: [kernels.strong_probable_prime(n, (2,)) for _ in range(rounds)]
 
     def root_table(bits, bound, repeat):
         modulus = rng.getrandbits(bits) | (1 << (bits - 1))
@@ -155,10 +159,12 @@ def workloads(quick):
          lambda: [kernels.is_prime_u64(q) for q in sf_moduli]),
     ]
 
-    # the head (numtheory._SCAN_HEAD_BOUND) alone: a 5,600-bit candidate
-    # that the square of the largest prime below 2^16 divides, and the m
-    # of a squarefree x=400 run, whose cofactor the head leaves prime
-    head_p = max(kernels.sieve_primes(numtheory._SCAN_HEAD_BOUND))
+    # the head alone, one gcd with the primes below
+    # numtheory._PRIMORIAL_BOUND (numtheory._primorial, built once): a
+    # 5,600-bit candidate that the square of the largest prime below 2^16
+    # divides, and the m of a squarefree x=400 run, whose cofactor the
+    # head leaves prime
+    head_p = max(kernels.sieve_primes(numtheory._PRIMORIAL_BOUND - 1))
     x400_m = squarefree.construct_certificate(make_schedule(400)).m
     head_rows = [
         ("head: p^2 | m, p=%d, 5600 bits" % head_p,

@@ -11,7 +11,7 @@ mode it runs.
 Exit codes: 0 success, 1 verification/bench failure, 2 capacity failure,
 3 search exhaustion, 64 usage error, 65 malformed document, 66 missing
 certificate file, 70 internal error (a construction consistency check
-failed).
+failed), 73 certificate file that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_USAGE = 64
 EXIT_BAD_DOCUMENT = 65
 EXIT_NO_CERTIFICATE = 66
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
+EXIT_CANNOT_WRITE = 73  # sysexits EX_CANTCREAT
 
 
 def _positive_int(text: str) -> int:
@@ -138,8 +139,12 @@ def _cmd_construct(args) -> int:
 
     text = doc_mod.document_to_json(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+            return EXIT_CANNOT_WRITE
         print(f"certificate written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -38,11 +38,11 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import DocumentError
 from .numtheory import (
     MAX_POWER_BITS,
-    MR_DETERMINISTIC_BOUND,
     Congruence,
     avoidance_constant,
     cofactor_tier,
     is_prime,
+    prime_tier,
     trial_cofactor,
 )
 
@@ -207,8 +207,10 @@ def parse_document(text: str) -> dict:
         _big_integer(doc["m0"])
         if (m := _big_integer(doc["m"])) < 1:
             raise ValueError("m must be positive")
-        for r, q in doc["congruences"]:
-            _big_integer(r), _big_integer(q)
+        for entry in doc["congruences"]:
+            if type(entry) is not list or len(entry) != 2:
+                raise TypeError(f"congruence {entry!r} is not a two-element array")
+            _big_integer(entry[0]), _big_integer(entry[1])
         for entry in doc["cover"]:
             _integer(entry["u"]), _big_integer(entry["witness_prime"])
         for entry in doc["exceptions"]:
@@ -264,10 +266,9 @@ class VerifyReport:
 def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
     """m's tier when m = B*C with B the product of the residue-0 moduli of
     ``congs``, those moduli distinct primes, and C a prime that does not
-    divide B: then m is squarefree, "proven" when C < MR_DETERMINISTIC_BOUND
-    and "prp" above.  None when m has no such shape.  ``prime`` maps each
-    modulus of ``congs`` to its is_prime verdict; C is the one number
-    tested here.
+    divide B: then m is squarefree, with C's prime_tier.  None when m has
+    no such shape.  ``prime`` maps each modulus of ``congs`` to its
+    is_prime verdict; C is the one number tested here.
 
     The proof reads nothing else of the document, so it holds for every
     format.  When C is prime and every prime of B is at most the trial
@@ -283,7 +284,7 @@ def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
     c = m // b
     if b % c == 0 or not is_prime(c):
         return None
-    return "proven" if c < MR_DETERMINISTIC_BOUND else "prp"
+    return prime_tier(c)
 
 
 def _gaps(inside, y, skip):
@@ -396,7 +397,7 @@ def verify_document(doc: dict) -> VerifyReport:
         m_prime = is_prime(m)
         if not m_prime:
             detail = "m is composite"
-        elif m < MR_DETERMINISTIC_BOUND:
+        elif prime_tier(m) == "proven":
             detail = "m is proven prime"
         else:
             detail = "m is a BPSW probable prime"

@@ -1,11 +1,11 @@
-"""Fixed-width inner loops: sieve, u64 primality (a strong-pseudoprime
-test whose bases, one to twelve, follow the size of n), Jacobi symbols,
+"""Fixed-width inner loops: sieve, the strong-probable-prime round and the
+table of bases that makes it a proof, u64 primality, Jacobi symbols,
 residue-class striking and stamping, and sifted counts.
 
-All inputs are machine-range integers; arbitrary-precision work stays in
-the calling layer.  Callers reach these through the module attributes
-(``kernels.sieve_primes``), so a wrapper installed on the module sees
-every call.
+All inputs are machine-range integers, except strong_probable_prime,
+which takes any int: numtheory runs it above 2**64 too.  Callers reach
+these through the module attributes (``kernels.sieve_primes``), so a
+wrapper installed on the module sees every call.
 """
 
 from itertools import chain, compress
@@ -14,13 +14,12 @@ from math import isqrt
 # e2ebench/run.py's environment probe prints this and refuses to run without it.
 BACKEND = "python"
 
-# Strong-pseudoprime witnesses: the first twelve primes decide primality
-# for every n below 318665857834031151167461 (Sorenson & Webster), which
-# covers the full uint64 range this kernel accepts.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Fewer suffice for smaller n: each bound is the least strong pseudoprime
-# to all of the first t prime bases (Pomerance, Selfridge & Wagstaff 1980;
-# Jaeschke, Math. Comp. 61, 1993), so below it those t bases decide.
+# the first thirteen primes: is_prime_u64's trial divisors and the bases
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Each bound is the least strong pseudoprime to all of the first t prime
+# bases, so below it those t bases decide primality (Pomerance, Selfridge
+# & Wagstaff 1980; Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster,
+# Math. Comp. 86, 2017, for t = 12 and 13).
 _BASE_TIERS = tuple(
     (bound, _WITNESSES[:t])
     for bound, t in (
@@ -31,6 +30,8 @@ _BASE_TIERS = tuple(
         (2152302898747, 5),
         (3474749660383, 6),
         (341550071728321, 7),
+        (318665857834031151167461, 12),
+        (3317044064679887385961981, 13),
     )
 )
 
@@ -72,16 +73,9 @@ def odd_sieve(limit, lo=1):
     return flags
 
 
-def is_prime_u64(n):
-    """Deterministic strong-pseudoprime test, n < 2**64: trial division by
-    the twelve witnesses, then a round to each base of the least tier of
-    _BASE_TIERS whose bound exceeds n (all twelve from 341550071728321 up)."""
-    if n < 2:
-        return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
-    bases = next((b for bound, b in _BASE_TIERS if n < bound), _WITNESSES)
+def strong_probable_prime(n, bases):
+    """True when odd n > 2 is a strong probable prime to every base of
+    ``bases``; n - 1 = d * 2**r is split once for all of them."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -98,6 +92,19 @@ def is_prime_u64(n):
         else:
             return False
     return True
+
+
+def is_prime_u64(n):
+    """Deterministic strong-pseudoprime test, n < 2**64: trial division by
+    the witnesses, then strong_probable_prime to the bases of the least
+    tier of _BASE_TIERS whose bound exceeds n (twelve from 341550071728321
+    up)."""
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    return strong_probable_prime(n, next(b for bound, b in _BASE_TIERS if n < bound))
 
 
 def jacobi_sym(a, n):

@@ -1,4 +1,5 @@
-"""Exact integer and modular arithmetic primitives, including the covering
+"""Exact integer and modular arithmetic primitives, including the one
+primality rule (is_prime, and prime_tier: "proven" or "prp"), the covering
 core both pipelines share: the greedy class rule, the large band built
 on it (large_band), the pass that drops idle congruences, and the
 window rule keyed by the element m^k + u + shift
@@ -7,9 +8,9 @@ congruences (class_congruences) and checks the window (window_cover);
 the progression prime search both pipelines run (find_prime_in_ap: kpower
 for its prime m, squarefree for the prime cofactor of its m), the tiered
 squarefree check that the squarefree search and the verifier fall back
-on, the cap on the powers m^k that the kpower construction and the
-verifier build (MAX_POWER_BITS), and the worker-process policy that the
-prime search and the trial scan use.
+on (its head is is_prime's primorial gcd), the cap on the powers m^k that
+the kpower construction and the verifier build (MAX_POWER_BITS), and the
+worker-process policy that the prime search and the trial scan use.
 
 Everything else here is a pure function over Python ints (arbitrary
 precision, no rounding); fixed-width inner loops are delegated to
@@ -29,13 +30,18 @@ from itertools import chain, compress
 from . import kernels
 from .errors import ConstructionError, SearchExhausted
 
-# The first thirteen primes decide primality for every n below this
-# bound (Sorenson & Webster); above it is_prime runs BPSW, which no known
-# composite passes but which is not a proof.
-MR_DETERMINISTIC_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The last bound of the kernels' base table: below it the table's bases
+# decide primality; above it is_prime runs BPSW, which no known composite
+# passes but which is not a proof.
+MR_DETERMINISTIC_BOUND = kernels._BASE_TIERS[-1][0]
 # is_prime screens n >= 2**64 by one gcd with the product of the primes
-# below this bound (about 94k bits, built on first use)
+# below this bound (about 94k bits, built on first use), and a trial scan
+# starts with the same gcd (the head).  Each band-one prime p of a
+# squarefree run divides its m by construction, so p*p divides a
+# candidate with chance 1/p; the head settles all of those below the
+# bound at once.  A small m, such as a small-x search's, is settled by the
+# head alone: its cofactor falls below the square of the bound, so no
+# trial block is built.
 _PRIMORIAL_BOUND = 2**16
 
 SIEVE_LIMIT = 10**8
@@ -48,15 +54,6 @@ TRIAL_BLOCK_BITS = 2000  # fewer gcds when larger, earlier exit for small m when
 # integers per trial block: theta(x) ~ x makes their primes' product
 # about TRIAL_BLOCK_BITS bits; even, so each block starts on an odd number
 _TRIAL_BLOCK_SPAN = 2 * round(TRIAL_BLOCK_BITS * math.log(2) / 2)
-# A trial scan first checks, in-process, every block holding a prime
-# below this bound (the head), against blocks built once per process.
-# Each band-one prime p of a squarefree run divides its m by
-# construction, so p*p divides a candidate with chance 1/p; a head ending
-# at the first block would leave each such p above 1386 to the blocks
-# after it.  A small m, such as a small-x search's, is settled by the
-# head alone: its cofactor falls below the square of the next block's
-# lower end, so no block above the head is built.
-_SCAN_HEAD_BOUND = 2**16
 _POWER_SCREEN_PRIMES = 8  # a non-power passes each prime with chance 1/e
 # The verifier and the kpower construction build m^k only when k * bits(m)
 # is at most this.  The largest power any documented run builds, kpower
@@ -113,22 +110,6 @@ def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
     return kernels.sieve_primes(n)
-
-
-def _strong_probable_prime(n: int, base: int) -> bool:
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(base, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
@@ -212,39 +193,48 @@ def _balanced_product(values) -> int:
     return level[0]
 
 
-@lru_cache(maxsize=1)
-def _small_primorial() -> int:
-    """Product of the primes below _PRIMORIAL_BOUND (94,027 bits)."""
-    return _balanced_product(kernels.iter_primes(_PRIMORIAL_BOUND - 1))
+@lru_cache(maxsize=4)
+def _primorial(limit: int) -> int:
+    """Product of the primes <= limit (94,027 bits at _PRIMORIAL_BOUND - 1)."""
+    return _balanced_product(kernels.iter_primes(limit))
 
 
 def _bpsw(n: int) -> bool:
     """Baillie-PSW test for odd n > 1: a base-2 strong probable-prime test
     plus a strong Lucas test.  No composite is known to pass both."""
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    return kernels.strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
 def is_prime(n: int) -> bool:
     """Primality test, deterministic for every n.
 
-    Below 2**64 the kernel's strong-pseudoprime test decides, with the
-    first one to twelve primes as bases by the size of n; below
-    MR_DETERMINISTIC_BOUND (about 3.3e24) thirteen fixed Miller-Rabin
-    bases decide.  Both are proofs.  Above that bound the verdict is
-    BPSW's: "False" is a proof of compositeness, "True" means a BPSW
-    probable prime.  From 2**64 up, one gcd with the product of the
-    primes below 2**16 first rejects n with a small factor: n exceeds
-    every such prime, so a common factor proves n composite.
+    Below MR_DETERMINISTIC_BOUND (about 3.3e24) the verdict is a proof:
+    kernels.strong_probable_prime to the bases of the least tier of the
+    kernels' base table whose bound exceeds n, the first one to thirteen
+    primes by the size of n (below 2**64 through kernels.is_prime_u64).
+    Above that bound the verdict is BPSW's: "False" is a proof of
+    compositeness, "True" means a BPSW probable prime (prime_tier).
+    From 2**64 up, one gcd with the product of the primes below 2**16
+    first rejects n with a small factor: n exceeds every such prime, so a
+    common factor proves n composite.
     """
     if n < 2:
         return False
     if n < 2**64:
         return kernels.is_prime_u64(n)
-    if math.gcd(n, _small_primorial()) != 1:
+    if math.gcd(n, _primorial(_PRIMORIAL_BOUND - 1)) != 1:
         return False
     if n < MR_DETERMINISTIC_BOUND:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+        bases = next(b for bound, b in kernels._BASE_TIERS if n < bound)
+        return kernels.strong_probable_prime(n, bases)
     return _bpsw(n)
+
+
+def prime_tier(n: int) -> str:
+    """The tier of an n that is_prime accepted: "proven" below
+    MR_DETERMINISTIC_BOUND, where its verdict is a proof, and "prp", a
+    BPSW probable prime, above."""
+    return "proven" if n < MR_DETERMINISTIC_BOUND else "prp"
 
 
 def _root_table(m0: int, modulus: int, bound: int) -> tuple[array, array]:
@@ -580,13 +570,6 @@ def _block_products(bound: int, start: int, stop: int):
             yield first, product
 
 
-@lru_cache(maxsize=4)
-def _trial_blocks(bound: int) -> tuple[tuple[int, int], ...]:
-    """Every trial block of the primes <= bound, kept for in-process
-    scans: trial_cofactor scans the head of each m against them."""
-    return tuple(_block_products(bound, 0, _trial_block_count(bound)))
-
-
 def _scan_blocks(rest: int, blocks) -> int | None:
     """rest with every prime of ``blocks`` that divides it divided out
     once, or None when one of them divides it twice.
@@ -619,34 +602,35 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     """m with the primes <= bound divided out once each, or None when one
     of those primes divides m twice (m >= 1).
 
-    The primes are scanned in blocks (_scan_blocks).  The head, every
-    block holding a prime below _SCAN_HEAD_BOUND, is scanned here against
-    blocks built once per process; a repeated prime there, or a rest below
-    the square of the next block's lower end, ends the scan.  The blocks
-    after the head go in one contiguous slice per _pool_workers() process
-    (a single slice is scanned here, without a pool), and each slice
-    builds its own blocks and scans the reduced rest.  Every prime <=
-    bound lies in exactly one block, so dividing out what each slice
-    divided out gives the cofactor, and a repeated prime shows in its own
-    slice.  A slice may stop early as _scan_blocks does, so the cofactor
-    is 1, a prime below bound**2, or free of primes <= bound, and
-    cofactor_tier gives it the same tier for any number of slices.
+    The head, the primes up to min(bound, _PRIMORIAL_BOUND - 1), is one
+    block, their product (_primorial), scanned here (_scan_blocks): a
+    repeated prime there, or a rest below the square of the next prime,
+    ends the scan.  The trial blocks from the one that holds
+    _PRIMORIAL_BOUND up go in one contiguous slice per _pool_workers()
+    process (a single slice is scanned here, without a pool), and each
+    slice builds its own blocks and scans the reduced rest.  The head's
+    primes in that first block no longer divide the rest, and every other
+    prime <= bound lies in exactly one block, so dividing out what each
+    slice divided out gives the cofactor, and a repeated prime shows in
+    its own slice.  A slice may stop early as _scan_blocks does, so the
+    cofactor is 1, a prime below bound**2, or free of primes <= bound,
+    and cofactor_tier gives it the same tier for any number of slices.
 
     On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py) the head
-    rejects a 5,600-bit candidate with 65521**2 in 2 ms and settles the
-    m of a squarefree x=400 run in under 1 ms.  A full scan takes 0.36 s
-    with the blocks after the head in one slice and 0.35 s in two workers
-    at 2048 bits, and 0.46 s and 0.26 s at 5,600 bits.
+    rejects a 5,600-bit candidate with 65521**2 in 0.9 ms and settles the
+    m of a squarefree x=400 run in 0.07 ms.  A full scan takes
+    0.36 s with the blocks after the head in one slice and 0.35 s in two
+    workers at 2048 bits, and 0.46 s and 0.26 s at 5,600 bits.
     """
     if m < 1:
         raise ValueError(f"trial_cofactor needs m >= 1, got {m}")
-    head = _trial_block_count(min(bound, _SCAN_HEAD_BOUND))
-    rest = _scan_blocks(m, _trial_blocks(min(bound, head * _TRIAL_BLOCK_SPAN)))
+    limit = min(bound, _PRIMORIAL_BOUND - 1)
+    rest = _scan_blocks(m, [(1, _primorial(limit))])
+    if rest is None or limit == bound or (limit + 1) ** 2 > rest:
+        return rest
+    head = (_PRIMORIAL_BOUND - 1) // _TRIAL_BLOCK_SPAN  # the block holding the bound
     blocks = _trial_block_count(bound)
     slices = min(_pool_workers(), blocks - head)
-    # the first block after the head starts at head * _TRIAL_BLOCK_SPAN + 1
-    if rest is None or slices < 1 or (head * _TRIAL_BLOCK_SPAN + 1) ** 2 > rest:
-        return rest
     if slices == 1:
         return _scan_slice(rest, bound, head, blocks)
     cuts = [head + (blocks - head) * i // slices for i in range(slices + 1)]
@@ -667,10 +651,10 @@ def cofactor_tier(
     """The tier of m from its trial_cofactor ``rest``: "proven", "prp",
     "partial" or "not_squarefree".
 
-    rest is 1, a prime, a proper perfect power, or opaque.  A prime is
-    "proven" when is_prime's verdict is a proof (below
-    MR_DETERMINISTIC_BOUND) and "prp" when it is only a BPSW probable
-    prime; the opaque case is left "partial" (possible for m > bound**2).
+    rest is 1, a prime, a proper perfect power, or opaque.  A prime takes
+    prime_tier's tier, "proven" when is_prime's verdict is a proof and
+    "prp" when it is only a BPSW probable prime; the opaque case is left
+    "partial" (possible for m > bound**2).
     The perfect-power test relies on the full scan, which leaves no prime
     factor <= bound; see _is_perfect_power.  With ``test_primality``
     false a prime above bound**2 is left "partial" too: the primality
@@ -680,7 +664,7 @@ def cofactor_tier(
         # a composite cofactor below bound^2 would need a factor <= bound
         return "proven"
     if test_primality and is_prime(rest):
-        return "proven" if rest < MR_DETERMINISTIC_BOUND else "prp"
+        return prime_tier(rest)
     if _is_perfect_power(rest, bound):
         return "not_squarefree"
     return "partial"

@@ -34,9 +34,9 @@ When N/B has PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, the
 search takes m = B*C with C the least prime C0 + j*(N/B), C0 = m0/B and
 j >= 1, above max(x, 2y) and so above every modulus
 (numtheory.find_prime_in_ap); C0 itself is never tried, even when it
-exceeds max(x, 2y).  So m is squarefree by construction, with tier
-"proven" when C < MR_DETERMINISTIC_BOUND and "prp" above.  Outside that
-window it takes the first member of m0 + j*N that the tiered trial scan
+exceeds max(x, 2y).  So m is squarefree by construction, with C's tier
+(numtheory.prime_tier: "proven" below 3.3*10^24, "prp" above).  Outside
+that window m is the first member of m0 + j*N that the tiered trial scan
 (numtheory.classify_squarefree) does not reject, with the scan's tier.
 
 The run's record is document.Certificate, as in kpower; squarefree adds
@@ -52,7 +52,6 @@ from .document import Certificate
 from .errors import CapacityError, SearchExhausted
 from .numtheory import (
     DEFAULT_PRIME_STEPS,
-    MR_DETERMINISTIC_BOUND,
     SQUAREFREE_TRIAL_BOUND,
     Congruence,
     class_congruences,
@@ -61,6 +60,7 @@ from .numtheory import (
     find_prime_in_ap,
     greedy_classes,
     large_band,
+    prime_tier,
     primes_upto,
     struck_witnesses,
     window_cover,
@@ -74,7 +74,7 @@ from .schedule import Schedule, shrink_to_capacity
 #     1000 to 5000 in steps of 100, the scan proves m at x = 1000, 1100,
 #     1200, 1300, 1500 and 1600, where N/B has 58 to 93 bits.  At 1000
 #     and 1600 (93 and 92 bits) a prime C, above N/B, would pass
-#     MR_DETERMINISTIC_BOUND (about 2^81.5) and be only "prp".  No x of
+#     3.3*10^24 (about 2^81.5) and be only "prp".  No x of
 #     that sweep with 94 or more bits is "proven"; 1700, 1800 and 2800
 #     (97, 103 and 96 bits) are "partial".
 #   * Above the window the search costs more than the scan.  Mean search
@@ -199,7 +199,7 @@ def _prime_cofactor(
     return SquarefreeSearch(
         m=b * c,
         steps=steps,
-        status="proven" if c < MR_DETERMINISTIC_BOUND else "prp",
+        status=prime_tier(c),
         candidates_tried=steps - skip,
     )
 
@@ -212,11 +212,11 @@ def find_squarefree_in_ap(
     With B = gcd(m0, N), the product of the residue-0 moduli: when N/B has
     PRIME_COFACTOR_MIN_BITS to PRIME_COFACTOR_MAX_BITS bits, m = B*C with
     C the least prime C0 + j*(N/B), j >= 1, above max(x, 2y)
-    (_prime_cofactor), "proven" when C < MR_DETERMINISTIC_BOUND and "prp"
-    above.  Otherwise the least such j whose member
-    classify_squarefree does not reject, with its tier: full when trial
-    factorization to the bound settles it, otherwise the partial tier is
-    recorded honestly.  Either search tries at most max_steps members.
+    (_prime_cofactor), with C's prime_tier.  Otherwise the least such j
+    whose member classify_squarefree does not reject, with its tier: full
+    when trial factorization to the bound settles it, otherwise the
+    partial tier is recorded honestly.  Either search tries at most
+    max_steps members.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -13,7 +13,7 @@ BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 def package_references(source):
     """(module, dotted attribute path) for every attribute chain rooted at
     a module the source imports from the package, such as
-    ("primeavoid.numtheory", "_trial_blocks.__wrapped__"), and for every
+    ("primeavoid.numtheory", "_primorial.cache_clear"), and for every
     name imported from a package module."""
     tree = ast.parse(source)
     aliases = {}  # local name -> package module
@@ -46,9 +46,10 @@ def resolves(module, path):
 
 def test_the_scan_finds_the_private_names():
     refs = package_references(BENCH.read_text())
-    for name in ("_root_table", "_trial_blocks.__wrapped__", "_strong_probable_prime",
-                 "_start_pool", "_pool_workers", "_SIEVE_DEPTH", "_SCAN_HEAD_BOUND"):
+    for name in ("_root_table", "_block_products", "_trial_block_count",
+                 "_start_pool", "_pool_workers", "_SIEVE_DEPTH", "_PRIMORIAL_BOUND"):
         assert ("primeavoid.numtheory", name) in refs
+    assert ("primeavoid.kernels", "strong_probable_prime") in refs
     assert ("primeavoid.schedule", "make_schedule") in refs
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from primeavoid import cli, kpower, numtheory, squarefree
+from primeavoid import cli, kernels, kpower, numtheory, squarefree
 from primeavoid import document as doc_mod
 from primeavoid.errors import DocumentError
 from primeavoid.kpower import construct_certificate_k
@@ -52,6 +52,17 @@ def test_construct_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = doc_mod.parse_document(out_path.read_text())
     assert doc["mode"] == "squarefree"
+
+
+def test_construct_to_an_unwritable_path_exits_73(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "cert.json"
+    code, out, err = run_cli(
+        capsys,
+        "construct", "--mode", "squarefree", "--x", "60", "--out", str(out_path),
+    )
+    assert code == 73 and out == ""
+    assert err.startswith("error: cannot write certificate: ")
+    assert "Traceback" not in err and not out_path.parent.exists()
 
 
 def test_construct_kpower_too_small_exits_2(capsys):
@@ -430,9 +441,16 @@ def test_partial_claim_skips_cofactor_primality(monkeypatch, partial_doc_text):
     def refuse(*args):
         raise CofactorPrimalityTested
 
+    round_below_2_64 = kernels.strong_probable_prime
+
+    def refuse_from_2_64(n, bases):
+        if n >= 2**64:
+            raise CofactorPrimalityTested
+        return round_below_2_64(n, bases)
+
     # every other number the verifier tests is below 2**64
     monkeypatch.setattr(numtheory, "_bpsw", refuse)
-    monkeypatch.setattr(numtheory, "_strong_probable_prime", refuse)
+    monkeypatch.setattr(kernels, "strong_probable_prime", refuse_from_2_64)
     report = doc_mod.verify_document(doc_mod.parse_document(partial_doc_text))
     assert report.ok and not report.notes
     for claimed in ("prp", "proven"):
@@ -644,6 +662,28 @@ def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tampe
     code, _, err = run_cli(capsys, "verify", str(bad))
     assert code == 65
     assert "malformed document" in err
+
+
+@pytest.mark.parametrize("shape", ["strings", "object"])
+def test_verify_congruence_that_is_not_a_pair_exits_65(tmp_path, capsys, shape):
+    # a two-character string unpacks as a residue and a modulus, and so do
+    # an object's keys: with its single-digit congruences written as "02",
+    # "03", "05" and "07", sf_x400 verified
+    doc = json.loads((FIXTURES / "sf_x400.json").read_text())
+    joined = ["".join(pair) for pair in doc["congruences"]]
+    assert [text for text in joined if len(text) == 2] == ["02", "03", "05", "07"]
+    if shape == "strings":
+        doc["congruences"] = [
+            text if len(text) == 2 else pair
+            for text, pair in zip(joined, doc["congruences"])
+        ]
+    else:
+        doc["congruences"] = {text: None for text in joined if len(text) == 2}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert "is not a two-element array" in err
 
 
 @pytest.mark.parametrize("fixture", ["sf_x40_explicit.json", "kp1_x200.json"])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from primeavoid import kernels, numtheory
 from primeavoid.errors import ConstructionError
 from primeavoid.numtheory import (
-    _MR_BASES,
     MR_DETERMINISTIC_BOUND,
     Congruence,
     crt_solve,
@@ -21,11 +20,11 @@ from primeavoid.numtheory import (
     kth_root_count,
     kth_roots_mod_p,
     mertens_product,
+    prime_tier,
     primes_upto,
     struck_witnesses,
     _bpsw,
     _strong_lucas_probable_prime,
-    _strong_probable_prime,
 )
 
 from oracles import greedy_classes as oracle_greedy_classes
@@ -48,6 +47,27 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
+
+
+# the references' own bases and round, kept apart from the base table and
+# the round in kernels
+THIRTEEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprimes to all of the first 1 to 7, 12 and 13
+# primes, the bounds of the base table
+TIER_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def strong_probable_prime_to(n, base):
+    """One strong probable-prime round: with n - 1 = d * 2**r, d odd,
+    base**d == 1 or base**(d * 2**i) == -1 (mod n) for some i < r."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
 
 
 def stepping_crt(congs):
@@ -143,10 +163,10 @@ def thirteen_base_is_prime(n):
     round to each: a proof below MR_DETERMINISTIC_BOUND."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in THIRTEEN_BASES:
         if n % p == 0:
             return n == p
-    return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return all(strong_probable_prime_to(n, a) for a in THIRTEEN_BASES)
 
 
 def test_is_prime_u64_matches_thirteen_base_test():
@@ -163,23 +183,47 @@ def test_is_prime_u64_refuses_each_tier_bound():
     # each bound is a strong pseudoprime to every base of the tiers below
     # it, so only the next tier's bases show it composite
     bounds = [bound for bound, _ in kernels._BASE_TIERS]
-    assert bounds == [
-        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-        341550071728321,
-    ]
+    assert bounds == list(TIER_BOUNDS)
+    sizes = [len(bases) for _, bases in kernels._BASE_TIERS]
+    assert sizes == [1, 2, 3, 4, 5, 6, 7, 12, 13]
+    assert MR_DETERMINISTIC_BOUND == bounds[-1]
     # 2047 = 23 * 89 falls to trial division, so the base-3 round of the
     # second tier also meets 8321 = 53 * 157, the least base-2 strong
-    # pseudoprime with no factor among the twelve witnesses
+    # pseudoprime with no factor among the thirteen witnesses
     for n, bases in [*kernels._BASE_TIERS, (8321, (2,))]:
-        assert all(_strong_probable_prime(n, a) for a in bases), n
-        assert not kernels.is_prime_u64(n), n
+        assert all(strong_probable_prime_to(n, a) for a in bases), n
+        assert kernels.strong_probable_prime(n, bases), n
+        assert not is_prime(n), n
+        if n < 2**64:
+            assert not kernels.is_prime_u64(n), n
+    # the twelve-base bound falls to base 41, which decides from there on,
+    # and the thirteen-base bound, above the table, to BPSW
+    psi12, psi13 = bounds[-2:]
+    assert not strong_probable_prime_to(psi12, 41)
+    assert all(strong_probable_prime_to(psi13, a) for a in THIRTEEN_BASES)
+    assert not _bpsw(psi13)
+
+
+def test_strong_probable_prime_matches_one_round_per_base():
+    rng = random.Random(29)
+    ns = [rng.getrandbits(bits) | 1 | (1 << (bits - 1)) for bits in (8, 40, 70, 90, 200)
+          for _ in range(40)]
+    ns += [*TIER_BOUNDS, 8321, 2**89 - 1]
+    for n in ns:
+        for t in (1, 2, 12, 13):
+            bases = THIRTEEN_BASES[:t]
+            expected = all(strong_probable_prime_to(n, a) for a in bases)
+            assert kernels.strong_probable_prime(n, bases) == expected, (n, t)
 
 
 def test_is_prime_u64_matches_thirteen_base_test_in_every_tier():
+    # the tiers below 2**64 through the kernel, and [2**64, psi12) and
+    # [psi12, psi13) through is_prime
     rng = random.Random(25)
-    edges = [2, *(bound for bound, _ in kernels._BASE_TIERS), 2**64]
+    edges = sorted([2, *TIER_BOUNDS, 2**64])
     for lo, hi in zip(edges, edges[1:]):
-        # every n of the one-base tier, where 41^2 is the least composite
+        test = kernels.is_prime_u64 if hi <= 2**64 else is_prime
+        # every n of the one-base tier, where 43^2 is the least composite
         # that trial division passes
         ns = [rng.randrange(lo, hi) for _ in range(60)] if lo > 2 else list(range(hi))
         ns += [lo, hi - 1]
@@ -191,7 +235,7 @@ def test_is_prime_u64_matches_thirteen_base_test_in_every_tier():
                 n += 1
             ns.append(n)
         for n in ns:
-            assert kernels.is_prime_u64(n) == thirteen_base_is_prime(n), n
+            assert test(n) == thirteen_base_is_prime(n), n
 
 
 def seeded_miller_rabin(n, seed=0, rounds=64):
@@ -200,18 +244,18 @@ def seeded_miller_rabin(n, seed=0, rounds=64):
     rounds with bases from a seeded generator.  Kept as a reference."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in THIRTEEN_BASES:
         if n % p == 0:
             return n == p
     rng = random.Random(seed)
     return all(
-        _strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(rounds)
+        strong_probable_prime_to(n, rng.randrange(2, n - 1)) for _ in range(rounds)
     )
 
 
 @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321])
 def test_bpsw_rejects_base2_strong_pseudoprimes(n):
-    assert _strong_probable_prime(n, 2)
+    assert kernels.strong_probable_prime(n, (2,))
     assert not _strong_lucas_probable_prime(n)
     assert not _bpsw(n)
 
@@ -219,7 +263,7 @@ def test_bpsw_rejects_base2_strong_pseudoprimes(n):
 @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
 def test_bpsw_rejects_strong_lucas_pseudoprimes(n):
     assert _strong_lucas_probable_prime(n)
-    assert not _strong_probable_prime(n, 2)
+    assert not kernels.strong_probable_prime(n, (2,))
     assert not _bpsw(n)
 
 
@@ -227,7 +271,7 @@ def test_bpsw_rejects_perfect_squares():
     # 1093^2 and 3511^2 (Wieferich squares) pass base 2, so only the
     # square check in the Lucas test stops them
     for q in (1093, 3511):
-        assert _strong_probable_prime(q * q, 2)
+        assert kernels.strong_probable_prime(q * q, (2,))
         assert not _bpsw(q * q)
     for q in (2**89 - 1, 2**127 - 1):
         assert not _strong_lucas_probable_prime(q * q)
@@ -238,6 +282,15 @@ def test_bpsw_rejects_perfect_squares():
 def test_bpsw_agrees_with_trial_division_small():
     for n in range(3, 20_000, 2):
         assert _bpsw(n) == trial_division_is_prime(n), n
+
+
+def test_prime_tier_turns_prp_at_the_last_table_bound():
+    below = TIER_BOUNDS[-1] - 1
+    while not is_prime(below):
+        below -= 1
+    above = next_prime(TIER_BOUNDS[-1])
+    assert prime_tier(below) == "proven" and prime_tier(above) == "prp"
+    assert prime_tier(2) == prime_tier(2**61 - 1) == "proven"
 
 
 def test_is_prime_bpsw_band():
@@ -267,10 +320,10 @@ def test_bpsw_matches_seeded_miller_rabin():
 def unscreened_is_prime(n):
     """is_prime above 2**64 without the primorial gcd: trial division by
     the thirteen bases, then Miller-Rabin or BPSW."""
-    if any(n % p == 0 for p in _MR_BASES):
+    if any(n % p == 0 for p in THIRTEEN_BASES):
         return False
     if n < MR_DETERMINISTIC_BOUND:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+        return all(strong_probable_prime_to(n, a) for a in THIRTEEN_BASES)
     return _bpsw(n)
 
 
@@ -287,7 +340,7 @@ def test_primorial_screen_rejects_small_factor_without_bpsw(monkeypatch):
     qs = (next_prime(2**64 + 1), next_prime(2**80))
     assert 65521 * qs[1] > MR_DETERMINISTIC_BOUND
     monkeypatch.setattr(numtheory, "_bpsw", forbidden)
-    monkeypatch.setattr(numtheory, "_strong_probable_prime", forbidden)
+    monkeypatch.setattr(kernels, "strong_probable_prime", forbidden)
     for q in qs:
         assert not is_prime(65521 * q)  # 65521 is the largest prime < 2**16
         assert not is_prime(2 * q) and not is_prime(3 * q)
@@ -321,9 +374,11 @@ def test_primorial_screen_keeps_every_verdict():
 
 
 def test_small_primorial_is_the_sequential_product():
-    product = numtheory._small_primorial()
+    product = numtheory._primorial(numtheory._PRIMORIAL_BOUND - 1)
     assert product == math.prod(primes_upto(2**16 - 1))
     assert product.bit_length() == 94027
+    for limit in (1, 2, 127, 1000):
+        assert numtheory._primorial(limit) == math.prod(primes_upto(limit))
     assert numtheory._balanced_product([]) == 1
     for n in range(1, 12):  # odd and even levels of the pairwise tree
         assert numtheory._balanced_product(range(1, n + 1)) == math.factorial(n)

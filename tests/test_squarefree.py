@@ -16,7 +16,6 @@ from primeavoid.numtheory import (
     _iroot,
     _is_perfect_power,
     _not_a_power,
-    _trial_blocks,
     avoidance_constant,
     classify_squarefree,
     cofactor_tier,
@@ -315,11 +314,18 @@ def test_classify_matches_reference():
         assert classify_squarefree(m, bound=bound) == reference_classify(m, bound), m
 
 
+def trial_blocks(bound):
+    """Every trial block of the primes <= bound, as the scan's slices
+    build them."""
+    count = numtheory._trial_block_count(bound)
+    return list(numtheory._block_products(bound, 0, count))
+
+
 @pytest.mark.parametrize("bound", [127, 1000, 1386, 1387, 10**5])
 def test_trial_blocks_hold_the_primes_in_order(bound):
     expected = primes_upto(bound)
     i, previous = 0, 0
-    for lo, product in _trial_blocks(bound):
+    for lo, product in trial_blocks(bound):
         # the early exit needs lo <= every prime not yet scanned
         assert previous < lo <= expected[i]
         while i < len(expected) and product % expected[i] == 0:
@@ -359,17 +365,18 @@ def test_power_screen_keeps_every_verdict():
 # -- pooled trial scan ----------------------------------------------------------
 
 POOL_WORKERS = 3  # more than the cores of a 2-core host, and odd
-POOL_BOUND = 10**5  # 73 trial blocks: a head of 48 and slices of 8, 8 and 9
+POOL_BOUND = 10**5  # 73 trial blocks: slices of 8, 9 and 9 from block 47
 BIG_PRIME = 2**89 - 1  # above POOL_BOUND**2, so no scan stops early
-ONE_BLOCK = numtheory._TRIAL_BLOCK_SPAN  # a head bound that gives one block
+ONE_BLOCK = numtheory._TRIAL_BLOCK_SPAN
+# the block that holds 2^16, where the slices start: the head, the primes
+# below 2^16, is one gcd with their product
+HEAD_BLOCK = (2**16 - 1) // ONE_BLOCK
 
 
-def pool_slices(bound, workers=POOL_WORKERS, head_bound=numtheory._SCAN_HEAD_BOUND):
-    """The block ranges the head and each worker scan, as
-    trial_cofactor lays them out for a head of the primes below
-    ``head_bound``."""
-    blocks = len(_trial_blocks(bound))
-    head = len(_trial_blocks(min(bound, head_bound)))
+def pool_slices(bound, workers=POOL_WORKERS, head=HEAD_BLOCK):
+    """The block ranges the head and each worker scan, as trial_cofactor
+    lays them out when its slices start at block ``head``."""
+    blocks = numtheory._trial_block_count(bound)
     cuts = [head + (blocks - head) * i // workers for i in range(workers + 1)]
     return [(0, head), *zip(cuts, cuts[1:])]
 
@@ -408,16 +415,19 @@ def assert_paths_agree(here, pooled, m, bound, expected=None):
 
 
 def planted_primes(bound):
-    """2, which the first block holds, the largest prime <= bound, and for
-    each range of the layout, a prime in its middle and the primes on
-    both sides of its start.  The ranges are those of the scan's own
-    layout and of the layout with a one-block head, whose boundaries fall
-    inside the head and inside the slices."""
+    """2, which the first block holds, the largest prime <= bound, 65537,
+    the least prime above 2^16 and so the first that only the slices
+    scan, and for each range of the layout, a prime in its middle and the
+    primes on both sides of its start.  The ranges are those of the
+    scan's own layout, of the layout one block later, whose boundaries
+    fall on both sides of the end of the block that holds 2^16, and of the
+    layout with a one-block head, whose boundaries fall inside the head
+    and inside the slices."""
     primes = primes_upto(bound)
-    lows = [lo for lo, _ in _trial_blocks(bound)]
-    planted = {primes[-1]}
-    for head_bound in (ONE_BLOCK, numtheory._SCAN_HEAD_BOUND):
-        for start, stop in pool_slices(bound, head_bound=head_bound):
+    lows = [lo for lo, _ in trial_blocks(bound)]
+    planted = {primes[-1], 65537}
+    for head in (1, HEAD_BLOCK, HEAD_BLOCK + 1):
+        for start, stop in pool_slices(bound, head=head):
             middle = lows[(start + stop) // 2]
             planted.add(next(p for p in primes if p >= middle))
             if start:
@@ -435,9 +445,9 @@ def test_pooled_scan_finds_planted_prime(monkeypatch, p, times):
     assert (pooled is None) == (times == 2)
     assert pooled in (None, BIG_PRIME)
     # a repeated prime of the head is found before any pool starts
-    (_, head), *_ = pool_slices(POOL_BOUND)
-    head_repeat = times == 2 and p < _trial_blocks(POOL_BOUND)[head][0]
+    head_repeat = times == 2 and p < 2**16
     assert started == ([] if head_repeat else [POOL_WORKERS])
+
 
 
 @pytest.mark.parametrize("times", [1, 2])
@@ -496,8 +506,6 @@ def test_trial_cofactor_rejects_m_below_one():
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-# the head's blocks end here, at the end of the block holding 2^16
-HEAD_END = numtheory._trial_block_count(numtheory._SCAN_HEAD_BOUND) * ONE_BLOCK
 
 
 @pytest.mark.parametrize(
@@ -509,8 +517,8 @@ HEAD_END = numtheory._trial_block_count(numtheory._SCAN_HEAD_BOUND) * ONE_BLOCK
     ids=["48-bit", "sf_x400"],
 )
 def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
-    # the head leaves these a cofactor below the square of the next
-    # block's lower end, so the check sieves no further than the head
+    # the head leaves these a cofactor below 2^32, the square of the next
+    # prime, so the check sieves only the head's primes, below 2^16
     limits = []
     odd_sieve = kernels.odd_sieve
 
@@ -518,10 +526,10 @@ def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
         limits.append(limit)
         return odd_sieve(limit, lo)
 
-    numtheory._trial_blocks.cache_clear()
+    numtheory._primorial.cache_clear()
     monkeypatch.setattr(kernels, "odd_sieve", recording_odd_sieve)
     assert classify_squarefree(m) == "proven"
-    assert limits and max(limits) <= HEAD_END < 2**16 + ONE_BLOCK
+    assert limits == [2**16 - 1]
 
 
 def test_find_squarefree_micro(micro):
