@@ -159,18 +159,24 @@ def workloads(quick):
          lambda: [kernels.is_prime_u64(q) for q in sf_moduli]),
     ]
 
-    # the head alone, one gcd with the primes below
-    # numtheory._PRIMORIAL_BOUND (numtheory._primorial, built once): a
-    # 5,600-bit candidate that the square of the largest prime below 2^16
-    # divides, and the m of a squarefree x=400 run, whose cofactor the
-    # head leaves prime
+    # the head alone, the primes below numtheory._PRIMORIAL_BOUND in their
+    # trial blocks (numtheory._head_blocks, built once): 5,600-bit
+    # candidates that the square of 2, of 3 (the common rejects, ended by
+    # the first block) and of the largest prime below 2^16 divide, and the
+    # m of a squarefree x=400 run, whose cofactor the head leaves prime;
+    # 100 scans each
     head_p = max(kernels.sieve_primes(numtheory._PRIMORIAL_BOUND - 1))
     x400_m = squarefree.construct_certificate(make_schedule(400)).m
+
+    def heads(m):
+        job = scan(m, 2)
+        return lambda: [job() for _ in range(100)]
+
     head_rows = [
-        ("head: p^2 | m, p=%d, 5600 bits" % head_p,
-         scan(scan_input(5600) * head_p**2, 2)),
-        ("head: m of squarefree x=400, %d bits" % x400_m.bit_length(),
-         scan(x400_m, 2)),
+        *[("head: p^2 | m, p=%d, 5600 bits x100" % p, heads(scan_input(5600) * p**2))
+          for p in (2, 3, head_p)],
+        ("head: m of squarefree x=400, %d bits x100" % x400_m.bit_length(),
+         heads(x400_m)),
     ]
 
     return [

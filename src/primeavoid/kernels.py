@@ -1,6 +1,6 @@
 """Fixed-width inner loops: sieve, the strong-probable-prime round and the
-table of bases that makes it a proof, u64 primality, Jacobi symbols,
-residue-class striking and stamping, and sifted counts.
+table of bases that makes it a proof (proof_bases), u64 primality,
+Jacobi symbols, residue-class striking and stamping, and sifted counts.
 
 All inputs are machine-range integers, except strong_probable_prime,
 which takes any int: numtheory runs it above 2**64 too.  Callers reach
@@ -94,17 +94,21 @@ def strong_probable_prime(n, bases):
     return True
 
 
+def proof_bases(n):
+    """The bases of the first row of _BASE_TIERS above n: they decide n."""
+    return next(b for bound, b in _BASE_TIERS if n < bound)
+
+
 def is_prime_u64(n):
     """Deterministic strong-pseudoprime test, n < 2**64: trial division by
-    the witnesses, then strong_probable_prime to the bases of the least
-    tier of _BASE_TIERS whose bound exceeds n (twelve from 341550071728321
-    up)."""
+    the witnesses, then strong_probable_prime to proof_bases(n) (twelve
+    from 341550071728321 up)."""
     if n < 2:
         return False
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
-    return strong_probable_prime(n, next(b for bound, b in _BASE_TIERS if n < bound))
+    return strong_probable_prime(n, proof_bases(n))
 
 
 def jacobi_sym(a, n):

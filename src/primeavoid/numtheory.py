@@ -35,13 +35,13 @@ from .errors import ConstructionError, SearchExhausted
 # passes but which is not a proof.
 MR_DETERMINISTIC_BOUND = kernels._BASE_TIERS[-1][0]
 # is_prime screens n >= 2**64 by one gcd with the product of the primes
-# below this bound (about 94k bits, built on first use), and a trial scan
-# starts with the same gcd (the head).  Each band-one prime p of a
-# squarefree run divides its m by construction, so p*p divides a
-# candidate with chance 1/p; the head settles all of those below the
-# bound at once.  A small m, such as a small-x search's, is settled by the
-# head alone: its cofactor falls below the square of the bound, so no
-# trial block is built.
+# below this bound, and a trial scan starts with the trial blocks it is
+# taken over (the head; both built on first use).  Each band-one prime p
+# of a squarefree run divides its m by construction, so p*p divides a
+# candidate with chance 1/p: most rejects end in the head's first block,
+# 24 times cheaper at 5,600 bits than a gcd with the whole product.  A
+# small m, such as a small-x search's, is settled by the head alone: its
+# cofactor falls below the square of the bound.
 _PRIMORIAL_BOUND = 2**16
 
 SIEVE_LIMIT = 10**8
@@ -182,21 +182,13 @@ def _start_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _balanced_product(values) -> int:
-    """The product of ``values``, multiplied pairwise level by level, so
-    that large operands meet only near the root, where CPython's Karatsuba
-    multiplication pays, instead of one small factor at a time."""
-    level = list(values) or [1]
-    while len(level) > 1:
-        odd = level[-1:] if len(level) % 2 else []
-        level = [a * b for a, b in zip(level[::2], level[1::2])] + odd
-    return level[0]
-
-
 @lru_cache(maxsize=4)
 def _primorial(limit: int) -> int:
-    """Product of the primes <= limit (94,027 bits at _PRIMORIAL_BOUND - 1)."""
-    return _balanced_product(kernels.iter_primes(limit))
+    """Product of the primes <= limit (94,027 bits at _PRIMORIAL_BOUND - 1),
+    over _head_blocks: eight interleaved partial products first, so that
+    large operands meet only in the last seven multiplications."""
+    blocks = [product for _, product in _head_blocks(limit)]
+    return math.prod(math.prod(blocks[i::8]) for i in range(8))
 
 
 def _bpsw(n: int) -> bool:
@@ -209,9 +201,9 @@ def is_prime(n: int) -> bool:
     """Primality test, deterministic for every n.
 
     Below MR_DETERMINISTIC_BOUND (about 3.3e24) the verdict is a proof:
-    kernels.strong_probable_prime to the bases of the least tier of the
-    kernels' base table whose bound exceeds n, the first one to thirteen
-    primes by the size of n (below 2**64 through kernels.is_prime_u64).
+    kernels.strong_probable_prime to kernels.proof_bases(n), the first one
+    to thirteen primes by the size of n (below 2**64 through
+    kernels.is_prime_u64).
     Above that bound the verdict is BPSW's: "False" is a proof of
     compositeness, "True" means a BPSW probable prime (prime_tier).
     From 2**64 up, one gcd with the product of the primes below 2**16
@@ -225,8 +217,7 @@ def is_prime(n: int) -> bool:
     if math.gcd(n, _primorial(_PRIMORIAL_BOUND - 1)) != 1:
         return False
     if n < MR_DETERMINISTIC_BOUND:
-        bases = next(b for bound, b in kernels._BASE_TIERS if n < bound)
-        return kernels.strong_probable_prime(n, bases)
+        return kernels.strong_probable_prime(n, kernels.proof_bases(n))
     return _bpsw(n)
 
 
@@ -570,6 +561,12 @@ def _block_products(bound: int, start: int, stop: int):
             yield first, product
 
 
+@lru_cache(maxsize=4)
+def _head_blocks(limit: int) -> tuple[tuple[int, int], ...]:
+    """The trial blocks of the primes <= limit, built once per process."""
+    return tuple(_block_products(limit, 0, _trial_block_count(limit)))
+
+
 def _scan_blocks(rest: int, blocks) -> int | None:
     """rest with every prime of ``blocks`` that divides it divided out
     once, or None when one of them divides it twice.
@@ -602,10 +599,10 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     """m with the primes <= bound divided out once each, or None when one
     of those primes divides m twice (m >= 1).
 
-    The head, the primes up to min(bound, _PRIMORIAL_BOUND - 1), is one
-    block, their product (_primorial), scanned here (_scan_blocks): a
-    repeated prime there, or a rest below the square of the next prime,
-    ends the scan.  The trial blocks from the one that holds
+    The head, the primes up to limit = min(bound, _PRIMORIAL_BOUND - 1),
+    is scanned here in cached blocks (_head_blocks, _scan_blocks): a
+    repeated prime there, or a rest below (limit + 1)**2, 2**32 for the
+    full head, ends the scan.  The trial blocks from the one that holds
     _PRIMORIAL_BOUND up go in one contiguous slice per _pool_workers()
     process (a single slice is scanned here, without a pool), and each
     slice builds its own blocks and scans the reduced rest.  The head's
@@ -617,15 +614,16 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     and cofactor_tier gives it the same tier for any number of slices.
 
     On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py) the head
-    rejects a 5,600-bit candidate with 65521**2 in 0.9 ms and settles the
-    m of a squarefree x=400 run in 0.07 ms.  A full scan takes
-    0.36 s with the blocks after the head in one slice and 0.35 s in two
-    workers at 2048 bits, and 0.46 s and 0.26 s at 5,600 bits.
+    rejects a 5,600-bit candidate with 2**2 in 0.03 ms and with 65521**2
+    in 1.4 ms, and settles the m of a squarefree x=400 run in 0.003 ms.
+    A full scan takes 0.36 s with the blocks after the head in one slice
+    and 0.35 s in two workers at 2048 bits, and 0.46 s and 0.26 s at
+    5,600 bits.
     """
     if m < 1:
         raise ValueError(f"trial_cofactor needs m >= 1, got {m}")
     limit = min(bound, _PRIMORIAL_BOUND - 1)
-    rest = _scan_blocks(m, [(1, _primorial(limit))])
+    rest = _scan_blocks(m, _head_blocks(limit))
     if rest is None or limit == bound or (limit + 1) ** 2 > rest:
         return rest
     head = (_PRIMORIAL_BOUND - 1) // _TRIAL_BLOCK_SPAN  # the block holding the bound

@@ -204,6 +204,14 @@ def test_is_prime_u64_refuses_each_tier_bound():
     assert not _bpsw(psi13)
 
 
+def test_proof_bases_takes_the_least_tier_above_n():
+    lows = [2, *TIER_BOUNDS]
+    for lo, (bound, bases) in zip(lows, kernels._BASE_TIERS):
+        assert kernels.proof_bases(lo) == kernels.proof_bases(bound - 1) == bases
+    with pytest.raises(StopIteration):
+        kernels.proof_bases(MR_DETERMINISTIC_BOUND)
+
+
 def test_strong_probable_prime_matches_one_round_per_base():
     rng = random.Random(29)
     ns = [rng.getrandbits(bits) | 1 | (1 << (bits - 1)) for bits in (8, 40, 70, 90, 200)
@@ -379,9 +387,6 @@ def test_small_primorial_is_the_sequential_product():
     assert product.bit_length() == 94027
     for limit in (1, 2, 127, 1000):
         assert numtheory._primorial(limit) == math.prod(primes_upto(limit))
-    assert numtheory._balanced_product([]) == 1
-    for n in range(1, 12):  # odd and even levels of the pairwise tree
-        assert numtheory._balanced_product(range(1, n + 1)) == math.factorial(n)
 
 
 # -- worker processes -------------------------------------------------------

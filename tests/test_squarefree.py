@@ -369,7 +369,7 @@ POOL_BOUND = 10**5  # 73 trial blocks: slices of 8, 9 and 9 from block 47
 BIG_PRIME = 2**89 - 1  # above POOL_BOUND**2, so no scan stops early
 ONE_BLOCK = numtheory._TRIAL_BLOCK_SPAN
 # the block that holds 2^16, where the slices start: the head, the primes
-# below 2^16, is one gcd with their product
+# below 2^16, is scanned in its own cached blocks
 HEAD_BLOCK = (2**16 - 1) // ONE_BLOCK
 
 
@@ -449,7 +449,6 @@ def test_pooled_scan_finds_planted_prime(monkeypatch, p, times):
     assert started == ([] if head_repeat else [POOL_WORKERS])
 
 
-
 @pytest.mark.parametrize("times", [1, 2])
 def test_pooled_scan_reaches_the_last_prime_below_the_bound(monkeypatch, times):
     p = 9_999_991
@@ -499,6 +498,26 @@ def test_head_rejects_a_repeated_prime_below_2_16_without_a_pool(monkeypatch, p)
     assert classify_squarefree(m) == "not_squarefree"
 
 
+def test_head_rejects_a_small_repeated_prime_in_its_first_block(monkeypatch):
+    # most rejected candidates end here, at a band-one prime whose square
+    # divides them: one gcd with a block of about TRIAL_BLOCK_BITS bits,
+    # not with the product of every prime below 2^16
+    head = numtheory._head_blocks(2**16 - 1)
+    assert head[0][1].bit_length() < numtheory.TRIAL_BLOCK_BITS * 1.1
+    scanned = []
+
+    def recording_head(limit):
+        for block in head:
+            scanned.append(block)
+            yield block
+
+    monkeypatch.setattr(numtheory, "_head_blocks", recording_head)
+    for p in (2, 3, 5, 7, primes_upto(ONE_BLOCK)[-1]):
+        scanned.clear()
+        assert trial_cofactor(BIG_PRIME * p * p) is None, p
+        assert scanned == [head[0]], p
+
+
 def test_trial_cofactor_rejects_m_below_one():
     for m in (0, -5):
         with pytest.raises(ValueError, match="m >= 1"):
@@ -517,8 +536,8 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
     ids=["48-bit", "sf_x400"],
 )
 def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
-    # the head leaves these a cofactor below 2^32, the square of the next
-    # prime, so the check sieves only the head's primes, below 2^16
+    # the head leaves these a cofactor below (limit + 1)**2, 2**32 for the
+    # full head, so the check sieves only the head's primes, below 2^16
     limits = []
     odd_sieve = kernels.odd_sieve
 
@@ -526,7 +545,7 @@ def test_small_m_builds_no_block_above_the_head(monkeypatch, m):
         limits.append(limit)
         return odd_sieve(limit, lo)
 
-    numtheory._primorial.cache_clear()
+    numtheory._head_blocks.cache_clear()
     monkeypatch.setattr(kernels, "odd_sieve", recording_odd_sieve)
     assert classify_squarefree(m) == "proven"
     assert limits == [2**16 - 1]
