@@ -13,7 +13,7 @@ import math
 import random
 import time
 
-from primeavoid import kernels, kpower, numtheory, squarefree
+from primeavoid import document, kernels, kpower, numtheory, squarefree
 from primeavoid.schedule import make_schedule
 
 
@@ -159,6 +159,15 @@ def workloads(quick):
          lambda: [kernels.is_prime_u64(q) for q in sf_moduli]),
     ]
 
+    # the serializer and the parser on the squarefree x=10^4 document
+    sf_doc = document.certificate_to_document(sf_cert)
+    sf_text = document.document_to_json(sf_doc)
+    document_rows = [
+        ("document_to_json sf x=1e4, %d bytes" % len(sf_text),
+         lambda: document.document_to_json(sf_doc)),
+        ("parse_document sf x=1e4", lambda: document.parse_document(sf_text)),
+    ]
+
     # the head alone, the primes below numtheory._PRIMORIAL_BOUND in their
     # trial blocks (numtheory._head_blocks, built once): 5,600-bit
     # candidates that the square of 2, of 3 (the common rejects, ended by
@@ -211,6 +220,7 @@ def workloads(quick):
         *scan_rows(5600),
         *prime_c_rows,
         *witness_rows,
+        *document_rows,
         *head_rows,
     ]
 

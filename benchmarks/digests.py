@@ -6,11 +6,13 @@ Usage:
     PYTHONPATH=src python benchmarks/digests.py
 
 Each run goes through ``primeavoid construct`` in-process.  The digest
-is taken over the canonical JSON (sorted keys, two-space indent, one
-trailing newline) of the document less its ``format_version``, as
-tests/test_fixtures.py pins the benchmark's instances, so a format bump
-that leaves a document's content alone keeps its line.  Two checkouts
-build byte-identical documents on this grid exactly when they print the
+is taken over the document's content: the document less its
+``format_version``, rendered with sorted keys, a two-space indent and one
+trailing newline, as tests/test_fixtures.py pins the benchmark's
+instances.  That form is fixed here and is not the canonical rendering
+(compact since format 1.9), so a format bump that leaves a document's
+content alone, whitespace included, keeps its line.  Two checkouts build
+documents of the same content on this grid exactly when they print the
 same lines: diff the output of one against the other's.
 """
 

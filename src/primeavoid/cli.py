@@ -155,14 +155,14 @@ def _load_document(path: str) -> dict:
     from . import document as doc_mod
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_NO_CERTIFICATE) from exc
     try:
-        return doc_mod.parse_document(text)
-    except DocumentError as exc:
+        return doc_mod.parse_document(data.decode("utf-8"))
+    except (DocumentError, UnicodeDecodeError) as exc:
         print(f"error: malformed document: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_DOCUMENT) from exc
 

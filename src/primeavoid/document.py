@@ -10,8 +10,8 @@ m^k (of m in squarefree mode) mod q; an offset u then costs the small-int
 checks q | r_q + u + shift and q - u - shift < m^k (shift 0 squarefree,
 -1 kpower), so no element m^k + u + shift is built.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
-residue-0 moduli and C a prime not dividing B (what formats 1.7 and
-1.8 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
+residue-0 moduli and C a prime not dividing B (what formats 1.7 to
+1.9 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
 scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.
 
@@ -49,7 +49,7 @@ from .numtheory import (
 if TYPE_CHECKING:  # the verifier never imports the schedule module
     from .schedule import Schedule
 
-FORMAT_VERSION = "1.8"
+FORMAT_VERSION = "1.9"
 
 
 @contextmanager
@@ -136,8 +136,12 @@ kcertificate_to_document = certificate_to_document
 
 
 def document_to_json(doc: dict) -> str:
-    """Canonical rendering; identical documents give identical bytes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical rendering: sorted keys, no whitespace between tokens and
+    one trailing newline (since format 1.9; 1.8 indented by two spaces
+    and held the same content).  Without ``indent``, ``json.dumps`` runs
+    CPython's C encoder.  Identical documents give identical bytes;
+    ``python -m json.tool`` indents one for reading."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 _REQUIRED_KEYS = (
@@ -183,6 +187,8 @@ def parse_document(text: str) -> dict:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the limit
+        raise DocumentError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     for key in _REQUIRED_KEYS:
@@ -192,8 +198,10 @@ def parse_document(text: str) -> dict:
     # primes assigned or matched and m searched for, in what ``sets`` and
     # ``metrics`` list, and in the schedule keys besides y and k; verify
     # reads none of that, as it checks each witness by its division and m
-    # by its factors
-    readable = ("1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7", FORMAT_VERSION)
+    # by its factors.  1.8 differs from 1.9 only in whitespace
+    readable = (
+        "1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7", "1.8", FORMAT_VERSION
+    )
     if doc["format_version"] not in readable:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
@@ -217,6 +225,9 @@ def parse_document(text: str) -> dict:
             _integer(entry["u"])
             if not isinstance(entry["status"], str):
                 raise TypeError(f"exception status {entry['status']!r} is not a string")
+        for key in ("congruences", "cover", "exceptions"):
+            if type(doc[key]) is not list:  # an empty object passes the loops above
+                raise TypeError(f"{key} is not an array")
         if _integer(doc["schedule"]["y"]) < 0:
             raise ValueError("schedule.y must be at least 0")
         if (k := _integer(doc["schedule"]["k"])) < 1:

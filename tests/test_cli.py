@@ -622,6 +622,40 @@ def test_verify_malformed_exits_65(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"\xff\xfe", "can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+    ],
+    ids=["not-utf-8", "nested-past-the-recursion-limit"],
+)
+def test_verify_unreadable_json_exits_65(tmp_path, capsys, data, reason):
+    # each raised out of the CLI with a traceback, and exit 1 claimed that
+    # a certificate had failed
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 65
+    assert "error: malformed document" in err and reason in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("key", ["cover", "exceptions", "congruences"])
+def test_verify_list_given_as_an_object_exits_65(tmp_path, capsys, key):
+    # an empty object iterates as an empty list: it passed the parse, and
+    # verify then judged the document, FAILED with exit 1 (or, for the
+    # exceptions of a squarefree document, OK)
+    doc = json.loads((FIXTURES / "sf_x40_explicit.json").read_text())
+    doc[key] = {}
+    bad = tmp_path / "object.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(bad))
+    assert code == 65
+    assert f"malformed document: malformed field: {key} is not an array" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "tamper",
     [
         lambda doc: doc.update(exceptions=[{"u": "abc", "status": "prime"}]),
@@ -765,7 +799,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.9", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.10", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):

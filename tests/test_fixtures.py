@@ -1,8 +1,9 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.7/) still
-verify.  A kpower k=2, x=3*10^4 certificate
+documents of every earlier format (tests/fixtures/v1.0/ to v1.8/) still
+verify, and every committed document re-renders to the compact canonical
+form of its own content.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
 golden copy, and the benchmark's seed-0 instances keep their documents'
 sha256."""
@@ -10,6 +11,7 @@ sha256."""
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from primeavoid.document import (
     certificate_to_document,
     document_to_json,
     kcertificate_to_document,
+    parse_document,
     unlimited_int_digits,
 )
 from primeavoid.kpower import construct_certificate_k
@@ -159,7 +162,38 @@ def test_fixture_differs_from_1_7_only_in_version(name):
     # format 1.8 gave the kpower band primes q <= y greedy classes, which
     # no fixture reaches: kp1 and kp2 leave no U7 offset, and the bands of
     # kp3 and kp5 start above y
-    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.7", ("1.8", "1.7"))
+    assert_differ_only_in_version(
+        name, FIXTURES / "v1.8", FIXTURES / "v1.7", ("1.8", "1.7")
+    )
+
+
+@each_case
+def test_fixture_differs_from_1_8_only_in_version(name):
+    # format 1.9 dropped the whitespace between tokens and nothing else
+    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.8", ("1.9", "1.8"))
+
+
+# a JSON string literal, escapes included; what is left outside them must
+# hold no whitespace but the one final newline
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def assert_compact(text):
+    assert text.endswith("}\n")
+    assert not re.search(r"\s", STRING.sub("", text[:-1]))
+
+
+ALL_FIXTURES = sorted(
+    path.relative_to(FIXTURES).as_posix() for path in FIXTURES.rglob("*.json")
+)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_every_fixture_re_renders_compact_with_the_same_content(name):
+    text = (FIXTURES / name).read_text()
+    rendered = document_to_json(parse_document(text))
+    assert_compact(rendered)
+    assert json.loads(rendered) == json.loads(text)
 
 
 def assert_round_trip(tmp_path, capsys, *args):
@@ -179,12 +213,15 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 
 
 # The seed-0 instances of the benchmark's two workloads (e2ebench/run.py),
-# built in-process, with the sha256 of their canonical documents less
-# format_version: the fixtures stop at x=2000, so these pin byte identity
-# at benchmark scale.  The version is asserted on its own, so a format
-# bump that leaves a document's content alone keeps its digest, and one
-# that changes the content shows as a changed digest.
-BENCHMARK_FORMAT = "1.8"
+# built in-process, with the sha256 of their content: the document less
+# format_version, rendered with sorted keys and a two-space indent as
+# benchmarks/digests.py renders it.  The fixtures stop at x=2000, so these
+# pin the content at benchmark scale.  The version is asserted on its own,
+# and the content form is not the canonical rendering, so a format bump
+# that leaves a document's content alone, as 1.9's compact rendering did,
+# keeps its digest, and one that changes the content shows as a changed
+# digest.
+BENCHMARK_FORMAT = "1.9"
 BENCHMARK_DIGESTS = {
     ("squarefree", 1, 10_000): (
         "05286ee0bc334f7588257c69a57a0e053f7080f8df23043f59f0ed96feeec91d"
@@ -206,5 +243,6 @@ def test_benchmark_instance_document_digest(mode, k, x):
     else:
         doc = kcertificate_to_document(construct_certificate_k(sch))
     assert doc.pop("format_version") == BENCHMARK_FORMAT
-    digest = hashlib.sha256(document_to_json(doc).encode()).hexdigest()
+    content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(content.encode()).hexdigest()
     assert digest == BENCHMARK_DIGESTS[mode, k, x]

@@ -150,10 +150,28 @@ def test_is_prime_agrees_with_trial_division_small():
         assert is_prime(n) == trial_division_is_prime(n), n
 
 
+# the least strong pseudoprime to the first 12 prime bases (psi_12)
+PSI_12 = TIER_BOUNDS[-2]
+
+
 def test_is_prime_big_deterministic_band():
-    # 2^89 - 1 is a Mersenne prime; its neighbors are composite
+    # [2^64, MR_DETERMINISTIC_BOUND): 2^79 - 67 is the largest prime below
+    # 2^79, so the 66 numbers above it are composite, and psi_12 passes a
+    # round to every base but the thirteenth
+    top = 2**79
+    assert 2**64 < PSI_12 < top < MR_DETERMINISTIC_BOUND
+    assert is_prime(top - 67) and prime_tier(top - 67) == "proven"
+    assert not any(is_prime(n) for n in range(top - 66, top))
+    assert all(strong_probable_prime_to(PSI_12, a) for a in THIRTEEN_BASES[:12])
+    assert not is_prime(PSI_12)
+
+
+def test_is_prime_big_bpsw_band():
+    # 2^89 - 1 is a Mersenne prime above MR_DETERMINISTIC_BOUND, so a prp;
+    # its neighbors are composite
     m = 2**89 - 1
-    assert is_prime(m)
+    assert m > MR_DETERMINISTIC_BOUND
+    assert is_prime(m) and prime_tier(m) == "prp"
     assert not is_prime(m - 2)
     assert not is_prime(m + 2)
 
