@@ -8,10 +8,14 @@ Each handler imports the modules its command runs and no others, so
 that ``verify`` loads no construction code and ``construct`` only the
 mode it runs.
 
-Exit codes: 0 success, 1 verification/bench failure, 2 capacity failure,
-3 search exhaustion, 64 usage error, 65 malformed document, 66 missing
-certificate file, 70 internal error (a construction consistency check
-failed), 73 certificate file that cannot be written.
+Handlers only raise; ``main`` maps each failure to its exit code and
+stderr line by one table, FAILURES.  Exit codes: 0 success, 1 a refuted
+certificate or a violated sieve bound (and nothing else), 2 capacity
+failure, 3 search exhaustion, 64 usage error, 65 malformed document,
+66 certificate file that cannot be read, 70 internal error (a
+construction consistency check failed, or any failure the table does
+not name, such as a worker pool that cannot start), 73 certificate file
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -32,6 +36,25 @@ EXIT_BAD_DOCUMENT = 65
 EXIT_NO_CERTIFICATE = 66
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 EXIT_CANNOT_WRITE = 73  # sysexits EX_CANTCREAT
+
+# (exception types, exit code, stderr prefix); the first match wins, so
+# ConstructionError, a ValueError, comes before ValueError
+FAILURES = (
+    (CapacityError, EXIT_CAPACITY, "capacity failure"),
+    (SearchExhausted, EXIT_EXHAUSTED, "search exhausted"),
+    ((DocumentError, UnicodeDecodeError), EXIT_BAD_DOCUMENT, "error: malformed document"),
+    (ConstructionError, EXIT_INTERNAL, "internal error"),
+    (ValueError, EXIT_USAGE, "error"),
+    (Exception, EXIT_INTERNAL, "internal error"),
+)
+
+
+class CertificateFileError(Exception):
+    """A certificate file that cannot be read (exit 66) or written (73)."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _positive_int(text: str) -> int:
@@ -96,55 +119,36 @@ def _cmd_construct(args) -> int:
     from .numtheory import DEFAULT_PRIME_STEPS
     from .schedule import make_schedule
 
-    try:
-        sch = make_schedule(
-            args.x,
-            k=args.k,
-            profile=args.profile,
-            z=args.z,
-            y=args.y,
-            autoshrink=not args.no_autoshrink,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    sch = make_schedule(
+        args.x,
+        k=args.k,
+        profile=args.profile,
+        z=args.z,
+        y=args.y,
+        autoshrink=not args.no_autoshrink,
+    )
     max_steps = args.max_steps or DEFAULT_PRIME_STEPS
-    try:
-        if args.mode == "squarefree":
-            from . import squarefree
+    if args.mode == "squarefree":
+        from . import squarefree
 
-            cert = squarefree.construct_certificate(sch, max_steps=max_steps)
-        else:
-            from . import kpower
+        cert = squarefree.construct_certificate(sch, max_steps=max_steps)
+    else:
+        from . import kpower
 
-            cert = kpower.construct_certificate_k(
-                sch,
-                reduced=args.reduced_modulus == "on",
-                max_steps=max_steps,
-            )
-        doc = doc_mod.certificate_to_document(cert, seed=args.seed)
-    except CapacityError as exc:
-        print(f"capacity failure: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except SearchExhausted as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (ConstructionError, RuntimeError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    text = doc_mod.document_to_json(doc)
+        cert = kpower.construct_certificate_k(
+            sch,
+            reduced=args.reduced_modulus == "on",
+            max_steps=max_steps,
+        )
+    text = doc_mod.document_to_json(doc_mod.certificate_to_document(cert, seed=args.seed))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write certificate: {exc}", file=sys.stderr)
-            return EXIT_CANNOT_WRITE
+            raise CertificateFileError(
+                EXIT_CANNOT_WRITE, f"cannot write certificate: {exc}"
+            ) from exc
         print(f"certificate written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -158,13 +162,10 @@ def _load_document(path: str) -> dict:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_NO_CERTIFICATE) from exc
-    try:
-        return doc_mod.parse_document(data.decode("utf-8"))
-    except (DocumentError, UnicodeDecodeError) as exc:
-        print(f"error: malformed document: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_DOCUMENT) from exc
+        raise CertificateFileError(
+            EXIT_NO_CERTIFICATE, f"cannot read certificate: {exc}"
+        ) from exc
+    return doc_mod.parse_document(data.decode("utf-8"))
 
 
 def _cmd_verify(args) -> int:
@@ -184,8 +185,7 @@ def _parse_grid(text: str, cast, option: str) -> list:
     try:
         return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        print(f"error: cannot parse {option} {text!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        raise ValueError(f"cannot parse {option} {text!r}: {exc}") from exc
 
 
 def _cmd_bench_sieve(args) -> int:
@@ -195,25 +195,21 @@ def _cmd_bench_sieve(args) -> int:
 
     lams = _parse_grid(args.lam, float, "--lam")
     bs = _parse_grid(args.b, int, "--b")
-    try:
-        if not (args.kappa > 0 and args.a2 >= 1):
-            raise ValueError(
-                f"--kappa must be > 0 and --a2 >= 1, got {args.kappa:g} and {args.a2:g}"
-            )
-        # only x and z are read; a pinned y skips the window rule (y < 3 at x=16)
-        sch = make_schedule(args.x, k=args.k, y=MIN_Y)
-        if args.family == "none":
-            rules = {}
-        else:
-            primes = primes_upto(math.floor(sch.x))
-            log_x = math.log(sch.x)
-            p1 = [p for p in primes if p <= log_x]
-            p2 = [p for p in primes if log_x < p <= sch.z]
-            rules = sievebound.double_residue_rules(args.k, p1, p2)
-        empirical = sievebound.empirical_sifted_count(args.range_size, rules, sch.z)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if not (args.kappa > 0 and args.a2 >= 1):
+        raise ValueError(
+            f"--kappa must be > 0 and --a2 >= 1, got {args.kappa:g} and {args.a2:g}"
+        )
+    # only x and z are read; a pinned y skips the window rule (y < 3 at x=16)
+    sch = make_schedule(args.x, k=args.k, y=MIN_Y)
+    if args.family == "none":
+        rules = {}
+    else:
+        primes = primes_upto(math.floor(sch.x))
+        log_x = math.log(sch.x)
+        p1 = [p for p in primes if p <= log_x]
+        p2 = [p for p in primes if log_x < p <= sch.z]
+        rules = sievebound.double_residue_rules(args.k, p1, p2)
+    empirical = sievebound.empirical_sifted_count(args.range_size, rules, sch.z)
 
     rows = []
     violations = 0
@@ -263,23 +259,18 @@ def _cmd_matrix_scan(args) -> int:
 
     doc = _load_document(args.path)
     if doc["mode"] != "kpower":
-        print("error: matrix-scan needs a kpower certificate", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("matrix-scan needs a kpower certificate")
     exceptional = [int(e["u"]) for e in doc["exceptions"]]
     with doc_mod.unlimited_int_digits():
         m0, modulus = int(doc["m0"]), int(doc["modulus"])
-    try:
-        report = kpower.matrix_scan(
-            m0,
-            modulus,
-            int(doc["schedule"]["k"]),
-            args.rows,
-            int(doc["schedule"]["y"]),
-            exceptional=exceptional,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = kpower.matrix_scan(
+        m0,
+        modulus,
+        int(doc["schedule"]["k"]),
+        args.rows,
+        int(doc["schedule"]["y"]),
+        exceptional=exceptional,
+    )
     json.dump(
         {
             "rows": report.rows,
@@ -310,8 +301,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_FAIL
+    except CertificateFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except Exception as exc:
+        code, prefix = next(
+            (code, prefix) for types, code, prefix in FAILURES if isinstance(exc, types)
+        )
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -3,17 +3,20 @@
 All big integers are carried as decimal strings so no consumer can
 truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
-primality claims); it never re-runs the construction.  Its work goes
-per distinct prime, not per offset: each congruence modulus and each
-witness q gets one primality test, and each witness one residue r_q of
-m^k (of m in squarefree mode) mod q; an offset u then costs the small-int
-checks q | r_q + u + shift and q - u - shift < m^k (shift 0 squarefree,
+primality claims, the derived metrics); it never re-runs the
+construction.  Its work goes per distinct prime, not per offset: each
+congruence modulus q gets one primality test, and each witness, which
+must be one of those moduli, one residue r_q of m^k (of m in squarefree
+mode) mod q; an offset u then costs the small-int checks
+q | r_q + u + shift and q - u - shift < m^k (shift 0 squarefree,
 -1 kpower), so no element m^k + u + shift is built.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
 residue-0 moduli and C a prime not dividing B (what formats 1.7 to
 1.9 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
 scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
-numtheory.MAX_POWER_BITS is refused before m^k is built.
+numtheory.MAX_POWER_BITS is refused before m^k is built.  The metrics
+the serializer derives (derived_metrics) are recomputed from the checked
+numbers, and a squarefree trial bound may claim no more than the scan.
 
 This module owns the format, and so the record both modes build,
 ``Certificate``, and its one serializer.  The serializer names no mode:
@@ -38,12 +41,12 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import DocumentError
 from .numtheory import (
     MAX_POWER_BITS,
+    SQUAREFREE_TRIAL_BOUND,
     Congruence,
     avoidance_constant,
-    cofactor_tier,
+    classify_squarefree,
     is_prime,
     prime_tier,
-    trial_cofactor,
 )
 
 if TYPE_CHECKING:  # the verifier never imports the schedule module
@@ -90,17 +93,35 @@ class Certificate(NamedTuple):
     autoshrink_trace: tuple[int, ...]
 
 
+def derived_metrics(m: int, modulus: int, power: int, y: int, statuses) -> dict:
+    """The metrics the serializer derives and the verifier recomputes: log m,
+    log modulus, their ratio, the avoidance constant of ``power`` (m^k)
+    and y, null when power <= e^(e^e), below the constant's domain, and
+    the number of exception ``statuses`` that are "prime"."""
+    log_m, log_modulus = math.log(m), math.log(modulus)
+    try:
+        constant = avoidance_constant(power, y)
+    except ValueError:
+        constant = None
+    return {
+        "log_m": log_m,
+        "log_modulus": log_modulus,
+        "exponent_report": log_m / log_modulus if modulus > 1 else None,
+        "avoidance_constant": constant,
+        "prime_count_in_window": sum(status == "prime" for status in statuses),
+    }
+
+
 @unlimited_int_digits()
 def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
     """Serialize a certificate; ``seed`` is recorded only.  The keys every
     document holds are read off the certificate as built: the cardinality
     of each set its set system reports, the exceptions, the metrics
     derived here, then the mode's own metrics and top-level fields."""
-    log_m, log_modulus = math.log(cert.m), math.log(cert.modulus)
-    try:
-        constant = avoidance_constant(cert.m**cert.schedule.k, cert.schedule.y)
-    except ValueError:  # m^k <= e^(e^e), below the constant's domain
-        constant = None
+    derived = derived_metrics(
+        cert.m, cert.modulus, cert.m**cert.schedule.k, cert.schedule.y,
+        [status for _, status in cert.exceptions],
+    )
     return {
         "format_version": FORMAT_VERSION,
         "mode": cert.mode,
@@ -118,11 +139,7 @@ def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
         ],
         "exceptions": [{"u": u, "status": st} for u, st in cert.exceptions],
         "metrics": {
-            "log_m": log_m,
-            "log_modulus": log_modulus,
-            "exponent_report": log_m / log_modulus,
-            "avoidance_constant": constant,
-            "prime_count_in_window": sum(st == "prime" for _, st in cert.exceptions),
+            **derived,
             "autoshrink_trace": list(cert.autoshrink_trace),
             **cert.metrics,
         },
@@ -251,6 +268,38 @@ def parse_document(text: str) -> dict:
 # squarefree tiers from the weakest claim to the strongest; a document may
 # record a weaker tier than the verifier finds, never a stronger one
 _TIER_RANK = {"partial": 0, "prp": 1, "proven": 2}
+# a recorded metric passes within this relative distance of the value
+# recomputed, since the logs come from math.log
+METRICS_REL_TOL = 1e-9
+# a detail or note shows an integer with more digits by its ends and length
+DETAIL_DIGITS = 30
+
+
+def _short(n: int) -> str:
+    """n in decimal, abbreviated above DETAIL_DIGITS digits."""
+    text = str(n)
+    if len(text) <= DETAIL_DIGITS:
+        return text
+    return f"{text[:12]}...{text[-12:]} ({len(text.lstrip('-'))} digits)"
+
+
+def _shorts(numbers) -> str:
+    """A list of integers as its repr shows it, each one _short."""
+    return "[" + ", ".join(map(_short, numbers)) + "]"
+
+
+def _agrees(recorded, computed) -> bool:
+    """Whether a recorded metric states the value recomputed: null for
+    null, the same JSON integer for a count, a number within
+    METRICS_REL_TOL for a float."""
+    if computed is None or type(computed) is int:
+        return type(recorded) is type(computed) and recorded == computed
+    if type(recorded) not in (int, float):
+        return False
+    try:
+        return abs(recorded - computed) <= METRICS_REL_TOL * abs(computed)
+    except OverflowError:  # an integer beyond every float
+        return False
 
 
 class VerifyReport:
@@ -324,9 +373,9 @@ def verify_document(doc: dict) -> VerifyReport:
     cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
     exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
     moduli = [q for _, q in congs]
-    # one verdict per distinct number, moduli and witnesses together (in a
-    # valid document every witness is a modulus)
-    prime = {q: is_prime(q) for q in set(moduli).union(cover.values())}
+    # one verdict per distinct modulus; every format defines a witness as
+    # a modulus that strikes its offset, so no other number is tested
+    prime = {q: is_prime(q) for q in set(moduli)}
 
     # congruence system: distinct prime moduli, m0 in range, all satisfied
     problems = []
@@ -335,13 +384,13 @@ def verify_document(doc: dict) -> VerifyReport:
     if math.prod(moduli) != modulus:
         problems.append("modulus is not the product of the congruence moduli")
     if not 1 <= m0 <= modulus:
-        problems.append(f"m0={m0} outside [1, modulus]")
+        problems.append(f"m0={_short(m0)} outside [1, modulus]")
     for r, q in congs:
         if not prime[q]:
-            problems.append(f"modulus {q} is not prime")
+            problems.append(f"modulus {_short(q)} is not prime")
             break
         if m0 % q != r % q:
-            problems.append(f"m0 fails residue {r} mod {q}")
+            problems.append(f"m0 fails residue {_short(r)} mod {_short(q)}")
             break
     if mode == "kpower" and math.gcd(m0, modulus) != 1:
         problems.append("m0 shares a factor with the modulus")
@@ -354,7 +403,7 @@ def verify_document(doc: dict) -> VerifyReport:
     detail = "m == m0 (mod modulus)" if member else "m is not in the progression"
     if mode == "squarefree" and m < 2 * y:
         member = False
-        detail = f"m={m} < 2y={2 * y}"
+        detail = f"m={_short(m)} < 2y={_short(2 * y)}"
     sections.append(("progression", member, detail))
 
     # window cover: completeness, then every witness division
@@ -370,16 +419,17 @@ def verify_document(doc: dict) -> VerifyReport:
     ]
     complete = len(seen) - len(extra) == size and not (extra or set(cover) & set(exc))
     if twice:
-        complete, detail = False, "offset {1} listed twice in {0}".format(*twice[0])
+        name, u = twice[0]
+        complete, detail = False, f"offset {_short(u)} listed twice in {name}"
     elif mode == "squarefree" and exc:  # every squarefree offset needs a witness
-        complete, detail = False, f"squarefree document lists exception {min(exc)}"
+        complete, detail = False, f"squarefree document lists exception {_short(min(exc))}"
     elif complete:
         detail = f"{len(cover)} witnessed + {len(exc)} exceptions"
     else:
         missing = list(islice(_gaps(sorted(seen.difference(extra)), y, skip), 5))
         detail = (
-            f"offsets covered do not tile the window (missing {missing}, "
-            f"extra {extra[:5]})"
+            f"offsets covered do not tile the window (missing {_shorts(missing)}, "
+            f"extra {_shorts(extra[:5])})"
         )
     sections.append(("completeness", complete, detail))
 
@@ -388,10 +438,10 @@ def verify_document(doc: dict) -> VerifyReport:
     power = m**e
     # thousands of offsets share a few hundred witness primes: m^e is
     # reduced once per prime, and each offset is checked in small ints
-    residue = {q: pow(m, e, q) for q in set(cover.values()) if prime[q]}
+    residue = {q: pow(m, e, q) for q in set(cover.values()) if prime.get(q)}
     bad_offset = None
     for u, q in sorted(cover.items()):
-        if not prime[q] or (residue[q] + u + shift) % q or q - u - shift >= power:
+        if not prime.get(q) or (residue[q] + u + shift) % q or q - u - shift >= power:
             bad_offset = (u, q)
             break
     sections.append(
@@ -400,7 +450,7 @@ def verify_document(doc: dict) -> VerifyReport:
             bad_offset is None,
             f"{len(cover)} divisions verified"
             if bad_offset is None
-            else f"witness {bad_offset[1]} fails at offset {bad_offset[0]}",
+            else f"witness {_short(bad_offset[1])} fails at offset {_short(bad_offset[0])}",
         )
     )
 
@@ -425,7 +475,8 @@ def verify_document(doc: dict) -> VerifyReport:
                 mismatch is None,
                 f"{len(exc)} statuses re-checked"
                 if mismatch is None
-                else f"offset {mismatch[0]} recorded {mismatch[1]} but is {mismatch[2]}",
+                else f"offset {_short(mismatch[0])} recorded {mismatch[1]} but is "
+                f"{mismatch[2]}",
             )
         )
     else:
@@ -437,11 +488,7 @@ def verify_document(doc: dict) -> VerifyReport:
         actual = _prime_cofactor_tier(m, congs, prime) if test_primality else None
         proof = "m/B prime" if actual else "trial scan"
         if actual is None:
-            rest = trial_cofactor(m)
-            if rest is None:
-                actual = "not_squarefree"
-            else:
-                actual = cofactor_tier(rest, test_primality=test_primality)
+            actual = classify_squarefree(m, test_primality=test_primality)
         if actual == "not_squarefree":
             ok, detail = False, "m has a square factor"
         elif recorded not in _TIER_RANK:
@@ -453,5 +500,33 @@ def verify_document(doc: dict) -> VerifyReport:
             if actual != recorded:
                 notes.append(f"squarefree tier changed: recorded {recorded}, now {actual}")
         sections.append(("squarefree", ok, detail))
+
+    # the metrics the serializer derives, from the numbers checked above;
+    # a squarefree trial bound may claim no more than the scan to
+    # SQUAREFREE_TRIAL_BOUND checked
+    metrics = doc["metrics"]
+    statuses = [entry["status"] for entry in doc["exceptions"]]
+    derived = derived_metrics(m, modulus, power, y, statuses)
+    wrong = next((key for key, value in derived.items()
+                  if key not in metrics or not _agrees(metrics[key], value)), None)
+    bound = metrics.get("squarefree_trial_bound")
+    if wrong:
+        recorded = metrics.get(wrong, "missing")
+        shown = _short(recorded) if type(recorded) is int else repr(recorded)
+        ok, detail = False, f"{wrong} recorded {shown}, recomputed {derived[wrong]!r}"
+    elif mode == "squarefree" and not (
+        isinstance(bound, str) and bound.isascii() and bound.isdigit()
+    ):
+        ok, detail = False, f"squarefree_trial_bound {bound!r} is not a decimal string"
+    elif mode == "squarefree" and int(bound) > SQUAREFREE_TRIAL_BOUND:
+        ok, detail = False, (
+            f"squarefree_trial_bound {_short(int(bound))} exceeds the scan to "
+            f"{SQUAREFREE_TRIAL_BOUND}"
+        )
+    else:
+        constant = derived["avoidance_constant"]
+        shown = "null" if constant is None else repr(constant)
+        ok, detail = True, f"{len(derived)} values recomputed, avoidance constant {shown}"
+    sections.append(("metrics", ok, detail))
 
     return VerifyReport(sections=sections, notes=notes)

@@ -11,10 +11,14 @@ class CapacityError(Exception):
 
 
 class ConstructionError(ValueError):
-    """Raised when the construction builds an invalid congruence system
-    (a zero root, a modulus used twice): a fault of the program, not of its
-    arguments.  A ValueError, since the system is an invalid value; the
-    CLI exits 70 on it, where other ValueErrors exit 64."""
+    """Raised when a consistency check of the construction fails: a class
+    with no nonzero root, a modulus used twice, an m0 that shares a factor
+    with the modulus, a witness that does not divide its element, an
+    offset left unstruck, an m below 2y or an m^k above the verifier's
+    cap.  A fault of the program, not of its arguments.  A ValueError,
+    since what was built is an invalid value; the CLI's failure table
+    lists it before ValueError, so it exits 70 where other ValueErrors
+    exit 64."""
 
 
 class SearchExhausted(Exception):

@@ -206,7 +206,7 @@ def solve_m0_k(congruences: tuple[Congruence, ...]) -> tuple[int, int]:
     """
     m0, modulus = crt_solve(congruences)
     if math.gcd(m0, modulus) != 1:
-        raise RuntimeError("m0 is not coprime to the modulus; construction bug")
+        raise ConstructionError("m0 is not coprime to the modulus; construction bug")
     return modulus, m0
 
 

@@ -424,7 +424,7 @@ def class_congruences(y: int, classes, k: int, shift: int) -> tuple[Congruence, 
 def window_cover(m: int, congruences, y: int, k: int, shift: int):
     """(cover, unstruck): the least modulus q striking each offset u of
     [-y, y], where m == r (mod q) strikes u == -shift - r^k, checked to
-    divide m^k + u + shift and to be below it (RuntimeError otherwise),
+    divide m^k + u + shift and to be below it (ConstructionError otherwise),
     and the offsets that no congruence strikes, ascending.  The base
     m^k + shift is reduced once per modulus; each offset is then checked
     in small ints, and no element is built."""
@@ -436,7 +436,7 @@ def window_cover(m: int, congruences, y: int, k: int, shift: int):
     cover = {u: q for u, q in zip(range(-y, y + 1), witness) if q}
     for u, q in cover.items():
         if (residue[q] + u) % q or q - u >= base:
-            raise RuntimeError(f"offset {u}: invalid witness q={q}; construction bug")
+            raise ConstructionError(f"offset {u}: invalid witness q={q}; construction bug")
     return cover, [u for u in range(-y, y + 1) if u not in cover]
 
 
@@ -611,7 +611,7 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     slice divided out gives the cofactor, and a repeated prime shows in
     its own slice.  A slice may stop early as _scan_blocks does, so the
     cofactor is 1, a prime below bound**2, or free of primes <= bound,
-    and cofactor_tier gives it the same tier for any number of slices.
+    and classify_squarefree gives m the same tier for any number of slices.
 
     On a 2-core host (CPython 3.11, benchmarks/bench_kernels.py) the head
     rejects a 5,600-bit candidate with 2**2 in 0.03 ms and with 65521**2
@@ -643,22 +643,26 @@ def trial_cofactor(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> int | None:
     return rest // math.prod(rest // part for part in parts)
 
 
-def cofactor_tier(
-    rest: int, bound: int = SQUAREFREE_TRIAL_BOUND, test_primality: bool = True
+def classify_squarefree(
+    m: int, bound: int = SQUAREFREE_TRIAL_BOUND, test_primality: bool = True
 ) -> str:
-    """The tier of m from its trial_cofactor ``rest``: "proven", "prp",
-    "partial" or "not_squarefree".
+    """Tiered squarefree check: "proven", "prp", "partial" or
+    "not_squarefree".
 
-    rest is 1, a prime, a proper perfect power, or opaque.  A prime takes
-    prime_tier's tier, "proven" when is_prime's verdict is a proof and
-    "prp" when it is only a BPSW probable prime; the opaque case is left
-    "partial" (possible for m > bound**2).
+    The trial_cofactor scan rejects a prime <= bound that divides m twice.
+    Its cofactor rest is then 1, a prime, a proper perfect power, or
+    opaque.  A prime takes prime_tier's tier, "proven" when is_prime's
+    verdict is a proof and "prp" when it is only a BPSW probable prime;
+    the opaque case is left "partial" (possible for m > bound**2).
     The perfect-power test relies on the full scan, which leaves no prime
     factor <= bound; see _is_perfect_power.  With ``test_primality``
     false a prime above bound**2 is left "partial" too: the primality
     test only picks the tier and never finds a square factor.
     """
-    if rest == 1 or rest <= bound * bound:
+    rest = trial_cofactor(m, bound)
+    if rest is None:
+        return "not_squarefree"
+    if rest <= bound * bound:
         # a composite cofactor below bound^2 would need a factor <= bound
         return "proven"
     if test_primality and is_prime(rest):
@@ -666,15 +670,6 @@ def cofactor_tier(
     if _is_perfect_power(rest, bound):
         return "not_squarefree"
     return "partial"
-
-
-def classify_squarefree(m: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> str:
-    """Tiered squarefree check: "proven", "prp", "partial", or
-    "not_squarefree": the trial_cofactor scan, then its cofactor_tier."""
-    rest = trial_cofactor(m, bound)
-    if rest is None:
-        return "not_squarefree"
-    return cofactor_tier(rest, bound)
 
 
 def _iroot(n: int, e: int) -> int:

@@ -49,7 +49,7 @@ import math
 from typing import NamedTuple
 
 from .document import Certificate
-from .errors import CapacityError, SearchExhausted
+from .errors import CapacityError, ConstructionError, SearchExhausted
 from .numtheory import (
     DEFAULT_PRIME_STEPS,
     SQUAREFREE_TRIAL_BOUND,
@@ -248,13 +248,14 @@ def verify_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> dict[int, int]:
     """The least striker of every offset in [-y, y] (numtheory.window_cover,
-    k = 1, shift 0); an unstruck offset is a construction bug, so it raises."""
+    k = 1, shift 0).  An m below 2y or an unstruck offset is a construction
+    bug, so it raises ConstructionError."""
     y = sch.y
     if m < 2 * y:
-        raise ValueError(f"m={m} violates m >= 2y = {2 * y}")
+        raise ConstructionError(f"m={m} violates m >= 2y = {2 * y}")
     cover, unstruck = window_cover(m, congruences, y, 1, 0)
     if unstruck:
-        raise RuntimeError(f"offset {unstruck[0]} lacks a witness; construction bug")
+        raise ConstructionError(f"offset {unstruck[0]} lacks a witness; construction bug")
     return cover
 
 

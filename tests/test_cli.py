@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -133,6 +134,19 @@ def test_construct_internal_error_exits_70(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert err == "internal error: offset 5 lacks a valid witness (got p=0)\n"
+
+
+def test_construct_m_below_2y_exits_70(capsys, monkeypatch):
+    # only a construction bug gives an m below 2y; it exited 64, a usage error
+    search = squarefree.find_squarefree_in_ap
+    monkeypatch.setattr(
+        squarefree, "find_squarefree_in_ap",
+        lambda *args, **kwargs: search(*args, **kwargs)._replace(m=1),
+    )
+    code, out, err = run_cli(capsys, "construct", "--mode", "squarefree", "--x", "60")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("internal error: m=1 violates m >= 2y")
 
 
 def _roots(roots, band):
@@ -389,9 +403,52 @@ def test_verify_tests_each_distinct_prime_once(monkeypatch):
     assert len(tested) == 546
 
 
+def non_modulus_witness(doc):
+    """(u, p): an offset of ``doc`` and a prime p <= 2000 that divides its
+    element m + u but is no congruence modulus."""
+    m = int(doc["m"])
+    moduli = {int(q) for _, q in doc["congruences"]}
+    return next(
+        (e["u"], p) for e in doc["cover"] for p in numtheory.primes_upto(2000)
+        if (m + e["u"]) % p == 0 and p not in moduli
+    )
+
+
+def test_verify_refuses_a_prime_witness_that_is_no_modulus(monkeypatch):
+    # p is prime, divides the element and is below it, but strikes its
+    # offset under no congruence; is_prime never sees it
+    doc = doc_mod.parse_document((FIXTURES / "sf_x400.json").read_text())
+    u, p = non_modulus_witness(doc)
+    next(e for e in doc["cover"] if e["u"] == u)["witness_prime"] = str(p)
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return numtheory.is_prime(n)
+
+    monkeypatch.setattr(doc_mod, "is_prime", recording)
+    assert witnesses_section(doc) == (False, f"witness {p} fails at offset {u}")
+    assert p not in tested and numtheory.is_prime(p)
+
+
+def test_verify_abbreviates_a_long_witness():
+    # a 6,001-digit witness used to be printed in full, after a primality
+    # test of its own
+    doc = doc_mod.parse_document((FIXTURES / "kp3_x1000.json").read_text())
+    entry = doc["cover"][0]
+    with doc_mod.unlimited_int_digits():
+        entry["witness_prime"] = text = str(10**6000 + 7)
+    ok, detail = witnesses_section(doc)
+    assert not ok
+    assert detail == (
+        f"witness {text[:12]}...{text[-12:]} (6001 digits) fails at offset {entry['u']}"
+    )
+
+
 def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
     # m -> m + t*N stays in the progression and keeps every witness
-    # divisor; the verdict then hinges on the squarefree recheck alone
+    # divisor; with the metrics of the new m, the verdict then hinges on
+    # the squarefree recheck alone
     from primeavoid.squarefree import classify_squarefree
 
     doc = json.loads(micro_doc_text)
@@ -402,8 +459,11 @@ def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
     shifted_bad = next(
         t for t in range(1, 50) if classify_squarefree(m + t * n) == "not_squarefree"
     )
+    y = doc["schedule"]["y"]
     for t, expected in ((shifted_ok, 0), (shifted_bad, 1)):
-        doc["m"] = str(m + t * n)
+        shifted = m + t * n
+        doc["m"] = str(shifted)
+        doc["metrics"].update(doc_mod.derived_metrics(shifted, n, shifted, y, []))
         path = tmp_path / f"shifted{t}.json"
         path.write_text(json.dumps(doc))
         code, _, _ = run_cli(capsys, "verify", str(path))
@@ -431,6 +491,27 @@ def test_verify_rejects_overclaimed_squarefree_tier(
     assert code == 1
     assert "[FAIL] squarefree" in out
     assert "certificate OK" not in out
+
+
+def test_pool_that_cannot_start_exits_70(tmp_path, capsys, monkeypatch,
+                                         partial_doc_text):
+    # a fork that fails raises BlockingIOError; it escaped cli.main with a
+    # traceback and exit 1, the code of a refuted certificate.  The trial
+    # scan of x=1160's 91-bit cofactor asks for a pool, and none starts
+    failure = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def cannot_fork(workers):
+        raise failure
+
+    monkeypatch.setattr(numtheory, "_start_pool", cannot_fork)
+    monkeypatch.setattr(numtheory, "_pool_workers", lambda: 2)
+    path = tmp_path / "partial.json"
+    path.write_text(partial_doc_text)
+    for argv in (("verify", str(path)),
+                 ("construct", "--mode", "squarefree", "--x", "1160")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_INTERNAL == 70, argv
+        assert out == "" and err == f"internal error: {failure}\n", argv
 
 
 class CofactorPrimalityTested(Exception):
@@ -466,7 +547,7 @@ def test_partial_claim_rejects_square_factors(partial_doc_text):
     doc = json.loads(partial_doc_text)
     m = int(doc["m"])
     rest = numtheory.trial_cofactor(m)
-    assert numtheory.cofactor_tier(rest) == "partial"
+    assert numtheory.classify_squarefree(m) == "partial"
     for bad in (9 * m, 7**2 * m, rest**2, 210 * rest**3):
         doc["m"] = str(bad)
         report = doc_mod.verify_document(doc)
@@ -492,10 +573,9 @@ def squarefree_section(doc):
 
 def scan_section(m, recorded):
     """The squarefree section that the trial scan alone gives m."""
-    rest = numtheory.trial_cofactor(m)
-    if rest is None:
+    actual = numtheory.classify_squarefree(m)
+    if actual == "not_squarefree":
         return False, "m has a square factor"
-    actual = numtheory.cofactor_tier(rest)
     rank = {"partial": 0, "prp": 1, "proven": 2}
     if rank[recorded] > rank[actual]:
         return False, f"recorded tier {recorded} claims more than {actual}"
@@ -507,11 +587,11 @@ def scans(monkeypatch):
     """The m that the verifier hands to its trial scan, in order."""
     scanned = []
 
-    def recording(m, *args):
+    def recording(m, *args, **kwargs):
         scanned.append(m)
-        return numtheory.trial_cofactor(m, *args)
+        return numtheory.classify_squarefree(m, *args, **kwargs)
 
-    monkeypatch.setattr(doc_mod, "trial_cofactor", recording)
+    monkeypatch.setattr(doc_mod, "classify_squarefree", recording)
     return scanned
 
 
@@ -589,9 +669,105 @@ def test_squarefree_fixture_keeps_its_scan_verdict(path):
     # whether or not m/B is prime, every format's squarefree fixture gets
     # the tier the trial scan gives it
     doc = doc_mod.parse_document(path.read_text())
-    tier = numtheory.cofactor_tier(numtheory.trial_cofactor(int(doc["m"])))
+    tier = numtheory.classify_squarefree(int(doc["m"]))
     ok, detail = squarefree_section(doc)
     assert ok and detail.startswith(f"status {tier} (")
+
+
+def metrics_section(doc):
+    report = doc_mod.verify_document(doc)
+    return next((ok, detail) for name, ok, detail in report.sections
+                if name == "metrics")
+
+
+ALL_FIXTURES = sorted(FIXTURES.glob("**/*.json"))
+
+
+@pytest.mark.parametrize(
+    "path", ALL_FIXTURES, ids=lambda p: str(p.relative_to(FIXTURES))
+)
+def test_every_fixture_states_its_metrics_exactly(path, monkeypatch):
+    # every format's recorded metrics are the ones recomputed, to the bit
+    assert len(ALL_FIXTURES) == 60
+    doc = doc_mod.parse_document(path.read_text())
+    monkeypatch.setattr(doc_mod, "METRICS_REL_TOL", 0.0)
+    ok, detail = metrics_section(doc)
+    constant = doc["metrics"]["avoidance_constant"]
+    shown = "null" if constant is None else repr(constant)
+    assert (ok, detail) == (True, f"5 values recomputed, avoidance constant {shown}")
+
+
+@pytest.mark.parametrize(
+    "fixture, key, value, shown",
+    [
+        ("sf_x400.json", "avoidance_constant", 42.0, "42.0"),
+        ("sf_x400.json", "log_m", 10**6, "1000000"),
+        ("sf_x400.json", "avoidance_constant", None, "None"),
+        ("kp1_x200.json", "avoidance_constant", 0.5, "0.5"),
+        ("kp3_x1000.json", "prime_count_in_window", 7, "7"),
+        ("kp3_x1000.json", "prime_count_in_window", False, "False"),
+        ("kp3_x1000.json", "exponent_report", "1.05", "'1.05'"),
+        ("kp3_x1000.json", "log_modulus", 10**400,
+         "100000000000...000000000000 (401 digits)"),
+    ],
+    ids=["constant", "log_m", "constant null", "constant not null", "prime count",
+         "prime count false", "exponent string", "log_modulus huge"],
+)
+def test_verify_refuses_a_misstated_metric(tmp_path, capsys, fixture, key, value,
+                                           shown):
+    # sf_x400 with the constant 42.0 or log_m 10^6, and kp3_x1000 with 7
+    # primes in its window, verified with every section PASS
+    computed = json.loads((FIXTURES / fixture).read_text())["metrics"][key]
+
+    def mutate(doc):
+        doc["metrics"][key] = value
+
+    code, out = verify_mutated(tmp_path, capsys, fixture, mutate)
+    assert code == 1
+    assert out.endswith(
+        f"  [FAIL] metrics        {key} recorded {shown}, recomputed {computed!r}\n"
+    )
+
+
+def test_verify_refuses_a_missing_metric(tmp_path, capsys):
+    code, out = verify_mutated(
+        tmp_path, capsys, "kp3_x1000.json", lambda doc: doc["metrics"].pop("log_m")
+    )
+    assert code == 1
+    assert "[FAIL] metrics        log_m recorded 'missing', recomputed " in out
+
+
+def test_metrics_pass_within_the_tolerance():
+    doc = doc_mod.parse_document((FIXTURES / "sf_x400.json").read_text())
+    log_m = doc["metrics"]["log_m"]
+    doc["metrics"]["log_m"] = log_m * (1 + doc_mod.METRICS_REL_TOL / 2)
+    assert metrics_section(doc)[0]
+    doc["metrics"]["log_m"] = log_m * (1 + 2 * doc_mod.METRICS_REL_TOL)
+    assert not metrics_section(doc)[0]
+
+
+@pytest.mark.parametrize(
+    "bound, detail",
+    [
+        ("1" + "0" * 30, "squarefree_trial_bound 100000000000...000000000000 "
+                         "(31 digits) exceeds the scan to 10000000"),
+        ("10000001", "squarefree_trial_bound 10000001 exceeds the scan to 10000000"),
+        (10**7, "squarefree_trial_bound 10000000 is not a decimal string"),
+        (None, "squarefree_trial_bound None is not a decimal string"),
+    ],
+    ids=["10^30", "10^7 + 1", "a JSON number", "missing"],
+)
+def test_verify_refuses_a_trial_bound_beyond_the_scan(partial_doc_text, bound, detail):
+    # the verifier's scan stops at 10^7; a partial document that claimed
+    # 10^30 verified
+    doc = json.loads(partial_doc_text)
+    if bound is None:
+        del doc["metrics"]["squarefree_trial_bound"]
+    else:
+        doc["metrics"]["squarefree_trial_bound"] = bound
+    assert metrics_section(doc) == (False, detail)
+    doc["metrics"]["squarefree_trial_bound"] = "1000"  # claims less: passes
+    assert metrics_section(doc)[0]
 
 
 def test_verify_accepts_underclaimed_squarefree_tier(tmp_path, capsys, micro_doc_text):

@@ -5,8 +5,8 @@ documents of every earlier format (tests/fixtures/v1.0/ to v1.8/) still
 verify, and every committed document re-renders to the compact canonical
 form of its own content.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
-golden copy, and the benchmark's seed-0 instances keep their documents'
-sha256."""
+golden copy, and each run of benchmarks/digests.py's grid, which holds
+the benchmark's seed-0 instances, keeps its document's sha256."""
 
 import hashlib
 import importlib.util
@@ -17,19 +17,11 @@ from pathlib import Path
 import pytest
 
 from primeavoid import cli
-from primeavoid.document import (
-    certificate_to_document,
-    document_to_json,
-    kcertificate_to_document,
-    parse_document,
-    unlimited_int_digits,
-)
-from primeavoid.kpower import construct_certificate_k
-from primeavoid.schedule import make_schedule
-from primeavoid.squarefree import construct_certificate
+from primeavoid.document import document_to_json, parse_document, unlimited_int_digits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_CHECK = Path(__file__).parents[1] / "e2ebench" / "check.py"
+DIGESTS_SCRIPT = Path(__file__).parents[1] / "benchmarks" / "digests.py"
 
 CASES = {
     "sf_x40_explicit.json": (
@@ -212,37 +204,58 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
     assert_round_trip(tmp_path, capsys, "--mode", "squarefree", "--x", "30000")
 
 
-# The seed-0 instances of the benchmark's two workloads (e2ebench/run.py),
-# built in-process, with the sha256 of their content: the document less
-# format_version, rendered with sorted keys and a two-space indent as
-# benchmarks/digests.py renders it.  The fixtures stop at x=2000, so these
-# pin the content at benchmark scale.  The version is asserted on its own,
-# and the content form is not the canonical rendering, so a format bump
-# that leaves a document's content alone, as 1.9's compact rendering did,
-# keeps its digest, and one that changes the content shows as a changed
-# digest.
+# The document of each run of benchmarks/digests.py's GRID, built
+# in-process, with the sha256 of its content: the document less
+# format_version, rendered with sorted keys and a two-space indent, as the
+# script prints it.  The grid holds the seed-0 instances of the
+# benchmark's two workloads (e2ebench/run.py), squarefree x=10^4, kpower
+# k=2 x=10^4 and k=5 x=5000, so these pin the content up to benchmark
+# scale, where the fixtures stop at x=2000.  The version is asserted on
+# its own, and the content form is not the canonical rendering, so a
+# format bump that leaves a document's content alone, as 1.9's compact
+# rendering did, keeps its digest, and one that changes the content shows
+# as a changed digest.
 BENCHMARK_FORMAT = "1.9"
-BENCHMARK_DIGESTS = {
-    ("squarefree", 1, 10_000): (
-        "05286ee0bc334f7588257c69a57a0e053f7080f8df23043f59f0ed96feeec91d"
-    ),
-    ("kpower", 2, 10_000): (
-        "4becfec42041536453b5497dc420d73e4cf26469b42c6dbb093405d88312bf4d"
-    ),
-    ("kpower", 5, 5000): (
-        "f13426e3af4f4163dde89cf99fb9a9201161227dc2e987063292091945e5fc5a"
-    ),
-}
+BENCHMARK_DIGESTS = dict(line.rsplit(None, 1) for line in """
+squarefree x=40 explicit         9fa3697fbf898716a0d17b107e59d145cc577f0226cc68d8723e682cc0b3dce3
+squarefree x=150                 7491a9d7157113992d39a35a2dcfc5b09951a0d201ab2270dca657c9bf367b2e
+squarefree x=400                 c29b0fb70a6296b3bf8033768f6e00292d338b490457ce71b2ae0ffa7902d00e
+squarefree x=1000                c14f0ef7524793376ab761d51d453c1ec29c6d9a920ff586107fd3a889b9a57e
+squarefree x=3000                2d1020d40209f1c89a4550e45cf7aa49369ad0d3db08b514d9ddefe303e69916
+squarefree x=10000               05286ee0bc334f7588257c69a57a0e053f7080f8df23043f59f0ed96feeec91d
+squarefree x=20000               a8d08acea3ed21ec9b44b02fd72fec0a11bb21d994cc7f73655819f6dce029a6
+kpower k=1 x=200                 9226966fc9364bbe0f84e1b04b5cf40460de1094855ae1a86da92ba1730046a3
+kpower k=3 x=1000                3508928d23e1e27b061a21f082bcb5c31dd1036f4025ec0755892e86a8d9d34c
+kpower k=5 x=2000                bba906d761ee170b264959159d8509cc9ec9d3af9f9a11a6ec11f6c262d5c823
+kpower k=2 x=600 full modulus    0b47b30608dd60fb964bac8266c06ba3aa98cb00681628560119d5ce89226f85
+kpower k=2 x=10000               4becfec42041536453b5497dc420d73e4cf26469b42c6dbb093405d88312bf4d
+kpower k=5 x=5000                f13426e3af4f4163dde89cf99fb9a9201161227dc2e987063292091945e5fc5a
+kpower k=3 x=30000               bc8cb5f019398735d787d3306987b721524f98797c29b525870ae4c1951ad3e6
+""".strip().splitlines())
 
 
-@pytest.mark.parametrize("mode, k, x", sorted(BENCHMARK_DIGESTS))
-def test_benchmark_instance_document_digest(mode, k, x):
-    sch = make_schedule(x, k)
-    if mode == "squarefree":
-        doc = certificate_to_document(construct_certificate(sch))
-    else:
-        doc = kcertificate_to_document(construct_certificate_k(sch))
+def digest_grid():
+    spec = importlib.util.spec_from_file_location("digests", DIGESTS_SCRIPT)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return digests.GRID
+
+
+def grid_id(run):
+    """mode-k-x, and the profile or modulus where not the default."""
+    _, argv = run
+    options = dict(zip(argv[::2], argv[1::2]))
+    suffix = {"--profile": "-explicit", "--reduced-modulus": "-full"}
+    return (f"{options['--mode']}-{options.get('--k', '1')}-{options['--x']}"
+            + "".join(suffix[key] for key in suffix if key in options))
+
+
+@pytest.mark.parametrize("run", digest_grid(), ids=grid_id)
+def test_benchmark_instance_document_digest(run, capsys):
+    label, argv = run
+    assert cli.main(["construct", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc.pop("format_version") == BENCHMARK_FORMAT
     content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     digest = hashlib.sha256(content.encode()).hexdigest()
-    assert digest == BENCHMARK_DIGESTS[mode, k, x]
+    assert digest == BENCHMARK_DIGESTS[label]

@@ -18,7 +18,6 @@ from primeavoid.numtheory import (
     _not_a_power,
     avoidance_constant,
     classify_squarefree,
-    cofactor_tier,
     is_prime,
     primes_upto,
     trial_cofactor,
@@ -411,7 +410,10 @@ def assert_paths_agree(here, pooled, m, bound, expected=None):
         return
     if not 1 < here <= bound:
         assert pooled == here, m
-    assert cofactor_tier(pooled, bound) == cofactor_tier(here, bound) == expected, m
+    # each cofactor is 1, a prime, or free of primes <= bound, so its own
+    # classification is the tier that m's scan left it
+    tiers = classify_squarefree(pooled, bound), classify_squarefree(here, bound)
+    assert tiers == (expected, expected), m
 
 
 def planted_primes(bound):

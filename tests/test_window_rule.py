@@ -120,7 +120,7 @@ def test_core_refuses_a_wrong_residue(run):
     r = next(r for r in range(c.modulus) if pow(r, k, c.modulus) != power)
     spoiled = list(congruences)
     spoiled[i] = Congruence(r, c.modulus)
-    with pytest.raises(RuntimeError, match="invalid witness"):
+    with pytest.raises(ConstructionError, match="invalid witness"):
         window_cover(m, spoiled, sch.y, k, own_shift(mode))
 
 
@@ -139,7 +139,7 @@ def test_core_refuses_a_witness_not_below_its_element(
     k, shift, congruence, m, y, u
 ):
     q = congruence.modulus
-    with pytest.raises(RuntimeError, match=f"offset {u}: invalid witness q={q}"):
+    with pytest.raises(ConstructionError, match=f"offset {u}: invalid witness q={q}"):
         window_cover(m, [congruence], y, k, shift)
     # the same congruence over a larger m of its class witnesses u
     cover, _ = window_cover(m + 100 * q, [congruence], y, k, shift)
