@@ -5,14 +5,15 @@ truncate them.  ``verify_document`` re-checks a document from its own
 numbers alone (congruences, progression membership, witness divisions,
 primality claims, the derived metrics); it never re-runs the
 construction.  Its work goes per distinct prime, not per offset: each
-congruence modulus q gets one primality test, and each witness, which
-must be one of those moduli, one residue r_q of m^k (of m in squarefree
-mode) mod q; an offset u then costs the small-int checks
-q | r_q + u + shift and q - u - shift < m^k (shift 0 squarefree,
--1 kpower), so no element m^k + u + shift is built.  A squarefree m
+congruence modulus q gets one primality test once the moduli are
+distinct and multiply to the modulus, and each witness, which must be
+one of those moduli, one residue r_q of m^k (of m in squarefree mode)
+mod q; an offset u then costs the small-int checks q | r_q + u + shift
+and q - u - shift < m^k (shift 0 squarefree, -1 kpower), so no
+element m^k + u + shift is built.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
 residue-0 moduli and C a prime not dividing B (what formats 1.7 to
-1.9 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
+1.10 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
 scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.  The metrics
 the serializer derives (derived_metrics) are recomputed from the checked
@@ -52,7 +53,7 @@ from .numtheory import (
 if TYPE_CHECKING:  # the verifier never imports the schedule module
     from .schedule import Schedule
 
-FORMAT_VERSION = "1.9"
+FORMAT_VERSION = "1.10"
 
 
 @contextmanager
@@ -215,11 +216,9 @@ def parse_document(text: str) -> dict:
     # primes assigned or matched and m searched for, in what ``sets`` and
     # ``metrics`` list, and in the schedule keys besides y and k; verify
     # reads none of that, as it checks each witness by its division and m
-    # by its factors.  1.8 differs from 1.9 only in whitespace
-    readable = (
-        "1.0", "1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7", "1.8", FORMAT_VERSION
-    )
-    if doc["format_version"] not in readable:
+    # by its factors.  1.8 differs from 1.9 only in whitespace, and 1.9
+    # from 1.10 (FORMAT_VERSION) only in kpower's sets.U6
+    if doc["format_version"] not in [f"1.{minor}" for minor in range(11)]:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
             f"this verifier reads 1.0 to {FORMAT_VERSION}"
@@ -249,6 +248,8 @@ def parse_document(text: str) -> dict:
             raise ValueError("schedule.y must be at least 0")
         if (k := _integer(doc["schedule"]["k"])) < 1:
             raise ValueError("schedule.k must be at least 1")
+        if doc["mode"] == "squarefree" and k != 1:  # as construct refuses
+            raise ValueError(f"a squarefree document has k = 1, not {k}")
     except (ValueError, TypeError, KeyError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc
     # kpower is the mode whose verifier builds m^k
@@ -327,8 +328,8 @@ def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
     """m's tier when m = B*C with B the product of the residue-0 moduli of
     ``congs``, those moduli distinct primes, and C a prime that does not
     divide B: then m is squarefree, with C's prime_tier.  None when m has
-    no such shape.  ``prime`` maps each modulus of ``congs`` to its
-    is_prime verdict; C is the one number tested here.
+    no such shape, or when ``prime``, each modulus's is_prime verdict,
+    lacks one (as when the congruences fail); C is the one number tested.
 
     The proof reads nothing else of the document, so it holds for every
     format.  When C is prime and every prime of B is at most the trial
@@ -336,7 +337,7 @@ def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
     leaves C, or 1 when C is at most the bound.
     """
     zero = [q for r, q in congs if r == 0]
-    if len(set(zero)) != len(zero) or not all(prime[q] for q in zero):
+    if len(set(zero)) != len(zero) or not all(prime.get(q) for q in zero):
         return None
     b = math.prod(zero)
     if m % b:
@@ -373,20 +374,21 @@ def verify_document(doc: dict) -> VerifyReport:
     cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
     exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
     moduli = [q for _, q in congs]
-    # one verdict per distinct modulus; every format defines a witness as
-    # a modulus that strikes its offset, so no other number is tested
-    prime = {q: is_prime(q) for q in set(moduli)}
+    distinct = set(moduli)
 
     # congruence system: distinct prime moduli, m0 in range, all satisfied
     problems = []
-    if len(set(moduli)) != len(moduli):
+    if len(distinct) != len(moduli):
         problems.append("duplicate moduli")
     if math.prod(moduli) != modulus:
         problems.append("modulus is not the product of the congruence moduli")
+    # one verdict per distinct modulus, taken only once the cheap checks
+    # above hold, so that a modulus breaking them costs no primality test
+    prime = {} if problems else {q: is_prime(q) for q in distinct}
     if not 1 <= m0 <= modulus:
         problems.append(f"m0={_short(m0)} outside [1, modulus]")
     for r, q in congs:
-        if not prime[q]:
+        if prime.get(q) is False:
             problems.append(f"modulus {_short(q)} is not prime")
             break
         if m0 % q != r % q:
@@ -437,11 +439,12 @@ def verify_document(doc: dict) -> VerifyReport:
     e, shift = (1, 0) if mode == "squarefree" else (k, -1)
     power = m**e
     # thousands of offsets share a few hundred witness primes: m^e is
-    # reduced once per prime, and each offset is checked in small ints
-    residue = {q: pow(m, e, q) for q in set(cover.values()) if prime.get(q)}
+    # reduced once per prime, and each offset is checked in small ints; a
+    # witness must be a modulus, whose primality the congruences check
+    residue = {q: pow(m, e, q) for q in distinct.intersection(cover.values())}
     bad_offset = None
     for u, q in sorted(cover.items()):
-        if not prime.get(q) or (residue[q] + u + shift) % q or q - u - shift >= power:
+        if q not in residue or (residue[q] + u + shift) % q or q - u - shift >= power:
             bad_offset = (u, q)
             break
     sections.append(

@@ -75,12 +75,11 @@ class KSetSystem(NamedTuple):
     u5: tuple[int, ...]
     classes: tuple[int, ...] = ()  # greedy admissible class of each p1 prime
     u7: tuple[int, ...] = ()  # u != 1 that no p1 class strikes
-    u6: tuple[int, ...] = ()  # screened exceptional offsets (k even)
     p3: tuple[int, ...] = ()  # band primes striking a U7 offset, after matching
     p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
 
     # the sets whose cardinalities the document reports
-    REPORTED = ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U6", "U7")
+    REPORTED = ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U7")
 
     @property
     def paper_demand(self) -> int:
@@ -151,12 +150,11 @@ def strike_offsets(sets: KSetSystem) -> KSetSystem:
 
 
 def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
-    """Offsets u whose -u is a quadratic residue for too few matchable
-    primes (at most DELTA*x/log x of them).  Empty for odd k.
-
-    The screen runs over the whole window and is only reported (U6): it
-    changes neither U7 nor the matching, which spends no prime on an
-    offset that a P1 class strikes, screened or not."""
+    """The paper's delta-screen: offsets u whose -u is a quadratic residue
+    for too few matchable primes (at most DELTA*x/log x of them); empty
+    for odd k.  construct stopped running it at format 1.10, as it changed
+    neither U7 nor the matching.  It stays while e2ebench/traced.py looks
+    its name up, and goes with that span (ROADMAP)."""
     if sch.k % 2 == 1:
         return ()
     threshold = DELTA * sch.x / math.log(sch.x)
@@ -298,8 +296,7 @@ def construct_certificate_k(
     )
     sets = strike_offsets(sets)
     matching = match_offsets(sets)
-    p3 = tuple(sorted(set(matching.matched.values())))
-    sets = sets._replace(u6=legendre_screen(sch, sets.p3tilde), p3=p3)
+    sets = sets._replace(p3=tuple(sorted(set(matching.matched.values()))))
     congruences = covering_congruences(sets, matching.pairs)
     if not reduced:  # 1 mod every other prime <= x, for a full primorial
         used = {c.modulus for c in congruences}

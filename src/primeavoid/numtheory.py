@@ -1,15 +1,15 @@
 """Exact integer and modular arithmetic primitives, including the one
 primality rule (is_prime, and prime_tier: "proven" or "prp"), the covering
-core both pipelines share: the greedy class rule, the large band built
-on it (large_band), the pass that drops idle congruences, and the
-window rule keyed by the element m^k + u + shift
-(squarefree k = 1, shift 0; kpower shift -1), which turns classes into
-congruences (class_congruences) and checks the window (window_cover);
-the progression prime search both pipelines run (find_prime_in_ap: kpower
-for its prime m, squarefree for the prime cofactor of its m), the tiered
-squarefree check that the squarefree search and the verifier fall back
-on (its head is is_prime's primorial gcd), the cap on the powers m^k that
-the kpower construction and the verifier build (MAX_POWER_BITS), and the
+core both pipelines share: the greedy class rule, the large band built on
+it (large_band), the pass that drops idle congruences, and the window rule
+keyed by the element m^k + u + shift (squarefree k = 1, shift 0; kpower
+shift -1), which turns classes into congruences (class_congruences) and
+checks the window (window_cover); the progression prime search both
+pipelines run (find_prime_in_ap: kpower for its prime m, squarefree for the
+prime cofactor of its m), the tiered squarefree check that the squarefree
+search and the verifier fall back on (its head scans is_prime's primorial
+in cached trial blocks), the cap on the powers m^k that the kpower
+construction and the verifier build (MAX_POWER_BITS), and the
 worker-process policy that the prime search and the trial scan use.
 
 Everything else here is a pure function over Python ints (arbitrary

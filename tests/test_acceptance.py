@@ -173,7 +173,7 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
     )
     y = cert.schedule.y
     exception_offsets = {u for u, _ in cert.exceptions}
-    excluded = {1} | set(cert.sets.u6) | set(match_offsets(cert.sets).unmatched)
+    excluded = {1} | set(match_offsets(cert.sets).unmatched)
     base = cert.m**k
     witnessed = 0
     required = 0
@@ -185,7 +185,7 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
         if w is not None and (base + u - 1) % w == 0 and w < base + u - 1:
             witnessed += 1
     statuses_ok = all(s in ("prime", "composite") for _, s in cert.exceptions)
-    metrics = doc_mod.kcertificate_to_document(cert)["metrics"]
+    metrics = doc_mod.certificate_to_document(cert)["metrics"]
     elapsed = time.perf_counter() - t0
     checks = [
         is_prime(cert.m),
@@ -257,7 +257,7 @@ def test_criterion_9_verifier_closure(capsys, tmp_path):
         )
     for k, x in ((1, 200.0), (2, 1e4)):
         docs.append(
-            doc_mod.kcertificate_to_document(
+            doc_mod.certificate_to_document(
                 construct_certificate_k(make_schedule(x, k, "practical"))
             )
         )

@@ -688,7 +688,7 @@ ALL_FIXTURES = sorted(FIXTURES.glob("**/*.json"))
 )
 def test_every_fixture_states_its_metrics_exactly(path, monkeypatch):
     # every format's recorded metrics are the ones recomputed, to the bit
-    assert len(ALL_FIXTURES) == 60
+    assert len(ALL_FIXTURES) == 66
     doc = doc_mod.parse_document(path.read_text())
     monkeypatch.setattr(doc_mod, "METRICS_REL_TOL", 0.0)
     ok, detail = metrics_section(doc)
@@ -795,6 +795,9 @@ def test_verify_malformed_exits_65(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "squarefree"}))
     code, _, _ = run_cli(capsys, "verify", str(path))
     assert code == 65
+    path.write_text("[]")
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 65 and "document root must be an object" in err
 
 
 @pytest.mark.parametrize(
@@ -855,13 +858,19 @@ def test_verify_list_given_as_an_object_exits_65(tmp_path, capsys, key):
         lambda doc: doc.update(modulus=" 30030"),
         lambda doc: doc["congruences"][0].__setitem__(1, "\u0662"),
         lambda doc: doc["cover"][0].update(witness_prime="\uff17"),
+        lambda doc: doc.update(mode="cube"),
+        lambda doc: doc.update(exceptions=[{"u": 0, "status": 1}]),
+        # construct refuses a squarefree k other than 1; with k = 2 every
+        # section of the document passed
+        lambda doc: doc["schedule"].update(k=2),
     ],
     ids=[
         "exception-u-not-int", "exception-u-missing", "k-not-int", "k-negative",
         "metrics-list", "modulus-zero", "status-list", "m-zero", "m-negative",
         "y-float", "y-integral-float", "k-boolean", "k-string", "u-float",
         "u-boolean", "m-json-number", "m0-underscore", "modulus-space",
-        "modulus-arabic-indic-digit", "witness-fullwidth-digit",
+        "modulus-arabic-indic-digit", "witness-fullwidth-digit", "mode-unknown",
+        "status-not-string", "squarefree-k-2",
     ],
 )
 def test_verify_malformed_field_exits_65(tmp_path, capsys, micro_doc_text, tamper):
@@ -975,7 +984,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.10", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.11", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -1081,6 +1090,92 @@ def test_verify_rejects_a_squarefree_exception(tmp_path, capsys):
     code, out = verify_mutated(tmp_path, capsys, "sf_x400.json", mutate)
     assert code == 1
     assert "[FAIL] completeness   squarefree document lists exception -108" in out
+
+
+def m0_beyond_the_modulus(doc):
+    # m0 + N satisfies every residue, and m stays in its progression
+    doc["m0"] = str(int(doc["m0"]) + int(doc["modulus"]))
+
+
+def m0_off_one_residue(doc):
+    doc["congruences"][0][0] = "0"  # kp3_x1000's m0 is odd
+
+
+def m0_with_a_residue_zero(doc):
+    # 3's residue becomes 0 and m0 is solved again, so every residue holds
+    congs = [(int(r), int(q)) for r, q in doc["congruences"]]
+    congs[1] = (0, 3)
+    doc["congruences"][1][0] = "0"
+    doc["m0"] = str(numtheory.crt_solve(congs)[0])
+
+
+def m_below_twice_y(doc):
+    doc["schedule"]["y"] = int(doc["m"])
+
+
+def composite_member_as_m(doc):
+    # the next composite member keeps every division and every residue
+    m, modulus = int(doc["m"]), int(doc["modulus"])
+    doc["m"] = str(next(g for g in range(m + modulus, m + 99 * modulus, modulus)
+                        if not numtheory.is_prime(g)))
+
+
+def struck_offset_called_prime(doc):
+    u = doc["cover"].pop(0)["u"]
+    doc["exceptions"] = [{"u": u, "status": "prime"}]
+
+
+@pytest.mark.parametrize(
+    "fixture, mutate, section, detail",
+    [
+        ("kp3_x1000.json", m0_beyond_the_modulus, "congruences",
+         "m0=1499187869354254619 outside [1, modulus]"),
+        ("kp3_x1000.json", m0_off_one_residue, "congruences", "m0 fails residue 0 mod 2"),
+        ("kp3_x1000.json", m0_with_a_residue_zero, "congruences",
+         "m0 shares a factor with the modulus"),
+        ("sf_x40_explicit.json", m_below_twice_y, "progression", "m=69510 < 2y=139020"),
+        ("kp3_x1000.json", composite_member_as_m, "prime_base", "m is composite"),
+        ("kp3_x1000.json", struck_offset_called_prime, "exceptions",
+         "offset -38 recorded prime but is composite"),
+    ],
+    ids=["m0-beyond-modulus", "m0-off-residue", "kpower-m0-residue-zero",
+         "squarefree-m-below-2y", "kpower-m-composite", "wrong-exception-status"],
+)
+def test_verify_refusal_names_its_section(tmp_path, capsys, fixture, mutate, section,
+                                          detail):
+    # each tamper is caught by one check, which this verdict names
+    code, out = verify_mutated(tmp_path, capsys, fixture, mutate)
+    assert code == 1
+    assert f"[FAIL] {section:<14} {detail}" in out
+
+
+@pytest.mark.parametrize("twice", [False, True], ids=["extra-modulus", "modulus-twice"])
+def test_verify_tests_no_primality_while_the_moduli_break_the_structure(
+    monkeypatch, twice
+):
+    # 2^4423 - 1 is a Mersenne prime: a congruence on it that the modulus
+    # leaves out, or one listed twice, fails before any number of 2^64 or
+    # more reaches is_prime
+    big = 2**4423 - 1
+    with doc_mod.unlimited_int_digits():
+        doc = json.loads((FIXTURES / "kp3_x1000.json").read_text())
+        doc["congruences"] += [["0", str(big)]] * (1 + twice)
+        if twice:
+            doc["modulus"] = str(int(doc["modulus"]) * big**2)
+        doc = doc_mod.parse_document(json.dumps(doc))
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return numtheory.is_prime(n)
+
+    monkeypatch.setattr(doc_mod, "is_prime", recording)
+    report = doc_mod.verify_document(doc)
+    fault = "duplicate moduli" if twice else (
+        "modulus is not the product of the congruence moduli"
+    )
+    assert ("congruences", False, fault) in report.sections
+    assert tested and max(tested) < 2**64
 
 
 def last_line_printed(code):
@@ -1266,7 +1361,7 @@ def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
 def k1_doc_path(tmp_path_factory):
     cert = construct_certificate_k(make_schedule(200, 1, "practical"))
     path = tmp_path_factory.mktemp("certs") / "k1.json"
-    path.write_text(doc_mod.document_to_json(doc_mod.kcertificate_to_document(cert)))
+    path.write_text(doc_mod.document_to_json(doc_mod.certificate_to_document(cert)))
     return path
 
 

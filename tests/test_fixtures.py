@@ -1,7 +1,7 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.8/) still
+documents of every earlier format (tests/fixtures/v1.0/ to v1.9/) still
 verify, and every committed document re-renders to the compact canonical
 form of its own content.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
@@ -162,7 +162,21 @@ def test_fixture_differs_from_1_7_only_in_version(name):
 @each_case
 def test_fixture_differs_from_1_8_only_in_version(name):
     # format 1.9 dropped the whitespace between tokens and nothing else
-    assert_differ_only_in_version(name, FIXTURES, FIXTURES / "v1.8", ("1.9", "1.8"))
+    assert_differ_only_in_version(
+        name, FIXTURES / "v1.9", FIXTURES / "v1.8", ("1.9", "1.8")
+    )
+
+
+@each_case
+def test_fixture_differs_from_1_9_only_in_version_and_kpower_u6(name):
+    # format 1.10 stopped running kpower's Legendre screen, whose count
+    # sets.U6 was all a document held of it; squarefree's U6 stays
+    old = json.loads((FIXTURES / "v1.9" / name).read_text())
+    if old["mode"] == "kpower":
+        del old["sets"]["U6"]
+    new = json.loads((FIXTURES / name).read_text())
+    assert (new.pop("format_version"), old.pop("format_version")) == ("1.10", "1.9")
+    assert new == old
 
 
 # a JSON string literal, escapes included; what is left outside them must
@@ -215,7 +229,7 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 # format bump that leaves a document's content alone, as 1.9's compact
 # rendering did, keeps its digest, and one that changes the content shows
 # as a changed digest.
-BENCHMARK_FORMAT = "1.9"
+BENCHMARK_FORMAT = "1.10"
 BENCHMARK_DIGESTS = dict(line.rsplit(None, 1) for line in """
 squarefree x=40 explicit         9fa3697fbf898716a0d17b107e59d145cc577f0226cc68d8723e682cc0b3dce3
 squarefree x=150                 7491a9d7157113992d39a35a2dcfc5b09951a0d201ab2270dca657c9bf367b2e
@@ -224,13 +238,13 @@ squarefree x=1000                c14f0ef7524793376ab761d51d453c1ec29c6d9a920ff58
 squarefree x=3000                2d1020d40209f1c89a4550e45cf7aa49369ad0d3db08b514d9ddefe303e69916
 squarefree x=10000               05286ee0bc334f7588257c69a57a0e053f7080f8df23043f59f0ed96feeec91d
 squarefree x=20000               a8d08acea3ed21ec9b44b02fd72fec0a11bb21d994cc7f73655819f6dce029a6
-kpower k=1 x=200                 9226966fc9364bbe0f84e1b04b5cf40460de1094855ae1a86da92ba1730046a3
-kpower k=3 x=1000                3508928d23e1e27b061a21f082bcb5c31dd1036f4025ec0755892e86a8d9d34c
-kpower k=5 x=2000                bba906d761ee170b264959159d8509cc9ec9d3af9f9a11a6ec11f6c262d5c823
-kpower k=2 x=600 full modulus    0b47b30608dd60fb964bac8266c06ba3aa98cb00681628560119d5ce89226f85
-kpower k=2 x=10000               4becfec42041536453b5497dc420d73e4cf26469b42c6dbb093405d88312bf4d
-kpower k=5 x=5000                f13426e3af4f4163dde89cf99fb9a9201161227dc2e987063292091945e5fc5a
-kpower k=3 x=30000               bc8cb5f019398735d787d3306987b721524f98797c29b525870ae4c1951ad3e6
+kpower k=1 x=200                 dca99418aabdbb5661a2b22b5e95f4f35d85636106dcde9709ab29ba5a9d919d
+kpower k=3 x=1000                ccfe31cb420ef3138136bbeb6f05f49c4b6a400d82d3cef78093f49cee57703f
+kpower k=5 x=2000                0cd36f2afc704bf6dc481f14dd910115d474feccf733bb4878f4604ef545a240
+kpower k=2 x=600 full modulus    2bd07e52e8a7a3ee6d0ad1865580c09aae6ca15610a332213ce50760856c2588
+kpower k=2 x=10000               3feeb2a7695a472f17273354f8e0e975408477ca6d44228f2c4d97a5776f4043
+kpower k=5 x=5000                6e24ad611af8a8997d6f1e41def58f3d644803f089b111e10948dd5e06d6d39a
+kpower k=3 x=30000               ea7e484144c4633a645c3a303fc30727791047ecf2463fadc59c0a2f1d225dda
 """.strip().splitlines())
 
 

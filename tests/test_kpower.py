@@ -725,7 +725,7 @@ def test_verify_rechecks_divisions(k1_cert):
     cover, exceptions = verify_power_window(cert.m, cert.congruences, cert.schedule)
     assert cover.keys() == cert.cover.keys()
     assert exceptions == cert.exceptions
-    metrics = doc_mod.kcertificate_to_document(cert)["metrics"]
+    metrics = doc_mod.certificate_to_document(cert)["metrics"]
     assert metrics["prime_count_in_window"] == sum(s == "prime" for _, s in exceptions)
 
 
@@ -735,7 +735,7 @@ def test_document_derives_the_metrics(k1_cert, kp2_x10000_cert):
     cert = kp2_x10000_cert._replace(
         exceptions=[(-3, "prime"), (5, "composite"), (7, "prime")]
     )
-    doc = doc_mod.kcertificate_to_document(cert, seed=9)
+    doc = doc_mod.certificate_to_document(cert, seed=9)
     metrics = doc["metrics"]
     assert doc["seed"] == 9
     assert metrics["exponent_report"] == math.log(cert.m) / math.log(cert.modulus)
@@ -745,7 +745,7 @@ def test_document_derives_the_metrics(k1_cert, kp2_x10000_cert):
     )
     # a 17-bit m is below e^(e^e), where the constant is undefined
     assert k1_cert.m < 2**17
-    metrics = doc_mod.kcertificate_to_document(k1_cert)["metrics"]
+    metrics = doc_mod.certificate_to_document(k1_cert)["metrics"]
     assert metrics["avoidance_constant"] is None
 
 

@@ -56,7 +56,6 @@ def test_every_traced_name_resolves_on_the_package():
             ("--mode", "kpower", "--k", "1", "--x", "200"),
             {
                 "kpower.build_sets_k",
-                "kpower.legendre_screen",
                 "kpower.match_offsets",
                 "kpower.solve_m0_k",
                 "kpower.find_prime_in_ap",
