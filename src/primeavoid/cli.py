@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import CapacityError, ConstructionError, DocumentError, SearchExhausted
@@ -190,7 +189,6 @@ def _parse_grid(text: str, cast, option: str) -> list:
 
 def _cmd_bench_sieve(args) -> int:
     from . import sievebound
-    from .numtheory import primes_upto
     from .schedule import MIN_Y, make_schedule
 
     lams = _parse_grid(args.lam, float, "--lam")
@@ -201,14 +199,10 @@ def _cmd_bench_sieve(args) -> int:
         )
     # only x and z are read; a pinned y skips the window rule (y < 3 at x=16)
     sch = make_schedule(args.x, k=args.k, y=MIN_Y)
-    if args.family == "none":
-        rules = {}
-    else:
-        primes = primes_upto(math.floor(sch.x))
-        log_x = math.log(sch.x)
-        p1 = [p for p in primes if p <= log_x]
-        p2 = [p for p in primes if log_x < p <= sch.z]
-        rules = sievebound.double_residue_rules(args.k, p1, p2)
+    rules = (
+        {} if args.family == "none"
+        else sievebound.double_residue_rules(args.k, sch.x, sch.z)
+    )
     empirical = sievebound.empirical_sifted_count(args.range_size, rules, sch.z)
 
     rows = []
@@ -217,11 +211,10 @@ def _cmd_bench_sieve(args) -> int:
         for b in bs:
             row = {"lambda": lam, "b": b, "kappa": args.kappa}
             try:
-                inst = sievebound.instance_for_rules(
+                main, err = sievebound.brun_bound_terms(
                     args.range_size, rules, sch.z,
                     lam=lam, b=b, kappa=args.kappa, a2=args.a2,
                 )
-                main, err = sievebound.brun_bound_terms(inst)
             except ValueError as exc:
                 row["skipped"] = str(exc)
                 rows.append(row)

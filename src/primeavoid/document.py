@@ -18,6 +18,11 @@ scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.  The metrics
 the serializer derives (derived_metrics) are recomputed from the checked
 numbers, and a squarefree trial bound may claim no more than the scan.
+The primality sections (prime_base and exceptions, or squarefree) run
+only once the congruences, the progression, the completeness and the
+witnesses hold; on a document that fails one of those each is reported
+"not checked", so a refuted document costs no primality test on m.
+UNCHECKED names the paths the verifier reads nothing of.
 
 This module owns the format, and so the record both modes build,
 ``Certificate``, and its one serializer.  The serializer names no mode:
@@ -178,6 +183,21 @@ _REQUIRED_KEYS = (
 )
 
 
+# the paths the verifier reads nothing of: each may change, keys and list
+# entries under it too, and the document still verifies
+UNCHECKED = (
+    "seed",
+    "sets",
+    "schedule.x",
+    "schedule.z",
+    "schedule.profile",
+    "schedule.autoshrink",
+    "metrics.autoshrink_trace",
+    "metrics.unmatched_offsets",
+    "reduced_modulus",
+)
+
+
 def _reject_constant(name: str):
     """NaN, Infinity and -Infinity, which Python's json reads but JSON
     (RFC 8259) does not define."""
@@ -324,22 +344,19 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _prime_cofactor_tier(m: int, congs, prime: dict[int, bool]) -> str | None:
+def _prime_cofactor_tier(m: int, congs) -> str | None:
     """m's tier when m = B*C with B the product of the residue-0 moduli of
-    ``congs``, those moduli distinct primes, and C a prime that does not
-    divide B: then m is squarefree, with C's prime_tier.  None when m has
-    no such shape, or when ``prime``, each modulus's is_prime verdict,
-    lacks one (as when the congruences fail); C is the one number tested.
+    ``congs`` and C a prime that does not divide B: then m is squarefree,
+    with C's prime_tier.  None when m has no such shape.  The moduli must
+    be distinct primes, which the congruence section has checked before
+    any primality section runs; C is the one number tested.
 
     The proof reads nothing else of the document, so it holds for every
     format.  When C is prime and every prime of B is at most the trial
     bound, the trial scan would find the same tier: it divides B out and
     leaves C, or 1 when C is at most the bound.
     """
-    zero = [q for r, q in congs if r == 0]
-    if len(set(zero)) != len(zero) or not all(prime.get(q) for q in zero):
-        return None
-    b = math.prod(zero)
+    b = math.prod(q for r, q in congs if r == 0)
     if m % b:
         return None
     c = m // b
@@ -457,7 +474,13 @@ def verify_document(doc: dict) -> VerifyReport:
         )
     )
 
-    if mode == "kpower":
+    # the primality sections run only on a document whose structure
+    # holds: a failing one is refuted already, and its m may be anything
+    primality = ("prime_base", "exceptions") if mode == "kpower" else ("squarefree",)
+    failed = next((name for name, passed, _ in sections if not passed), None)
+    if failed:
+        sections += [(name, False, f"not checked: {failed} fails") for name in primality]
+    elif mode == "kpower":
         m_prime = is_prime(m)
         if not m_prime:
             detail = "m is composite"
@@ -488,7 +511,7 @@ def verify_document(doc: dict) -> VerifyReport:
         # primality test that would only pick the tier: the one on m/B, and
         # the one on the trial cofactor
         test_primality = recorded != "partial"
-        actual = _prime_cofactor_tier(m, congs, prime) if test_primality else None
+        actual = _prime_cofactor_tier(m, congs) if test_primality else None
         proof = "m/B prime" if actual else "trial scan"
         if actual is None:
             actual = classify_squarefree(m, test_primality=test_primality)

@@ -38,6 +38,11 @@ exceeds max(x, 2y).  So m is squarefree by construction, with C's tier
 (numtheory.prime_tier: "proven" below 3.3*10^24, "prp" above).  Outside
 that window m is the first member of m0 + j*N that the tiered trial scan
 (numtheory.classify_squarefree) does not reject, with the scan's tier.
+Below the window the scan's cofactor gets one primality round; above it
+the round is skipped.  There it would only pick "prp" over "partial",
+and a cofactor free of primes to 10^7 is prime with chance about
+e^gamma * ln(10^7) / ln(cofactor), some 2% at 1,700 bits and less above,
+while the round is the costliest step of a large construct.
 
 The run's record is document.Certificate, as in kpower; squarefree adds
 m's tier and the trial bound as metrics, and lists no exceptions.
@@ -215,19 +220,23 @@ def find_squarefree_in_ap(
     (_prime_cofactor), with C's prime_tier.  Otherwise the least such j
     whose member classify_squarefree does not reject, with its tier: full
     when trial factorization to the bound settles it, otherwise the
-    partial tier is recorded honestly.  Either search tries at most
-    max_steps members.
+    partial tier is recorded honestly.  Below the window one primality
+    round on the scan's cofactor may still raise the tier to prp or
+    proven; above it the round is skipped, so the tier there is proven or
+    partial.  Either search tries at most max_steps members.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     b = math.gcd(m0, n)
-    if PRIME_COFACTOR_MIN_BITS <= (n // b).bit_length() <= PRIME_COFACTOR_MAX_BITS:
+    bits = (n // b).bit_length()
+    if PRIME_COFACTOR_MIN_BITS <= bits <= PRIME_COFACTOR_MAX_BITS:
         return _prime_cofactor(m0, n, b, sch, max_steps)
+    test_primality = bits < PRIME_COFACTOR_MIN_BITS
     j = max(0, -(-(2 * sch.y - m0) // n))  # ceil division
     tried = 0
     while tried < max_steps:
         m = m0 + j * n
-        status = classify_squarefree(m)
+        status = classify_squarefree(m, test_primality=test_primality)
         tried += 1
         if status != "not_squarefree":
             return SquarefreeSearch(

@@ -24,7 +24,6 @@ from primeavoid.sievebound import (
     brun_bound_terms,
     double_residue_rules,
     empirical_sifted_count,
-    instance_for_rules,
 )
 from primeavoid.squarefree import build_sets, construct_certificate
 
@@ -207,19 +206,13 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
 def test_criterion_7_sieve_bound_dominates(capsys):
     x, size = 1000.0, 10**5
     z = math.sqrt(x)
-    log_x = math.log(x)
-    primes = primes_upto(math.floor(x))
-    rules = double_residue_rules(
-        1,
-        [p for p in primes if p <= log_x],
-        [p for p in primes if log_x < p <= z],
-    )
+    rules = double_residue_rules(1, x, z)
     empirical = empirical_sifted_count(size, rules, z)
     results = []
     for lam in (0.1, 0.15, 0.2):
         for b in (1, 2):
-            inst = instance_for_rules(size, rules, z, lam=lam, b=b, kappa=2.0)
-            results.append(sum(brun_bound_terms(inst)) >= empirical)
+            bound = brun_bound_terms(size, rules, z, lam=lam, b=b, kappa=2.0)
+            results.append(sum(bound) >= empirical)
     ok = len(results) >= 6 and all(results)
     with capsys.disabled():
         report(

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -541,18 +542,56 @@ def test_partial_claim_skips_cofactor_primality(monkeypatch, partial_doc_text):
             doc_mod.verify_document(doc)
 
 
+# the sections that must pass before verify_document tests any primality
+STRUCTURE = ("congruences", "progression", "completeness", "witnesses")
+
+
+def sections_of(doc):
+    """verify_document's (passed, detail) for each section, by name."""
+    return {name: (ok, detail) for name, ok, detail in doc_mod.verify_document(doc).sections}
+
+
+def with_square_factor(doc, p):
+    """A copy of ``doc`` with m moved along its progression to the least
+    m + j*N that p^2 divides, for p a residue-0 modulus or a prime of no
+    modulus.  Every congruence, witness and offset still holds, so only
+    the squarefree section can refute the copy."""
+    m, n = int(doc["m"]), int(doc["modulus"])
+    g = math.gcd(n, p)  # p, which then divides m, or 1
+    step = p * p // g
+    j = -(m // g) * pow(n // g, -1, step) % step
+    moved = json.loads(json.dumps(doc))
+    moved["m"] = str(m + j * n)
+    return moved
+
+
+def lone_offset_doc(m):
+    """A squarefree document whose window is the lone offset 0, struck by
+    0 mod 2: its structure holds for every even m, so only the squarefree
+    section can refute its partial claim."""
+    return {
+        "format_version": doc_mod.FORMAT_VERSION, "mode": "squarefree", "seed": 0,
+        "schedule": {"k": 1, "y": 0}, "sets": {}, "congruences": [["0", "2"]],
+        "modulus": "2", "m0": "2", "m": str(m),
+        "cover": [{"u": 0, "witness_prime": "2"}], "exceptions": [],
+        "metrics": {"squarefree_status": "partial"},
+    }
+
+
 def test_partial_claim_rejects_square_factors(partial_doc_text):
-    # m replaced by a square times m's partial-tier cofactor: a repeated
-    # small prime or a perfect-power cofactor must still fail the section
+    # a repeated small prime in a member of m's progression, or a
+    # perfect-power cofactor (m's partial-tier cofactor squared or cubed),
+    # must still fail the section
     doc = json.loads(partial_doc_text)
     m = int(doc["m"])
     rest = numtheory.trial_cofactor(m)
     assert numtheory.classify_squarefree(m) == "partial"
-    for bad in (9 * m, 7**2 * m, rest**2, 210 * rest**3):
-        doc["m"] = str(bad)
-        report = doc_mod.verify_document(doc)
-        sections = {name: (ok, detail) for name, ok, detail in report.sections}
-        assert sections["squarefree"] == (False, "m has a square factor"), bad
+    bad_docs = [with_square_factor(doc, 3), with_square_factor(doc, 7)]
+    bad_docs += [lone_offset_doc(bad) for bad in (2 * rest**2, 210 * rest**3)]
+    for bad in bad_docs:
+        sections = sections_of(bad)
+        assert all(sections[name][0] for name in STRUCTURE), bad["m"]
+        assert sections["squarefree"] == (False, "m has a square factor"), bad["m"]
 
 
 @pytest.fixture(scope="module")
@@ -566,9 +605,7 @@ def prime_cofactor_doc():
 
 
 def squarefree_section(doc):
-    report = doc_mod.verify_document(doc)
-    return next((ok, detail) for name, ok, detail in report.sections
-                if name == "squarefree")
+    return sections_of(doc)["squarefree"]
 
 
 def scan_section(m, recorded):
@@ -601,8 +638,8 @@ def test_prime_cofactor_proves_m_without_the_scan(prime_cofactor_doc, scans):
 
 
 def spoiled_prime_cofactor_docs(doc):
-    """(name, document) pairs: the prime-cofactor document with m, or m
-    and its residue-0 moduli, changed so that no prime m/B proves m."""
+    """(name, document) pairs: the prime-cofactor document with m moved
+    along its progression so that no prime m/B proves m."""
     m = int(doc["m"])
     zero = [int(q) for r, q in doc["congruences"] if r == "0"]
     b = math.prod(zero)
@@ -614,37 +651,54 @@ def spoiled_prime_cofactor_docs(doc):
     beyond_scan = next(p for p in range(2**64 + 1, 2**64 + 10**3, 2)
                        if numtheory.is_prime(p))
 
-    def with_m(new_m, congruences=None):
-        spoiled = json.loads(json.dumps(doc))
-        spoiled["m"] = str(new_m)
-        if congruences is not None:
-            spoiled["congruences"] = congruences
-        return spoiled
-
-    q = zero[-1]
     above_x = next(p for p in range(1701, 2000) if numtheory.is_prime(p))
-    yield "m*p^2, p | B", with_m(m * q**2)
-    yield "m*p^2, p = 2", with_m(m * 4)
-    yield "m*p^2, p not in B", with_m(m * above_x**2)
-    yield "m*p^2, p beyond the scan", with_m(m * beyond_scan**2)
-    yield "C composite", with_m(b * composite)
-    # 2 | B: residue 0 mod 4 instead of mod 2, or mod 2 twice, with m
-    # doubled, would make m/B prime again while 4 divides m
-    congs = doc["congruences"]
-    four = [["0", "4"] if rq == ["0", "2"] else rq for rq in congs]
-    yield "residue-0 modulus composite", with_m(2 * m, four)
-    yield "residue-0 modulus twice", with_m(2 * m, [*congs, ["0", "2"]])
-    yield "C a prime of B", with_m(b * q)
+    yield "m*p^2, p | B", with_square_factor(doc, zero[-1])
+    yield "m*p^2, p = 2", with_square_factor(doc, 2)
+    yield "m*p^2, p not in B", with_square_factor(doc, above_x)
+    yield "m*p^2, p beyond the scan", with_square_factor(doc, beyond_scan)
+    spoiled = json.loads(json.dumps(doc))
+    spoiled["m"] = str(b * composite)
+    yield "C composite", spoiled
 
 
 def test_spoiled_prime_cofactor_falls_back_to_the_scan(prime_cofactor_doc, scans):
     for name, doc in spoiled_prime_cofactor_docs(prime_cofactor_doc):
         m = int(doc["m"])
         scans.clear()
-        ok, detail = squarefree_section(doc)
+        sections = sections_of(doc)
+        assert all(sections[section][0] for section in STRUCTURE), name
         assert scans == [m], name
-        assert (ok, detail) == scan_section(m, "prp"), name
-        assert not ok, name
+        assert sections["squarefree"] == scan_section(m, "prp"), name
+        assert not sections["squarefree"][0], name
+
+
+def test_prime_cofactor_refuses_a_prime_of_b():
+    # m = B*q for a prime q of B proves nothing; the spoiled copy below
+    # leaves the progression and so never reaches the proof, which is
+    # therefore called directly
+    congs = [(0, 2), (0, 3), (1, 5)]
+    assert doc_mod._prime_cofactor_tier(2 * 3 * 3, congs) is None
+    assert doc_mod._prime_cofactor_tier(2 * 3 * 7, congs) == "proven"
+
+
+def test_spoiled_residue_zero_moduli_leave_m_unchecked(prime_cofactor_doc, scans):
+    # 2 | B: residue 0 mod 4 instead of mod 2, or mod 2 twice, with m
+    # doubled, would make m/B prime again while 4 divides m; and m = B*q
+    # for a prime q of B leaves the progression.  Each fails a structural
+    # section, so neither m/B nor the scan is tried
+    doc = prime_cofactor_doc
+    m = int(doc["m"])
+    zero = [int(q) for r, q in doc["congruences"] if r == "0"]
+    congs = doc["congruences"]
+    four = [["0", "4"] if rq == ["0", "2"] else rq for rq in congs]
+    for congruences, new_m, failed in (
+        (four, 2 * m, "congruences"),
+        ([*congs, ["0", "2"]], 2 * m, "congruences"),
+        (congs, math.prod(zero) * zero[-1], "progression"),
+    ):
+        spoiled = {**doc, "congruences": congruences, "m": str(new_m)}
+        assert squarefree_section(spoiled) == (False, f"not checked: {failed} fails")
+    assert scans == []
 
 
 def test_partial_prime_cofactor_claim_runs_no_bpsw(monkeypatch, prime_cofactor_doc):
@@ -1175,7 +1229,50 @@ def test_verify_tests_no_primality_while_the_moduli_break_the_structure(
         "modulus is not the product of the congruence moduli"
     )
     assert ("congruences", False, fault) in report.sections
-    assert tested and max(tested) < 2**64
+    assert all(n < 2**64 for n in tested)
+
+
+def failed_document_primality(monkeypatch, doc):
+    """Verify ``doc`` with the trial scan refused, and return the report
+    and every number that reached is_prime."""
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return numtheory.is_prime(n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a failed document reached the trial scan")
+
+    monkeypatch.setattr(doc_mod, "is_prime", recording)
+    monkeypatch.setattr(doc_mod, "classify_squarefree", refused)
+    return doc_mod.verify_document(doc), tested
+
+
+def test_failed_squarefree_document_runs_no_scan(monkeypatch):
+    # one congruence more than the modulus holds: run anyway, the
+    # squarefree section would scan m, 5,596 bits at x = 10^4, to 10^7
+    cert = construct_certificate(make_schedule(10**4))
+    doc = doc_mod.certificate_to_document(cert)
+    doc["congruences"].append(["0", "1000003"])
+    report, tested = failed_document_primality(monkeypatch, doc)
+    assert not report.ok
+    assert ("squarefree", False, "not checked: congruences fails") in report.sections
+    assert all(n < 2**64 for n in tested)
+
+
+def test_failed_kpower_document_tests_no_big_prime(monkeypatch):
+    # a residue off by one: the congruences fail, so the 818-bit m and the
+    # exceptions go untested
+    with doc_mod.unlimited_int_digits():
+        doc = json.loads((FIXTURES / "kp2_x600_full.json").read_text())
+    r, q = doc["congruences"][-1]
+    doc["congruences"][-1] = [str((int(r) + 1) % int(q)), q]
+    report, tested = failed_document_primality(monkeypatch, doc)
+    assert not report.ok
+    for name in ("prime_base", "exceptions"):
+        assert (name, False, "not checked: congruences fails") in report.sections
+    assert all(n < 2**64 for n in tested)
 
 
 def last_line_printed(code):
@@ -1330,6 +1427,32 @@ def test_bench_sieve_skips_inadmissible_lambda(capsys):
     report = json.loads(out)
     skipped = [r for r in report["rows"] if "skipped" in r]
     assert len(skipped) == 2  # lam=0.5 for both b values
+
+
+# bench-sieve's exact report on four grids, by sha256: a change in the
+# bound's arithmetic, in the order of its checks or in a message shows
+# here.  The third grid skips rows for b = 0, for an inadmissible lambda
+# and for the weighted-sum hypothesis
+PINNED_SIEVE_REPORTS = [
+    ("--x 1000 --range-size 100000",
+     "fed717e9d5a45696d05561e945ccc900eb9074f6d5eec8b7f2797f3d4372f8cf"),
+    ("--x 5000 --k 2 --range-size 50000 --lam 0.1,0.5,0.2 --b 1,3",
+     "cd94bc76cf01857a7b682620eb3e40d923087f2e079bda39540e35ff152d0bca"),
+    ("--x 2000 --k 3 --range-size 20000 --lam 0.5,0.1 --b 0,2 --kappa 0.5 --a2 2",
+     "e6ceb24ab5bbb228f95f2c0f84a107c28077d2bd4d081d7db70f9fc1f3a5c089"),
+    ("--x 16 --range-size 1000 --family none",
+     "415124f522416a7e3b7d22ce97b84cf464831fdeb124b43232261cf606c2c9ed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_SIEVE_REPORTS,
+    ids=["default grid", "k2 two b", "skipped rows", "no family"],
+)
+def test_bench_sieve_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "bench-sieve", *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,12 @@ from pathlib import Path
 import pytest
 
 from primeavoid import cli
-from primeavoid.document import document_to_json, parse_document, unlimited_int_digits
+from primeavoid.document import (
+    UNCHECKED,
+    document_to_json,
+    parse_document,
+    unlimited_int_digits,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BENCH_CHECK = Path(__file__).parents[1] / "e2ebench" / "check.py"
@@ -273,3 +278,80 @@ def test_benchmark_instance_document_digest(run, capsys):
     content = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     digest = hashlib.sha256(content.encode()).hexdigest()
     assert digest == BENCHMARK_DIGESTS[label]
+
+
+# -- the tamper matrix -------------------------------------------------------------
+
+
+def tampered(value):
+    """One mutation of a scalar leaf: an int or a digit string plus one, a
+    float times 1 + 10^-6, a bool negated, null as 0 and any other string
+    with an "x" appended."""
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return value + 1
+    if type(value) is float:
+        return value * (1 + 1e-6)
+    if value is None:
+        return 0
+    if value.isascii() and value.isdigit():
+        return str(int(value) + 1)
+    return value + "x"
+
+
+def leaf_paths(node, path=()):
+    """The path of every scalar leaf under ``node``; of a list only the
+    first and the last entry are walked."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index in sorted({0, len(node) - 1} if node else set()):
+            yield from leaf_paths(node[index], (*path, index))
+    else:
+        yield path
+
+
+def is_unchecked(path):
+    """Whether document.UNCHECKED holds the path or a path above it."""
+    keys = ".".join(str(key) for key in path)
+    return any(keys == name or keys.startswith(name + ".") for name in UNCHECKED)
+
+
+def still_a_witness(doc, path):
+    """Whether ``path`` is a witness prime that, tampered, is still a
+    congruence modulus dividing its element m^k + u + shift: the document
+    then remains a true certificate (2 + 1 = 3 often is one)."""
+    if path[0] != "cover" or path[-1] != "witness_prime":
+        return False
+    entry = doc["cover"][path[1]]
+    q, k = int(entry["witness_prime"]), doc["schedule"]["k"]
+    shift = -1 if doc["mode"] == "kpower" else 0
+    moduli = {int(modulus) for _, modulus in doc["congruences"]}
+    return q in moduli and (pow(int(doc["m"]), k, q) + entry["u"] + shift) % q == 0
+
+
+@each_case
+def test_every_checked_leaf_refutes_a_tampered_fixture(name, tmp_path, capsys):
+    # each mutation outside UNCHECKED fails verify, unless it leaves a true
+    # certificate, and each under it passes; so the tuple holds exactly
+    # what the verifier leaves unread
+    with unlimited_int_digits():
+        fixture = json.loads((FIXTURES / name).read_text())
+        path = tmp_path / name
+        wrong = []
+        for leaf in leaf_paths(fixture):
+            doc = json.loads(json.dumps(fixture))
+            *parents, last = leaf
+            parent = doc
+            for key in parents:
+                parent = parent[key]
+            parent[last] = tampered(parent[last])
+            path.write_text(json.dumps(doc))
+            code = cli.main(["verify", str(path)])
+            capsys.readouterr()
+            true = is_unchecked(leaf) or still_a_witness(doc, leaf)
+            if (code == 0) != true or code not in (0, 1, 65):
+                wrong.append((leaf, code))
+    assert wrong == []

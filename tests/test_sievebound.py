@@ -4,12 +4,10 @@ import pytest
 
 from primeavoid.numtheory import primes_upto
 from primeavoid.sievebound import (
-    SieveInstance,
     brun_bound_terms,
     brun_main_factor,
     double_residue_rules,
     empirical_sifted_count,
-    instance_for_rules,
 )
 
 
@@ -85,59 +83,68 @@ def test_sifted_count_range_guard():
 # -- upper bound vs exact count ----------------------------------------------
 
 
-def lemma_style_rules(x, z, k=1):
-    log_x = math.log(x)
-    primes = primes_upto(math.floor(x))
-    small = [p for p in primes if p <= log_x]
-    mid = [p for p in primes if log_x < p <= z]
-    return double_residue_rules(k, small, mid)
-
-
 @pytest.mark.parametrize("lam", [0.1, 0.15, 0.2])
 @pytest.mark.parametrize("b", [1, 2])
 def test_bound_dominates_count_on_grid(lam, b):
     x, z, size = 1000.0, math.sqrt(1000), 10**4
-    rules = lemma_style_rules(x, z)
-    inst = instance_for_rules(size, rules, z, lam=lam, b=b, kappa=2.0)
-    bound = sum(brun_bound_terms(inst))
+    rules = double_residue_rules(1, x, z)
+    bound = sum(brun_bound_terms(size, rules, z, lam=lam, b=b, kappa=2.0))
     count = empirical_sifted_count(size, rules, z)
     assert bound >= count
 
 
 def test_bound_with_no_sifting():
-    inst = SieveInstance(size=1000, omega={}, z=10.0, kappa=1.0, lam=0.2, b=1)
-    main, err = brun_bound_terms(inst)
+    main, err = brun_bound_terms(1000, {}, 10.0, kappa=1.0, lam=0.2, b=1)
     assert main >= 1000  # W(z) = 1, positive correction
     assert math.isfinite(err) and err > 0
 
 
 def test_bound_small_z_blowup_is_finite():
-    inst = SieveInstance(size=10, omega={}, z=math.e, kappa=1.0, lam=0.2, b=1)
-    main, _ = brun_bound_terms(inst)
+    main, _ = brun_bound_terms(10, {}, math.e, kappa=1.0, lam=0.2, b=1)
     # correction factor ~ f * e^25: enormous but finite
     assert math.isfinite(main) and main > 10
 
 
-def test_instance_validation_rejects_heavy_omega():
-    inst = SieveInstance(size=100, omega={3: 3}, z=10.0, kappa=1.0, lam=0.2, b=1)
+def test_bound_rejects_heavy_omega():
     with pytest.raises(ValueError, match="omega"):
-        inst.validate()
+        brun_bound_terms(100, {3: {0, 1, 2}}, 10.0, kappa=1.0, lam=0.2, b=1)
 
 
-def test_instance_validation_rejects_bad_lambda():
-    inst = SieveInstance(size=100, omega={}, z=10.0, kappa=1.0, lam=0.5, b=1)
+def test_bound_ignores_rules_at_or_above_z():
+    # omega(11)/11 would violate the cap, but 11 does not sift below z = 10
+    main, _ = brun_bound_terms(100, {2: {0}, 11: set(range(11))}, 10.0,
+                               kappa=1.0, lam=0.2, b=1)
+    assert main == pytest.approx(100 * 0.5 * (1 + brun_main_factor(0.2, 1)
+                                              * math.exp(5 / (0.2 * math.log(10)))))
+
+
+def test_bound_rejects_bad_lambda():
     with pytest.raises(ValueError, match="inadmissible"):
-        inst.validate()
+        brun_bound_terms(100, {}, 10.0, kappa=1.0, lam=0.5, b=1)
 
 
-def test_instance_weighted_sum_condition():
+@pytest.mark.parametrize(
+    "params",
+    [dict(kappa=0.0, b=1), dict(kappa=1.0, a2=0.5, b=1), dict(kappa=1.0, b=0)],
+    ids=["kappa", "a2", "b"],
+)
+def test_bound_checks_kappa_a2_and_b_before_lambda(params):
+    # one message for the three, ahead of an inadmissible lambda
+    with pytest.raises(ValueError, match="need kappa > 0, A2 >= 1, b >= 1"):
+        brun_bound_terms(100, {}, 10.0, lam=0.5, **params)
+
+
+def test_bound_rejects_negative_size():
+    with pytest.raises(ValueError, match="size"):
+        brun_bound_terms(-1, {}, 10.0, kappa=1.0, lam=0.2, b=1)
+
+
+def test_bound_weighted_sum_condition():
     # omega == kappa-consistent instance passes; absurd kappa fails
-    rules = lemma_style_rules(1000.0, 31.0)
-    inst = instance_for_rules(10**4, rules, 31.0, lam=0.2, b=1, kappa=2.0)
-    inst.validate()
-    tight = instance_for_rules(10**4, rules, 31.0, lam=0.2, b=1, kappa=0.01, a2=1.0)
+    rules = double_residue_rules(1, 1000.0, 31.0)
+    brun_bound_terms(10**4, rules, 31.0, lam=0.2, b=1, kappa=2.0)
     with pytest.raises(ValueError, match="weighted"):
-        tight.validate()
+        brun_bound_terms(10**4, rules, 31.0, lam=0.2, b=1, kappa=0.01, a2=1.0)
 
 
 # -- k-th power root counts ----------------------------------------------------
@@ -152,7 +159,13 @@ def test_rho_bounded_by_gcd():
 
 
 def test_double_residue_rules_shape():
-    rules = double_residue_rules(1, [2, 3], [7, 11])
-    assert rules[2] == {0} and rules[3] == {0}
+    # log 1000 ~ 6.9: {0} on 2, 3 and 5; {0, 1 - 2^k} on 7 and 11 <= z
+    rules = double_residue_rules(1, 1000.0, 12.0)
+    assert list(rules) == [2, 3, 5, 7, 11]
+    assert rules[2] == rules[3] == rules[5] == {0}
     assert rules[7] == {0, (1 - 2) % 7} == {0, 6}
     assert rules[11] == {0, 10}
+    assert double_residue_rules(2, 1000.0, 11.0)[11] == {0, (1 - 4) % 11}
+    # z bounds the table, not x; log 20 ~ 3.0 puts 3 in the second group,
+    # and 1 - 2^3 = -7 leaves 7 one class
+    assert double_residue_rules(3, 20.0, 7.0) == {2: {0}, 3: {0, 2}, 5: {0, 3}, 7: {0}}

@@ -609,6 +609,23 @@ def test_window_keeps_the_scan_where_it_proves(x, tier):
     assert cert.metrics["squarefree_status"] == tier
 
 
+def test_scan_above_the_window_sends_no_cofactor_to_is_prime(monkeypatch):
+    # N/B has 1,722 bits at x = 2*10^4, above the window: the scan leaves
+    # its cofactor partial without a primality round
+    tested = []
+
+    def recording(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_prime", recording)
+    cert = construct_certificate(make_schedule(2 * 10**4))
+    bits = (cert.modulus // residue_zero_product(cert)).bit_length()
+    assert bits > squarefree.PRIME_COFACTOR_MAX_BITS
+    assert cert.metrics["squarefree_status"] == "partial"
+    assert all(n < 2**64 for n in tested)
+
+
 @pytest.mark.parametrize("x", [150, 400])
 def test_forced_prime_cofactor_is_squarefree(monkeypatch, x):
     # N/B has 11 and 25 bits here, below the window; forced onto the prime
