@@ -9,13 +9,14 @@ that ``verify`` loads no construction code and ``construct`` only the
 mode it runs.
 
 Handlers only raise; ``main`` maps each failure to its exit code and
-stderr line by one table, FAILURES.  Exit codes: 0 success, 1 a refuted
-certificate or a violated sieve bound (and nothing else), 2 capacity
-failure, 3 search exhaustion, 64 usage error, 65 malformed document,
-66 certificate file that cannot be read, 70 internal error (a
-construction consistency check failed, or any failure the table does
-not name, such as a worker pool that cannot start), 73 certificate file
-that cannot be written.
+stderr line by one table, FAILURES, and names a failure that has no
+message by its type (a MemoryError carries none).  Exit codes: 0
+success, 1 a refuted certificate or a violated sieve bound (and nothing
+else), 2 capacity failure, 3 search exhaustion, 64 usage error, 65
+malformed document, 66 certificate file that cannot be read, 70
+internal error (a construction consistency check failed, or any failure
+the table does not name, such as a worker pool that cannot start), 73
+certificate file that cannot be written.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--z", type=float, default=None)
     c.add_argument("--y", type=int, default=None)
     c.add_argument("--reduced-modulus", choices=("on", "off"), default="on")
-    c.add_argument("--no-autoshrink", action="store_true")
     c.add_argument("--seed", type=int, default=0,
                    help="recorded in the certificate's seed field only; the "
                         "construction is deterministic and does not use it")
@@ -118,14 +118,7 @@ def _cmd_construct(args) -> int:
     from .numtheory import DEFAULT_PRIME_STEPS
     from .schedule import make_schedule
 
-    sch = make_schedule(
-        args.x,
-        k=args.k,
-        profile=args.profile,
-        z=args.z,
-        y=args.y,
-        autoshrink=not args.no_autoshrink,
-    )
+    sch = make_schedule(args.x, k=args.k, profile=args.profile, z=args.z, y=args.y)
     max_steps = args.max_steps or DEFAULT_PRIME_STEPS
     if args.mode == "squarefree":
         from . import squarefree
@@ -301,7 +294,7 @@ def main(argv=None) -> int:
         code, prefix = next(
             (code, prefix) for types, code, prefix in FAILURES if isinstance(exc, types)
         )
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

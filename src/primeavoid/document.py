@@ -27,7 +27,7 @@ UNCHECKED names the paths the verifier reads nothing of.
 This module owns the format, and so the record both modes build,
 ``Certificate``, and its one serializer.  The serializer names no mode:
 each set system lists the sets it reports (``REPORTED``), and each mode
-passes its own metrics and top-level fields.
+passes its own metrics.
 
 The verifier loads no construction module and no ``dataclasses``: the
 ``verify`` command imports this module, numtheory, kernels and errors,
@@ -58,7 +58,7 @@ from .numtheory import (
 if TYPE_CHECKING:  # the verifier never imports the schedule module
     from .schedule import Schedule
 
-FORMAT_VERSION = "1.10"
+FORMAT_VERSION = "1.11"
 
 
 @contextmanager
@@ -82,8 +82,7 @@ class Certificate(NamedTuple):
     """The verifiable output of one run of either mode.  The serializer
     reads every field and names no mode: each mode's set system lists the
     sets it reports (``REPORTED``; each name, lower-cased, is one of its
-    fields), and each mode passes its own ``metrics`` and top-level
-    ``fields``."""
+    fields), and each mode passes its own ``metrics``."""
 
     mode: str
     schedule: Schedule
@@ -95,7 +94,6 @@ class Certificate(NamedTuple):
     cover: dict[int, int]  # offset u -> witness prime dividing m^k + u + shift
     exceptions: list[tuple[int, str]]  # (u, status); empty in squarefree
     metrics: dict  # the mode's own metrics, after the derived ones
-    fields: dict  # the mode's own top-level keys
     autoshrink_trace: tuple[int, ...]
 
 
@@ -120,10 +118,10 @@ def derived_metrics(m: int, modulus: int, power: int, y: int, statuses) -> dict:
 
 @unlimited_int_digits()
 def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
-    """Serialize a certificate; ``seed`` is recorded only.  The keys every
-    document holds are read off the certificate as built: the cardinality
-    of each set its set system reports, the exceptions, the metrics
-    derived here, then the mode's own metrics and top-level fields."""
+    """Serialize a certificate; ``seed`` is recorded only.  Every document
+    holds the same top-level keys, read off the certificate as built: the
+    cardinality of each set its set system reports, the exceptions, the
+    metrics derived here, then the mode's own metrics."""
     derived = derived_metrics(
         cert.m, cert.modulus, cert.m**cert.schedule.k, cert.schedule.y,
         [status for _, status in cert.exceptions],
@@ -149,7 +147,6 @@ def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
             "autoshrink_trace": list(cert.autoshrink_trace),
             **cert.metrics,
         },
-        **cert.fields,
     }
 
 
@@ -190,11 +187,7 @@ UNCHECKED = (
     "sets",
     "schedule.x",
     "schedule.z",
-    "schedule.profile",
-    "schedule.autoshrink",
     "metrics.autoshrink_trace",
-    "metrics.unmatched_offsets",
-    "reduced_modulus",
 )
 
 
@@ -236,9 +229,11 @@ def parse_document(text: str) -> dict:
     # primes assigned or matched and m searched for, in what ``sets`` and
     # ``metrics`` list, and in the schedule keys besides y and k; verify
     # reads none of that, as it checks each witness by its division and m
-    # by its factors.  1.8 differs from 1.9 only in whitespace, and 1.9
-    # from 1.10 (FORMAT_VERSION) only in kpower's sets.U6
-    if doc["format_version"] not in [f"1.{minor}" for minor in range(11)]:
+    # by its factors.  1.8 differs from 1.9 only in whitespace, 1.9 from
+    # 1.10 only in kpower's sets.U6, and 1.10 from 1.11 (FORMAT_VERSION)
+    # only in the keys 1.11 dropped: schedule.profile, schedule.autoshrink
+    # and kpower's metrics.unmatched_offsets and reduced_modulus
+    if doc["format_version"] not in [f"1.{minor}" for minor in range(12)]:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
             f"this verifier reads 1.0 to {FORMAT_VERSION}"

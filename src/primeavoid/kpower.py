@@ -20,8 +20,10 @@ exception with its primality status.  The window rule, class to root
 and the witness check, is numtheory's, shared with squarefree: the
 element is m^k + u + shift with shift -1 here.
 
-The run's record is document.Certificate, as in squarefree; kpower adds
-the unmatched offsets as a metric and reduced_modulus as a field.
+The run's record is document.Certificate, as in squarefree, with no
+metric of kpower's own: the offsets the large band leaves open are the
+exceptions of a reduced modulus, and a full modulus shows in its
+congruences, one for every prime <= x.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
 
 class KMatching(NamedTuple):
     """The large band's (class, prime) pairs, ascending by prime, the prime
-    striking each offset it covers, by offset, and the offsets left open;
-    the certificate keeps only the last, as a metric."""
+    striking each offset it covers, by offset, and the offsets left open,
+    which a reduced modulus leaves as its exceptions."""
 
     pairs: tuple[tuple[int, int], ...]
     matched: dict[int, int]
@@ -321,7 +323,6 @@ def construct_certificate_k(
         congruences=congruences,
         cover=cover,
         exceptions=exceptions,
-        metrics={"unmatched_offsets": list(matching.unmatched)},
-        fields={"reduced_modulus": reduced},
+        metrics={},
         autoshrink_trace=trace,
     )

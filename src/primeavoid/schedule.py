@@ -4,8 +4,9 @@ both pipelines apply through ``shrink_to_capacity``.
 The paper's z = x^(c1 log_3 x / log_2 x) falls below log x at every
 desk-scale x, which leaves the mid band of primes empty, so the practical
 profile takes z = sqrt(x) and the paper's y = c2 x log x log_3 x /
-(log_2 x)^2 with c2 = 1/4.  The explicit profile takes z and y verbatim.
-A schedule with z <= log x is rejected.
+(log_2 x)^2 with c2 = 1/4.  A z or y given is taken verbatim, and the
+explicit profile only insists on both; the schedule records x, k, z and
+y, not the profile.  A schedule with z <= log x is rejected.
 """
 
 from __future__ import annotations
@@ -23,31 +24,11 @@ MIN_X = 16.0
 MIN_Y = 3
 
 
-def iter_log(x: float, j: int) -> float:
-    """j-fold natural logarithm, 1 <= j <= 4.
-
-    The iterate must stay positive before each remaining log; only the
-    final value may be <= 0.
-    """
-    if not 1 <= j <= 4:
-        raise ValueError(f"iterated log depth must be in [1, 4], got {j}")
-    v = float(x)
-    for level in range(1, j + 1):
-        if v <= 0.0:
-            raise ValueError(
-                f"iterated log undefined at level {level}: value {v} <= 0"
-            )
-        v = math.log(v)
-    return v
-
-
 class Schedule(NamedTuple):
     x: float
     k: int
     z: float
     y: int
-    profile: str
-    autoshrink: bool
 
 
 def make_schedule(
@@ -57,7 +38,6 @@ def make_schedule(
     *,
     z: float | None = None,
     y: int | None = None,
-    autoshrink: bool = True,
 ) -> Schedule:
     """Build a validated Schedule for one construction run.
 
@@ -78,11 +58,12 @@ def make_schedule(
     if profile == "explicit" and (z is None or y is None):
         raise ValueError("explicit profile requires both z and y")
 
-    l1 = iter_log(x, 1)
-    l2 = iter_log(x, 2)
+    l1 = math.log(x)
+    l2 = math.log(l1)  # >= 1.02 from MIN_X on
+    l3 = math.log(l2)
     z_val = math.sqrt(x) if z is None else float(z)
     if y is None:
-        y_val = math.floor(C2 * x * l1 * iter_log(x, 3) / (l2 * l2))
+        y_val = math.floor(C2 * x * l1 * l3 / (l2 * l2))
     else:
         y_val = int(y)
 
@@ -94,24 +75,22 @@ def make_schedule(
             "the mid prime band is empty"
         )
 
-    return Schedule(
-        x=x, k=k, z=z_val, y=y_val, profile=profile, autoshrink=autoshrink
-    )
+    return Schedule(x=x, k=k, z=z_val, y=y_val)
 
 
 def shrink_to_capacity(sch: Schedule, build, demand):
-    """Build the set system ``build(sch)``, halving y (when autoshrink is
-    on, floor MIN_Y) while ``demand(sets)`` = (offsets needing a covering
-    prime, primes available) asks for more primes than there are.  Returns
-    the final schedule, its set system and every y tried; raises
-    CapacityError once y cannot shrink."""
+    """Build the set system ``build(sch)``, halving y (floor MIN_Y) while
+    ``demand(sets)`` = (offsets needing a covering prime, primes available)
+    asks for more primes than there are.  Returns the final schedule, its
+    set system and every y tried; raises CapacityError once y cannot
+    shrink."""
     trace = [sch.y]
     while True:
         sets = build(sch)
         needed, available = demand(sets)
         if needed <= available:
             return sch, sets, tuple(trace)
-        if not sch.autoshrink or sch.y // 2 < MIN_Y:
+        if sch.y // 2 < MIN_Y:
             raise CapacityError(
                 f"capacity failed at y={sch.y}: {needed} offsets need a "
                 f"covering prime but only {available} are available, "

@@ -293,6 +293,5 @@ def construct_certificate(
             "squarefree_status": search.status,
             "squarefree_trial_bound": str(SQUAREFREE_TRIAL_BOUND),
         },
-        fields={},
         autoshrink_trace=trace,
     )

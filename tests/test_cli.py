@@ -115,7 +115,8 @@ def test_construct_deterministic_bytes(capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [("--c1", "0.1"), ("--c2", "0.25"), ("--delta", "0.01"), ("--profile", "literal")],
+    [("--c1", "0.1"), ("--c2", "0.25"), ("--delta", "0.01"), ("--profile", "literal"),
+     ("--no-autoshrink",)],
     ids=" ".join,
 )
 def test_construct_removed_option_exits_64(capsys, option):
@@ -135,6 +136,26 @@ def test_construct_internal_error_exits_70(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert err == "internal error: offset 5 lacks a valid witness (got p=0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(("--mode", "squarefree", "--x", "60"), squarefree, "build_sets"),
+     (("--mode", "kpower", "--k", "2", "--x", "600"), kpower, "build_sets_k")],
+    ids=["squarefree", "kpower"],
+)
+def test_construct_failure_without_a_message_names_its_type(
+    capsys, monkeypatch, argv, module, name
+):
+    # a window too large for memory raises a MemoryError whose str is empty
+    def out_of_memory(sch):
+        raise MemoryError()
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == "internal error: MemoryError\n"
 
 
 def test_construct_m_below_2y_exits_70(capsys, monkeypatch):
@@ -742,7 +763,7 @@ ALL_FIXTURES = sorted(FIXTURES.glob("**/*.json"))
 )
 def test_every_fixture_states_its_metrics_exactly(path, monkeypatch):
     # every format's recorded metrics are the ones recomputed, to the bit
-    assert len(ALL_FIXTURES) == 66
+    assert len(ALL_FIXTURES) == 72
     doc = doc_mod.parse_document(path.read_text())
     monkeypatch.setattr(doc_mod, "METRICS_REL_TOL", 0.0)
     ok, detail = metrics_section(doc)
@@ -1038,7 +1059,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.11", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.12", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):

@@ -1,8 +1,8 @@
 """One certificate record and one serializer serve both modes.  The
 serializer (document.certificate_to_document) counts the sets that a
-set system reports and adds the metrics and top-level fields that a mode
-passes; it names no mode, set, metric or field of its own beyond the keys
-every document holds."""
+set system reports and adds the metrics that a mode passes; it names no
+mode, set or metric of its own, and every document holds the same
+top-level keys."""
 
 import inspect
 import re
@@ -26,8 +26,7 @@ DERIVED_METRICS = {
 # what the two modes name themselves, which the serializer must not
 MODE_NAMES = {
     *SetSystem.REPORTED, *KSetSystem.REPORTED, "squarefree", "kpower",
-    "squarefree_status", "squarefree_trial_bound", "unmatched_offsets",
-    "reduced_modulus",
+    "squarefree_status", "squarefree_trial_bound",
 }
 
 
@@ -52,15 +51,13 @@ def stub_certificate():
         cover={-2: 5, 2: 3},
         exceptions=[(-1, "prime"), (0, "composite"), (1, "prime")],
         metrics={"stub_metric": 7},
-        fields={"stub_field": True},
         autoshrink_trace=(4, 2),
     )
 
 
 def test_a_stub_mode_serializes_to_its_own_sets_metrics_and_fields():
     doc = certificate_to_document(stub_certificate(), seed=5)
-    assert set(doc) == SHARED_KEYS | {"stub_field"}
-    assert doc["stub_field"] is True
+    assert set(doc) == SHARED_KEYS  # a mode adds no top-level key
     assert (doc["mode"], doc["seed"]) == ("stub", 5)
     assert doc["sets"] == {"W9": 3}
     assert set(doc["metrics"]) == DERIVED_METRICS | {"stub_metric"}

@@ -1,7 +1,7 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.9/) still
+documents of every earlier format (tests/fixtures/v1.0/ to v1.10/) still
 verify, and every committed document re-renders to the compact canonical
 form of its own content.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
@@ -179,8 +179,27 @@ def test_fixture_differs_from_1_9_only_in_version_and_kpower_u6(name):
     old = json.loads((FIXTURES / "v1.9" / name).read_text())
     if old["mode"] == "kpower":
         del old["sets"]["U6"]
-    new = json.loads((FIXTURES / name).read_text())
+    new = json.loads((FIXTURES / "v1.10" / name).read_text())
     assert (new.pop("format_version"), old.pop("format_version")) == ("1.10", "1.9")
+    assert new == old
+
+
+@each_case
+def test_fixture_differs_from_1_10_only_in_version_and_repeated_keys(name):
+    # format 1.11 dropped the keys that record a switch or repeat other
+    # content: the schedule's profile (z and y are recorded) and
+    # autoshrink (y always halves to capacity), and kpower's
+    # unmatched_offsets (the exceptions) and reduced_modulus (false
+    # exactly when the congruences hold every prime <= x)
+    old = json.loads((FIXTURES / "v1.10" / name).read_text())
+    del old["schedule"]["profile"], old["schedule"]["autoshrink"]
+    if old["mode"] == "kpower":
+        assert old["metrics"].pop("unmatched_offsets") == [
+            entry["u"] for entry in old["exceptions"]
+        ]
+        del old["reduced_modulus"]
+    new = json.loads((FIXTURES / name).read_text())
+    assert (new.pop("format_version"), old.pop("format_version")) == ("1.11", "1.10")
     assert new == old
 
 
@@ -234,22 +253,22 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 # format bump that leaves a document's content alone, as 1.9's compact
 # rendering did, keeps its digest, and one that changes the content shows
 # as a changed digest.
-BENCHMARK_FORMAT = "1.10"
+BENCHMARK_FORMAT = "1.11"
 BENCHMARK_DIGESTS = dict(line.rsplit(None, 1) for line in """
-squarefree x=40 explicit         9fa3697fbf898716a0d17b107e59d145cc577f0226cc68d8723e682cc0b3dce3
-squarefree x=150                 7491a9d7157113992d39a35a2dcfc5b09951a0d201ab2270dca657c9bf367b2e
-squarefree x=400                 c29b0fb70a6296b3bf8033768f6e00292d338b490457ce71b2ae0ffa7902d00e
-squarefree x=1000                c14f0ef7524793376ab761d51d453c1ec29c6d9a920ff586107fd3a889b9a57e
-squarefree x=3000                2d1020d40209f1c89a4550e45cf7aa49369ad0d3db08b514d9ddefe303e69916
-squarefree x=10000               05286ee0bc334f7588257c69a57a0e053f7080f8df23043f59f0ed96feeec91d
-squarefree x=20000               a8d08acea3ed21ec9b44b02fd72fec0a11bb21d994cc7f73655819f6dce029a6
-kpower k=1 x=200                 dca99418aabdbb5661a2b22b5e95f4f35d85636106dcde9709ab29ba5a9d919d
-kpower k=3 x=1000                ccfe31cb420ef3138136bbeb6f05f49c4b6a400d82d3cef78093f49cee57703f
-kpower k=5 x=2000                0cd36f2afc704bf6dc481f14dd910115d474feccf733bb4878f4604ef545a240
-kpower k=2 x=600 full modulus    2bd07e52e8a7a3ee6d0ad1865580c09aae6ca15610a332213ce50760856c2588
-kpower k=2 x=10000               3feeb2a7695a472f17273354f8e0e975408477ca6d44228f2c4d97a5776f4043
-kpower k=5 x=5000                6e24ad611af8a8997d6f1e41def58f3d644803f089b111e10948dd5e06d6d39a
-kpower k=3 x=30000               ea7e484144c4633a645c3a303fc30727791047ecf2463fadc59c0a2f1d225dda
+squarefree x=40 explicit         652bed6b8acdcd8be0dca331f3b2870aa0b284197e0f1270b2d66e5a66e5236e
+squarefree x=150                 6463692a3c193065f2a08f8f16a3ce9236c00af719964f977cf006902e75e746
+squarefree x=400                 d0470fd960cafb7930098c15b739cb66e27fda31e1b92bb794a1eb9378458eab
+squarefree x=1000                a1a886ca29d350c2a11cf6f8e3784b9493d7d30911faaac1efc9a44a620488b2
+squarefree x=3000                b1f3ac5194e6fe0a3f24c01b1a8dbc1a792d7a8d86c379e370b72a660c6a0d14
+squarefree x=10000               c8204ae1b59105570f1e7fe620353ce7ec2e0ffdd285c8a91c0967a635c99ac2
+squarefree x=20000               85279be846903a8635bf6e9091ca41467655a6c222aba504e2011663c888d415
+kpower k=1 x=200                 fcf144d0a3a66b65b3c8c154bc14d4f60612aae07515c5051f20eb8223f4f73b
+kpower k=3 x=1000                bb68cd00b009bc4abac7d0e291318978af5ee9052a1861ac910d283f87b3875c
+kpower k=5 x=2000                2c8d68b598bb8a85b7a28a2695956cf74d2e4f5a9c5bf904fba96bf69414bb83
+kpower k=2 x=600 full modulus    e6fb8b2963736594833f38d082c76a47eb403f796a73498a2609058539bd7329
+kpower k=2 x=10000               940ad27faaf752e412350dfd721cdda93e12cab2a8260f653fb879e177885b23
+kpower k=5 x=5000                fe25fdaaf17aca012116b3fd8dc772d653c0689fa6511d3d964e10a0409f589e
+kpower k=3 x=30000               08226067ab821149608500fab7a653a1bcc88676f2477878dff2a2ed3363bc98
 """.strip().splitlines())
 
 
@@ -300,15 +319,24 @@ def tampered(value):
     return value + "x"
 
 
+# one well-formed entry for each list that is empty in some fixture, by
+# path: an exception at a covered offset
+INSERTED = {
+    "exceptions": lambda doc: {"u": doc["cover"][0]["u"], "status": "composite"},
+}
+
+
 def leaf_paths(node, path=()):
-    """The path of every scalar leaf under ``node``; of a list only the
-    first and the last entry are walked."""
+    """The path of every scalar leaf and every empty list under ``node``;
+    of a list only the first and the last entry are walked."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield from leaf_paths(value, (*path, key))
     elif isinstance(node, list):
         for index in sorted({0, len(node) - 1} if node else set()):
             yield from leaf_paths(node[index], (*path, index))
+        if not node:
+            yield path
     else:
         yield path
 
@@ -336,7 +364,8 @@ def still_a_witness(doc, path):
 def test_every_checked_leaf_refutes_a_tampered_fixture(name, tmp_path, capsys):
     # each mutation outside UNCHECKED fails verify, unless it leaves a true
     # certificate, and each under it passes; so the tuple holds exactly
-    # what the verifier leaves unread
+    # what the verifier leaves unread.  A scalar is tampered, and an empty
+    # list gets an entry, which a checked list must refute (exit 1)
     with unlimited_int_digits():
         fixture = json.loads((FIXTURES / name).read_text())
         path = tmp_path / name
@@ -347,11 +376,16 @@ def test_every_checked_leaf_refutes_a_tampered_fixture(name, tmp_path, capsys):
             parent = doc
             for key in parents:
                 parent = parent[key]
-            parent[last] = tampered(parent[last])
+            if parent[last] == []:
+                parent[last].append(INSERTED[".".join(map(str, leaf))](doc))
+                refuted = (1,)
+            else:
+                parent[last] = tampered(parent[last])
+                refuted = (1, 65)
             path.write_text(json.dumps(doc))
             code = cli.main(["verify", str(path)])
             capsys.readouterr()
             true = is_unchecked(leaf) or still_a_witness(doc, leaf)
-            if (code == 0) != true or code not in (0, 1, 65):
+            if (code == 0) != true or code not in (0, *refuted):
                 wrong.append((leaf, code))
     assert wrong == []

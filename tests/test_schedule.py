@@ -3,39 +3,7 @@ import math
 import pytest
 
 from primeavoid.errors import CapacityError
-from primeavoid.schedule import (
-    iter_log,
-    make_schedule,
-    shrink_to_capacity,
-)
-
-
-def test_iter_log_values():
-    assert iter_log(1000, 2) == pytest.approx(math.log(math.log(1000)), rel=1e-12)
-    assert iter_log(math.e, 1) == pytest.approx(1.0, rel=1e-12)
-    assert iter_log(1000, 3) == pytest.approx(
-        math.log(math.log(math.log(1000))), rel=1e-12
-    )
-
-
-def test_iter_log_composition():
-    for x in (100.0, 5000.0, 1e6):
-        for j in (2, 3, 4):
-            assert iter_log(x, j) == pytest.approx(
-                iter_log(iter_log(x, 1), j - 1), rel=1e-12
-            )
-
-
-def test_iter_log_domain_errors():
-    # final level may go nonpositive without error
-    assert iter_log(15.0, 3) < 0
-    # but an intermediate nonpositive value is an error naming the level
-    with pytest.raises(ValueError, match="level"):
-        iter_log(15.0, 4)
-    with pytest.raises(ValueError):
-        iter_log(-1.0, 1)
-    with pytest.raises(ValueError):
-        iter_log(1000, 5)
+from primeavoid.schedule import make_schedule, shrink_to_capacity
 
 
 def test_practical_profile():
@@ -48,6 +16,11 @@ def test_explicit_profile_passthrough():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=10)
     assert sch.z == pytest.approx(6.32455, abs=1e-4)
     assert sch.y == 10
+
+
+def test_schedule_records_x_k_z_and_y_only():
+    sch = make_schedule(40, 1, "explicit", z=6.3246, y=10)
+    assert sch._asdict() == {"x": 40.0, "k": 1, "z": 6.3246, "y": 10}
 
 
 def test_explicit_profile_requires_overrides():
@@ -105,15 +78,6 @@ def test_capacity_shrink_halves_y():
 def test_capacity_vacuous():
     sch = make_schedule(40, 1, "explicit", z=6.3246, y=10)
     assert shrink(sch, lambda y: (0, 0)) == (sch, 10, (10,))
-
-
-def test_capacity_fail_without_autoshrink():
-    sch = make_schedule(40, 1, "explicit", z=6.3246, y=10, autoshrink=False)
-    built = []
-    with pytest.raises(CapacityError, match="capacity failed at y=10") as err:
-        shrink(sch, lambda y: (12, 8), built)
-    assert (err.value.needed, err.value.available) == (12, 8)
-    assert built == [10]
 
 
 def test_capacity_fail_at_floor():
