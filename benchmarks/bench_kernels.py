@@ -53,7 +53,8 @@ def workloads(quick):
     ]
     # the large band (numtheory.large_band) over U7 of a kpower k=3,
     # x=3*10^4 run, at the y capacity leaves (752)
-    kp3_sets = kpower.construct_certificate_k(make_schedule(3 * 10**4, 3)).sets
+    kp3_sch = kpower.construct_certificate_k(make_schedule(3 * 10**4, 3)).schedule
+    kp3_sets = kpower.strike_offsets(kpower.build_sets_k(kp3_sch))
     # the first and widest set system a kpower k=2 x=10^4 run builds
     # (y = 3725, before capacity halves y to 116)
     kp2_sch = make_schedule(10**4, 2, "practical")

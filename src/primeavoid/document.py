@@ -12,8 +12,8 @@ mod q; an offset u then costs the small-int checks q | r_q + u + shift
 and q - u - shift < m^k (shift 0 squarefree, -1 kpower), so no
 element m^k + u + shift is built.  A squarefree m
 is checked by one primality test when m = B*C with B the product of the
-residue-0 moduli and C a prime not dividing B (what formats 1.7 to
-1.10 build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
+residue-0 moduli and C a prime not dividing B (what formats from 1.7
+on build when N/B has 94 to 1400 bits, as at x=10^4), and by the trial
 scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.  The metrics
 the serializer derives (derived_metrics) are recomputed from the checked
@@ -26,8 +26,7 @@ UNCHECKED names the paths the verifier reads nothing of.
 
 This module owns the format, and so the record both modes build,
 ``Certificate``, and its one serializer.  The serializer names no mode:
-each set system lists the sets it reports (``REPORTED``), and each mode
-passes its own metrics.
+each mode passes its own metrics.
 
 The verifier loads no construction module and no ``dataclasses``: the
 ``verify`` command imports this module, numtheory, kernels and errors,
@@ -58,7 +57,7 @@ from .numtheory import (
 if TYPE_CHECKING:  # the verifier never imports the schedule module
     from .schedule import Schedule
 
-FORMAT_VERSION = "1.11"
+FORMAT_VERSION = "1.12"
 
 
 @contextmanager
@@ -80,13 +79,11 @@ def unlimited_int_digits():
 
 class Certificate(NamedTuple):
     """The verifiable output of one run of either mode.  The serializer
-    reads every field and names no mode: each mode's set system lists the
-    sets it reports (``REPORTED``; each name, lower-cased, is one of its
-    fields), and each mode passes its own ``metrics``."""
+    reads every field and names no mode: each mode passes its own
+    ``metrics``."""
 
     mode: str
     schedule: Schedule
-    sets: NamedTuple  # the mode's set system
     modulus: int
     m0: int
     m: int
@@ -120,8 +117,7 @@ def derived_metrics(m: int, modulus: int, power: int, y: int, statuses) -> dict:
 def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
     """Serialize a certificate; ``seed`` is recorded only.  Every document
     holds the same top-level keys, read off the certificate as built: the
-    cardinality of each set its set system reports, the exceptions, the
-    metrics derived here, then the mode's own metrics."""
+    exceptions, the metrics derived here, then the mode's own metrics."""
     derived = derived_metrics(
         cert.m, cert.modulus, cert.m**cert.schedule.k, cert.schedule.y,
         [status for _, status in cert.exceptions],
@@ -131,9 +127,6 @@ def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
         "mode": cert.mode,
         "seed": seed,
         "schedule": cert.schedule._asdict(),  # a new Schedule field changes the format
-        "sets": {
-            name: len(getattr(cert.sets, name.lower())) for name in cert.sets.REPORTED
-        },
         "congruences": [[str(c.residue), str(c.modulus)] for c in cert.congruences],
         "modulus": str(cert.modulus),
         "m0": str(cert.m0),
@@ -169,7 +162,6 @@ _REQUIRED_KEYS = (
     "mode",
     "seed",
     "schedule",
-    "sets",
     "congruences",
     "modulus",
     "m0",
@@ -184,7 +176,6 @@ _REQUIRED_KEYS = (
 # entries under it too, and the document still verifies
 UNCHECKED = (
     "seed",
-    "sets",
     "schedule.x",
     "schedule.z",
     "metrics.autoshrink_trace",
@@ -230,10 +221,11 @@ def parse_document(text: str) -> dict:
     # ``metrics`` list, and in the schedule keys besides y and k; verify
     # reads none of that, as it checks each witness by its division and m
     # by its factors.  1.8 differs from 1.9 only in whitespace, 1.9 from
-    # 1.10 only in kpower's sets.U6, and 1.10 from 1.11 (FORMAT_VERSION)
-    # only in the keys 1.11 dropped: schedule.profile, schedule.autoshrink
-    # and kpower's metrics.unmatched_offsets and reduced_modulus
-    if doc["format_version"] not in [f"1.{minor}" for minor in range(12)]:
+    # 1.10 only in kpower's sets.U6, 1.10 from 1.11 only in the keys 1.11
+    # dropped: schedule.profile, schedule.autoshrink and kpower's
+    # metrics.unmatched_offsets and reduced_modulus, and 1.11 from 1.12
+    # (FORMAT_VERSION) only in ``sets``, which 1.12 dropped
+    if doc["format_version"] not in [f"1.{minor}" for minor in range(13)]:
         raise DocumentError(
             f"unsupported format_version {doc['format_version']!r}; "
             f"this verifier reads 1.0 to {FORMAT_VERSION}"
@@ -388,8 +380,11 @@ def verify_document(doc: dict) -> VerifyReport:
     moduli = [q for _, q in congs]
     distinct = set(moduli)
 
-    # congruence system: distinct prime moduli, m0 in range, all satisfied
+    # congruence system: distinct prime moduli, m0 in range, all satisfied;
+    # a modulus below 2 is refuted first, as no residue can be taken mod 0
     problems = []
+    if (least := min(distinct, default=2)) < 2:
+        problems.append(f"modulus {least} is not prime")
     if len(distinct) != len(moduli):
         problems.append("duplicate moduli")
     if math.prod(moduli) != modulus:
@@ -400,7 +395,7 @@ def verify_document(doc: dict) -> VerifyReport:
     if not 1 <= m0 <= modulus:
         problems.append(f"m0={_short(m0)} outside [1, modulus]")
     for r, q in congs:
-        if prime.get(q) is False:
+        if q < 2 or prime.get(q) is False:
             problems.append(f"modulus {_short(q)} is not prime")
             break
         if m0 % q != r % q:
@@ -452,8 +447,9 @@ def verify_document(doc: dict) -> VerifyReport:
     power = m**e
     # thousands of offsets share a few hundred witness primes: m^e is
     # reduced once per prime, and each offset is checked in small ints; a
-    # witness must be a modulus, whose primality the congruences check
-    residue = {q: pow(m, e, q) for q in distinct.intersection(cover.values())}
+    # witness must be a modulus, whose primality the congruences check,
+    # and at least 2, as a residue mod 0 is undefined
+    residue = {q: pow(m, e, q) for q in distinct.intersection(cover.values()) if q > 1}
     bad_offset = None
     for u, q in sorted(cover.items()):
         if q not in residue or (residue[q] + u + shift) % q or q - u - shift >= power:

@@ -59,8 +59,8 @@ class KSetSystem(NamedTuple):
     """Primes and offset classes for one k-th power run.
 
     U3, U4 and U5 are the paper's prime/smooth taxonomy: they set the
-    capacity demand (paper_demand) and are reported, but only U7, the
-    offsets that the P1 classes leave open (strike_offsets), is matched.
+    capacity demand (paper_demand), but only U7, the offsets that the P1
+    classes leave open (strike_offsets), is matched.
     """
 
     k: int
@@ -77,11 +77,6 @@ class KSetSystem(NamedTuple):
     u5: tuple[int, ...]
     classes: tuple[int, ...] = ()  # greedy admissible class of each p1 prime
     u7: tuple[int, ...] = ()  # u != 1 that no p1 class strikes
-    p3: tuple[int, ...] = ()  # band primes striking a U7 offset, after matching
-    p4: tuple[int, ...] = ()  # leftover primes <= x, filled in full mode
-
-    # the sets whose cardinalities the document reports
-    REPORTED = ("P1", "P3tilde", "P3", "P4", "U3", "U4", "U5", "U7")
 
     @property
     def paper_demand(self) -> int:
@@ -298,12 +293,10 @@ def construct_certificate_k(
     )
     sets = strike_offsets(sets)
     matching = match_offsets(sets)
-    sets = sets._replace(p3=tuple(sorted(set(matching.matched.values()))))
     congruences = covering_congruences(sets, matching.pairs)
     if not reduced:  # 1 mod every other prime <= x, for a full primorial
         used = {c.modulus for c in congruences}
         p4 = tuple(p for p in primes_upto(math.floor(sch.x)) if p not in used)
-        sets = sets._replace(p4=p4)
         congruences += tuple(Congruence(1, p) for p in p4)
     modulus, m0 = solve_m0_k(congruences)
     m = find_prime_in_ap(m0, modulus, max_steps=max_steps)
@@ -316,7 +309,6 @@ def construct_certificate_k(
     return Certificate(
         mode="kpower",
         schedule=sch,
-        sets=sets,
         modulus=modulus,
         m0=m0,
         m=m,

@@ -16,8 +16,8 @@ uses (numtheory.greedy_classes): each prime, ascending, takes the class
 that strikes the most offsets still unstruck, the least class on a tie
 (Rankin's covering, as refined by Maier and Pomerance).  So:
 
-  * u1 -- u divisible by a band-one prime;
-  * u2 -- the rest of the window, the offsets the mid band runs over;
+  * u2 -- the offsets no band-one prime divides, which the mid band
+    runs over;
   * u6 -- the u2 offsets no mid-band class strikes, which the large
     band that kpower runs too covers (numtheory.large_band): a large
     prime q <= y may strike two of them, u and u + 2q, and the offsets
@@ -100,13 +100,9 @@ class SetSystem(NamedTuple):
     p1: tuple[int, ...]  # p <= log x, plus the band (z, x/4]
     p2: tuple[int, ...]  # mid band (log x, z]
     p3: tuple[int, ...]  # large band (x/4, x]: the assignable cover primes
-    u1: tuple[int, ...]  # some band-one prime divides u
-    u2: tuple[int, ...]  # window minus u1
+    u2: tuple[int, ...]  # the offsets no band-one prime divides
     mid_classes: tuple[int, ...]  # greedy class c of each p2 prime over u2
     u6: tuple[int, ...]  # u2 offsets no mid class strikes: the large band's
-
-    # the sets whose cardinalities the document reports
-    REPORTED = ("P1", "P2", "P3", "U1", "U2", "U6")
 
 
 def build_sets(sch: Schedule) -> SetSystem:
@@ -125,11 +121,10 @@ def build_sets(sch: Schedule) -> SetSystem:
     p3 = tuple(p for p in primes if x / 4 < p <= x)
 
     band = struck_witnesses(y, ((0, p) for p in p1))
-    u1 = tuple(u for u in range(-y, y + 1) if band[u + y])
     u2 = tuple(u for u in range(-y, y + 1) if not band[u + y])
     mid_classes, u6 = greedy_classes(u2, p2)
     return SetSystem(
-        y=y, p1=p1, p2=p2, p3=p3, u1=u1, u2=u2, mid_classes=mid_classes, u6=u6
+        y=y, p1=p1, p2=p2, p3=p3, u2=u2, mid_classes=mid_classes, u6=u6
     )
 
 
@@ -282,7 +277,6 @@ def construct_certificate(
     return Certificate(
         mode="squarefree",
         schedule=sch,
-        sets=sets,
         modulus=n,
         m0=m0,
         m=search.m,

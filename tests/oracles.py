@@ -89,14 +89,13 @@ def least_strikers(offsets, pairs) -> dict[int, int]:
 
 
 def offset_partition_holds(sets, y: int) -> bool:
-    """The squarefree offset law: u1 holds the offsets of [-y, y] that a
-    band-one prime divides, u2 the rest, and u6 exactly the u2 offsets
-    that no mid-band class strikes."""
+    """The squarefree offset law: u2 holds the offsets of [-y, y] that no
+    band-one prime divides, and u6 exactly the u2 offsets that no mid-band
+    class strikes."""
     window = range(-y, y + 1)
     mid = list(zip(sets.mid_classes, sets.p2))
     return (
-        sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
-        and sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
+        sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
         and sets.u6 == tuple(u for u in sets.u2 if all(u % p != c for c, p in mid))
     )
 

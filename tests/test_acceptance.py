@@ -12,7 +12,12 @@ import pytest
 
 from primeavoid import cli
 from primeavoid import document as doc_mod
-from primeavoid.kpower import construct_certificate_k, match_offsets
+from primeavoid.kpower import (
+    build_sets_k,
+    construct_certificate_k,
+    match_offsets,
+    strike_offsets,
+)
 from primeavoid.numtheory import (
     is_prime,
     kth_roots_mod_p,
@@ -62,13 +67,17 @@ def test_criterion_1_micro_instance_reproduction(capsys, tmp_path):
     congs = [(int(r), int(q)) for r, q in doc["congruences"]]
     oracle_m0, oracle_n = stepping_crt(congs)
     m0 = int(doc["m0"])
+    # the bands and offset classes of the run, which the document does not
+    # report; U1 is the window less U2
+    sets = build_sets(make_schedule(40, 1, "explicit", z=6.3246, y=10))
+    sizes = [len(s) for s in (sets.p1, sets.p2, sets.p3, sets.u2, sets.u6)]
     checks = [
         code == 0,
         # band one (2, 3, 7), the mid band's 5 in its greedy class 0 (it
         # strikes -5 and 5), then one large prime for each of the unstruck
         # offsets -1 and 1
         congs == [(0, 2), (0, 3), (0, 7), (0, 5), (1, 11), (12, 13)],
-        doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 2},
+        sizes == [3, 1, 8, 4, 2] and 2 * 10 + 1 - len(sets.u2) == 17,
         int(doc["modulus"]) == 30030 == oracle_n,
         1 <= m0 <= 30030,
         m0 == oracle_m0,
@@ -172,7 +181,8 @@ def test_criterion_6_kpower_pipeline(capsys, k, x, budget):
     )
     y = cert.schedule.y
     exception_offsets = {u for u, _ in cert.exceptions}
-    excluded = {1} | set(match_offsets(cert.sets).unmatched)
+    sets = strike_offsets(build_sets_k(cert.schedule))
+    excluded = {1} | set(match_offsets(sets).unmatched)
     base = cert.m**k
     witnessed = 0
     required = 0

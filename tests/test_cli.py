@@ -16,7 +16,7 @@ from primeavoid import document as doc_mod
 from primeavoid.errors import DocumentError
 from primeavoid.kpower import construct_certificate_k
 from primeavoid.schedule import make_schedule
-from primeavoid.squarefree import construct_certificate
+from primeavoid.squarefree import build_sets, construct_certificate
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -39,7 +39,11 @@ def test_construct_micro_instance(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["sets"] == {"P1": 3, "P2": 1, "P3": 8, "U1": 17, "U2": 4, "U6": 2}
+    assert "sets" not in doc  # format 1.12 reports no set cardinality
+    sets = build_sets(make_schedule(40, 1, "explicit", z=6.3246, y=10))
+    sizes = [len(s) for s in (sets.p1, sets.p2, sets.p3, sets.u2, sets.u6)]
+    assert sizes == [3, 1, 8, 4, 2]
+    assert 2 * 10 + 1 - len(sets.u2) == 17  # U1, the offsets band one divides
     assert doc["congruences"][:4] == [["0", "2"], ["0", "3"], ["0", "7"], ["0", "5"]]
     assert doc["modulus"] == "30030"
     assert len(doc["cover"]) == 21
@@ -357,7 +361,6 @@ def hand_built_doc(mode, k, m, y, congruences, cover):
         "mode": mode,
         "seed": 0,
         "schedule": {"y": y, "k": k},
-        "sets": {},
         "congruences": [[str(r), str(q)] for r, q in congruences],
         "modulus": str(modulus),
         "m0": str(m % modulus or modulus),
@@ -592,7 +595,7 @@ def lone_offset_doc(m):
     section can refute its partial claim."""
     return {
         "format_version": doc_mod.FORMAT_VERSION, "mode": "squarefree", "seed": 0,
-        "schedule": {"k": 1, "y": 0}, "sets": {}, "congruences": [["0", "2"]],
+        "schedule": {"k": 1, "y": 0}, "congruences": [["0", "2"]],
         "modulus": "2", "m0": "2", "m": str(m),
         "cover": [{"u": 0, "witness_prime": "2"}], "exceptions": [],
         "metrics": {"squarefree_status": "partial"},
@@ -763,7 +766,7 @@ ALL_FIXTURES = sorted(FIXTURES.glob("**/*.json"))
 )
 def test_every_fixture_states_its_metrics_exactly(path, monkeypatch):
     # every format's recorded metrics are the ones recomputed, to the bit
-    assert len(ALL_FIXTURES) == 72
+    assert len(ALL_FIXTURES) == 78
     doc = doc_mod.parse_document(path.read_text())
     monkeypatch.setattr(doc_mod, "METRICS_REL_TOL", 0.0)
     ok, detail = metrics_section(doc)
@@ -1059,7 +1062,7 @@ def test_verify_rejects_non_json_constants_exits_65(tmp_path, capsys, constant):
     assert "certificate OK" not in out
 
 
-@pytest.mark.parametrize("version", ["9.9", "2.0", "1.12", "1", 1.2, None])
+@pytest.mark.parametrize("version", ["9.9", "2.0", "1.13", "1", 1.2, None])
 def test_verify_unknown_format_version_exits_65(
     tmp_path, capsys, micro_doc_text, version
 ):
@@ -1184,6 +1187,14 @@ def m0_with_a_residue_zero(doc):
     doc["m0"] = str(numtheory.crt_solve(congs)[0])
 
 
+def congruence_on_zero(doc):
+    doc["congruences"].append(["0", "0"])
+
+
+def first_modulus_zero(doc):
+    doc["congruences"][0][1] = "0"
+
+
 def m_below_twice_y(doc):
     doc["schedule"]["y"] = int(doc["m"])
 
@@ -1208,13 +1219,16 @@ def struck_offset_called_prime(doc):
         ("kp3_x1000.json", m0_off_one_residue, "congruences", "m0 fails residue 0 mod 2"),
         ("kp3_x1000.json", m0_with_a_residue_zero, "congruences",
          "m0 shares a factor with the modulus"),
+        # the product fails too, but no residue is taken mod 0
+        ("kp3_x1000.json", congruence_on_zero, "congruences", "modulus 0 is not prime"),
+        ("sf_x400.json", first_modulus_zero, "congruences", "modulus 0 is not prime"),
         ("sf_x40_explicit.json", m_below_twice_y, "progression", "m=69510 < 2y=139020"),
         ("kp3_x1000.json", composite_member_as_m, "prime_base", "m is composite"),
         ("kp3_x1000.json", struck_offset_called_prime, "exceptions",
          "offset -38 recorded prime but is composite"),
     ],
     ids=["m0-beyond-modulus", "m0-off-residue", "kpower-m0-residue-zero",
-         "squarefree-m-below-2y", "kpower-m-composite", "wrong-exception-status"],
+         "kpower-congruence-on-zero", "squarefree-modulus-zero", "squarefree-m-below-2y", "kpower-m-composite", "wrong-exception-status"],
 )
 def test_verify_refusal_names_its_section(tmp_path, capsys, fixture, mutate, section,
                                           detail):

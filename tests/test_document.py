@@ -1,22 +1,18 @@
 """One certificate record and one serializer serve both modes.  The
-serializer (document.certificate_to_document) counts the sets that a
-set system reports and adds the metrics that a mode passes; it names no
-mode, set or metric of its own, and every document holds the same
-top-level keys."""
+serializer (document.certificate_to_document) adds the metrics that a
+mode passes; it names no mode or metric of its own, and every document
+holds the same top-level keys."""
 
 import inspect
 import re
-from typing import NamedTuple
 
 from primeavoid import document as doc_mod
 from primeavoid.document import Certificate, certificate_to_document
-from primeavoid.kpower import KSetSystem
 from primeavoid.numtheory import Congruence
 from primeavoid.schedule import make_schedule
-from primeavoid.squarefree import SetSystem
 
 SHARED_KEYS = {
-    "format_version", "mode", "seed", "schedule", "sets", "congruences",
+    "format_version", "mode", "seed", "schedule", "congruences",
     "modulus", "m0", "m", "cover", "exceptions", "metrics",
 }
 DERIVED_METRICS = {
@@ -25,25 +21,14 @@ DERIVED_METRICS = {
 }
 # what the two modes name themselves, which the serializer must not
 MODE_NAMES = {
-    *SetSystem.REPORTED, *KSetSystem.REPORTED, "squarefree", "kpower",
-    "squarefree_status", "squarefree_trial_bound",
+    "squarefree", "kpower", "squarefree_status", "squarefree_trial_bound",
 }
-
-
-class StubSets(NamedTuple):
-    """A set system that reports one of its two sets."""
-
-    w9: tuple[int, ...]
-    hidden: tuple[int, ...]
-
-    REPORTED = ("W9",)
 
 
 def stub_certificate():
     return Certificate(
         mode="stub",
         schedule=make_schedule(40, 1, "explicit", z=6.3246, y=3),
-        sets=StubSets(w9=(1, 2, 3), hidden=(4,)),
         modulus=15,
         m0=7,
         m=22,
@@ -55,11 +40,10 @@ def stub_certificate():
     )
 
 
-def test_a_stub_mode_serializes_to_its_own_sets_metrics_and_fields():
+def test_a_stub_mode_serializes_to_its_own_metrics():
     doc = certificate_to_document(stub_certificate(), seed=5)
     assert set(doc) == SHARED_KEYS  # a mode adds no top-level key
     assert (doc["mode"], doc["seed"]) == ("stub", 5)
-    assert doc["sets"] == {"W9": 3}
     assert set(doc["metrics"]) == DERIVED_METRICS | {"stub_metric"}
     assert doc["metrics"]["stub_metric"] == 7
     assert doc["metrics"]["prime_count_in_window"] == 2
@@ -84,9 +68,3 @@ def test_the_serializer_names_no_mode():
 def test_the_document_module_imports_no_construction_module():
     source = inspect.getsource(doc_mod)
     assert not re.search(r"^\s*from \.(squarefree|kpower) import", source, re.MULTILINE)
-
-
-def test_every_reported_set_is_a_field_of_its_set_system():
-    for system in (SetSystem, KSetSystem):
-        for name in system.REPORTED:
-            assert name.lower() in system._fields

@@ -1,7 +1,7 @@
 """Golden certificates: each committed document is rebuilt byte for byte
 from its construct arguments, verifies, and passes the benchmark's own
 output check (e2ebench/check.py, which never imports primeavoid); the
-documents of every earlier format (tests/fixtures/v1.0/ to v1.10/) still
+documents of every earlier format (tests/fixtures/v1.0/ to v1.11/) still
 verify, and every committed document re-renders to the compact canonical
 form of its own content.  A kpower k=2, x=3*10^4 certificate
 and a squarefree x=3*10^4 one make the same CLI round trip without a
@@ -198,8 +198,19 @@ def test_fixture_differs_from_1_10_only_in_version_and_repeated_keys(name):
             entry["u"] for entry in old["exceptions"]
         ]
         del old["reduced_modulus"]
-    new = json.loads((FIXTURES / name).read_text())
+    new = json.loads((FIXTURES / "v1.11" / name).read_text())
     assert (new.pop("format_version"), old.pop("format_version")) == ("1.11", "1.10")
+    assert new == old
+
+
+@each_case
+def test_fixture_differs_from_1_11_only_in_version_and_sets(name):
+    # format 1.12 dropped ``sets``, the set cardinalities that no verifier
+    # read; the construction still builds every set
+    old = json.loads((FIXTURES / "v1.11" / name).read_text())
+    del old["sets"]
+    new = json.loads((FIXTURES / name).read_text())
+    assert (new.pop("format_version"), old.pop("format_version")) == ("1.12", "1.11")
     assert new == old
 
 
@@ -253,22 +264,22 @@ def test_squarefree_x30000_round_trip(tmp_path, capsys):
 # format bump that leaves a document's content alone, as 1.9's compact
 # rendering did, keeps its digest, and one that changes the content shows
 # as a changed digest.
-BENCHMARK_FORMAT = "1.11"
+BENCHMARK_FORMAT = "1.12"
 BENCHMARK_DIGESTS = dict(line.rsplit(None, 1) for line in """
-squarefree x=40 explicit         652bed6b8acdcd8be0dca331f3b2870aa0b284197e0f1270b2d66e5a66e5236e
-squarefree x=150                 6463692a3c193065f2a08f8f16a3ce9236c00af719964f977cf006902e75e746
-squarefree x=400                 d0470fd960cafb7930098c15b739cb66e27fda31e1b92bb794a1eb9378458eab
-squarefree x=1000                a1a886ca29d350c2a11cf6f8e3784b9493d7d30911faaac1efc9a44a620488b2
-squarefree x=3000                b1f3ac5194e6fe0a3f24c01b1a8dbc1a792d7a8d86c379e370b72a660c6a0d14
-squarefree x=10000               c8204ae1b59105570f1e7fe620353ce7ec2e0ffdd285c8a91c0967a635c99ac2
-squarefree x=20000               85279be846903a8635bf6e9091ca41467655a6c222aba504e2011663c888d415
-kpower k=1 x=200                 fcf144d0a3a66b65b3c8c154bc14d4f60612aae07515c5051f20eb8223f4f73b
-kpower k=3 x=1000                bb68cd00b009bc4abac7d0e291318978af5ee9052a1861ac910d283f87b3875c
-kpower k=5 x=2000                2c8d68b598bb8a85b7a28a2695956cf74d2e4f5a9c5bf904fba96bf69414bb83
-kpower k=2 x=600 full modulus    e6fb8b2963736594833f38d082c76a47eb403f796a73498a2609058539bd7329
-kpower k=2 x=10000               940ad27faaf752e412350dfd721cdda93e12cab2a8260f653fb879e177885b23
-kpower k=5 x=5000                fe25fdaaf17aca012116b3fd8dc772d653c0689fa6511d3d964e10a0409f589e
-kpower k=3 x=30000               08226067ab821149608500fab7a653a1bcc88676f2477878dff2a2ed3363bc98
+squarefree x=40 explicit         43ff1b7fb292b3c267a8132d1ff4f1f96d46874d90e720057946fe6982ff257c
+squarefree x=150                 1b91038d03712a7c10fee6bd74f7b9a076b8edfe09290682139c44b7f26d187d
+squarefree x=400                 ce1793d23f6c652a77ec504b1684ad1ab9e1eae5466b05bc9c4d4406be282021
+squarefree x=1000                be90ac1003037dba788f1bb95926633f363e7830206c1a2099476cf55e3bba62
+squarefree x=3000                0a149b59c332dedd44729ea155f5d5fc76417279a93ecc77dc5a3ce349226b59
+squarefree x=10000               24d8ddc3785504cdb04f608b19a721b26e3d39fb80cf0ec6142f01ee6c85e806
+squarefree x=20000               8a95565a71a70cdfc825d9988076a7b23b625659346f88b2cc0edc57feb19560
+kpower k=1 x=200                 63fca7a4d5858894e2828169dd77acd95e857bfef34691dd4be0fb4d9b79a2ff
+kpower k=3 x=1000                d525e43544aa197ad860d5d441dc6ba513c772633f2526d124877ffe712c0f91
+kpower k=5 x=2000                df64bb0ad43dcb9f90d352951ac9e1be7a2def3833f573058eebd79a0ebd9d0d
+kpower k=2 x=600 full modulus    1dfa1fc904fb6d7141f69329ad1c6dcdb26b136b551062d6ad91f407ed5d43d0
+kpower k=2 x=10000               f6086ad006f4b5e419a647c1449ce07ff7f55a1cbb55764b153098f12b50468e
+kpower k=5 x=5000                a20bc0f6e1d07f44e25de9272de4784ea0eabbb7100ec33bc8f21f6f47eb8dea
+kpower k=3 x=30000               cdeab430bc36c06351b8dcdde07fc0bd5c2c378515a52e5363948f1c9a78785b
 """.strip().splitlines())
 
 
@@ -319,6 +330,10 @@ def tampered(value):
     return value + "x"
 
 
+# a modulus or a witness prime is also set to "0", which no residue can
+# be taken modulo
+ZEROED = re.compile(r"congruences\.\d+\.1|cover\.\d+\.witness_prime")
+
 # one well-formed entry for each list that is empty in some fixture, by
 # path: an exception at a covered offset
 INSERTED = {
@@ -361,31 +376,42 @@ def still_a_witness(doc, path):
 
 
 @each_case
+def mutations(fixture, leaf):
+    """Each tampered copy of ``fixture`` at ``leaf`` with the exit codes
+    that refute it.  An empty list gets one entry, which a checked list
+    must refute (exit 1); a scalar is tampered (exit 1 or 65), and a
+    modulus or a witness prime is also set to "0"."""
+    keys = ".".join(map(str, leaf))
+    changes = [tampered, lambda value: "0"] if ZEROED.fullmatch(keys) else [tampered]
+    for change in changes:
+        doc = json.loads(json.dumps(fixture))
+        *parents, last = leaf
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        if parent[last] == []:
+            parent[last].append(INSERTED[keys](doc))
+            yield doc, (1,)
+        else:
+            parent[last] = change(parent[last])
+            yield doc, (1, 65)
+
+
+@each_case
 def test_every_checked_leaf_refutes_a_tampered_fixture(name, tmp_path, capsys):
     # each mutation outside UNCHECKED fails verify, unless it leaves a true
     # certificate, and each under it passes; so the tuple holds exactly
-    # what the verifier leaves unread.  A scalar is tampered, and an empty
-    # list gets an entry, which a checked list must refute (exit 1)
+    # what the verifier leaves unread
     with unlimited_int_digits():
         fixture = json.loads((FIXTURES / name).read_text())
         path = tmp_path / name
         wrong = []
         for leaf in leaf_paths(fixture):
-            doc = json.loads(json.dumps(fixture))
-            *parents, last = leaf
-            parent = doc
-            for key in parents:
-                parent = parent[key]
-            if parent[last] == []:
-                parent[last].append(INSERTED[".".join(map(str, leaf))](doc))
-                refuted = (1,)
-            else:
-                parent[last] = tampered(parent[last])
-                refuted = (1, 65)
-            path.write_text(json.dumps(doc))
-            code = cli.main(["verify", str(path)])
-            capsys.readouterr()
-            true = is_unchecked(leaf) or still_a_witness(doc, leaf)
-            if (code == 0) != true or code not in (0, *refuted):
-                wrong.append((leaf, code))
+            for doc, refuted in mutations(fixture, leaf):
+                path.write_text(json.dumps(doc))
+                code = cli.main(["verify", str(path)])
+                capsys.readouterr()
+                true = is_unchecked(leaf) or still_a_witness(doc, leaf)
+                if (code == 0) != true or code not in (0, *refuted):
+                    wrong.append((leaf, code))
     assert wrong == []

@@ -43,6 +43,12 @@ from oracles import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def solved_sets(cert):
+    """The set system of a run's schedule with its P1 classes, as the run
+    solved it."""
+    return strike_offsets(build_sets_k(cert.schedule))
+
+
 # -- set construction -----------------------------------------------------
 
 
@@ -325,12 +331,11 @@ def test_solve_m0_k_full_mode_extends_with_ones():
     full = construct_certificate_k(sch, reduced=False)
     assert full.modulus == math.prod(primes_upto(200))
     reduced = construct_certificate_k(sch, reduced=True)
-    assert reduced.sets.p4 == ()
-    # the reduced system, then 1 mod every prime it leaves out
+    kept = {c.modulus for c in reduced.congruences}
+    # the reduced system, then 1 mod every prime <= x it leaves out
     assert full.congruences == reduced.congruences + tuple(
-        (1, p) for p in full.sets.p4
+        (1, p) for p in primes_upto(200) if p not in kept
     )
-    assert set(full.sets.p4).isdisjoint(c.modulus for c in reduced.congruences)
     # reduced solution is the full one reduced mod the smaller modulus
     assert full.modulus % reduced.modulus == 0
     assert full.m0 % reduced.modulus == reduced.m0
@@ -600,7 +605,8 @@ def test_classes_and_witnesses_match_their_definitions(k, x):
     # the paper's classes of the first y the run tries (3725 at k=1,
     # x=10^4, so the largest-prime-factor table is checked at that size)
     # and of the last, which the certificate keeps
-    for sets, s in ((build_sets_k(sch), sch), (cert.sets, cert.schedule)):
+    for s in (sch, cert.schedule):
+        sets = build_sets_k(s)
         z, y, shift = s.z, s.y, (1 << k) - 1
         mid = [p for p in primes_upto(z) if p > math.log(x)]
         window = range(-y, y + 1)
@@ -616,8 +622,9 @@ def test_classes_and_witnesses_match_their_definitions(k, x):
     base = cert.m**k
     window = range(-cert.schedule.y, cert.schedule.y + 1)
     offsets = [u for u in window if u != 1]
-    assert (cert.sets.classes, cert.sets.u7) == greedy_classes(
-        offsets, cert.sets.p1, kth_power_class(k)
+    sets = solved_sets(cert)
+    assert (sets.classes, sets.u7) == greedy_classes(
+        offsets, sets.p1, kth_power_class(k)
     )
     witness = {u: congruence_witness(base + u - 1, cert.congruences) for u in offsets}
     assert cert.cover == {u: p for u, p in witness.items() if p}
@@ -650,7 +657,7 @@ def struck_by_p1(sets, u):
 
 
 def test_u7_is_the_offsets_no_band_strikes(grid_cert):
-    sets, y = grid_cert.sets, grid_cert.schedule.y
+    sets, y = solved_sets(grid_cert), grid_cert.schedule.y
     expected = tuple(
         u for u in range(-y, y + 1) if u != 1 and not struck_by_p1(sets, u)
     )
@@ -658,7 +665,7 @@ def test_u7_is_the_offsets_no_band_strikes(grid_cert):
 
 
 def test_no_matched_offset_has_a_band_witness(grid_cert):
-    sets = grid_cert.sets
+    sets = solved_sets(grid_cert)
     for u in match_offsets(sets).matched:
         assert not struck_by_p1(sets, u)
         assert grid_cert.cover[u] not in sets.p1
@@ -666,7 +673,7 @@ def test_no_matched_offset_has_a_band_witness(grid_cert):
 
 def test_every_matched_prime_witnesses_an_offset(grid_cert):
     witnesses = set(grid_cert.cover.values())
-    matched = match_offsets(grid_cert.sets).matched
+    matched = match_offsets(solved_sets(grid_cert)).matched
     assert all(p in witnesses for p in matched.values())
 
 
@@ -677,7 +684,6 @@ def kp2_x10000_cert():
 
 def test_every_reduced_congruence_witnesses_an_offset(grid_cert, kp2_x10000_cert):
     for cert in (grid_cert, kp2_x10000_cert):
-        assert cert.sets.p4 == ()  # the default modulus is the reduced one
         assert sorted(c.modulus for c in cert.congruences) == sorted(
             set(cert.cover.values())
         )
@@ -700,8 +706,9 @@ def test_full_mode_has_one_congruence_per_prime():
 
 def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):
     cert = grid_cert
-    matching = match_offsets(cert.sets)
-    assert set(matching.matched) | set(matching.unmatched) == set(cert.sets.u7)
+    sets = solved_sets(cert)
+    matching = match_offsets(sets)
+    assert set(matching.matched) | set(matching.unmatched) == set(sets.u7)
     assert [u for u, _ in cert.exceptions] == list(matching.unmatched)
     assert cert.metrics == {}  # the exceptions alone list them
 
@@ -754,9 +761,11 @@ def test_k1_full_modulus_pipeline():
     assert cert.modulus == math.prod(primes_upto(200))
     assert math.gcd(cert.m0, cert.modulus) == 1
     assert is_prime(cert.m)
-    # leftover primes all got residue 1
-    for p in cert.sets.p4:
-        assert cert.m0 % p == 1
+    # the primes <= x that the reduced system leaves out all got residue 1
+    sets = solved_sets(cert)
+    kept = {c.modulus for c in covering_congruences(sets, match_offsets(sets).pairs)}
+    left = [p for p in primes_upto(200) if p not in kept]
+    assert left and all(cert.m0 % p == 1 for p in left)
     y = cert.schedule.y
     assert set(cert.cover) | {u for u, _ in cert.exceptions} | {1} == set(
         range(-y, y + 1)

@@ -131,7 +131,6 @@ def test_tiny_window_edge():
     sch = make_schedule(40, 1, "explicit", z=math.sqrt(40), y=3)
     sets = build_sets(sch)
     assert sets.u2 == (-1, 1)
-    assert set(sets.u1) | set(sets.u2) == set(range(-3, 4))
     # 5's classes 1 and 4 hold one offset each: the tie goes to 1
     assert sets.mid_classes == (1,)
     assert sets.u6 == (-1,)
@@ -702,9 +701,8 @@ def test_squarefree_n_itself(micro):
 @pytest.mark.parametrize("x", [150, 1000, 3000])
 def test_classes_and_witnesses_match_their_definitions(x):
     cert = construct_certificate(make_schedule(x, 1, "practical"))
-    sets, y = cert.sets, cert.schedule.y
+    sets, y = build_sets(cert.schedule), cert.schedule.y
     window = range(-y, y + 1)
-    assert sets.u1 == tuple(u for u in window if least_divisor(u, sets.p1))
     assert sets.u2 == tuple(u for u in window if not least_divisor(u, sets.p1))
     assert (sets.mid_classes, sets.u6) == greedy_classes(sets.u2, sets.p2)
     assert cert.cover == {
@@ -735,8 +733,9 @@ def test_every_congruence_witnesses_an_offset(x):
     cert = construct_certificate(make_schedule(x, 1, "practical"))
     assert {c.modulus for c in cert.congruences} == set(cert.cover.values())
     # so every large prime covers one or two offsets, all of them in u6
-    large = {u: p for u, p in cert.cover.items() if p in cert.sets.p3}
-    assert set(large) == set(cert.sets.u6)
+    sets = build_sets(cert.schedule)
+    large = {u: p for u, p in cert.cover.items() if p in sets.p3}
+    assert set(large) == set(sets.u6)
     for p in set(large.values()):
         assert 1 <= sum(w == p for w in cert.cover.values()) <= 2
 
@@ -823,11 +822,12 @@ def test_certificate_windows_total_coverage(x):
     # every congruence kept reproduces its band's residue
     residues = {c.modulus: c.residue for c in cert.congruences}
     assert all(cert.m0 % q == r for q, r in residues.items())
-    for p in set(cert.sets.p1) & set(residues):
+    sets = build_sets(cert.schedule)
+    for p in set(sets.p1) & set(residues):
         assert residues[p] == 0
-    for c, p in zip(cert.sets.mid_classes, cert.sets.p2):
+    for c, p in zip(sets.mid_classes, sets.p2):
         assert residues.get(p, -c % p) == -c % p
-    for u in cert.sets.u6:
+    for u in sets.u6:
         assert (cert.m0 + u) % cert.cover[u] == 0
 
 

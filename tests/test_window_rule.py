@@ -9,7 +9,12 @@ import pytest
 
 from primeavoid import squarefree
 from primeavoid.errors import ConstructionError
-from primeavoid.kpower import construct_certificate_k, match_offsets
+from primeavoid.kpower import (
+    build_sets_k,
+    construct_certificate_k,
+    match_offsets,
+    strike_offsets,
+)
 from primeavoid.numtheory import (
     Congruence,
     class_congruences,
@@ -42,14 +47,15 @@ def mode_classes(mode, k, x):
     sch = make_schedule(x, k, "practical")
     if mode == "squarefree":
         cert = squarefree.construct_certificate(sch)
-        sets = cert.sets
+        sets = squarefree.build_sets(cert.schedule)
         classes = [(0, p) for p in sets.p1]
         classes += zip(sets.mid_classes, sets.p2)
         classes += squarefree.assign_primes(sets)
     else:
         cert = construct_certificate_k(sch)
-        classes = [*zip(cert.sets.classes, cert.sets.p1)]
-        classes += match_offsets(cert.sets).pairs
+        sets = strike_offsets(build_sets_k(cert.schedule))
+        classes = [*zip(sets.classes, sets.p1)]
+        classes += match_offsets(sets).pairs
     return cert.schedule, tuple(classes), cert.congruences
 
 
