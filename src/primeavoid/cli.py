@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: construct (run a pipeline, emit a certificate document),
-verify (re-check a document), bench-sieve (bound vs. exact count over a
-parameter grid), matrix-scan (progression rows above a certificate).
+verify (re-check a document) and bench-sieve (bound vs. exact count over
+a parameter grid).
 
 Each handler imports the modules its command runs and no others, so
 that ``verify`` loads no construction code and ``construct`` only the
@@ -106,10 +106,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--b", default="1,2")
     b.add_argument("--kappa", type=float, default=2.0)
     b.add_argument("--a2", type=float, default=8.0)
-
-    s = sub.add_parser("matrix-scan", help="scan progression rows above a certificate")
-    s.add_argument("path")
-    s.add_argument("--rows", type=int, required=True)
     return parser
 
 
@@ -147,24 +143,17 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _load_document(path: str) -> dict:
+def _cmd_verify(args) -> int:
     from . import document as doc_mod
 
     try:
-        with open(path, "rb") as fh:
+        with open(args.path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise CertificateFileError(
             EXIT_NO_CERTIFICATE, f"cannot read certificate: {exc}"
         ) from exc
-    return doc_mod.parse_document(data.decode("utf-8"))
-
-
-def _cmd_verify(args) -> int:
-    from . import document as doc_mod
-
-    doc = _load_document(args.path)
-    report = doc_mod.verify_document(doc)
+    report = doc_mod.verify_document(doc_mod.parse_document(data.decode("utf-8")))
     print(report.render())
     if report.ok:
         print("certificate OK")
@@ -239,40 +228,6 @@ def _cmd_bench_sieve(args) -> int:
     return EXIT_FAIL if violations else EXIT_OK
 
 
-def _cmd_matrix_scan(args) -> int:
-    from . import document as doc_mod
-    from . import kpower
-
-    doc = _load_document(args.path)
-    if doc["mode"] != "kpower":
-        raise ValueError("matrix-scan needs a kpower certificate")
-    exceptional = [int(e["u"]) for e in doc["exceptions"]]
-    with doc_mod.unlimited_int_digits():
-        m0, modulus = int(doc["m0"]), int(doc["modulus"])
-    report = kpower.matrix_scan(
-        m0,
-        modulus,
-        int(doc["schedule"]["k"]),
-        args.rows,
-        int(doc["schedule"]["y"]),
-        exceptional=exceptional,
-    )
-    json.dump(
-        {
-            "rows": report.rows,
-            "prime_rows": report.prime_rows,
-            "rows_with_window_prime": report.rows_with_window_prime,
-            "ratio": report.ratio,
-            "avoiding_rows": list(report.avoiding_rows),
-        },
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    sys.stdout.write("\n")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -283,7 +238,6 @@ def main(argv=None) -> int:
         "construct": _cmd_construct,
         "verify": _cmd_verify,
         "bench-sieve": _cmd_bench_sieve,
-        "matrix-scan": _cmd_matrix_scan,
     }
     try:
         return handlers[args.command](args)

@@ -18,10 +18,14 @@ scan to 10^7 otherwise.  A kpower document whose k * bits(m) exceeds
 numtheory.MAX_POWER_BITS is refused before m^k is built.  The metrics
 the serializer derives (derived_metrics) are recomputed from the checked
 numbers, and a squarefree trial bound may claim no more than the scan.
-The primality sections (prime_base and exceptions, or squarefree) run
-only once the congruences, the progression, the completeness and the
-witnesses hold; on a document that fails one of those each is reported
-"not checked", so a refuted document costs no primality test on m.
+Every window offset needs a witness but kpower's u = 1, whose element is
+m^k: a document that lists an exception is refuted, and ``exceptions``
+and ``prime_count_in_window`` stay in the format, empty and 0, until
+its next major version.  The primality section (prime_base, or
+squarefree) runs only once the congruences, the progression, the
+completeness and the witnesses hold; on a document that fails one of
+those it is reported "not checked", so a refuted document costs no
+primality test on m.
 UNCHECKED names the paths the verifier reads nothing of.
 
 This module owns the format, and so the record both modes build,
@@ -89,16 +93,16 @@ class Certificate(NamedTuple):
     m: int
     congruences: tuple[Congruence, ...]  # the system solved for m0, in order
     cover: dict[int, int]  # offset u -> witness prime dividing m^k + u + shift
-    exceptions: list[tuple[int, str]]  # (u, status); empty in squarefree
     metrics: dict  # the mode's own metrics, after the derived ones
     autoshrink_trace: tuple[int, ...]
 
 
-def derived_metrics(m: int, modulus: int, power: int, y: int, statuses) -> dict:
+def derived_metrics(m: int, modulus: int, power: int, y: int) -> dict:
     """The metrics the serializer derives and the verifier recomputes: log m,
     log modulus, their ratio, the avoidance constant of ``power`` (m^k)
     and y, null when power <= e^(e^e), below the constant's domain, and
-    the number of exception ``statuses`` that are "prime"."""
+    the count of window primes, 0 as every element but m^k has a
+    witness."""
     log_m, log_modulus = math.log(m), math.log(modulus)
     try:
         constant = avoidance_constant(power, y)
@@ -109,18 +113,18 @@ def derived_metrics(m: int, modulus: int, power: int, y: int, statuses) -> dict:
         "log_modulus": log_modulus,
         "exponent_report": log_m / log_modulus if modulus > 1 else None,
         "avoidance_constant": constant,
-        "prime_count_in_window": sum(status == "prime" for status in statuses),
+        "prime_count_in_window": 0,
     }
 
 
 @unlimited_int_digits()
 def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
     """Serialize a certificate; ``seed`` is recorded only.  Every document
-    holds the same top-level keys, read off the certificate as built: the
-    exceptions, the metrics derived here, then the mode's own metrics."""
+    holds the same top-level keys, read off the certificate as built, an
+    empty ``exceptions`` and the metrics derived here, then the mode's
+    own metrics."""
     derived = derived_metrics(
-        cert.m, cert.modulus, cert.m**cert.schedule.k, cert.schedule.y,
-        [status for _, status in cert.exceptions],
+        cert.m, cert.modulus, cert.m**cert.schedule.k, cert.schedule.y
     )
     return {
         "format_version": FORMAT_VERSION,
@@ -134,7 +138,7 @@ def certificate_to_document(cert: Certificate, seed: int = 0) -> dict:
         "cover": [
             {"u": u, "witness_prime": str(p)} for u, p in sorted(cert.cover.items())
         ],
-        "exceptions": [{"u": u, "status": st} for u, st in cert.exceptions],
+        "exceptions": [],
         "metrics": {
             **derived,
             "autoshrink_trace": list(cert.autoshrink_trace),
@@ -376,7 +380,6 @@ def verify_document(doc: dict) -> VerifyReport:
     congs = [(int(r), int(q)) for r, q in doc["congruences"]]
 
     cover = {int(e["u"]): int(e["witness_prime"]) for e in doc["cover"]}
-    exc = {int(e["u"]): e["status"] for e in doc["exceptions"]}
     moduli = [q for _, q in congs]
     distinct = set(moduli)
 
@@ -415,27 +418,23 @@ def verify_document(doc: dict) -> VerifyReport:
         detail = f"m={_short(m)} < 2y={_short(2 * y)}"
     sections.append(("progression", member, detail))
 
-    # window cover: completeness, then every witness division
-    # counted, so that the cost follows the entries, not the y claimed
+    # window cover: completeness, then every witness division; every
+    # offset needs a witness, so a listed exception is refuted.  Counted,
+    # so that the cost follows the entries, not the y claimed
     skip = 1 if mode == "kpower" else None  # m^k itself is no window element
-    seen = set(cover) | set(exc)
-    extra = sorted(u for u in seen if not -y <= u <= y or u == skip)
+    extra = sorted(u for u in cover if not -y <= u <= y or u == skip)
     size = 2 * y + 1 - (mode == "kpower" and y >= 1)
-    twice = [  # a dict keeps one entry per offset: only a count shows a repeat
-        (name, u) for name, kept in (("cover", cover), ("exceptions", exc))
-        if len(doc[name]) > len(kept)
-        for u, n in Counter(int(e["u"]) for e in doc[name]).items() if n > 1
-    ]
-    complete = len(seen) - len(extra) == size and not (extra or set(cover) & set(exc))
-    if twice:
-        name, u = twice[0]
-        complete, detail = False, f"offset {_short(u)} listed twice in {name}"
-    elif mode == "squarefree" and exc:  # every squarefree offset needs a witness
-        complete, detail = False, f"squarefree document lists exception {_short(min(exc))}"
+    complete = not extra and len(cover) == size
+    if doc["exceptions"]:
+        u = min(int(e["u"]) for e in doc["exceptions"])
+        complete, detail = False, f"document lists exception {_short(u)}"
+    elif len(doc["cover"]) > len(cover):  # a dict keeps one entry per offset
+        u = next(u for u, n in Counter(int(e["u"]) for e in doc["cover"]).items() if n > 1)
+        complete, detail = False, f"offset {_short(u)} listed twice in cover"
     elif complete:
-        detail = f"{len(cover)} witnessed + {len(exc)} exceptions"
+        detail = f"{len(cover)} witnessed"
     else:
-        missing = list(islice(_gaps(sorted(seen.difference(extra)), y, skip), 5))
+        missing = list(islice(_gaps(sorted(set(cover).difference(extra)), y, skip), 5))
         detail = (
             f"offsets covered do not tile the window (missing {_shorts(missing)}, "
             f"extra {_shorts(extra[:5])})"
@@ -465,12 +464,12 @@ def verify_document(doc: dict) -> VerifyReport:
         )
     )
 
-    # the primality sections run only on a document whose structure
+    # the primality section runs only on a document whose structure
     # holds: a failing one is refuted already, and its m may be anything
-    primality = ("prime_base", "exceptions") if mode == "kpower" else ("squarefree",)
+    primality = "prime_base" if mode == "kpower" else "squarefree"
     failed = next((name for name, passed, _ in sections if not passed), None)
     if failed:
-        sections += [(name, False, f"not checked: {failed} fails") for name in primality]
+        sections.append((primality, False, f"not checked: {failed} fails"))
     elif mode == "kpower":
         m_prime = is_prime(m)
         if not m_prime:
@@ -480,22 +479,6 @@ def verify_document(doc: dict) -> VerifyReport:
         else:
             detail = "m is a BPSW probable prime"
         sections.append(("prime_base", m_prime, detail))
-        mismatch = None
-        for u, status in sorted(exc.items()):
-            actual = "prime" if is_prime(power + u + shift) else "composite"
-            if actual != status:
-                mismatch = (u, status, actual)
-                break
-        sections.append(
-            (
-                "exceptions",
-                mismatch is None,
-                f"{len(exc)} statuses re-checked"
-                if mismatch is None
-                else f"offset {_short(mismatch[0])} recorded {mismatch[1]} but is "
-                f"{mismatch[2]}",
-            )
-        )
     else:
         recorded = doc["metrics"].get("squarefree_status", "proven")
         # no tier found can fall below a partial claim, so it skips every
@@ -522,8 +505,7 @@ def verify_document(doc: dict) -> VerifyReport:
     # a squarefree trial bound may claim no more than the scan to
     # SQUAREFREE_TRIAL_BOUND checked
     metrics = doc["metrics"]
-    statuses = [entry["status"] for entry in doc["exceptions"]]
-    derived = derived_metrics(m, modulus, power, y, statuses)
+    derived = derived_metrics(m, modulus, power, y)
     wrong = next((key for key, value in derived.items()
                   if key not in metrics or not _agrees(metrics[key], value)), None)
     bound = metrics.get("squarefree_trial_bound")

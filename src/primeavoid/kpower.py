@@ -9,21 +9,20 @@ whose element is m^k itself; the least root r is taken, and class 0 gives
 m == 1 (mod p).  U7, the offsets this pass leaves open, goes to the
 large band that squarefree runs too (numtheory.large_band), under the
 same rule.  Congruences that are no offset's least striker are dropped
-(numtheory.drop_idle).  The capacity check still counts the paper's
-offsets, the z-smooth and prime ones (U4 | U5), so y is the paper's.
-The pipeline then solves the congruence system, finds a prime m in the
+(numtheory.drop_idle).  The capacity check counts the paper's offsets,
+the z-smooth and prime ones (U4 | U5), so y is the paper's; an offset the
+large band leaves open then halves y as a failed count does.  The
+pipeline then solves the congruence system, finds a prime m in the
 progression (numtheory.find_prime_in_ap, the search squarefree runs for
 its prime cofactor too), and certifies the window: the witness of
 m^k + (u - 1) is the least modulus q of the system whose residue r has
-u == 1 - r^k (mod q), and an element that no congruence strikes is an
-exception with its primality status.  The window rule, class to root
-and the witness check, is numtheory's, shared with squarefree: the
-element is m^k + u + shift with shift -1 here.
+u == 1 - r^k (mod q), and every offset but u = 1 has one.  The window
+rule, class to root and the witness check, is numtheory's, shared with
+squarefree: the element is m^k + u + shift with shift -1 here.
 
 The run's record is document.Certificate, as in squarefree, with no
-metric of kpower's own: the offsets the large band leaves open are the
-exceptions of a reduced modulus, and a full modulus shows in its
-congruences, one for every prime <= x.
+metric of kpower's own: a full modulus shows in its congruences, one for
+every prime <= x.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .numtheory import (
     crt_solve,
     find_prime_in_ap,
     greedy_classes,
-    is_prime,
     jacobi,
     kth_root_count,
     large_band,
@@ -171,7 +169,7 @@ def legendre_screen(sch: Schedule, p3tilde) -> tuple[int, ...]:
 class KMatching(NamedTuple):
     """The large band's (class, prime) pairs, ascending by prime, the prime
     striking each offset it covers, by offset, and the offsets left open,
-    which a reduced modulus leaves as its exceptions."""
+    which make construct_certificate_k halve y."""
 
     pairs: tuple[tuple[int, int], ...]
     matched: dict[int, int]
@@ -218,68 +216,31 @@ def covering_congruences(sets: KSetSystem, pairs) -> tuple[Congruence, ...]:
 
 def verify_power_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
-) -> tuple[dict[int, int], list[tuple[int, str]]]:
-    """The witness of each window element m^k + u - 1 that a congruence
-    strikes (numtheory.window_cover, shift -1) and the primality of each
-    other one; u = 1 is skipped: its element is m^k, the prime power."""
-    cover, unstruck = window_cover(m, congruences, sch.y, sch.k, -1)
-    base = m**sch.k - 1
-    status = {True: "prime", False: "composite"}
-    return cover, [(u, status[is_prime(base + u)]) for u in unstruck if u != 1]
+) -> tuple[dict[int, int], list]:
+    """The witness of each window element m^k + u - 1 (numtheory.window_cover,
+    shift -1); u = 1 is skipped: its element is m^k, the prime power."""
+    # the empty list stands where the exceptions were, as
+    # e2ebench/traced.py counts the result's second item
+    return window_cover(m, congruences, sch.y, sch.k, -1, skip=1), []
 
 
-class MatrixScanReport(NamedTuple):
-    rows: int
-    prime_rows: int  # rows whose progression member is prime
-    rows_with_window_prime: int  # of those, rows with a prime exception
-    avoiding_rows: tuple[int, ...]
+def _band(sch: Schedule) -> tuple[KSetSystem, KMatching | None]:
+    """The set system at ``sch`` and, once the paper's count holds, its
+    greedy classes (strike_offsets) and large band (match_offsets)."""
+    sets = build_sets_k(sch)
+    if sets.paper_demand > len(sets.p3tilde):
+        return sets, None
+    sets = strike_offsets(sets)
+    return sets, match_offsets(sets)
 
-    @property
-    def ratio(self) -> float:
-        return self.rows_with_window_prime / self.prime_rows if self.prime_rows else 0.0
 
-
-def matrix_scan(
-    m0: int,
-    modulus: int,
-    k: int,
-    rows: int,
-    y: int,
-    exceptional=(),
-) -> MatrixScanReport:
-    """Scan rows r = 1..rows of the progression.
-
-    A row counts when m0 + r*modulus is prime; it is "avoiding" when
-    none of its exceptional window elements (the offsets the congruence
-    system left open) is prime -- every other element inherits its
-    witness divisor from the congruences, row by row.  The rows that
-    survive the progression sieve are tested as find_prime_in_ap tests
-    them (numtheory._prime_verdicts).
-    """
-    if not 0 <= rows <= 10**5:
-        raise ValueError(f"row count {rows} is outside [0, 10**5]")
-    exceptional = tuple(u for u in exceptional if u != 1 and -y <= u <= y)
-    prime_rows = 0
-    with_window_prime = 0
-    avoiding: list[int] = []
-    rows_left = numtheory._sieved_steps(m0, modulus, rows)
-    members = (m0 + r * modulus for r in rows_left)
-    for g, prime in numtheory._prime_verdicts(members):
-        if not prime:
-            continue
-        r = (g - m0) // modulus
-        prime_rows += 1
-        base = g**k
-        if any(is_prime(base + u - 1) for u in exceptional):
-            with_window_prime += 1
-        else:
-            avoiding.append(r)
-    return MatrixScanReport(
-        rows=rows,
-        prime_rows=prime_rows,
-        rows_with_window_prime=with_window_prime,
-        avoiding_rows=tuple(avoiding),
-    )
+def _band_demand(built) -> tuple[int, int]:
+    """The paper's count, |U4 | U5| against |P3tilde|, until it holds; then
+    |U7| against the U7 offsets the large band covers."""
+    sets, matching = built
+    if matching is None:
+        return sets.paper_demand, len(sets.p3tilde)
+    return len(sets.u7), len(sets.u7) - len(matching.unmatched)
 
 
 def construct_certificate_k(
@@ -287,12 +248,9 @@ def construct_certificate_k(
     reduced: bool = True,
     max_steps: int = DEFAULT_PRIME_STEPS,
 ) -> Certificate:
-    """Run the full k-th power pipeline, auto-shrinking y on capacity."""
-    sch, sets, trace = shrink_to_capacity(
-        sch, build_sets_k, lambda s: (s.paper_demand, len(s.p3tilde))
-    )
-    sets = strike_offsets(sets)
-    matching = match_offsets(sets)
+    """Run the full k-th power pipeline, halving y while the paper's count
+    fails or the large band leaves an offset open."""
+    sch, (sets, matching), trace = shrink_to_capacity(sch, _band, _band_demand)
     congruences = covering_congruences(sets, matching.pairs)
     if not reduced:  # 1 mod every other prime <= x, for a full primorial
         used = {c.modulus for c in congruences}
@@ -305,7 +263,7 @@ def construct_certificate_k(
             f"m^k too large: k * bits(m) = {sch.k} * {m.bit_length()} exceeds "
             f"{numtheory.MAX_POWER_BITS}, which a verifier refuses"
         )
-    cover, exceptions = verify_power_window(m, congruences, sch)
+    cover, _ = verify_power_window(m, congruences, sch)
     return Certificate(
         mode="kpower",
         schedule=sch,
@@ -314,7 +272,6 @@ def construct_certificate_k(
         m=m,
         congruences=congruences,
         cover=cover,
-        exceptions=exceptions,
         metrics={},
         autoshrink_trace=trace,
     )

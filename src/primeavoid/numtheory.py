@@ -421,11 +421,12 @@ def class_congruences(y: int, classes, k: int, shift: int) -> tuple[Congruence, 
     return tuple(congruences)
 
 
-def window_cover(m: int, congruences, y: int, k: int, shift: int):
-    """(cover, unstruck): the least modulus q striking each offset u of
-    [-y, y], where m == r (mod q) strikes u == -shift - r^k, checked to
-    divide m^k + u + shift and to be below it (ConstructionError otherwise),
-    and the offsets that no congruence strikes, ascending.  The base
+def window_cover(m: int, congruences, y: int, k: int, shift: int, skip=None):
+    """The least modulus q striking each offset u of [-y, y], where
+    m == r (mod q) strikes u == -shift - r^k, checked to divide
+    m^k + u + shift and to be below it; then every offset but ``skip``
+    (kpower's u = 1, whose element is m^k) must be struck.  A failed check
+    is a construction bug, so it raises ConstructionError.  The base
     m^k + shift is reduced once per modulus; each offset is then checked
     in small ints, and no element is built."""
     base = m**k + shift
@@ -437,7 +438,10 @@ def window_cover(m: int, congruences, y: int, k: int, shift: int):
     for u, q in cover.items():
         if (residue[q] + u) % q or q - u >= base:
             raise ConstructionError(f"offset {u}: invalid witness q={q}; construction bug")
-    return cover, [u for u in range(-y, y + 1) if u not in cover]
+    for u in range(-y, y + 1):
+        if u not in cover and u != skip:
+            raise ConstructionError(f"offset {u} lacks a witness; construction bug")
+    return cover
 
 
 def jacobi(a: int, n: int) -> int:

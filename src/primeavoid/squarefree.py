@@ -45,7 +45,7 @@ e^gamma * ln(10^7) / ln(cofactor), some 2% at 1,700 bits and less above,
 while the round is the costliest step of a large construct.
 
 The run's record is document.Certificate, as in kpower; squarefree adds
-m's tier and the trial bound as metrics, and lists no exceptions.
+m's tier and the trial bound as metrics.
 """
 
 from __future__ import annotations
@@ -252,15 +252,12 @@ def verify_window(
     m: int, congruences: tuple[Congruence, ...], sch: Schedule
 ) -> dict[int, int]:
     """The least striker of every offset in [-y, y] (numtheory.window_cover,
-    k = 1, shift 0).  An m below 2y or an unstruck offset is a construction
-    bug, so it raises ConstructionError."""
+    k = 1, shift 0, no offset skipped).  An m below 2y or an unstruck
+    offset is a construction bug, so it raises ConstructionError."""
     y = sch.y
     if m < 2 * y:
         raise ConstructionError(f"m={m} violates m >= 2y = {2 * y}")
-    cover, unstruck = window_cover(m, congruences, y, 1, 0)
-    if unstruck:
-        raise ConstructionError(f"offset {unstruck[0]} lacks a witness; construction bug")
-    return cover
+    return window_cover(m, congruences, y, 1, 0)
 
 
 def construct_certificate(
@@ -282,7 +279,6 @@ def construct_certificate(
         m=search.m,
         congruences=congruences,
         cover=cover,
-        exceptions=[],
         metrics={
             "squarefree_status": search.status,
             "squarefree_trial_bound": str(SQUAREFREE_TRIAL_BOUND),

@@ -488,7 +488,7 @@ def test_verify_progression_shift(tmp_path, capsys, micro_doc_text):
     for t, expected in ((shifted_ok, 0), (shifted_bad, 1)):
         shifted = m + t * n
         doc["m"] = str(shifted)
-        doc["metrics"].update(doc_mod.derived_metrics(shifted, n, shifted, y, []))
+        doc["metrics"].update(doc_mod.derived_metrics(shifted, n, shifted, y))
         path = tmp_path / f"shifted{t}.json"
         path.write_text(json.dumps(doc))
         code, _, _ = run_cli(capsys, "verify", str(path))
@@ -1147,7 +1147,7 @@ def test_verify_rejects_an_offset_witnessed_twice(tmp_path, capsys):
 
 def test_verify_rejects_an_exception_listed_twice(tmp_path, capsys):
     # a struck element is composite: the first status is false, the last
-    # true, and both name one offset
+    # true, and both name one offset; any listed exception is refuted
     def mutate(doc):
         u = doc["cover"].pop(0)["u"]
         doc["exceptions"] = [
@@ -1156,18 +1156,21 @@ def test_verify_rejects_an_exception_listed_twice(tmp_path, capsys):
 
     code, out = verify_mutated(tmp_path, capsys, "kp3_x1000.json", mutate)
     assert code == 1
-    assert "[FAIL] completeness   offset -38 listed twice in exceptions" in out
+    assert "[FAIL] completeness   document lists exception -38" in out
 
 
-def test_verify_rejects_a_squarefree_exception(tmp_path, capsys):
-    # every squarefree offset needs its witness; none may be waived
+@pytest.mark.parametrize(
+    "fixture, u", [("sf_x400.json", -108), ("kp3_x1000.json", -38)],
+    ids=["squarefree", "kpower"],
+)
+def test_verify_rejects_a_listed_exception(tmp_path, capsys, fixture, u):
+    # every offset needs its witness but kpower's u = 1; none may be waived
     def mutate(doc):
-        u = doc["cover"].pop(0)["u"]
-        doc["exceptions"] = [{"u": u, "status": "prime"}]
+        doc["exceptions"] = [{"u": doc["cover"].pop(0)["u"], "status": "prime"}]
 
-    code, out = verify_mutated(tmp_path, capsys, "sf_x400.json", mutate)
+    code, out = verify_mutated(tmp_path, capsys, fixture, mutate)
     assert code == 1
-    assert "[FAIL] completeness   squarefree document lists exception -108" in out
+    assert f"[FAIL] completeness   document lists exception {u}" in out
 
 
 def m0_beyond_the_modulus(doc):
@@ -1224,8 +1227,8 @@ def struck_offset_called_prime(doc):
         ("sf_x400.json", first_modulus_zero, "congruences", "modulus 0 is not prime"),
         ("sf_x40_explicit.json", m_below_twice_y, "progression", "m=69510 < 2y=139020"),
         ("kp3_x1000.json", composite_member_as_m, "prime_base", "m is composite"),
-        ("kp3_x1000.json", struck_offset_called_prime, "exceptions",
-         "offset -38 recorded prime but is composite"),
+        ("kp3_x1000.json", struck_offset_called_prime, "completeness",
+         "document lists exception -38"),
     ],
     ids=["m0-beyond-modulus", "m0-off-residue", "kpower-m0-residue-zero",
          "kpower-congruence-on-zero", "squarefree-modulus-zero", "squarefree-m-below-2y", "kpower-m-composite", "wrong-exception-status"],
@@ -1297,16 +1300,15 @@ def test_failed_squarefree_document_runs_no_scan(monkeypatch):
 
 
 def test_failed_kpower_document_tests_no_big_prime(monkeypatch):
-    # a residue off by one: the congruences fail, so the 818-bit m and the
-    # exceptions go untested
+    # a residue off by one: the congruences fail, so the 818-bit m goes
+    # untested
     with doc_mod.unlimited_int_digits():
         doc = json.loads((FIXTURES / "kp2_x600_full.json").read_text())
     r, q = doc["congruences"][-1]
     doc["congruences"][-1] = [str((int(r) + 1) % int(q)), q]
     report, tested = failed_document_primality(monkeypatch, doc)
     assert not report.ok
-    for name in ("prime_base", "exceptions"):
-        assert (name, False, "not checked: congruences fails") in report.sections
+    assert ("prime_base", False, "not checked: congruences fails") in report.sections
     assert all(n < 2**64 for n in tested)
 
 
@@ -1512,7 +1514,7 @@ def test_bench_sieve_argument_fault_exits_64(capsys, argv, message):
     assert out == "" and err.startswith("error: ") and message in err
 
 
-# -- matrix-scan ----------------------------------------------------------------------
+# -- verifier closure over kpower ------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -1521,46 +1523,6 @@ def k1_doc_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("certs") / "k1.json"
     path.write_text(doc_mod.document_to_json(doc_mod.certificate_to_document(cert)))
     return path
-
-
-def test_matrix_scan_zero_rows(capsys, k1_doc_path):
-    code, out, _ = run_cli(capsys, "matrix-scan", str(k1_doc_path), "--rows", "0")
-    assert code == 0
-    report = json.loads(out)
-    assert report["prime_rows"] == 0
-    assert report["rows_with_window_prime"] == 0
-
-
-def test_matrix_scan_reports_rows(capsys, k1_doc_path):
-    code, out, _ = run_cli(capsys, "matrix-scan", str(k1_doc_path), "--rows", "60")
-    assert code == 0
-    report = json.loads(out)
-    assert report["prime_rows"] >= 1
-    assert report["rows_with_window_prime"] == 0  # odd k: no exceptions
-    assert len(report["avoiding_rows"]) == report["prime_rows"]
-
-
-@pytest.mark.parametrize("rows", ["200000", "-3"])
-def test_matrix_scan_row_count_out_of_range_exits_64(capsys, k1_doc_path, rows):
-    code, out, err = run_cli(capsys, "matrix-scan", str(k1_doc_path), "--rows", rows)
-    assert code == cli.EXIT_USAGE == 64
-    assert out == ""
-    assert err == f"error: row count {rows} is outside [0, 10**5]\n"
-
-
-def test_matrix_scan_missing_certificate_exits_66(capsys):
-    code, _, _ = run_cli(capsys, "matrix-scan", "/no/cert.json", "--rows", "5")
-    assert code == 66
-
-
-def test_matrix_scan_needs_kpower_mode(tmp_path, capsys, micro_doc_text):
-    path = tmp_path / "sq.json"
-    path.write_text(micro_doc_text)
-    code, _, _ = run_cli(capsys, "matrix-scan", str(path), "--rows", "5")
-    assert code == 64
-
-
-# -- verifier closure over kpower ------------------------------------------------------
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ def stub_certificate():
         m=22,
         congruences=(Congruence(1, 3), Congruence(2, 5)),
         cover={-2: 5, 2: 3},
-        exceptions=[(-1, "prime"), (0, "composite"), (1, "prime")],
         metrics={"stub_metric": 7},
         autoshrink_trace=(4, 2),
     )
@@ -46,13 +45,9 @@ def test_a_stub_mode_serializes_to_its_own_metrics():
     assert (doc["mode"], doc["seed"]) == ("stub", 5)
     assert set(doc["metrics"]) == DERIVED_METRICS | {"stub_metric"}
     assert doc["metrics"]["stub_metric"] == 7
-    assert doc["metrics"]["prime_count_in_window"] == 2
+    assert doc["metrics"]["prime_count_in_window"] == 0
     assert doc["metrics"]["autoshrink_trace"] == [4, 2]
-    assert doc["exceptions"] == [
-        {"u": -1, "status": "prime"},
-        {"u": 0, "status": "composite"},
-        {"u": 1, "status": "prime"},
-    ]
+    assert doc["exceptions"] == []
     assert doc["cover"] == [
         {"u": -2, "witness_prime": "5"}, {"u": 2, "witness_prime": "3"}
     ]

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from primeavoid import cli, kpower, numtheory
 from primeavoid import document as doc_mod
-from primeavoid import kpower, numtheory
 from primeavoid.errors import CapacityError, ConstructionError, SearchExhausted
 from primeavoid.kpower import (
     build_sets_k,
@@ -16,7 +16,6 @@ from primeavoid.kpower import (
     find_prime_in_ap,
     legendre_screen,
     match_offsets,
-    matrix_scan,
     solve_m0_k,
     strike_offsets,
     verify_power_window,
@@ -560,14 +559,13 @@ def test_pool_search_exhaustion_counts_every_survivor(
     assert tested == (big_gap_survivors if workers == 1 else [])
 
 
-def test_pool_matrix_scan_matches_naive_scan(monkeypatch):
-    record_tests(monkeypatch, POOL_WORKERS)
-    # odd rows from inside the big gap to past its end: three prime rows
-    m0, rows, exceptional = BIG_GAP_END - 2 * 600, 950, (-1, 0, 2)
-    report = matrix_scan(m0, 2, 2, rows, 5, exceptional=exceptional)
-    prime_rows, avoiding = naive_matrix_scan(m0, 2, 2, rows, exceptional)
-    assert report.prime_rows == prime_rows == 3
-    assert list(report.avoiding_rows) == avoiding
+def test_pool_search_over_odd_members(monkeypatch):
+    # modulus 2: the odd members from inside the big gap, first prime at
+    # step 600
+    tested = record_tests(monkeypatch, POOL_WORKERS)
+    m0 = BIG_GAP_END - 2 * 600
+    assert find_prime_in_ap(m0, 2) == naive_find_prime(m0, 2, 600) == BIG_GAP_END
+    assert tested == []
 
 
 # -- window verification ---------------------------------------------------------------
@@ -581,8 +579,7 @@ def k1_cert():
 def test_k1_pipeline_cover(k1_cert):
     cert = k1_cert
     y = cert.schedule.y
-    covered = set(cert.cover) | {u for u, _ in cert.exceptions} | {1}
-    assert covered == set(range(-y, y + 1))
+    assert set(cert.cover) | {1} == set(range(-y, y + 1))
     for u, w in cert.cover.items():
         assert (cert.m + u - 1) % w == 0
         assert w < cert.m + u - 1
@@ -627,8 +624,7 @@ def test_classes_and_witnesses_match_their_definitions(k, x):
         offsets, sets.p1, kth_power_class(k)
     )
     witness = {u: congruence_witness(base + u - 1, cert.congruences) for u in offsets}
-    assert cert.cover == {u: p for u, p in witness.items() if p}
-    assert [u for u, _ in cert.exceptions] == [u for u, p in witness.items() if not p]
+    assert cert.cover == witness  # every offset but u = 1 has a witness
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -693,7 +689,7 @@ def test_kp2_x10000_is_small_and_has_no_exception(kp2_x10000_cert):
     cert = kp2_x10000_cert
     assert cert.schedule.y == 116  # the paper's y, as in format 1.5
     assert cert.modulus.bit_length() <= 170
-    assert cert.exceptions == []
+    assert len(cert.cover) == 2 * cert.schedule.y  # every offset but u = 1
 
 
 def test_full_mode_has_one_congruence_per_prime():
@@ -708,9 +704,60 @@ def test_exceptions_are_the_unmatched_u7_offsets(grid_cert):
     cert = grid_cert
     sets = solved_sets(cert)
     matching = match_offsets(sets)
-    assert set(matching.matched) | set(matching.unmatched) == set(sets.u7)
-    assert [u for u, _ in cert.exceptions] == list(matching.unmatched)
-    assert cert.metrics == {}  # the exceptions alone list them
+    # none: an unmatched offset halves y
+    assert set(matching.matched) == set(sets.u7) and matching.unmatched == ()
+    assert doc_mod.certificate_to_document(cert)["exceptions"] == []
+    assert cert.metrics == {}
+
+
+def leave_one_open(monkeypatch, first_only):
+    """Make kpower's large band leave the offset of its last pair open, on
+    its first call or on every call, as if that offset had no matchable
+    prime; returns the y of each call."""
+    real, calls = kpower.large_band, []
+
+    def band(offsets, primes, y, admissible):
+        pairs, left = real(offsets, primes, y, admissible)
+        calls.append(y)
+        if first_only and len(calls) > 1:
+            return pairs, left
+        c, q = pairs[-1]
+        assert left == () and q > y  # the last pair is a matched prime
+        return pairs[:-1], (next(u for u in offsets if u % q == c),)
+
+    monkeypatch.setattr(kpower, "large_band", band)
+    return calls
+
+
+def test_an_unmatched_offset_halves_y(monkeypatch):
+    sch = make_schedule(1000, 3, "practical")
+    trace = construct_certificate_k(sch).autoshrink_trace
+    calls = leave_one_open(monkeypatch, first_only=True)
+    cert = construct_certificate_k(sch)
+    y = trace[-1] // 2
+    assert cert.autoshrink_trace == (*trace, y) and calls == [trace[-1], y]
+    doc = doc_mod.certificate_to_document(cert)
+    assert doc["exceptions"] == [] and set(cert.cover) | {1} == set(range(-y, y + 1))
+    assert doc_mod.verify_document(doc_mod.parse_document(doc_mod.document_to_json(doc))).ok
+
+
+def test_no_matching_y_is_a_capacity_failure(monkeypatch, capsys):
+    # x=400, k=2, z=6: P1 is 2, 3 and 5, whose classes leave 3 offsets
+    # open at y=10 and 1 at y=5; the paper's count holds at both
+    calls = leave_one_open(monkeypatch, first_only=False)
+    with pytest.raises(CapacityError) as failure:
+        construct_certificate_k(make_schedule(400, 2, "explicit", z=6, y=10))
+    assert calls == [10, 5]
+    assert (failure.value.needed, failure.value.available) == (1, 0)
+    message = (
+        "capacity failed at y=5: 1 offsets need a covering prime but only 0 "
+        "are available, and y cannot shrink below 3"
+    )
+    assert str(failure.value) == message
+    argv = ["--mode", "kpower", "--k", "2", "--x", "400", "--profile", "explicit",
+            "--z", "6", "--y", "10"]
+    assert cli.main(["construct", *argv]) == cli.EXIT_CAPACITY == 2
+    assert capsys.readouterr() == ("", f"capacity failure: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -729,24 +776,22 @@ def test_fixture_keeps_format_1_2_window(name):
 
 def test_verify_rechecks_divisions(k1_cert):
     cert = k1_cert
-    cover, exceptions = verify_power_window(cert.m, cert.congruences, cert.schedule)
-    assert cover.keys() == cert.cover.keys()
-    assert exceptions == cert.exceptions
+    assert verify_power_window(cert.m, cert.congruences, cert.schedule) == (
+        cert.cover, []
+    )
     metrics = doc_mod.certificate_to_document(cert)["metrics"]
-    assert metrics["prime_count_in_window"] == sum(s == "prime" for _, s in exceptions)
+    assert metrics["prime_count_in_window"] == 0
 
 
 def test_document_derives_the_metrics(k1_cert, kp2_x10000_cert):
-    # the exponent, the constant on m^k and the window primes come from
-    # the certificate's m, modulus, y and exceptions
-    cert = kp2_x10000_cert._replace(
-        exceptions=[(-3, "prime"), (5, "composite"), (7, "prime")]
-    )
+    # the exponent and the constant on m^k come from the certificate's m,
+    # modulus and y; no window element but m^k is prime
+    cert = kp2_x10000_cert
     doc = doc_mod.certificate_to_document(cert, seed=9)
     metrics = doc["metrics"]
     assert doc["seed"] == 9
     assert metrics["exponent_report"] == math.log(cert.m) / math.log(cert.modulus)
-    assert metrics["prime_count_in_window"] == 2
+    assert metrics["prime_count_in_window"] == 0
     assert metrics["avoidance_constant"] == numtheory.avoidance_constant(
         cert.m**2, cert.schedule.y
     )
@@ -767,9 +812,7 @@ def test_k1_full_modulus_pipeline():
     left = [p for p in primes_upto(200) if p not in kept]
     assert left and all(cert.m0 % p == 1 for p in left)
     y = cert.schedule.y
-    assert set(cert.cover) | {u for u, _ in cert.exceptions} | {1} == set(
-        range(-y, y + 1)
-    )
+    assert set(cert.cover) | {1} == set(range(-y, y + 1))
 
 
 def test_k2_pipeline_small():
@@ -782,79 +825,4 @@ def test_k2_pipeline_small():
     base = cert.m**2
     for u, w in cert.cover.items():
         assert (base + u - 1) % w == 0
-    for u, status in cert.exceptions:
-        assert status in ("prime", "composite")
-        assert (status == "prime") == is_prime(base + u - 1)
-    covered = set(cert.cover) | {u for u, _ in cert.exceptions} | {1}
-    assert covered == set(range(-y, y + 1))
-
-
-# -- matrix scan ----------------------------------------------------------------------
-
-
-def test_matrix_scan_zero_rows(k1_cert):
-    report = matrix_scan(k1_cert.m0, k1_cert.modulus, 1, 0, k1_cert.schedule.y)
-    assert (report.prime_rows, report.rows_with_window_prime) == (0, 0)
-    assert report.ratio == 0.0
-
-
-def test_matrix_scan_counts_match_direct_enumeration(k1_cert):
-    cert = k1_cert
-    report = matrix_scan(
-        cert.m0, cert.modulus, 1, 60, cert.schedule.y, exceptional=()
-    )
-    direct = [
-        r for r in range(1, 61) if is_prime(cert.m0 + r * cert.modulus)
-    ]
-    assert report.prime_rows == len(direct)
-    assert list(report.avoiding_rows) == direct
-    assert report.rows_with_window_prime == 0  # no exceptional columns
-
-
-def test_matrix_scan_small_modulus_cross_check():
-    report = matrix_scan(7, 30, 1, 100, 5, exceptional=())
-    direct = [r for r in range(1, 101) if is_prime(7 + 30 * r)]
-    assert report.prime_rows == len(direct)
-    assert list(report.avoiding_rows) == direct
-
-
-def naive_matrix_scan(m0, modulus, k, rows, exceptional):
-    prime_rows, avoiding = 0, []
-    for r in range(1, rows + 1):
-        g = m0 + r * modulus
-        if is_prime(g):
-            prime_rows += 1
-            if not any(is_prime(g**k + u - 1) for u in exceptional):
-                avoiding.append(r)
-    return prime_rows, avoiding
-
-
-def test_matrix_scan_matches_naive_scan():
-    rng = random.Random(9)
-    cases = [(m0, n, 1200) for m0, n in seeded_progressions()[:20]]
-    cases += [(GAP_END - 1025, 1, 1100)]  # one prime row, in the second chunk
-    cases += [(m0, n, 60) for m0, n in seeded_progressions()[-10:]]
-    for m0, modulus, rows in cases:
-        k = rng.choice((1, 2))
-        exceptional = tuple(rng.sample(range(-4, 5), 2))
-        report = matrix_scan(m0, modulus, k, rows, 5, exceptional=exceptional)
-        prime_rows, avoiding = naive_matrix_scan(
-            m0, modulus, k, rows, [u for u in exceptional if u != 1]
-        )
-        assert report.prime_rows == prime_rows, (m0, modulus)
-        assert list(report.avoiding_rows) == avoiding, (m0, modulus)
-
-
-def test_matrix_scan_flags_rows_with_window_primes():
-    # k=1, modulus 2, exceptional offset u=3: value g + 2, so twin-prime
-    # rows are flagged and everything else is avoiding
-    report = matrix_scan(1, 2, 1, 30, 5, exceptional=(3,))
-    flagged = [
-        r for r in range(1, 31) if is_prime(1 + 2 * r) and is_prime(3 + 2 * r)
-    ]
-    avoiding = [
-        r for r in range(1, 31) if is_prime(1 + 2 * r) and not is_prime(3 + 2 * r)
-    ]
-    assert report.rows_with_window_prime == len(flagged) > 0
-    assert list(report.avoiding_rows) == avoiding
-    assert report.ratio == pytest.approx(len(flagged) / report.prime_rows)
+    assert set(cert.cover) | {1} == set(range(-y, y + 1))

@@ -98,10 +98,12 @@ def test_core_matches_the_division_oracle(run, shift):
         assert congruences == own
     m0, n = crt_solve(congruences)
     m = m0 + n  # every element exceeds every modulus
-    cover, unstruck = window_cover(m, congruences, y, k, shift)
+    # the kpower classes never strike u = 1, whose element is m^k
+    skip = 1 if mode == "kpower" else None
+    cover = window_cover(m, congruences, y, k, shift, skip)
     witness = window_witnesses(m, congruences, y, k, shift)
     assert cover == {u: q for u, q in witness.items() if q}
-    assert unstruck == [u for u, q in witness.items() if not q]
+    assert [u for u, q in witness.items() if not q] == ([1] if skip else [])
 
 
 @pytest.mark.parametrize("run", [r for r in RUNS if r[1] == 1], ids=run_id)
@@ -147,6 +149,21 @@ def test_core_refuses_a_witness_not_below_its_element(
     q = congruence.modulus
     with pytest.raises(ConstructionError, match=f"offset {u}: invalid witness q={q}"):
         window_cover(m, [congruence], y, k, shift)
-    # the same congruence over a larger m of its class witnesses u
-    cover, _ = window_cover(m + 100 * q, [congruence], y, k, shift)
-    assert cover[u] == q
+    # the same congruence over a larger m of its class witnesses u: the
+    # check passes it and stops at an offset left unstruck
+    with pytest.raises(ConstructionError, match="lacks a witness"):
+        window_cover(m + 100 * q, [congruence], y, k, shift)
+
+
+@pytest.mark.parametrize("run", RUNS, ids=run_id)
+def test_core_refuses_an_unstruck_offset(run):
+    # the largest modulus is the only striker of the offset it witnesses
+    mode, k, _ = run
+    sch, _, congruences = mode_classes(*run)
+    shift, skip = own_shift(mode), (1 if mode == "kpower" else None)
+    kept = sorted(congruences, key=lambda c: c.modulus)[:-1]
+    with pytest.raises(ConstructionError, match="lacks a witness"):
+        window_cover(sum(crt_solve(kept)), kept, sch.y, k, shift, skip)
+    if skip:  # u = 1 passes only as the offset skipped
+        with pytest.raises(ConstructionError, match="offset 1 lacks a witness"):
+            window_cover(sum(crt_solve(congruences)), congruences, sch.y, k, shift)
